@@ -5,6 +5,15 @@ theta(z) maps the defect space of T into the defect space of T*; it is
 stored relative to rank-revealed orthonormal defect bases and evaluated by
 direct resolvent solves, which is exact for |z| <= 1 under the strict
 spectral-radius certificate.
+
+The quotient-model verifier never forms an N x N projector.  With U the
+normalized embedding, R the stacked symbol range and K an orthonormal basis
+of its complement, I - P_U - P_R = K K* - U U*; on the safe rows S that is
+C J C* for C = [K_S | U_S] and J = diag(I, -I).  From the thin QR C = Q R
+its norm is the largest |eigenvalue| of the small Hermitian R J R*.  The
+Gram shortcut (eigenvalues of J C* C) is avoided: it recovers a distance
+sin(theta) only as sqrt(1 - cos(theta)^2), so a distance near 1e-15 comes
+back near sqrt(machine eps) ~ 1e-8.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .linops import (
     hermitian_sqrt,
     operator_norm,
     orthonormalize,
+    range_complement,
 )
 
 __all__ = [
@@ -86,8 +96,8 @@ def charfn_build(t: np.ndarray, rank_tol: float = 1e-10) -> CharFn:
     eye = np.eye(t.shape[0], dtype=complex)
     d_in = hermitian_sqrt(eye - adjoint(t) @ t, tol=1e-9)
     d_out = hermitian_sqrt(eye - t @ adjoint(t), tol=1e-9)
-    q_in = orthonormalize(d_in, rank_tol=rank_tol * max(operator_norm(d_in), 1e-300))
-    q_out = orthonormalize(d_out, rank_tol=rank_tol * max(operator_norm(d_out), 1e-300))
+    q_in = _defect_basis(d_in, rank_tol)
+    q_out = _defect_basis(d_out, rank_tol)
     radius = spectral_radius_bound(t)
     if radius >= 1.0 and (q_in.dim or q_out.dim):
         raise ValueError(f"spectral radius estimate {radius:.6f} is not below 1")
@@ -241,13 +251,30 @@ class QuotientModelReport:
         return self.distance <= self.tol
 
 
+def _signed_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """||A A* - B B*|| from the thin QR [A | B] = Q R, without forming either.
+
+    A A* - B B* = Q (R J R*) Q* with J = diag(I, -I), so the norm is the
+    largest |eigenvalue| of the small Hermitian R J R*.  Its entries carry
+    absolute roundoff only, so small distances keep their digits.
+    """
+    r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
+    signs = np.concatenate([np.ones(a.shape[1]), -np.ones(b.shape[1])])
+    return float(np.max(np.abs(np.linalg.eigvalsh((r * signs) @ adjoint(r))), initial=0.0))
+
+
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
     """Distance between the complement of the embedded space and the span
     of the componentwise symbol-product ranges, on the safe-degree section.
 
-    With P the embedding projector and B an orthonormal basis of the
-    stacked symbol ranges, the projector difference of the two sides is
-    I - P - B B*, evaluated on rows and columns of safe degree.
+    With U the normalized embedding and K the range_complement of the
+    stacked symbol ranges (rank_tol 1e-8), the projector difference of the
+    two sides is I - P_U - P_R = K K* - U U*.  On the safe rows S its norm
+    is the largest |eigenvalue| of R J R*, where [K_S | U_S] = Q R is a thin
+    QR and J = diag(I, -I): a (k + m) x (k + m) matrix for complement dim k
+    and space dim m, so no N x N projector is formed.  The Gram shortcut,
+    the eigenvalues of J C* C for C = [K_S | U_S], is not used: it squares
+    away half the digits (see the module docstring).
     """
     model = canonical_embedding(t, d)
     if model.defect_dim == 0:
@@ -273,18 +300,13 @@ def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientMod
     for k, cf, coeffs in prepared:
         mat, incl_res = _component_symbol(cf, coeffs, k, model)
         incl_worst = max(incl_worst, incl_res)
-        range_cols.append(mat.toarray() if sp.issparse(mat) else np.asarray(mat))
-    basis = model.basis
-    sel = np.nonzero(basis.degree_selector(cutoff))[0]
-    u_hat = model.normalized_embedding()
-    p_q = u_hat @ adjoint(u_hat)
-    if range_cols:
-        b = orthonormalize(np.concatenate(range_cols, axis=1), rank_tol=1e-8).basis
-        p_r = b @ adjoint(b)
-    else:
-        p_r = np.zeros_like(p_q)
-    diff = np.eye(basis.size, dtype=complex) - p_q - p_r
-    dist = operator_norm(diff[np.ix_(sel, sel)])
+        range_cols.append(mat)
+    # range_cols is never empty: canonical_embedding admits only components
+    # of spectral radius below 1, and such a matrix is not an isometry
+    stacked = sp.hstack(range_cols).toarray(order="F")
+    k_basis = range_complement(stacked, rank_tol=1e-8).basis
+    sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+    dist = _signed_difference_norm(k_basis[sel], model.normalized_embedding()[sel])
     return QuotientModelReport(
         dist, cutoff, tuple(degrees), tuple(tails), incl_worst, tol
     )

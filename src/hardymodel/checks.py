@@ -31,7 +31,7 @@ from .generators import (
 from .hardy import enumerate_basis, kernel_vector, monomial_vector, parity_shift, shift
 from .linops import operator_norm
 
-__all__ = ["CheckOutcome", "GeneratorParams", "REGISTRY", "get_check", "run_check"]
+__all__ = ["CheckOutcome", "GeneratorParams", "REGISTRY", "get_check"]
 
 
 @dataclass(frozen=True)
@@ -261,10 +261,6 @@ def check_kernel_eigenrelation(rng, p: GeneratorParams, tol: float) -> CheckOutc
             want = np.conj(lam.coord(k - 1)) * (kv.coefficients * low)
             worst = max(worst, float(np.linalg.norm(got - want)))
     return CheckOutcome(worst <= tol, worst, 0.0, b.max_degree - 1)
-
-
-def check_defect_span_kernel_grid(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
-    return check_defect_span(rng, p, tol)
 
 
 def check_parity_family(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
@@ -593,8 +589,3 @@ def get_check(name: str) -> CheckSpec:
     if name not in REGISTRY:
         raise KeyError(name)
     return REGISTRY[name]
-
-
-def run_check(name: str, rng, params: GeneratorParams, tol: float | None = None) -> CheckOutcome:
-    spec = get_check(name)
-    return spec.run(rng, params, spec.default_tol if tol is None else tol)

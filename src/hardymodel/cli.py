@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -143,6 +144,16 @@ def _print_report(report: dict, quiet: bool) -> None:
     print(f"overall: {report['overall']}")
 
 
+def _json_report(report: dict) -> str:
+    """Strict JSON text of a report: non-finite numbers (a skipped check's
+    NaN residual) become null."""
+    checks = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in c.items()}
+        for c in report["checks"]
+    ]
+    return json.dumps({**report, "checks": checks}, indent=2, allow_nan=False) + "\n"
+
+
 def _cmd_run(args) -> int:
     try:
         report = run_scenario(args.scenario)
@@ -151,7 +162,7 @@ def _cmd_run(args) -> int:
         return 2
     _print_report(report, args.quiet)
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.out).write_text(_json_report(report))
     return 0 if report["overall"] == "pass" else 1
 
 def _cmd_list_checks(_args) -> int:

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Adjoints, Hermitian PSD square roots, resolvent solves, deterministic
-orthonormalization, orthogonal projectors and subspace comparison.  All
-functions are pure; inputs are never mutated.
+orthonormalization and range complements, orthogonal projectors and
+subspace comparison.  All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "operator_norm",
     "orthonormalize",
     "projector",
+    "range_complement",
     "solve_shifted",
     "subspace_distance",
 ]
@@ -108,6 +109,26 @@ def apply_shifted_inverse(t: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndar
         raise SingularShift(str(exc)) from exc
 
 
+def _pivoted_qr(vectors: np.ndarray, rank_tol: float, mode: str):
+    """Column-pivoted QR (LAPACK geqp3) and the rank rule of orthonormalize.
+
+    Returns (ambient dim, scipy.linalg.qr output in the given mode, rank);
+    the output is None for empty or zero input, whose rank is 0.
+    """
+    v = np.array(vectors, dtype=complex, order="F")
+    if v.ndim == 1:
+        v = v[:, None]
+    ambient, ncols = v.shape
+    if ncols == 0 or ambient == 0:
+        return ambient, None, 0
+    scale = float(np.max(np.linalg.norm(v, axis=0)))
+    if scale == 0.0:
+        return ambient, None, 0
+    out = scipy.linalg.qr(v, mode=mode, pivoting=True, overwrite_a=True)
+    rank = int(np.sum(np.abs(np.diag(out[1])) > rank_tol * scale))
+    return ambient, out, rank
+
+
 def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
     """Deterministic pivoted span of the given columns.
 
@@ -117,21 +138,38 @@ def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
     largest original column norm.  Zero input yields the
     zero-dimensional subspace.
     """
-    v = np.array(vectors, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
-    ambient, ncols = v.shape
-    if ncols == 0 or ambient == 0:
-        return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    scale = float(np.max(np.linalg.norm(v, axis=0)))
-    if scale == 0.0:
-        return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    q, r, _ = scipy.linalg.qr(v, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > rank_tol * scale))
+    ambient, out, rank = _pivoted_qr(vectors, rank_tol, "economic")
     if rank == 0:
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
+    return Subspace(ambient, np.ascontiguousarray(out[0][:, :rank]))
+
+
+def range_complement(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
+    """Orthogonal complement of the span orthonormalize(vectors, rank_tol) gives.
+
+    With the full pivoted factorization V P = Q R of rank r, the
+    complement is K = Q[:, r:].  It is obtained by applying the Householder
+    reflectors to the trailing unit vectors (LAPACK unmqr), so Q is never
+    formed (Golub & Van Loan, Matrix Computations, 5.1.6 and 5.4.1).  As
+    both routines share one geqp3 call and rank rule, [B | K] is unitary
+    for B = orthonormalize(vectors, rank_tol).basis.
+    """
+    ambient, out, rank = _pivoted_qr(vectors, rank_tol, "raw")
+    if out is None:
+        return Subspace(ambient, np.eye(ambient, dtype=complex))
+    if rank == ambient:
+        return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
+    (reflectors, tau), _, _ = out
+    trailing = np.zeros((ambient, ambient - rank), dtype=complex, order="F")
+    trailing[rank:, :] = np.eye(ambient - rank)
+    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
+    # one reflector per column of the first min(rows, cols)
+    args = ("L", "N", reflectors[:, : tau.size], tau, trailing)
+    lwork = max(int(unmqr(*args, lwork=-1)[1][0].real), 1)
+    basis, _, info = unmqr(*args, lwork=lwork, overwrite_c=1)
+    if info != 0:  # pragma: no cover - LAPACK argument error
+        raise scipy.linalg.LinAlgError(f"unmqr failed with info {info}")
+    return Subspace(ambient, np.ascontiguousarray(basis))
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hardymodel.charfn import (
+    _component_symbol,
+    _signed_difference_norm,
     boundary_unitarity,
     charfn_build,
     charfn_eval,
@@ -13,9 +15,11 @@ from hardymodel.charfn import (
     symbol_grammian_residual,
 )
 from hardymodel.contraction import ContractionTuple, mobius_scalar, tensor_tuple
+from hardymodel.dilation import canonical_embedding
 from hardymodel.errors import UnsafeDegree
+from hardymodel.generators import controlled_contraction
 from hardymodel.hardy import enumerate_basis, one_variable_symbol
-from hardymodel.linops import adjoint, operator_norm
+from hardymodel.linops import adjoint, operator_norm, orthonormalize
 
 
 def strict_contraction(rng, dim, radius=0.6, norm_cap=0.85):
@@ -223,3 +227,43 @@ class TestQuotientModel:
         )
         assert interior <= 1e-9
         assert boundary_unitarity(cf) <= 1e-8
+
+
+def dense_quotient_distance(t, d, tol):
+    """The projector form of the quotient-model distance, built N x N:
+    ||(I - U U* - B B*)[S, S]|| with B an orthonormal range basis."""
+    model = canonical_embedding(t, d)
+    cols, degrees = [], []
+    for k, comp in enumerate(t.components, start=1):
+        cf = charfn_build(comp)
+        coeffs, _ = poly_truncate(cf, tol / 10.0)
+        degrees.append(len(coeffs) - 1)
+        mat, _ = _component_symbol(cf, coeffs, k, model)
+        cols.append(mat.toarray())
+    cutoff = d - max(degrees) - 1
+    sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+    u = model.normalized_embedding()
+    b = orthonormalize(np.concatenate(cols, axis=1), rank_tol=1e-8).basis
+    diff = np.eye(model.basis.size) - u @ adjoint(u) - b @ adjoint(b)
+    return operator_norm(diff[np.ix_(sel, sel)]), cutoff
+
+
+class TestComplementPrecision:
+    def test_small_angle_keeps_its_digits(self):
+        # eigenvalues of J C*C would give sqrt(1 - cos^2) = 0 here
+        theta = 1e-12
+        a = np.array([[1.0], [0.0]], dtype=complex)
+        b = np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex)
+        assert abs(_signed_difference_norm(a, b) - np.sin(theta)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [28, 32])
+    @pytest.mark.parametrize("seed", [1, 19, 25])
+    def test_matches_dense_projector_form(self, seed, d):
+        rng = np.random.default_rng(seed)
+        single = ContractionTuple((controlled_contraction(rng, 1, 0.55, 0.75),))
+        pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
+        for t in (single, pair):
+            rep = quotient_model_check(t, d, 1e-10)
+            want, cutoff = dense_quotient_distance(t, d, 1e-10)
+            assert rep.safe_cutoff == cutoff
+            assert abs(rep.distance - want) <= 1e-13

@@ -108,6 +108,23 @@ class TestSkippedChecks:
         assert by_name["pseudometric"]["status"] == "pass"
         assert report["overall"] == "pass"
 
+    def test_skipped_report_is_strict_json(self, tmp_path):
+        # a truncation degree below the symbol degree refuses quotient-model;
+        # its NaN residual must be written as null, not as bare NaN
+        scenario = dict(BASE)
+        scenario["generator"] = dict(BASE["generator"], truncation_degree=4)
+        scenario["checks"] = ["quotient-model"]
+        out = tmp_path / "report.json"
+        main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out), "--quiet"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        (check,) = report["checks"]
+        assert check["status"] == "skipped"
+        assert check["residual"] is None
+
 
 class TestListChecks:
     def test_listing_matches_registry(self, capsys):
