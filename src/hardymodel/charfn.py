@@ -212,11 +212,7 @@ def mult_product_residual(op1, op2, cutoff: int) -> float:
     sel = np.nonzero(op1.basis_out.degree_selector(cutoff))[0]
     m1 = op1.matrix
     m2 = op2.matrix
-    p1 = m1 @ m1.conj().T
-    p2 = m2 @ m2.conj().T
-    diff = p1 - p2
-    if sp.issparse(diff):
-        diff = diff.toarray()
+    diff = (m1 @ m1.conj().T - m2 @ m2.conj().T).toarray()
     return operator_norm(diff[np.ix_(sel, sel)])
 
 
@@ -233,7 +229,7 @@ def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
     incl_residual = operator_norm(adjoint(incl) @ incl - np.eye(model.defect_dim))
     n_mono = model.basis.num_monomials
     proj = sp.kron(sp.identity(n_mono), sp.csr_matrix(adjoint(incl)), "csr")
-    mat = proj @ (w.matrix if sp.issparse(w.matrix) else sp.csr_matrix(w.matrix))
+    mat = proj @ w.matrix
     return mat, incl_residual
 
 
@@ -331,8 +327,7 @@ def projection_identity_residual(a_matrix: np.ndarray, d: int, tol: float):
     sel = np.nonzero(basis.degree_selector(cutoff))[0]
     u_hat = model.normalized_embedding()
     p = u_hat @ adjoint(u_hat)
-    ww = mat @ mat.conj().T
-    ww = ww.toarray() if sp.issparse(ww) else np.asarray(ww)
+    ww = (mat @ mat.conj().T).toarray()
     lhs = p[np.ix_(sel, sel)]
     rhs = np.eye(sel.size, dtype=complex) - ww[np.ix_(sel, sel)]
     return operator_norm(lhs - rhs), cutoff

@@ -50,14 +50,30 @@ class GeneratorParams:
 
     @staticmethod
     def from_dict(raw: dict) -> "GeneratorParams":
+        """Parameters from a scenario record; ValueError on an unknown field
+        or a value out of range (bools and strings are not integers)."""
         known = {f for f in GeneratorParams.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown generator fields: {sorted(unknown)}")
         fixed = dict(raw)
-        if "dims" in fixed:
-            fixed["dims"] = tuple(int(x) for x in fixed["dims"])
+        for name, value in raw.items():
+            if name in ("radius_cap", "norm_cap"):
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 1:
+                    raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
+            elif name == "dims":
+                if not isinstance(value, (list, tuple)) or not value:
+                    raise ValueError(f"dims must be a nonempty list, got {value!r}")
+                fixed["dims"] = tuple(_int_at_least("dims entry", x, 1) for x in value)
+            else:
+                _int_at_least(name, value, 0 if name in ("truncation_degree", "order_cap") else 1)
         return GeneratorParams(**fixed)
+
+
+def _int_at_least(name: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Scenario files are JSON with a mandatory schema version; the seed fully
 determines every generated instance, so reports are reproducible modulo
-timing fields.  Exit codes: 0 all checks pass, 1 at least one failure,
-2 malformed input.
+timing fields.  A check that raises a package error is reported as
+skipped, with the error as its reason.  Exit codes: 0 all checks that
+ran pass, 1 at least one failure or no check ran, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ def run_scenario(path_or_scenario) -> dict:
         else load_scenario(path_or_scenario)
     )
     results = []
-    overall = True
     for idx, item in enumerate(scenario.checks):
         spec = get_check(item.name)
         rng = np.random.default_rng([scenario.seed, idx])
@@ -103,11 +103,11 @@ def run_scenario(path_or_scenario) -> dict:
             residual = outcome.residual
             tail = outcome.tail_bound
             cutoff = outcome.safe_cutoff
-        except HardyModelError:
+            reason = None
+        except HardyModelError as exc:
             status, residual, tail, cutoff = "skipped", float("nan"), 0.0, -1
+            reason = f"{type(exc).__name__}: {exc}"
         elapsed_ms = int(round(1000.0 * (time.perf_counter() - started)))
-        if status == "fail":
-            overall = False
         results.append(
             {
                 "name": item.name,
@@ -116,8 +116,11 @@ def run_scenario(path_or_scenario) -> dict:
                 "tail_bound": tail,
                 "safe_cutoff": cutoff,
                 "elapsed_ms": elapsed_ms,
+                "reason": reason,
             }
         )
+    statuses = {c["status"] for c in results}
+    overall = "fail" if "fail" in statuses else "pass" if "pass" in statuses else "skipped"
     return {
         "schema": SCHEMA_VERSION,
         "scenario": {
@@ -126,7 +129,7 @@ def run_scenario(path_or_scenario) -> dict:
             "regime": scenario.regime,
         },
         "checks": results,
-        "overall": "pass" if overall else "fail",
+        "overall": overall,
     }
 
 

@@ -25,7 +25,7 @@ from .contraction import (
     validate_tuple,
 )
 from .errors import UnsafeDegree, ZeroDefect
-from .hardy import HardyBasis, HardyOperator, HardyVector, enumerate_basis, shift
+from .hardy import HardyBasis, HardyOperator, HardyVector, _graded_lex_exponents, enumerate_basis, shift
 from .linops import Subspace, adjoint, operator_norm, orthonormalize
 
 __all__ = [
@@ -197,7 +197,7 @@ def canonical_embedding(
         g = g + np.einsum("cji,jk,ckl->il", x.conj(), d_sq, x, optimize=True)
         gram_levels.append(g.copy())
         if u is not None:
-            idx = np.array([basis.monomial_index(row) for row in exps], dtype=np.int64)
+            idx = basis.rank(exps)
             blocks = np.einsum("ej,cjm->cem", qd, x, optimize=True)
             rows = (idx[:, None] * e + np.arange(e)[None, :]).reshape(-1)
             u[rows, :] = blocks.reshape(-1, m)
@@ -208,27 +208,11 @@ def canonical_embedding(
 
 def _disjoint_power_pairs(n: int, cap: int):
     """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
-
-    def multiindices(total_cap):
-        idx = [np.zeros(n, dtype=np.int64)]
-        frontier = [(np.zeros(n, dtype=np.int64), 0)]
-        for _ in range(total_cap):
-            nxt = []
-            for alpha, start in frontier:
-                for v in range(start, n):
-                    child = alpha.copy()
-                    child[v] += 1
-                    idx.append(child)
-                    nxt.append((child, v))
-            frontier = nxt
-        return idx[1:]  # nonzero ones; zero handled separately
-
-    nz = multiindices(cap)
+    nz = _graded_lex_exponents(n, cap)[1:]  # nonzero ones; zero handled separately
     pairs = []
     for alpha in nz:
-        if alpha.sum() <= cap:
-            pairs.append((alpha, np.zeros(n, dtype=np.int64)))
-            pairs.append((np.zeros(n, dtype=np.int64), alpha))
+        pairs.append((alpha, np.zeros(n, dtype=np.int64)))
+        pairs.append((np.zeros(n, dtype=np.int64), alpha))
     for alpha in nz:
         for beta in nz:
             if alpha.sum() + beta.sum() > cap:
@@ -279,18 +263,7 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     s = _inv_sqrt_psd(model.gram_levels[-1])
     res_dil = 0.0
     # dilation property over all |alpha| <= order_cap
-    frontier = [(np.zeros(n, dtype=np.int64), 0)]
-    seen = [np.zeros(n, dtype=np.int64)]
-    for _ in range(order_cap):
-        nxt = []
-        for alpha, start in frontier:
-            for v in range(start, n):
-                child = alpha.copy()
-                child[v] += 1
-                seen.append(child)
-                nxt.append((child, v))
-        frontier = nxt
-    for alpha in seen:
+    for alpha in _graded_lex_exponents(n, order_cap):
         ta = t.power(alpha)
         g = model.gram_levels[d - int(alpha.sum())]
         val = s @ (ta @ g) @ s
@@ -330,19 +303,15 @@ def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, 
     else:
         small = canonical_embedding(t, c)
         u = small.embedding
-    cols = []
-    alphas = [row for row in basis_c.exponents]
-    big = model.basis
-    for alpha in alphas:
-        block = np.zeros((basis_c.size, model.space_dim), dtype=complex)
-        for i, beta in enumerate(basis_c.exponents):
-            gamma = beta - alpha
-            if np.any(gamma < 0):
-                continue
-            src = big.monomial_index(gamma) * e
-            block[i * e : (i + 1) * e, :] = u[src : src + e, :]
-        cols.append(block)
-    stacked = np.concatenate(cols, axis=1)
+    # block (beta, alpha) holds the embedding block of zeta^(beta - alpha);
+    # graded-lex indices of degree <= c agree in basis_c and model.basis
+    m = model.space_dim
+    exps = basis_c.exponents
+    gamma = exps[:, None, :] - exps[None, :, :]
+    ok = (gamma >= 0).all(axis=-1)
+    blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
+    blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1)
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
     return rank, basis_c.size
@@ -470,10 +439,9 @@ class _MobiusShift:
 
     def __init__(self, op: HardyOperator, a: complex):
         self.a = complex(a)
-        mat = op.matrix if sp.issparse(op.matrix) else sp.csr_matrix(op.matrix)
-        self.m = mat.tocsc()
-        self.madj = mat.conj().T.tocsc()
-        n = mat.shape[0]
+        self.m = op.matrix.tocsc()
+        self.madj = op.matrix.conj().T.tocsc()
+        n = op.matrix.shape[0]
         eye = sp.identity(n, format="csc", dtype=complex)
         self._solve = spla.factorized(eye - np.conj(self.a) * self.m)
         self._solve_adj = spla.factorized(eye - self.a * self.madj)

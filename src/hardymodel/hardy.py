@@ -2,10 +2,17 @@
 
 The basis enumerates monomials of total degree <= d in the first n
 variables, graded-lexicographically, tensored with a coefficient space of
-dimension e.  Operators carry a degree window (lo, hi): they couple input
-degree k only to output degrees in [k+lo, k+hi], so exact (safe) domains
-under truncation are computable.  Coefficient layout is flat with index
-monomial*e + slot.
+dimension e.  Coefficient layout is flat with index monomial*e + slot.
+A monomial's index has a closed form in the combinatorial number system
+(Knuth, TAOCP 4A, 7.2.1.3): for alpha of degree k,
+
+    rank(alpha) = C(k-1+n, n) + sum_{i=1}^{n-1} C(r_i - alpha_i - 1 + n-i, n-i),
+    r_i = k - (alpha_1 + ... + alpha_{i-1}),
+
+the number of monomials of lower degree plus those of degree k that come
+first in lex order.  Operators are CSR matrices carrying a degree window
+(lo, hi): they couple input degree k only to output degrees in
+[k+lo, k+hi], so exact (safe) domains under truncation are computable.
 """
 
 from __future__ import annotations
@@ -46,30 +53,41 @@ __all__ = [
 
 BASIS_CAP_ENV = "HARDYMODEL_BASIS_CAP"
 _DEFAULT_BASIS_CAP = 200_000
-_SPARSE_DENSITY = 0.05
 
 
 def basis_size_cap() -> int:
     return int(os.environ.get(BASIS_CAP_ENV, _DEFAULT_BASIS_CAP))
 
 
-def _graded_lex_exponents(n: int, d: int) -> np.ndarray:
-    """All exponent rows with total degree <= d, degree-major, lex within."""
-    rows: list[tuple[int, ...]] = []
+def _binomial(top: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise C(top, k) for top >= 0, exact in integers (0 when top < k)."""
+    out = np.ones_like(top)
+    for j in range(k):
+        out = out * (top - j) // (j + 1)  # C(top, j) (top - j) = (j + 1) C(top, j + 1)
+    return out
 
-    def fill(prefix: list[int], remaining: int, pos: int):
-        if pos == n - 1:
-            rows.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining, -1, -1):
-            fill(prefix + [a], remaining - a, pos + 1)
 
-    for deg in range(d + 1):
-        if n == 1:
-            rows.append((deg,))
-        else:
-            fill([], deg, 0)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+def _graded_lex_rank(exps: np.ndarray) -> np.ndarray:
+    """Graded-lex index of each nonnegative exponent row (last axis), by
+    the closed form in the module docstring; every binomial top is >= 0."""
+    n = exps.shape[-1]
+    remaining = exps.sum(axis=-1)
+    out = _binomial(remaining - 1 + n, n)
+    for i in range(n - 1):
+        out = out + _binomial(remaining - exps[..., i] - 1 + n - 1 - i, n - 1 - i)
+        remaining = remaining - exps[..., i]
+    return out
+
+
+def _graded_lex_exponents(n: int, cap: int) -> np.ndarray:
+    """All exponent rows with total degree <= cap, degree-major, lex within."""
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        lead, rest = np.nonzero(np.arange(cap + 1)[:, None] + exps.sum(axis=1) <= cap)
+        exps = np.column_stack([lead, exps[rest]])
+    out = np.empty_like(exps)
+    out[_graded_lex_rank(exps)] = exps
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,7 +98,6 @@ class HardyBasis:
     max_degree: int
     coeff_dim: int
     exponents: np.ndarray = field(repr=False)
-    index_of: dict = field(repr=False)
 
     @property
     def num_monomials(self) -> int:
@@ -94,8 +111,17 @@ class HardyBasis:
     def degrees(self) -> np.ndarray:
         return self.exponents.sum(axis=1)
 
+    def rank(self, exps) -> np.ndarray:
+        """Monomial index of each exponent row (last axis has length n)."""
+        a = np.asarray(exps, dtype=np.int64)
+        if a.shape[-1:] != (self.num_vars,):
+            raise DimensionMismatch(f"exponents need {self.num_vars} entries, got shape {a.shape}")
+        if (a < 0).any() or (a.sum(axis=-1) > self.max_degree).any():
+            raise DegreeOverflow(f"exponent outside the degree <= {self.max_degree} basis")
+        return _graded_lex_rank(a)
+
     def monomial_index(self, alpha) -> int:
-        return self.index_of[tuple(int(a) for a in alpha)]
+        return int(self.rank(alpha))
 
     def flat_index(self, alpha, slot: int = 0) -> int:
         return self.monomial_index(alpha) * self.coeff_dim + slot
@@ -122,15 +148,12 @@ def enumerate_basis(n: int, d: int, e: int = 1) -> HardyBasis:
     if total > basis_size_cap():
         raise SizeOverflow(f"basis size {total} exceeds cap {basis_size_cap()}")
     key = (n, d)
-    cached = _BASIS_CACHE.get(key)
-    if cached is None:
+    exps = _BASIS_CACHE.get(key)
+    if exps is None:
         exps = _graded_lex_exponents(n, d)
-        index_of = {tuple(int(a) for a in row): i for i, row in enumerate(exps)}
-        cached = (exps, index_of)
         if len(_BASIS_CACHE) < 64:
-            _BASIS_CACHE[key] = cached
-    exps, index_of = cached
-    return HardyBasis(n, d, e, exps, index_of)
+            _BASIS_CACHE[key] = exps
+    return HardyBasis(n, d, e, exps)
 
 
 @dataclass(frozen=True)
@@ -167,21 +190,23 @@ def monomial_vector(basis: HardyBasis, alpha, slot: int = 0) -> HardyVector:
 
 @dataclass(frozen=True)
 class HardyOperator:
-    """Matrix over truncated Hardy bases with a degree coupling window.
+    """CSR matrix over truncated Hardy bases with a degree coupling window.
 
     shift_lo/shift_hi bound output degree - input degree; degree_shift in
     the sense of the build contract is shift_hi.  Exact semantics hold on
-    inputs of degree <= safe_input_degree.
+    inputs of degree <= safe_input_degree.  Any matrix given (dense or
+    sparse) is stored as CSR.
     """
 
     basis_in: HardyBasis
     basis_out: HardyBasis
-    matrix: object = field(repr=False)
+    matrix: sp.csr_matrix = field(repr=False)
     shift_lo: int = 0
     shift_hi: int = 0
 
     def __post_init__(self):
-        m = self.matrix
+        m = sp.csr_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
         if m.shape != (self.basis_out.size, self.basis_in.size):
             raise DimensionMismatch(
                 f"matrix shape {m.shape} does not match bases "
@@ -197,8 +222,7 @@ class HardyOperator:
         return self.basis_in.max_degree - max(self.shift_hi, 0)
 
     def dense(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if sp.issparse(m) else np.asarray(m)
+        return self.matrix.toarray()
 
     def apply(self, v: HardyVector) -> HardyVector:
         if v.basis is not self.basis_in and v.basis != self.basis_in:
@@ -207,14 +231,12 @@ class HardyOperator:
         return HardyVector(self.basis_out, self.matrix @ v.coefficients)
 
     def apply_adjoint(self, v: HardyVector) -> HardyVector:
-        m = self.matrix
-        out = (m.conj().T @ v.coefficients) if sp.issparse(m) else (adjoint(m) @ v.coefficients)
-        return HardyVector(self.basis_in, out)
+        return HardyVector(self.basis_in, self.matrix.conj().T @ v.coefficients)
 
     def adjoint(self) -> "HardyOperator":
-        m = self.matrix
-        madj = m.conj().T.tocsr() if sp.issparse(m) else adjoint(m)
-        return HardyOperator(self.basis_out, self.basis_in, madj, -self.shift_hi, -self.shift_lo)
+        return HardyOperator(
+            self.basis_out, self.basis_in, self.matrix.conj().T, -self.shift_hi, -self.shift_lo
+        )
 
     def compose(self, other: "HardyOperator") -> "HardyOperator":
         """self after other; degree windows add."""
@@ -223,7 +245,7 @@ class HardyOperator:
         return HardyOperator(
             other.basis_in,
             self.basis_out,
-            _mat_mul(self.matrix, other.matrix),
+            self.matrix @ other.matrix,
             self.shift_lo + other.shift_lo,
             self.shift_hi + other.shift_hi,
         )
@@ -238,51 +260,35 @@ class HardyOperator:
         return float(np.abs(m[bad]).max()) if bad.any() else 0.0
 
 
-def _pack(mat: sp.spmatrix) -> object:
-    """Sparse when density is below the threshold, dense otherwise."""
-    mat = mat.tocsr()
-    size = mat.shape[0] * mat.shape[1]
-    if size and mat.nnz / size >= _SPARSE_DENSITY:
-        return mat.toarray()
-    return mat
+def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matrix:
+    """CSR matrix of a sum of monomial maps tensored with coefficient blocks.
 
-
-def _mat_mul(a, b):
-    if sp.issparse(a) and not sp.issparse(b):
-        return np.asarray(a @ b)
-    if sp.issparse(b) and not sp.issparse(a):
-        return np.asarray((b.conj().T @ a.conj().T)).conj().T
-    return a @ b
-
-
-def _cols(mat, sel: np.ndarray) -> np.ndarray:
-    sub = mat[:, sel]
-    return sub.toarray() if sp.issparse(sub) else np.asarray(sub)
-
-
-def _mono_shift_matrix(basis: HardyBasis, beta: np.ndarray) -> sp.csr_matrix:
-    """Monomial-level 0/1 matrix of multiplication by zeta^beta, truncated."""
-    exps = basis.exponents
-    target = exps + beta[None, :]
-    ok = target.sum(axis=1) <= basis.max_degree
-    cols = np.nonzero(ok)[0]
-    rows = np.array(
-        [basis.index_of[tuple(int(a) for a in target[i])] for i in cols], dtype=np.int64
-    )
-    data = np.ones(len(cols))
-    n = basis.num_monomials
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    Each term (target, c) sends monomial i to monomial target[i] (dropped
+    when beyond the truncation) with the (e_out, e_in) block c; all terms
+    go into one COO pass.
+    """
+    e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
+    rows, cols, vals = [], [], []
+    for target, c in terms:
+        src = np.nonzero(target.sum(axis=1) <= basis_in.max_degree)[0]
+        dst = basis_in.rank(target[src])
+        p, q = np.nonzero(c)
+        rows.append((dst[:, None] * e_out + p).reshape(-1))
+        cols.append((src[:, None] * e_in + q).reshape(-1))
+        vals.append(np.broadcast_to(c[p, q], (src.size, p.size)).reshape(-1))
+    shape = (basis_out.size, basis_in.size)
+    if not rows:
+        return sp.csr_matrix(shape)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
 def shift(k: int, basis: HardyBasis) -> HardyOperator:
     """Coordinate multiplication in variable k (1-based), truncated."""
     if not 1 <= k <= basis.num_vars:
         raise DimensionMismatch(f"variable index {k} out of range")
-    beta = np.zeros(basis.num_vars, dtype=np.int64)
-    beta[k - 1] = 1
-    mono = _mono_shift_matrix(basis, beta)
-    mat = mono if basis.coeff_dim == 1 else sp.kron(mono, sp.identity(basis.coeff_dim), "csr")
-    return HardyOperator(basis, basis, _pack(sp.csr_matrix(mat)), 1, 1)
+    target = basis.exponents.copy()
+    target[:, k - 1] += 1
+    return HardyOperator(basis, basis, _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))]), 1, 1)
 
 
 def mult_operator(symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | None = None) -> HardyOperator:
@@ -298,8 +304,7 @@ def mult_operator(symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | No
         raise DimensionMismatch("bases must share variables and truncation degree")
     e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
     n = basis_in.num_vars
-    blocks = []
-    lo, hi = None, None
+    terms, degrees = [], []
     for beta_raw, coeff in symbol.items():
         beta = np.zeros(n, dtype=np.int64)
         braw = tuple(beta_raw)
@@ -316,17 +321,10 @@ def mult_operator(symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | No
             )
         if not np.any(c):
             continue
-        mono = _mono_shift_matrix(basis_in, beta)
-        blocks.append(sp.kron(mono, sp.csr_matrix(c), "csr") if (e_in, e_out) != (1, 1) else mono * c[0, 0])
-        lo = deg if lo is None else min(lo, deg)
-        hi = deg if hi is None else max(hi, deg)
-    if not blocks:
-        mat = sp.csr_matrix((basis_out.size, basis_in.size))
-        return HardyOperator(basis_in, basis_out, mat, 0, 0)
-    total = blocks[0]
-    for b in blocks[1:]:
-        total = total + b
-    return HardyOperator(basis_in, basis_out, _pack(sp.csr_matrix(total)), lo, hi)
+        terms.append((basis_in.exponents + beta, c))
+        degrees.append(deg)
+    mat = _assemble(basis_in, basis_out, terms)
+    return HardyOperator(basis_in, basis_out, mat, min(degrees, default=0), max(degrees, default=0))
 
 
 def one_variable_symbol(k: int, coeffs, basis_in: HardyBasis, basis_out: HardyBasis | None = None) -> HardyOperator:
@@ -408,8 +406,7 @@ def is_inner_on_truncation(op: HardyOperator, tol: float, cutoff: int | None = N
     sel = np.nonzero(op.basis_in.degree_selector(c))[0]
     if sel.size == 0:
         return InnerReport(False, float("inf"), c, tol)
-    m = op.matrix
-    cols = m[:, sel].toarray() if sp.issparse(m) else np.asarray(m)[:, sel]
+    cols = op.matrix[:, sel].toarray()
     gram = adjoint(cols) @ cols
     residual = operator_norm(gram - np.eye(sel.size))
     return InnerReport(residual <= tol, float(residual), c, tol)
@@ -447,19 +444,10 @@ def parity_shift(k: int, basis: HardyBasis) -> HardyOperator:
     """
     if not 1 <= k <= basis.num_vars:
         raise DimensionMismatch(f"variable index {k} out of range")
-    exps = basis.exponents
-    jcol = exps[:, k - 1]
-    target = exps.copy()
-    target[:, k - 1] = np.where(jcol % 2 == 0, jcol + 3, jcol - 1)
-    ok = target.sum(axis=1) <= basis.max_degree
-    cols = np.nonzero(ok)[0]
-    rows = np.array(
-        [basis.index_of[tuple(int(a) for a in target[i])] for i in cols], dtype=np.int64
-    )
-    n = basis.num_monomials
-    mono = sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
-    mat = mono if basis.coeff_dim == 1 else sp.kron(mono, sp.identity(basis.coeff_dim), "csr")
-    return HardyOperator(basis, basis, _pack(sp.csr_matrix(mat)), -1, 3)
+    target = basis.exponents.copy()
+    j = target[:, k - 1]
+    target[:, k - 1] = np.where(j % 2 == 0, j + 3, j - 1)
+    return HardyOperator(basis, basis, _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))]), -1, 3)
 
 
 def mobius_partial_product(lams, m: int, n: int) -> tuple[complex, float]:
@@ -497,7 +485,7 @@ def symbol_from_intertwiner(op: HardyOperator, sample_points, tol: float = 1e-8)
     for k in range(1, bi.num_vars + 1):
         left = op.compose(shift(k, bi))
         right = shift(k, bo).compose(op)
-        diff = _cols(left.matrix, sel) - _cols(right.matrix, sel)
+        diff = (left.matrix - right.matrix)[:, sel].toarray()
         worst = max(worst, operator_norm(diff))
     if worst > tol:
         raise NotIntertwining(f"intertwining residual {worst:.3e} exceeds {tol:.3e}")
@@ -578,4 +566,4 @@ def operator_from_json(payload: dict) -> HardyOperator:
         (np.array(data, dtype=complex), (rows, cols)),
         shape=(basis_out.size, basis_in.size),
     )
-    return HardyOperator(basis_in, basis_out, _pack(mat), payload["shift_lo"], payload["shift_hi"])
+    return HardyOperator(basis_in, basis_out, mat, payload["shift_lo"], payload["shift_hi"])

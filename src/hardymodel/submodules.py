@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .contraction import BlaschkeProduct, mobius
 from .errors import (
@@ -96,9 +95,7 @@ def submodule_from_inner(
     cutoff = report.safe_cutoff
     basis = op.basis_in
     sel = np.nonzero(basis.degree_selector(cutoff))[0]
-    m = op.matrix
-    cols = m[:, sel]
-    cols = cols.toarray() if sp.issparse(cols) else np.asarray(cols)
+    cols = op.matrix[:, sel].toarray()
     space = orthonormalize(cols, rank_tol=1e-8)
     return SubmoduleHandle(op.basis_out, space, cutoff, hint)
 
@@ -584,6 +581,5 @@ def minimal_degree_obstruction(handle: SubmoduleHandle):
     shifted_mass = 0.0
     for k in range(1, handle.basis.num_vars + 1):
         sh = shift(k, handle.basis).matrix @ b
-        sh = sh.toarray() if sp.issparse(sh) else np.asarray(sh)
         shifted_mass = max(shifted_mass, float(operator_norm(sh[degs == k0, :])))
     return k0, at_k0, shifted_mass

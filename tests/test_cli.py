@@ -91,7 +91,9 @@ class TestRunScenario:
                 "tail_bound",
                 "safe_cutoff",
                 "elapsed_ms",
+                "reason",
             }
+            assert c["reason"] is None
 
 
 class TestSkippedChecks:
@@ -124,6 +126,26 @@ class TestSkippedChecks:
         (check,) = report["checks"]
         assert check["status"] == "skipped"
         assert check["residual"] is None
+        assert check["reason"].startswith("UnsafeDegree: ")
+
+
+class TestAllSkipped:
+    def test_all_skipped_is_not_pass(self, tmp_path, monkeypatch, capsys):
+        # a basis cap of 10 refuses every check of the bundled hardy scenario
+        monkeypatch.setenv("HARDYMODEL_BASIS_CAP", "10")
+        path = SCENARIOS / "hardy-structure.json"
+        out = tmp_path / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: skipped"
+        report = json.loads(out.read_text())
+        assert report["overall"] == "skipped"
+        for c in report["checks"]:
+            assert c["status"] == "skipped"
+            assert c["reason"].startswith("SizeOverflow: ")
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        (suite_dir / "hardy-structure.json").write_text(path.read_text())
+        assert main(["suite", str(suite_dir), "--quiet"]) == 1
 
 
 class TestListChecks:
@@ -160,3 +182,40 @@ class TestSuite:
 def test_generator_params_from_dict_defaults():
     p = GeneratorParams.from_dict({})
     assert p.instances == 5 and p.dims == (2, 2)
+
+
+def test_bundled_generator_records_load():
+    for path in SCENARIOS.glob("*.json"):
+        GeneratorParams.from_dict(json.loads(path.read_text()).get("generator", {}))
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"instances": -3, "truncation_degree": -1},
+        {"norm_cap": 1.5},
+        {"radius_cap": 0.0},
+        {"radius_cap": 1},
+        {"norm_cap": "0.5"},
+        {"instances": 0},
+        {"probes": True},
+        {"num_vars": 2.0},
+        {"coeff_dim": "2"},
+        {"truncation_degree": -1},
+        {"order_cap": -2},
+        {"dims": []},
+        {"dims": [2, 0]},
+        {"dims": ["2"]},
+        {"dims": [False]},
+        {"dims": 4},
+    ],
+)
+def test_out_of_range_generator_exits_2(tmp_path, generator, capsys):
+    scenario = dict(BASE, generator=generator)
+    assert main(["run", str(write_scenario(tmp_path, scenario))]) == 2
+    assert "bad generator record" in capsys.readouterr().err
+
+
+def test_boundary_generator_values_load():
+    p = GeneratorParams.from_dict({"truncation_degree": 0, "order_cap": 0, "instances": 1, "dims": [1]})
+    assert p.truncation_degree == 0 and p.dims == (1,)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardymodel.contraction import mobius_series
-from hardymodel.errors import DegreeOverflow, NotIntertwining, SizeOverflow
+from hardymodel.errors import DegreeOverflow, DimensionMismatch, NotIntertwining, SizeOverflow
 from hardymodel.hardy import (
+    HardyOperator,
     HardyVector,
     enumerate_basis,
     evaluate,
@@ -55,10 +57,39 @@ class TestEnumerateBasis:
         with pytest.raises(SizeOverflow):
             enumerate_basis(3, 5, 1)
 
-    def test_stable_indexing(self):
-        b = enumerate_basis(3, 4, 2)
-        for i, row in enumerate(b.exponents):
-            assert b.monomial_index(row) == i
+    @given(n=st.integers(1, 5), d=st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_stable_indexing(self, n, d):
+        b = enumerate_basis(n, d, 2)
+        np.testing.assert_array_equal(b.rank(b.exponents), np.arange(b.num_monomials))
+        for i in range(0, b.num_monomials, max(1, b.num_monomials // 20)):
+            assert b.monomial_index(b.exponents[i]) == i
+            assert b.flat_index(b.exponents[i], 1) == 2 * i + 1
+
+    @given(n=st.integers(1, 4), d=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_order_matches_recursive_reference(self, n, d):
+        rows = []
+
+        def fill(prefix, remaining):
+            if len(prefix) == n - 1:
+                rows.append(prefix + [remaining])
+                return
+            for a in range(remaining, -1, -1):
+                fill(prefix + [a], remaining - a)
+
+        for deg in range(d + 1):
+            fill([], deg)
+        np.testing.assert_array_equal(enumerate_basis(n, d, 1).exponents, np.array(rows))
+
+    def test_rank_rejects_exponents_outside_the_basis(self):
+        b = enumerate_basis(2, 3, 1)
+        with pytest.raises(DegreeOverflow):
+            b.rank([[2, 2]])
+        with pytest.raises(DegreeOverflow):
+            b.monomial_index((-1, 1))
+        with pytest.raises(DimensionMismatch):
+            b.monomial_index((1, 0, 0))
 
 
 class TestShift:
@@ -84,6 +115,91 @@ class TestShift:
         b = enumerate_basis(2, 3, 1)
         assert shift(1, b).check_window() == 0.0
         assert shift(1, b).adjoint().check_window() == 0.0
+
+
+def _reference_matrix(basis_in, basis_out, terms):
+    """Dense matrix of a sum of monomial maps, one dict lookup per monomial.
+
+    Each term (move, c) sends the monomial alpha to move(alpha) tensored with
+    the coefficient block c, and drops targets beyond the truncation.
+    """
+    index_of = {tuple(int(a) for a in row): i for i, row in enumerate(basis_in.exponents)}
+    e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
+    out = np.zeros((basis_out.size, basis_in.size), dtype=complex)
+    for move, c in terms:
+        for i, alpha in enumerate(basis_in.exponents):
+            target = move(tuple(int(a) for a in alpha))
+            if sum(target) > basis_in.max_degree:
+                continue
+            j = index_of[target]
+            out[j * e_out : (j + 1) * e_out, i * e_in : (i + 1) * e_in] += c
+    return out
+
+
+def _bump(k, step):
+    return lambda alpha: tuple(a + (step(a) if v == k - 1 else 0) for v, a in enumerate(alpha))
+
+
+_ASSEMBLY_SIZES = [(1, 7, 1), (2, 6, 1), (2, 4, 3), (3, 5, 2), (4, 3, 1)]
+
+
+class TestAssemblyAgainstReference:
+    """shift, parity_shift and mult_operator match the dict-lookup reference
+    exactly, bit for bit."""
+
+    @pytest.mark.parametrize("n,d,e", _ASSEMBLY_SIZES)
+    def test_shift(self, n, d, e):
+        b = enumerate_basis(n, d, e)
+        for k in range(1, n + 1):
+            want = _reference_matrix(b, b, [(_bump(k, lambda a: 1), np.eye(e))])
+            assert np.array_equal(shift(k, b).dense(), want)
+
+    @pytest.mark.parametrize("n,d,e", _ASSEMBLY_SIZES)
+    def test_parity_shift(self, n, d, e):
+        b = enumerate_basis(n, d, e)
+        for k in range(1, n + 1):
+            move = _bump(k, lambda a: 3 if a % 2 == 0 else -1)
+            want = _reference_matrix(b, b, [(move, np.eye(e))])
+            assert np.array_equal(parity_shift(k, b).dense(), want)
+
+    @pytest.mark.parametrize("n,d,e", _ASSEMBLY_SIZES)
+    def test_mult_operator(self, n, d, e):
+        rng = np.random.default_rng(n * 100 + d * 10 + e)
+        b_in, b_out = enumerate_basis(n, d, e), enumerate_basis(n, d, e + 1)
+        b_in_exps = enumerate_basis(n, min(d, 3), 1).exponents
+        symbol = {}
+        for beta in b_in_exps[rng.choice(len(b_in_exps), size=min(5, len(b_in_exps)), replace=False)]:
+            c = rng.standard_normal((e + 1, e)) + 1j * rng.standard_normal((e + 1, e))
+            c[rng.random(c.shape) < 0.3] = 0.0  # zero entries are not stored
+            symbol[tuple(int(x) for x in beta)] = c
+        symbol[(0,) * n] = np.zeros((e + 1, e))  # an all-zero term is dropped
+        terms = [
+            (lambda alpha, beta=beta: tuple(a + x for a, x in zip(alpha, beta)), c)
+            for beta, c in symbol.items()
+        ]
+        want = _reference_matrix(b_in, b_out, terms)
+        assert np.array_equal(mult_operator(symbol, b_in, b_out).dense(), want)
+
+
+class TestCsrStorage:
+    """Every operator stores a CSR matrix, however dense it is."""
+
+    def test_constructors_and_algebra(self):
+        b = enumerate_basis(1, 3, 2)  # small enough that every matrix is dense-ish
+        full = np.ones((2, 2))
+        ops = [
+            shift(1, b),
+            parity_shift(1, b),
+            mult_operator({(0,): full, (1,): full, (2,): full}, b),
+            one_variable_symbol(1, [full, full], b),
+            mult_operator({(1,): np.zeros((2, 2))}, b),
+            HardyOperator(b, b, np.eye(b.size)),
+        ]
+        ops += [op.adjoint() for op in ops]
+        ops += [ops[2].compose(ops[0]), ops[0].compose(ops[1].adjoint())]
+        ops += [operator_from_json(operator_to_json(op)) for op in ops]
+        for op in ops:
+            assert isinstance(op.matrix, sp.csr_matrix), type(op.matrix)
 
 
 class TestKernel:
