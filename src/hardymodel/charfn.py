@@ -1,10 +1,13 @@
 """Characteristic functions of single contractions and the quotient-model
 verifier built from them.
 
-theta(z) maps the defect space of T into the defect space of T*; it is
-stored relative to rank-revealed orthonormal defect bases and evaluated by
-direct resolvent solves, which is exact for |z| <= 1 under the strict
-spectral-radius certificate.
+theta(z) maps the defect space of T into the defect space of T*.
+charfn_build forms the defects D_T and D_T* once (contraction.defect) and
+their orthonormal ranges (linops.defect_range, absolute DEFECT_FLOOR) and
+keeps all four on the CharFn; evaluation, the kernel identity and the
+power series read them from there.  theta is evaluated by direct resolvent
+solves, which is exact for |z| <= 1 under the strict spectral-radius
+certificate.
 
 The quotient-model verifier never forms an N x N projector.  With U the
 normalized embedding, R the stacked symbol range and K an orthonormal basis
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .contraction import ContractionTuple, spectral_radius_bound
+from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
 from .errors import UnsafeDegree, ZeroDefect
 from .hardy import enumerate_basis, one_variable_symbol
@@ -31,9 +34,8 @@ from .linops import (
     Subspace,
     adjoint,
     apply_shifted_inverse,
-    hermitian_sqrt,
+    defect_range,
     operator_norm,
-    orthonormalize,
     range_complement,
 )
 
@@ -52,27 +54,19 @@ __all__ = [
 ]
 
 _NORM_SLACK = 1e-10
-#: defect operators with norm below this are numerically zero (sqrt of
-#: Gram roundoff is ~1e-8, genuine defects of strict contractions are O(1))
-DEFECT_FLOOR = 1e-7
-
-
-def _defect_basis(d: np.ndarray, rank_tol: float) -> Subspace:
-    nrm = operator_norm(d)
-    if nrm <= DEFECT_FLOOR:
-        return Subspace(d.shape[0], np.zeros((d.shape[0], 0), dtype=complex))
-    return orthonormalize(d, rank_tol=rank_tol * nrm)
 
 
 @dataclass(frozen=True)
 class CharFn:
-    """Characteristic function data of a single contraction."""
+    """Characteristic function data of a single contraction: the defects
+    d_in = D_T and d_out = D_T* and their orthonormal ranges."""
 
     t: np.ndarray
+    d_in: np.ndarray
+    d_out: np.ndarray
     defect_in: Subspace
     defect_out: Subspace
     radius_estimate: float
-    rank_tol: float
 
     @property
     def dim_in(self) -> int:
@@ -83,8 +77,8 @@ class CharFn:
         return self.defect_out.dim
 
 
-def charfn_build(t: np.ndarray, rank_tol: float = 1e-10) -> CharFn:
-    """Rank-revealed defect bases for a strict contraction.
+def charfn_build(t: np.ndarray) -> CharFn:
+    """Defects and their rank-revealed bases for a strict contraction.
 
     A unitary (both defects trivial) yields the empty function without
     needing the stability certificate; any other spectral radius at 1 is
@@ -93,15 +87,12 @@ def charfn_build(t: np.ndarray, rank_tol: float = 1e-10) -> CharFn:
     t = np.asarray(t, dtype=complex)
     if operator_norm(t) > 1.0 + _NORM_SLACK:
         raise ValueError("matrix is not a contraction")
-    eye = np.eye(t.shape[0], dtype=complex)
-    d_in = hermitian_sqrt(eye - adjoint(t) @ t, tol=1e-9)
-    d_out = hermitian_sqrt(eye - t @ adjoint(t), tol=1e-9)
-    q_in = _defect_basis(d_in, rank_tol)
-    q_out = _defect_basis(d_out, rank_tol)
+    d_in, d_out = defect(t), defect(adjoint(t))
+    q_in, q_out = defect_range(d_in), defect_range(d_out)
     radius = spectral_radius_bound(t)
     if radius >= 1.0 and (q_in.dim or q_out.dim):
         raise ValueError(f"spectral radius estimate {radius:.6f} is not below 1")
-    return CharFn(t, q_in, q_out, radius, rank_tol)
+    return CharFn(t, d_in, d_out, q_in, q_out, radius)
 
 
 def charfn_eval(cf: CharFn, z: complex) -> np.ndarray:
@@ -109,10 +100,7 @@ def charfn_eval(cf: CharFn, z: complex) -> np.ndarray:
     if cf.dim_in == 0 or cf.dim_out == 0:
         return np.zeros((cf.dim_out, cf.dim_in), dtype=complex)
     t = cf.t
-    eye = np.eye(t.shape[0], dtype=complex)
-    d_in = hermitian_sqrt(eye - adjoint(t) @ t, tol=1e-9)
-    d_out = hermitian_sqrt(eye - t @ adjoint(t), tol=1e-9)
-    inner = -t + z * d_out @ apply_shifted_inverse(adjoint(t), z, d_in)
+    inner = -t + z * cf.d_out @ apply_shifted_inverse(adjoint(t), z, cf.d_in)
     return adjoint(cf.defect_out.basis) @ inner @ cf.defect_in.basis
 
 
@@ -124,9 +112,7 @@ def kernel_identity_residual(cf: CharFn, a: complex, b: complex) -> float:
     """
     if abs(a) >= 1.0 or abs(b) >= 1.0:
         raise ValueError("interior points required")
-    t = cf.t
-    eye = np.eye(t.shape[0], dtype=complex)
-    d_out = hermitian_sqrt(eye - t @ adjoint(t), tol=1e-9)
+    t, d_out = cf.t, cf.d_out
     th_b = charfn_eval(cf, b)
     th_a = charfn_eval(cf, a)
     lhs = np.eye(cf.dim_out, dtype=complex) - th_b @ adjoint(th_a)
@@ -170,10 +156,7 @@ def poly_truncate(cf: CharFn, tol: float):
     Coefficients are compress(-T) and compress(D_out T*^(k-1) D_in); the
     returned tail bounds the operator-norm sum of all dropped ones.
     """
-    t = cf.t
-    eye = np.eye(t.shape[0], dtype=complex)
-    d_in = hermitian_sqrt(eye - adjoint(t) @ t, tol=1e-9)
-    d_out = hermitian_sqrt(eye - t @ adjoint(t), tol=1e-9)
+    t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
     coeffs = [adjoint(qo) @ (-t) @ qi]
     p, q, m = _power_norm_envelope(t)
@@ -184,7 +167,7 @@ def poly_truncate(cf: CharFn, tol: float):
         base = (k - 1) // p
         return scale * m * p * q**base / (1.0 - q)
 
-    power = eye.copy()  # T*^(k-1)
+    power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
     k = 1
     while tail_from(k) >= tol:
         if operator_norm(power) == 0.0:

@@ -120,22 +120,21 @@ def _dilation_reports(rng, p: GeneratorParams, tol: float):
         yield dilation.verify_dilation(model, p.order_cap, tol)
 
 
-def check_dilation_compress(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
+def _worst_dilation_residual(rng, p: GeneratorParams, tol: float, field: str) -> CheckOutcome:
     worst = 0.0
     tail = 0.0
     for rep in _dilation_reports(rng, p, tol):
-        worst = max(worst, rep.residual_dilation)
+        worst = max(worst, getattr(rep, field))
         tail = max(tail, rep.tail_bound)
     return CheckOutcome(worst <= tol, worst, tail)
+
+
+def check_dilation_compress(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
+    return _worst_dilation_residual(rng, p, tol, "residual_dilation")
 
 
 def check_dilation_regularity(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
-    worst = 0.0
-    tail = 0.0
-    for rep in _dilation_reports(rng, p, tol):
-        worst = max(worst, rep.residual_regularity)
-        tail = max(tail, rep.tail_bound)
-    return CheckOutcome(worst <= tol, worst, tail)
+    return _worst_dilation_residual(rng, p, tol, "residual_regularity")
 
 
 def check_dilation_minimality(rng, p: GeneratorParams, tol: float) -> CheckOutcome:
@@ -602,6 +601,4 @@ REGISTRY: dict[str, CheckSpec] = {
 
 
 def get_check(name: str) -> CheckSpec:
-    if name not in REGISTRY:
-        raise KeyError(name)
     return REGISTRY[name]

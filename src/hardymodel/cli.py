@@ -42,6 +42,15 @@ class Scenario:
     default_tol: float | None
 
 
+def _tolerance(value, what: str) -> float | None:
+    """A tolerance entry: null, or a positive finite number (not a bool)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+        raise ScenarioError(f"{what} must be null or a positive finite number, got {value!r}")
+    return float(value)
+
+
 def load_scenario(path) -> Scenario:
     try:
         raw = json.loads(Path(path).read_text())
@@ -67,7 +76,9 @@ def load_scenario(path) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad generator record: {exc}") from exc
     tolerances = raw.get("tolerances", {})
-    default_tol = tolerances.get("default")
+    if not isinstance(tolerances, dict):
+        raise ScenarioError(f"tolerances must be a JSON object, got {tolerances!r}")
+    default_tol = _tolerance(tolerances.get("default"), "default tolerance")
     checks_raw = raw.get("checks")
     if not isinstance(checks_raw, list) or not checks_raw:
         raise ScenarioError("scenario needs a nonempty list of checks")
@@ -80,7 +91,8 @@ def load_scenario(path) -> Scenario:
         cname = entry["name"]
         if cname not in REGISTRY:
             raise UnknownCheck(f"unknown check {cname!r}")
-        checks.append(ScenarioCheck(cname, entry.get("tol", default_tol)))
+        tol = _tolerance(entry.get("tol", default_tol), f"tol of check {cname!r}")
+        checks.append(ScenarioCheck(cname, tol))
     return Scenario(name, seed, regime, generator, tuple(checks), default_tol)
 
 
@@ -97,7 +109,7 @@ def run_scenario(path_or_scenario) -> dict:
         rng = np.random.default_rng([scenario.seed, idx])
         started = time.perf_counter()
         try:
-            tol = spec.default_tol if item.tol is None else float(item.tol)
+            tol = spec.default_tol if item.tol is None else item.tol
             outcome = spec.run(rng, scenario.generator, tol)
             status = "pass" if outcome.passed else "fail"
             residual = outcome.residual

@@ -114,12 +114,6 @@ class MoebiusPoint:
         """k-th coordinate (0-based); implicit tail of zeros."""
         return self.coords[k] if k < len(self.coords) else 0.0j
 
-    def padded(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=complex)
-        m = min(n, len(self.coords))
-        out[:m] = self.coords[:m]
-        return out
-
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
@@ -234,16 +228,16 @@ def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
     return ValidationReport(margins, radii, max_comm, max_cross, tol, passed)
 
 
-def defect(a: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Defect operator (I - A*A)^(1/2) of a contraction."""
+def defect(a: np.ndarray) -> np.ndarray:
+    """Defect operator (I - A*A)^(1/2) of a contraction; its range is linops.defect_range."""
     a = np.asarray(a, dtype=complex)
     if operator_norm(a) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
     gram = np.eye(a.shape[0], dtype=complex) - adjoint(a) @ a
-    return hermitian_sqrt(gram, tol)
+    return hermitian_sqrt(gram, 1e-9)
 
 
-def joint_defect(t: ContractionTuple, tol: float = 1e-9) -> np.ndarray:
+def joint_defect(t: ContractionTuple) -> np.ndarray:
     """Product of the componentwise defects in listed order.
 
     The implicit zero tail contributes identity factors, so this finite
@@ -251,7 +245,7 @@ def joint_defect(t: ContractionTuple, tol: float = 1e-9) -> np.ndarray:
     """
     out = np.eye(t.space_dim, dtype=complex)
     for c in t.components:
-        out = out @ defect(c, tol)
+        out = out @ defect(c)
     return out
 
 

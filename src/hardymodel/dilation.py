@@ -26,7 +26,7 @@ from .contraction import (
 )
 from .errors import UnsafeDegree, ZeroDefect
 from .hardy import HardyBasis, HardyOperator, HardyVector, _graded_lex_exponents, enumerate_basis, shift
-from .linops import Subspace, adjoint, operator_norm, orthonormalize
+from .linops import Subspace, adjoint, defect_range, operator_norm
 
 __all__ = [
     "DilationModel",
@@ -173,13 +173,16 @@ def embedding_for_tolerance(
         d += 8
 
 
-def canonical_embedding(
-    t: ContractionTuple, d: int, materialize: bool = True, rank_tol: float = 1e-10
-) -> DilationModel:
-    """Defect-orbit embedding of the space into the truncated Hardy space."""
+def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -> DilationModel:
+    """Defect-orbit embedding of the space into the truncated Hardy space.
+
+    The coefficient dimension e is the rank of the joint adjoint defect,
+    judged by linops.defect_range; a numerically zero defect (a
+    coisometric tuple) raises ZeroDefect.
+    """
     m = t.space_dim
     d_star = joint_defect(t.adjoint())
-    q = orthonormalize(d_star, rank_tol=rank_tol)
+    q = defect_range(d_star)
     if q.dim == 0:
         raise ZeroDefect("adjoint defect space is trivial")
     report = validate_tuple(t)
@@ -372,7 +375,7 @@ def defect_span_completeness(t: ContractionTuple, grid) -> tuple[int, bool]:
         s = mobius_tuple(t, lam)
         cols.append(joint_defect(s.adjoint()))
     stacked = np.concatenate(cols, axis=1)
-    rank = orthonormalize(stacked, rank_tol=1e-9).dim
+    rank = defect_range(stacked).dim
     return rank, rank == t.space_dim
 
 

@@ -97,7 +97,8 @@ class HardyBasis:
     num_vars: int
     max_degree: int
     coeff_dim: int
-    exponents: np.ndarray = field(repr=False)
+    # (num_vars, max_degree) determine the rows, so equality skips the array
+    exponents: np.ndarray = field(repr=False, compare=False)
 
     @property
     def num_monomials(self) -> int:
@@ -132,9 +133,6 @@ class HardyBasis:
     def degree_selector(self, cutoff: int) -> np.ndarray:
         """Boolean mask over flat indices for total degree <= cutoff."""
         return self.flat_degrees() <= cutoff
-
-    def with_coeff_dim(self, e: int) -> "HardyBasis":
-        return enumerate_basis(self.num_vars, self.max_degree, e)
 
 
 _BASIS_CACHE: dict = {}
@@ -225,9 +223,8 @@ class HardyOperator:
         return self.matrix.toarray()
 
     def apply(self, v: HardyVector) -> HardyVector:
-        if v.basis is not self.basis_in and v.basis != self.basis_in:
-            if v.basis.size != self.basis_in.size:
-                raise DimensionMismatch("vector basis does not match operator input")
+        if v.basis.size != self.basis_in.size:
+            raise DimensionMismatch("vector basis does not match operator input")
         return HardyVector(self.basis_out, self.matrix @ v.coefficients)
 
     def apply_adjoint(self, v: HardyVector) -> HardyVector:
@@ -510,20 +507,23 @@ def symbol_from_intertwiner(op: HardyOperator, sample_points, tol: float = 1e-8)
     return samples
 
 
+def _basis_to_json(b: HardyBasis) -> dict:
+    return {"num_vars": b.num_vars, "max_degree": b.max_degree, "coeff_dim": b.coeff_dim}
+
+
+def _basis_from_json(b: dict) -> HardyBasis:
+    return enumerate_basis(b["num_vars"], b["max_degree"], b["coeff_dim"])
+
+
 def vector_to_json(v: HardyVector) -> dict:
     return {
-        "basis": {
-            "num_vars": v.basis.num_vars,
-            "max_degree": v.basis.max_degree,
-            "coeff_dim": v.basis.coeff_dim,
-        },
+        "basis": _basis_to_json(v.basis),
         "coefficients": [[i, float(c.real), float(c.imag)] for i, c in enumerate(v.coefficients) if c != 0],
     }
 
 
 def vector_from_json(payload: dict) -> HardyVector:
-    b = payload["basis"]
-    basis = enumerate_basis(b["num_vars"], b["max_degree"], b["coeff_dim"])
+    basis = _basis_from_json(payload["basis"])
     coeffs = np.zeros(basis.size, dtype=complex)
     for i, re, im in payload["coefficients"]:
         coeffs[int(i)] = re + 1j * im
@@ -533,16 +533,8 @@ def vector_from_json(payload: dict) -> HardyVector:
 def operator_to_json(op: HardyOperator) -> dict:
     mat = sp.coo_matrix(op.matrix)
     return {
-        "basis_in": {
-            "num_vars": op.basis_in.num_vars,
-            "max_degree": op.basis_in.max_degree,
-            "coeff_dim": op.basis_in.coeff_dim,
-        },
-        "basis_out": {
-            "num_vars": op.basis_out.num_vars,
-            "max_degree": op.basis_out.max_degree,
-            "coeff_dim": op.basis_out.coeff_dim,
-        },
+        "basis_in": _basis_to_json(op.basis_in),
+        "basis_out": _basis_to_json(op.basis_out),
         "shift_lo": op.shift_lo,
         "shift_hi": op.shift_hi,
         "entries": [
@@ -553,10 +545,8 @@ def operator_to_json(op: HardyOperator) -> dict:
 
 
 def operator_from_json(payload: dict) -> HardyOperator:
-    bi = payload["basis_in"]
-    bo = payload["basis_out"]
-    basis_in = enumerate_basis(bi["num_vars"], bi["max_degree"], bi["coeff_dim"])
-    basis_out = enumerate_basis(bo["num_vars"], bo["max_degree"], bo["coeff_dim"])
+    basis_in = _basis_from_json(payload["basis_in"])
+    basis_out = _basis_from_json(payload["basis_out"])
     rows, cols, data = [], [], []
     for r, c, re, im in payload["entries"]:
         rows.append(int(r))

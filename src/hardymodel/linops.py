@@ -3,6 +3,7 @@
 Adjoints, Hermitian PSD square roots, resolvent solves, deterministic
 orthonormalization and range complements, orthogonal projectors and
 subspace comparison.  All functions are pure; inputs are never mutated.
+Every defect range in the package is ranked by defect_range.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import scipy.linalg
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 
 __all__ = [
+    "DEFECT_FLOOR",
     "Subspace",
     "adjoint",
+    "defect_range",
     "hermitian_sqrt",
     "operator_norm",
     "orthonormalize",
@@ -170,6 +173,29 @@ def range_complement(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
     if info != 0:  # pragma: no cover - LAPACK argument error
         raise scipy.linalg.LinAlgError(f"unmqr failed with info {info}")
     return Subspace(ambient, np.ascontiguousarray(basis))
+
+
+#: absolute rank floor of a defect operator D = (I - T*T)^(1/2): a pivot of
+#: its QR counts while |R_ii| > DEFECT_FLOOR, which is an eigenvalue of
+#: I - T*T above DEFECT_FLOOR**2 = 1e-12.  The square root of a round-off
+#: eigenvalue is about sqrt(m * eps), measured up to 3.3e-8, a 30x margin.
+DEFECT_FLOOR = 1e-6
+
+
+def defect_range(d: np.ndarray) -> Subspace:
+    """Orthonormal range of a defect operator (or of side-by-side defects).
+
+    The pivoted QR of orthonormalize accepts a pivot while |R_ii| exceeds
+    DEFECT_FLOOR.  The scale is 1, as ||D|| <= 1 for a contraction; a rank
+    relative to ||D|| would count round-off as rank when D is numerically
+    zero.
+    """
+    d = np.asarray(d, dtype=complex)
+    scale = float(np.max(np.linalg.norm(d, axis=0), initial=0.0))
+    if scale <= DEFECT_FLOOR:
+        return Subspace(d.shape[0], np.zeros((d.shape[0], 0), dtype=complex))
+    # orthonormalize scales rank_tol by the largest column norm
+    return orthonormalize(d, rank_tol=DEFECT_FLOOR / scale)
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -10,6 +10,7 @@ level and every report names the cutoff it used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -178,19 +179,24 @@ def restriction_double_commutation(
     n = handle.basis.num_vars
     restricted = [adjoint(b) @ (shift(k, handle.basis).matrix @ b) for k in range(1, n + 1)]
     probes = _low_section(handle, slack)
+    return _commutation_report(restricted, probes, handle.safe_degree - slack, tol)
+
+
+def _commutation_report(mats, probes, safe_degree: int, tol: float) -> CommutationReport:
+    """Largest commutator [A_i, A_j] and cross-commutator [A_i*, A_j]
+    (i != j) of the given matrices, each applied to the probe columns."""
     max_comm = 0.0
     max_cross = 0.0
-    for i in range(n):
-        for j in range(n):
+    for i, ci in enumerate(mats):
+        for j, cj in enumerate(mats):
             if i == j:
                 continue
-            ri, rj = restricted[i], restricted[j]
             if i < j:
-                max_comm = max(max_comm, operator_norm((ri @ rj - rj @ ri) @ probes))
+                max_comm = max(max_comm, operator_norm((ci @ cj - cj @ ci) @ probes))
             max_cross = max(
-                max_cross, operator_norm((adjoint(ri) @ rj - rj @ adjoint(ri)) @ probes)
+                max_cross, operator_norm((adjoint(ci) @ cj - cj @ adjoint(ci)) @ probes)
             )
-    return CommutationReport(max_comm, max_cross, handle.safe_degree - slack, tol)
+    return CommutationReport(max_comm, max_cross, safe_degree, tol)
 
 
 @dataclass(frozen=True)
@@ -414,18 +420,11 @@ def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list, basi
             factors.append(np.eye(free_basis.size))
         for i, s in enumerate(sections):
             factors.append(jordan if i == k - 1 else np.eye(s.shape[1]))
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
+        return reduce(np.kron, factors)
     # free-variable compression: truncated shift on the free block
     free_k = k - len(inner_list)
     free_shift = shift(free_k, free_basis).dense()
-    factors = [free_shift] + [np.eye(s.shape[1]) for s in sections]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    return reduce(np.kron, [free_shift] + [np.eye(s.shape[1]) for s in sections])
 
 
 def compression_double_commutation(
@@ -435,21 +434,7 @@ def compression_double_commutation(
     handle columns of total degree <= safe_degree - slack."""
     col_degrees = _column_degrees(handle)
     probes = np.eye(handle.dim, dtype=complex)[:, col_degrees <= handle.safe_degree - slack]
-    max_comm = 0.0
-    max_cross = 0.0
-    n = len(handle.compressions)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ci, cj = handle.compressions[i], handle.compressions[j]
-            if i < j:
-                max_comm = max(max_comm, operator_norm((ci @ cj - cj @ ci) @ probes))
-            max_cross = max(
-                max_cross,
-                operator_norm((adjoint(ci) @ cj - cj @ adjoint(ci)) @ probes),
-            )
-    return CommutationReport(max_comm, max_cross, handle.safe_degree - slack, tol)
+    return _commutation_report(handle.compressions, probes, handle.safe_degree - slack, tol)
 
 
 def _column_degrees(handle: QuotientHandle) -> np.ndarray:

@@ -15,7 +15,7 @@ from hardymodel.charfn import (
     symbol_grammian_residual,
 )
 from hardymodel.contraction import ContractionTuple, mobius_scalar, tensor_tuple
-from hardymodel.dilation import canonical_embedding
+from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import UnsafeDegree
 from hardymodel.generators import controlled_contraction
 from hardymodel.hardy import enumerate_basis, one_variable_symbol
@@ -30,6 +30,35 @@ def strict_contraction(rng, dim, radius=0.6, norm_cap=0.85):
     if nrm > norm_cap:
         a = a * (norm_cap / nrm)
     return a
+
+
+def rotated_jordan(rng, m):
+    """U J U* for the m x m nilpotent Jordan block J and a random unitary U;
+    I - J*J and I - JJ* are rank-one projections."""
+    u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return u @ np.diag(np.ones(m - 1), 1) @ adjoint(u)
+
+
+class TestRotatedJordan:
+    """Round-off in the defects of a rotated Jordan block is not rank."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_defects_have_rank_one(self, seed, m):
+        cf = charfn_build(rotated_jordan(np.random.default_rng(seed), m))
+        assert (cf.dim_in, cf.dim_out) == (1, 1)
+        assert boundary_unitarity(cf) <= 1e-12
+        for a, b in ((0.3, -0.5j), (0.0, 0.7), (-0.6 + 0.2j, 0.45)):
+            assert kernel_identity_residual(cf, a, b) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dilation_is_minimal_over_one_coefficient(self, seed):
+        t = ContractionTuple((rotated_jordan(np.random.default_rng(seed), 3),))
+        model = canonical_embedding(t, 12)
+        assert model.defect_dim == 1
+        rep = verify_dilation(model, 3, 1e-8)
+        assert (rep.minimality_rank, rep.minimality_expected) == (4, 4)
+        assert rep.passed
 
 
 class TestBuildAndEval:

@@ -216,6 +216,33 @@ def test_out_of_range_generator_exits_2(tmp_path, generator, capsys):
     assert "bad generator record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"tolerances": 5},
+        {"tolerances": [1e-8]},
+        {"tolerances": {"default": "abc"}},
+        {"tolerances": {"default": 0}},
+        {"tolerances": {"default": True}},
+        {"checks": [{"name": "tuple-validation", "tol": "abc"}]},
+        {"checks": [{"name": "tuple-validation", "tol": -1e-8}]},
+        {"checks": [{"name": "tuple-validation", "tol": False}]},
+        {"checks": [{"name": "tuple-validation", "tol": 1e400}]},
+    ],
+)
+def test_malformed_tolerance_exits_2(tmp_path, changes, capsys):
+    assert main(["run", str(write_scenario(tmp_path, dict(BASE, **changes)))]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_null_tolerances_load(tmp_path):
+    scenario = dict(BASE, tolerances={"default": None}, checks=[{"name": "tuple-validation", "tol": None}])
+    s = load_scenario(write_scenario(tmp_path, scenario))
+    assert s.default_tol is None and s.checks[0].tol is None
+    s = load_scenario(write_scenario(tmp_path, dict(BASE, tolerances={"default": 1e-9})))
+    assert [c.tol for c in s.checks] == [1e-9, 1e-9]
+
+
 def test_boundary_generator_values_load():
     p = GeneratorParams.from_dict({"truncation_degree": 0, "order_cap": 0, "instances": 1, "dims": [1]})
     assert p.truncation_degree == 0 and p.dims == (1,)

@@ -50,6 +50,13 @@ class TestCanonicalEmbedding:
         with pytest.raises(ZeroDefect):
             canonical_embedding(ContractionTuple((np.eye(2),)), 5)
 
+    def test_random_unitary_raises_zero_defect(self):
+        # its adjoint defect is round-off of order 1e-8, not a coefficient space
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        with pytest.raises(ZeroDefect):
+            canonical_embedding(ContractionTuple((q,)), 5)
+
     def test_gram_matches_embedding(self):
         rng = np.random.default_rng(10)
         t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])

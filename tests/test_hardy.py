@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hardymodel.contraction import mobius_series
 from hardymodel.errors import DegreeOverflow, DimensionMismatch, NotIntertwining, SizeOverflow
 from hardymodel.hardy import (
+    HardyBasis,
     HardyOperator,
     HardyVector,
     enumerate_basis,
@@ -115,6 +116,15 @@ class TestShift:
         b = enumerate_basis(2, 3, 1)
         assert shift(1, b).check_window() == 0.0
         assert shift(1, b).adjoint().check_window() == 0.0
+
+    def test_basis_with_its_own_exponent_array(self):
+        # enumerate_basis stops caching after 64 (n, d) keys, so equal bases
+        # may hold distinct exponent arrays; (n, d, e) alone decide equality
+        b = enumerate_basis(2, 3, 1)
+        other = HardyBasis(2, 3, 1, b.exponents.copy())
+        assert other == b and other != enumerate_basis(2, 3, 2)
+        out = shift(1, b).apply(monomial_vector(other, (0, 1)))
+        np.testing.assert_array_equal(out.coefficients, monomial_vector(b, (1, 1)).coefficients)
 
 
 def _reference_matrix(basis_in, basis_out, terms):

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardymodel.contraction import defect
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 from hardymodel.linops import (
+    DEFECT_FLOOR,
     Subspace,
     adjoint,
+    defect_range,
     hermitian_sqrt,
     operator_norm,
     orthonormalize,
@@ -156,6 +159,55 @@ class TestRangeComplement:
         before = v.copy()
         range_complement(v)
         np.testing.assert_array_equal(v, before)
+
+
+def _unitary(rng, m):
+    return np.linalg.qr(random_complex(rng, m, m))[0]
+
+
+def _contraction(kind, rng, m):
+    """Contraction of the given kind.  Every eigenvalue of I - T*T and of
+    I - TT* is zero up to round-off or at least about 2e-9, far from
+    DEFECT_FLOOR**2 = 1e-12 on either side."""
+    u, v = _unitary(rng, m), _unitary(rng, m)
+    if kind == "near-unitary":
+        gaps = np.where(rng.uniform(size=m) < 0.5, 0.0, 10.0 ** rng.uniform(-8, -3, m))
+        return u @ np.diag(1.0 - gaps) @ adjoint(v)
+    if kind == "nilpotent":
+        # Jordan blocks of random sizes: a zero superdiagonal entry starts a block
+        j = np.diag((rng.uniform(size=m - 1) < 0.7).astype(float), 1)
+        return u @ j @ adjoint(u)
+    if kind == "rank-deficient":
+        s = rng.choice([0.0, 1.0, rng.uniform(0.1, 0.9)], size=m)
+        return u @ np.diag(s) @ adjoint(v)
+    scale = 1.0 if rng.uniform() < 0.25 else 1.0 - 10.0 ** rng.uniform(-9, -1)
+    return scale * u
+
+
+class TestDefectRange:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kind=st.sampled_from(["near-unitary", "nilpotent", "rank-deficient", "scaled-unitary"]),
+        m=st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_dim_counts_eigenvalues_above_floor(self, seed, kind, m):
+        t = _contraction(kind, np.random.default_rng(seed), m)
+        for x in (t, adjoint(t)):
+            eigs = np.linalg.eigvalsh(np.eye(m) - adjoint(x) @ x)
+            d = defect(x)
+            s = defect_range(d)
+            assert s.dim == int(np.sum(eigs > DEFECT_FLOOR**2))
+            assert operator_norm(d - projector(s) @ d) <= m * DEFECT_FLOOR
+
+    def test_zero_defect_has_empty_range(self):
+        s = defect_range(np.zeros((3, 3)))
+        assert (s.ambient_dim, s.dim) == (3, 0)
+
+    def test_floor_is_absolute(self):
+        # relative to the norm 1e-3, the 1e-7 column would count as rank
+        assert defect_range(np.diag([1e-3, 1e-7])).dim == 1
+        assert defect_range(np.diag([1.0, 2e-6])).dim == 2
 
 
 class TestProjector:
