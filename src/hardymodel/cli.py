@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import REGISTRY, GeneratorParams, get_check
+from .checks import REGISTRY, GeneratorParams
 from .errors import HardyModelError, ScenarioError, UnknownCheck
 
 SCHEMA_VERSION = 1
@@ -105,7 +105,7 @@ def run_scenario(path_or_scenario) -> dict:
     )
     results = []
     for idx, item in enumerate(scenario.checks):
-        spec = get_check(item.name)
+        spec = REGISTRY[item.name]
         rng = np.random.default_rng([scenario.seed, idx])
         started = time.perf_counter()
         try:

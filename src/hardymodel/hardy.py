@@ -223,11 +223,13 @@ class HardyOperator:
         return self.matrix.toarray()
 
     def apply(self, v: HardyVector) -> HardyVector:
-        if v.basis.size != self.basis_in.size:
+        if v.basis != self.basis_in:
             raise DimensionMismatch("vector basis does not match operator input")
         return HardyVector(self.basis_out, self.matrix @ v.coefficients)
 
     def apply_adjoint(self, v: HardyVector) -> HardyVector:
+        if v.basis != self.basis_out:
+            raise DimensionMismatch("vector basis does not match operator output")
         return HardyVector(self.basis_in, self.matrix.conj().T @ v.coefficients)
 
     def adjoint(self) -> "HardyOperator":
@@ -237,7 +239,7 @@ class HardyOperator:
 
     def compose(self, other: "HardyOperator") -> "HardyOperator":
         """self after other; degree windows add."""
-        if other.basis_out.size != self.basis_in.size:
+        if other.basis_out != self.basis_in:
             raise DimensionMismatch("composition bases do not match")
         return HardyOperator(
             other.basis_in,

@@ -1,0 +1,133 @@
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hardymodel.checks import REGISTRY, CheckOutcome, _fold, _within
+from hardymodel.cli import main, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _outcomes_then_raise(items):
+    """Yield the items, then raise if the consumer asks for one more."""
+    yield from items
+    raise AssertionError("advanced past the last outcome the fold should read")
+
+
+class TestFold:
+    def test_all_pass_takes_worst_and_smallest_cutoff(self):
+        folded = _fold(
+            [
+                CheckOutcome(True, 1e-12, 0.0, -1),
+                CheckOutcome(True, 3e-11, 2e-9, 14),
+                CheckOutcome(True, 2e-11, 5e-9, 9),
+                CheckOutcome(True, 0.0, 1e-9, -1),
+                CheckOutcome(True, 1e-13, 0.0, 11),
+            ]
+        )
+        assert folded == CheckOutcome(True, 3e-11, 5e-9, 9)
+
+    def test_only_negative_cutoffs_give_minus_one(self):
+        folded = _fold([CheckOutcome(True, 0.5), CheckOutcome(True, 0.25, 0.0, -1)])
+        assert folded == CheckOutcome(True, 0.5, 0.0, -1)
+
+    def test_empty_generator_passes(self):
+        assert _fold(iter(())) == CheckOutcome(True, 0.0, 0.0, -1)
+
+    def test_stops_at_first_failure(self):
+        items = [
+            CheckOutcome(True, 1e-3, 1e-4, 7),
+            CheckOutcome(False, 2e-4, 3e-4, 12),
+        ]
+        # the fold reports what it saw up to and including the failure
+        assert _fold(_outcomes_then_raise(items)) == CheckOutcome(False, 1e-3, 3e-4, 7)
+
+    def test_fail_on_first_instance(self):
+        items = [CheckOutcome(False, float("inf"))]
+        assert _fold(_outcomes_then_raise(items)) == CheckOutcome(False, float("inf"), 0.0, -1)
+
+    def test_nan_residual_fails_and_stays_visible(self):
+        folded = _fold([_within(1e-3, 1.0), _within(float("nan"), 1.0), _within(0.5, 1.0)])
+        assert not folded.passed and np.isnan(folded.residual)
+
+
+#: (name, regime, default_tol) of every check, in registration order
+REGISTERED = [
+    ("tuple-validation", "matrix", 1e-10),
+    ("norm-identity", "matrix", 1e-07),
+    ("dilation-compress", "matrix", 1e-08),
+    ("dilation-regularity", "matrix", 1e-08),
+    ("dilation-minimality", "matrix", 1e-08),
+    ("mobius-involution", "matrix", 1e-10),
+    ("defect-transfer", "mixed", 1e-06),
+    ("defect-span", "matrix", 1e-09),
+    ("pseudometric", "matrix", 1e-12),
+    ("charfn-kernel-identity", "matrix", 1e-10),
+    ("charfn-boundary", "matrix", 1e-08),
+    ("projection-identity", "mixed", 1e-06),
+    ("quotient-model", "mixed", 1e-06),
+    ("kernel-reproduction", "hardy", 1e-12),
+    ("kernel-eigenrelation", "hardy", 1e-12),
+    ("parity-family", "hardy", 1e-12),
+    ("power-search", "hardy", 1e-12),
+    ("beurling-extraction", "hardy", 1e-07),
+    ("double-commutation-counterexample", "hardy", 1e-10),
+    ("jordan-quotient", "hardy", 1e-10),
+    ("kernel-fixed-point", "hardy", 1e-10),
+    ("projector-product", "hardy", 1e-10),
+    ("partial-product-cauchy", "hardy", 1e-10),
+]
+
+LIST_CHECKS = """\
+beurling-extraction                [hardy ]  wandering generator recovery for inner-generated sections
+charfn-boundary                    [matrix]  boundary unitarity of the characteristic function
+charfn-kernel-identity             [matrix]  defect kernel factorization of the characteristic function
+defect-span                        [matrix]  Moebius-shifted adjoint defects span the space over a grid
+defect-transfer                    [mixed ]  adjoint defect norms transfer through the isometric coextension
+dilation-compress                  [matrix]  isometric dilation compresses to tuple powers
+dilation-minimality                [matrix]  shift orbit of the embedded space spans the safe truncation
+dilation-regularity                [matrix]  regular dilation: disjointly supported power compressions
+double-commutation-counterexample  [hardy ]  two-generator section fails double commutation
+jordan-quotient                    [hardy ]  tensor quotient compressions are Jordan blocks tensor identity
+kernel-eigenrelation               [hardy ]  adjoint shifts scale truncated kernels by conjugate coordinates
+kernel-fixed-point                 [hardy ]  kernels are fixed by Moebius-shifted multiplier defect products
+kernel-reproduction                [hardy ]  truncated kernels reproduce polynomial point values
+mobius-involution                  [matrix]  disk-automorphism calculus is involutive and class preserving
+norm-identity                      [matrix]  defect-orbit norm identity for the adjoint tuple
+parity-family                      [hardy ]  parity isometries: square identity, isometry, joint defect collapse
+partial-product-cauchy             [hardy ]  closed-form Cauchy increments of Moebius partial products (plumbing oracle)
+power-search                       [hardy ]  adjoint-orbit power selection with verified defect lower bound
+projection-identity                [mixed ]  embedding projector complements the symbol product
+projector-product                  [hardy ]  projection of monomials factorizes over tensor quotients
+pseudometric                       [matrix]  equivalence pseudometric symmetry and vanishing on the diagonal
+quotient-model                     [mixed ]  analytic model complement equals the joint symbol range
+tuple-validation                   [matrix]  class membership: contraction margins, stability certificate, double commutation
+23 checks registered
+"""
+
+
+class TestRegistry:
+    def test_names_regimes_and_default_tolerances(self):
+        assert [(s.name, s.regime, s.default_tol) for s in REGISTRY.values()] == REGISTERED
+
+    def test_list_checks_output(self, capsys):
+        assert main(["list-checks"]) == 0
+        assert capsys.readouterr().out == LIST_CHECKS
+
+
+#: safe_cutoff of each check of each bundled scenario, in declared order
+BUNDLED_CUTOFFS = {
+    "charfn-and-quotients": [-1, -1, 20, 22],
+    "dilation-model": [-1, -1, -1, -1, -1, -1],
+    "hardy-structure": [-1, 7, 5, -1, 9, -1, 11, 24, 13, -1],
+    "norm-identity-smoke": [-1, -1, -1],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED_CUTOFFS))
+def test_bundled_scenario_statuses_and_cutoffs(scenario):
+    report = run_scenario(SCENARIOS / f"{scenario}.json")
+    assert [c["status"] for c in report["checks"]] == ["pass"] * len(BUNDLED_CUTOFFS[scenario])
+    assert [c["safe_cutoff"] for c in report["checks"]] == BUNDLED_CUTOFFS[scenario]
+    assert report["overall"] == "pass"

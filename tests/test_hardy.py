@@ -127,6 +127,30 @@ class TestShift:
         np.testing.assert_array_equal(out.coefficients, monomial_vector(b, (1, 1)).coefficients)
 
 
+class TestBasisMismatch:
+    """Operators refuse vectors and factors over another basis, even one of
+    the same size (both bases below have 6 elements)."""
+
+    two_vars = enumerate_basis(2, 2, 1)
+    one_var = enumerate_basis(1, 5, 1)
+
+    def test_apply_rejects_same_size_basis(self):
+        with pytest.raises(DimensionMismatch):
+            shift(1, self.two_vars).apply(monomial_vector(self.one_var, (3,)))
+
+    def test_apply_adjoint_rejects_same_size_basis(self):
+        with pytest.raises(DimensionMismatch):
+            shift(1, self.two_vars).apply_adjoint(monomial_vector(self.one_var, (3,)))
+
+    def test_apply_adjoint_rejects_other_size(self):
+        with pytest.raises(DimensionMismatch):
+            shift(1, enumerate_basis(1, 3, 1)).apply_adjoint(monomial_vector(self.one_var, (0,)))
+
+    def test_compose_rejects_same_size_basis(self):
+        with pytest.raises(DimensionMismatch):
+            shift(1, self.two_vars).compose(shift(1, self.one_var))
+
+
 def _reference_matrix(basis_in, basis_out, terms):
     """Dense matrix of a sum of monomial maps, one dict lookup per monomial.
 
