@@ -9,5 +9,6 @@ generator extraction, and Jordan-block tensor quotient modules.
 
 __version__ = "0.1.0"
 
-from . import charfn, checks, contraction, dilation, generators, hardy, linops, submodules  # noqa: F401
+from . import charfn, checks, contraction, dilation, generators  # noqa: F401
+from . import hardy, linops, submodules  # noqa: F401
 from .errors import HardyModelError  # noqa: F401

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
-from .errors import UnsafeDegree, ZeroDefect
+from .errors import DimensionMismatch, NotInClass, UnsafeDegree
 from .hardy import enumerate_basis, one_variable_symbol
 from .linops import (
     Subspace,
@@ -46,15 +46,10 @@ __all__ = [
     "charfn_build",
     "charfn_eval",
     "kernel_identity_residual",
-    "mult_product_residual",
     "poly_truncate",
     "projection_identity_residual",
     "quotient_model_check",
-    "symbol_grammian_residual",
 ]
-
-_NORM_SLACK = 1e-10
-
 
 @dataclass(frozen=True)
 class CharFn:
@@ -85,13 +80,11 @@ def charfn_build(t: np.ndarray) -> CharFn:
     rejected since boundary evaluation would be undefined.
     """
     t = np.asarray(t, dtype=complex)
-    if operator_norm(t) > 1.0 + _NORM_SLACK:
-        raise ValueError("matrix is not a contraction")
-    d_in, d_out = defect(t), defect(adjoint(t))
+    d_in, d_out = defect(t), defect(adjoint(t))  # DimensionMismatch unless a contraction
     q_in, q_out = defect_range(d_in), defect_range(d_out)
     radius = spectral_radius_bound(t)
     if radius >= 1.0 and (q_in.dim or q_out.dim):
-        raise ValueError(f"spectral radius estimate {radius:.6f} is not below 1")
+        raise NotInClass(f"spectral radius estimate {radius:.6f} is not below 1")
     return CharFn(t, d_in, d_out, q_in, q_out, radius)
 
 
@@ -111,7 +104,7 @@ def kernel_identity_residual(cf: CharFn, a: complex, b: complex) -> float:
     (1 - conj(a) b) compress(D_out (I - b T*)^{-1} (I - conj(a) T)^{-1} D_out).
     """
     if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise ValueError("interior points required")
+        raise DimensionMismatch("interior points required")
     t, d_out = cf.t, cf.d_out
     th_b = charfn_eval(cf, b)
     th_a = charfn_eval(cf, a)
@@ -180,25 +173,6 @@ def poly_truncate(cf: CharFn, tol: float):
     return coeffs, float(tail_from(k))
 
 
-def symbol_grammian_residual(eval1, eval2, pairs) -> float:
-    """Max over (a, b) pairs of ||f(b) f(a)* - g(b) g(a)*||."""
-    worst = 0.0
-    for a, b in pairs:
-        lhs = eval1(b) @ adjoint(eval1(a))
-        rhs = eval2(b) @ adjoint(eval2(a))
-        worst = max(worst, operator_norm(lhs - rhs))
-    return worst
-
-
-def mult_product_residual(op1, op2, cutoff: int) -> float:
-    """||A1 A1* - A2 A2*|| on output rows/columns of degree <= cutoff."""
-    sel = np.nonzero(op1.basis_out.degree_selector(cutoff))[0]
-    m1 = op1.matrix
-    m2 = op2.matrix
-    diff = (m1 @ m1.conj().T - m2 @ m2.conj().T).toarray()
-    return operator_norm(diff[np.ix_(sel, sel)])
-
-
 def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
     """Truncated M_theta~ of one component, output expressed in the model's
     adjoint defect coordinates; returns (matrix, inclusion residual)."""
@@ -242,6 +216,34 @@ def _signed_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh((r * signs) @ adjoint(r))), initial=0.0))
 
 
+def _symbol_model(t: ContractionTuple, d: int, tol: float):
+    """The degree-d embedding of t and the truncated symbols of its
+    components with a nontrivial defect, in the model's coordinates.
+
+    Each symbol keeps the terms poly_truncate certifies to tol / 10; the
+    safe cutoff d - (largest symbol degree) - 1 must be >= 0, else
+    UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
+    tails, worst inclusion residual).
+    """
+    model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
+    prepared, degrees, tails = [], [], []  # prepared: (component index, charfn, coefficients)
+    for k, comp in enumerate(t.components, start=1):
+        cf = charfn_build(comp)
+        if cf.dim_in == 0:
+            continue  # isometric component contributes no complement range
+        coeffs, tail = poly_truncate(cf, tol / 10.0)
+        prepared.append((k, cf, coeffs))
+        degrees.append(len(coeffs) - 1)
+        tails.append(tail)
+    max_deg = max(degrees, default=0)
+    cutoff = d - max_deg - 1
+    if cutoff < 0:
+        raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max_deg}")
+    symbols = [_component_symbol(cf, coeffs, k, model) for k, cf, coeffs in prepared]
+    incl_worst = max((res for _, res in symbols), default=0.0)
+    return model, cutoff, [mat for mat, _ in symbols], tuple(degrees), tuple(tails), incl_worst
+
+
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
     """Distance between the complement of the embedded space and the span
     of the componentwise symbol-product ranges, on the safe-degree section.
@@ -255,40 +257,14 @@ def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientMod
     the eigenvalues of J C* C for C = [K_S | U_S], is not used: it squares
     away half the digits (see the module docstring).
     """
-    model = canonical_embedding(t, d)
-    if model.defect_dim == 0:
-        raise ZeroDefect("adjoint defect space is trivial")
-    prepared = []  # (component index, charfn, coefficients)
-    tails, degrees = [], []
-    for k, comp in enumerate(t.components, start=1):
-        cf = charfn_build(comp)
-        if cf.dim_in == 0:
-            continue  # isometric component contributes no complement range
-        coeffs, tail = poly_truncate(cf, tol / 10.0)
-        prepared.append((k, cf, coeffs))
-        tails.append(tail)
-        degrees.append(len(coeffs) - 1)
-    max_deg = max(degrees, default=0)
-    cutoff = d - max_deg - 1
-    if cutoff < 0:
-        raise UnsafeDegree(
-            f"truncation degree {d} cannot absorb symbol degree {max_deg}"
-        )
-    incl_worst = 0.0
-    range_cols = []
-    for k, cf, coeffs in prepared:
-        mat, incl_res = _component_symbol(cf, coeffs, k, model)
-        incl_worst = max(incl_worst, incl_res)
-        range_cols.append(mat)
+    model, cutoff, range_cols, degrees, tails, incl_worst = _symbol_model(t, d, tol)
     # range_cols is never empty: canonical_embedding admits only components
     # of spectral radius below 1, and such a matrix is not an isometry
     stacked = sp.hstack(range_cols).toarray(order="F")
     k_basis = range_complement(stacked, rank_tol=1e-8).basis
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     dist = _signed_difference_norm(k_basis[sel], model.normalized_embedding()[sel])
-    return QuotientModelReport(
-        dist, cutoff, tuple(degrees), tuple(tails), incl_worst, tol
-    )
+    return QuotientModelReport(dist, cutoff, degrees, tails, incl_worst, tol)
 
 
 def projection_identity_residual(a_matrix: np.ndarray, d: int, tol: float):
@@ -296,16 +272,8 @@ def projection_identity_residual(a_matrix: np.ndarray, d: int, tol: float):
 
     Returns (residual, safe_cutoff) for a single contraction.
     """
-    a = np.asarray(a_matrix, dtype=complex)
-    t = ContractionTuple((a,))
-    model = canonical_embedding(t, d)
-    cf = charfn_build(a)
-    coeffs, _ = poly_truncate(cf, tol / 10.0)
-    deg = len(coeffs) - 1
-    cutoff = d - deg - 1
-    if cutoff < 0:
-        raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {deg}")
-    mat, _ = _component_symbol(cf, coeffs, 1, model)
+    t = ContractionTuple((np.asarray(a_matrix, dtype=complex),))
+    model, cutoff, (mat,), _, _, _ = _symbol_model(t, d, tol)
     basis = model.basis
     sel = np.nonzero(basis.degree_selector(cutoff))[0]
     u_hat = model.normalized_embedding()

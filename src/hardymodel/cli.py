@@ -2,9 +2,11 @@
 
 Scenario files are JSON with a mandatory schema version; the seed fully
 determines every generated instance, so reports are reproducible modulo
-timing fields.  A check that raises a package error is reported as
-skipped, with the error as its reason.  Exit codes: 0 all checks that
-ran pass, 1 at least one failure or no check ran, 2 malformed input.
+timing fields.  A check that refuses to certify at the given size
+(SizeOverflow, UnsafeDegree) is reported as skipped; any other package
+error it raises is a failure.  Either way the error is its reason.  Exit
+codes: 0 all checks that ran pass, 1 at least one failure or no check
+ran, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import REGISTRY, GeneratorParams
-from .errors import HardyModelError, ScenarioError, UnknownCheck
+from .errors import HardyModelError, ScenarioError, SizeOverflow, UnknownCheck, UnsafeDegree
 
 SCHEMA_VERSION = 1
 _REGIMES = ("matrix", "hardy", "mixed")
@@ -46,7 +48,8 @@ def _tolerance(value, what: str) -> float | None:
     """A tolerance entry: null, or a positive finite number (not a bool)."""
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not 0 < value <= sys.float_info.max:
         raise ScenarioError(f"{what} must be null or a positive finite number, got {value!r}")
     return float(value)
 
@@ -117,7 +120,8 @@ def run_scenario(path_or_scenario) -> dict:
             cutoff = outcome.safe_cutoff
             reason = None
         except HardyModelError as exc:
-            status, residual, tail, cutoff = "skipped", float("nan"), 0.0, -1
+            status = "skipped" if isinstance(exc, (SizeOverflow, UnsafeDegree)) else "fail"
+            residual, tail, cutoff = float("nan"), 0.0, -1
             reason = f"{type(exc).__name__}: {exc}"
         elapsed_ms = int(round(1000.0 * (time.perf_counter() - started)))
         results.append(

@@ -20,7 +20,6 @@ __all__ = [
     "ContractionTuple",
     "MoebiusPoint",
     "ValidationReport",
-    "blaschke_apply",
     "defect",
     "joint_defect",
     "mobius",
@@ -266,15 +265,6 @@ def mobius_tuple(t: ContractionTuple, lam: MoebiusPoint) -> ContractionTuple:
         mobius(c, lam.coord(k)) for k, c in enumerate(t.components)
     )
     return ContractionTuple(comps)
-
-
-def blaschke_apply(b: BlaschkeProduct, a_matrix: np.ndarray) -> np.ndarray:
-    """Evaluate a finite Blaschke product on a contraction, left to right."""
-    m = np.asarray(a_matrix, dtype=complex)
-    out = b.unimodular_factor * np.eye(m.shape[0], dtype=complex)
-    for z in b.zeros:
-        out = out @ mobius(m, z)
-    return out
 
 
 def tensor_tuple(factors) -> ContractionTuple:

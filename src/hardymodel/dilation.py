@@ -3,7 +3,10 @@ vector-valued Hardy space, and the verification machinery around it.
 
 The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 |alpha| <= d, expressed in an orthonormal basis of the adjoint defect
-space.  Compressions of truncated shift powers through the embedding
+space.  The orbit is walked one degree at a time over the graded-lex
+exponent rows of the hardy module, each alpha reached from its parent
+alpha - e_v by one adjoint, so the embedding's rows fill in basis order.
+Compressions of truncated shift powers through the embedding
 reduce to cumulative defect-orbit Gram sums, which is how the verifier
 computes them; the identity is exercised against explicit Hardy-side
 matrices in the test suite.
@@ -11,6 +14,7 @@ matrices in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +28,16 @@ from .contraction import (
     mobius_tuple,
     validate_tuple,
 )
-from .errors import UnsafeDegree, ZeroDefect
-from .hardy import HardyBasis, HardyOperator, HardyVector, _graded_lex_exponents, enumerate_basis, shift
+from .errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
+from .hardy import (
+    HardyBasis,
+    HardyOperator,
+    HardyVector,
+    _graded_lex_exponents,
+    _graded_lex_rank,
+    enumerate_basis,
+    shift,
+)
 from .linops import Subspace, adjoint, defect_range, operator_norm
 
 __all__ = [
@@ -46,32 +58,25 @@ __all__ = [
 
 
 def _orbit_levels(adjoints, d: int, right: np.ndarray):
-    """Levels of the adjoint orbit: per total degree, exponent rows and
-    the stacked products T*^alpha @ right.
+    """Levels of the adjoint orbit: per total degree k, the graded-lex
+    exponent rows of degree k and the stacked products T*^alpha @ right.
 
-    Multi-indices are generated by incrementing variables in
-    non-decreasing index order, so each one appears exactly once.
+    Row alpha of degree k >= 1 is T*_v applied to its parent alpha - e_v,
+    v the last variable alpha uses; the parent's index within level k - 1
+    is its rank minus the C(k-2+n, n) monomials of lower degree.
     """
     n = len(adjoints)
-    exps = np.zeros((1, n), dtype=np.int64)
-    start = np.zeros(1, dtype=np.int64)
+    stacked = np.stack(adjoints)
+    exps = _graded_lex_exponents(n, d)
     x = right[None, :, :].astype(complex)
-    yield exps, x
-    for _ in range(d):
-        parts_e, parts_s, parts_x = [], [], []
-        for v in range(n):
-            mask = start <= v
-            if not mask.any():
-                continue
-            e = exps[mask].copy()
-            e[:, v] += 1
-            parts_e.append(e)
-            parts_s.append(np.full(e.shape[0], v, dtype=np.int64))
-            parts_x.append(np.einsum("ij,cjq->ciq", adjoints[v], x[mask], optimize=True))
-        exps = np.concatenate(parts_e)
-        start = np.concatenate(parts_s)
-        x = np.concatenate(parts_x)
-        yield exps, x
+    yield exps[:1], x
+    for k in range(1, d + 1):
+        rows = exps[math.comb(k - 1 + n, n) : math.comb(k + n, n)]
+        last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        parents = rows.copy()
+        parents[np.arange(len(rows)), last] -= 1
+        x = stacked[last] @ x[_graded_lex_rank(parents) - math.comb(k - 2 + n, n)]
+        yield rows, x
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -112,7 +117,7 @@ class DilationModel:
 
     def normalized_embedding(self) -> np.ndarray:
         if self.embedding is None:
-            raise ValueError("model was built without a materialized embedding")
+            raise DimensionMismatch("model was built without a materialized embedding")
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
     def tail_bound(self, x: np.ndarray, degree: int | None = None) -> float:
@@ -157,7 +162,7 @@ def embedding_for_tolerance(
     """
     report = validate_tuple(t)
     if not report.passed:
-        raise ValueError(f"tuple fails class validation: {report.summary()}")
+        raise NotInClass(f"tuple fails class validation: {report.summary()}")
     radius = max(report.radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
     eye = np.eye(t.space_dim)
@@ -187,7 +192,7 @@ def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -
         raise ZeroDefect("adjoint defect space is trivial")
     report = validate_tuple(t)
     if not report.passed:
-        raise ValueError(f"tuple fails class validation: {report.summary()}")
+        raise NotInClass(f"tuple fails class validation: {report.summary()}")
     e = q.dim
     basis = enumerate_basis(t.num_components, d, e)
     qd = adjoint(q.basis) @ d_star
@@ -196,14 +201,14 @@ def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -
     u = np.zeros((basis.size, m), dtype=complex) if materialize else None
     gram_levels: list[np.ndarray] = []
     g = np.zeros((m, m), dtype=complex)
-    for exps, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex)):
+    row = 0  # levels come in graded-lex order, so each fills the next rows of u
+    for _, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex)):
         g = g + np.einsum("cji,jk,ckl->il", x.conj(), d_sq, x, optimize=True)
         gram_levels.append(g.copy())
         if u is not None:
-            idx = basis.rank(exps)
-            blocks = np.einsum("ej,cjm->cem", qd, x, optimize=True)
-            rows = (idx[:, None] * e + np.arange(e)[None, :]).reshape(-1)
-            u[rows, :] = blocks.reshape(-1, m)
+            blocks = np.einsum("ej,cjm->cem", qd, x, optimize=True).reshape(-1, m)
+            u[row : row + len(blocks)] = blocks
+            row += len(blocks)
     return DilationModel(
         t, basis, q, u, gram_levels, d, tuple(report.radius_estimates)
     )
@@ -211,19 +216,13 @@ def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -
 
 def _disjoint_power_pairs(n: int, cap: int):
     """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
-    nz = _graded_lex_exponents(n, cap)[1:]  # nonzero ones; zero handled separately
-    pairs = []
-    for alpha in nz:
-        pairs.append((alpha, np.zeros(n, dtype=np.int64)))
-        pairs.append((np.zeros(n, dtype=np.int64), alpha))
-    for alpha in nz:
-        for beta in nz:
-            if alpha.sum() + beta.sum() > cap:
-                continue
-            if np.any((alpha > 0) & (beta > 0)):
-                continue
-            pairs.append((alpha, beta))
-    return pairs
+    exps = _graded_lex_exponents(n, cap)
+    deg = exps.sum(axis=1)
+    support = exps > 0
+    ok = (deg[:, None] + deg[None, :] <= cap) & ~(support @ support.T)
+    ok[0, 0] = False
+    alpha, beta = np.nonzero(ok)
+    return zip(exps[alpha], exps[beta])
 
 
 @dataclass(frozen=True)
@@ -395,7 +394,7 @@ def power_search(ops, probes, eps: float) -> PowerSearchResult:
     ||prod_n (I - V_n^{k_n} V_n*^{k_n}) x|| >= (1 - eps) ||x||.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise DimensionMismatch("eps must be positive")
     exponents = []
     for n, op in enumerate(ops, start=1):
         threshold = eps / 2.0**n

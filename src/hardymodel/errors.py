@@ -18,7 +18,7 @@ class SingularShift(HardyModelError):
 
 
 class DimensionMismatch(HardyModelError):
-    """Operands live on incompatible spaces."""
+    """Operands live on incompatible spaces, or an argument lies outside its domain."""
 
 
 class ZeroDefect(HardyModelError):
@@ -37,8 +37,8 @@ class UnsafeDegree(HardyModelError):
     """Requested computation leaves the exact (safe-degree) domain."""
 
 
-class NotIntertwining(HardyModelError):
-    """Operator fails to intertwine the coordinate shifts within tolerance."""
+class NotInClass(HardyModelError):
+    """Contraction or tuple fails the class membership its construction needs."""
 
 
 class NotInner(HardyModelError):

@@ -10,7 +10,10 @@ A monomial's index has a closed form in the combinatorial number system
     r_i = k - (alpha_1 + ... + alpha_{i-1}),
 
 the number of monomials of lower degree plus those of degree k that come
-first in lex order.  Operators are CSR matrices carrying a degree window
+first in lex order.  _graded_lex_exponents and HardyBasis.rank are the
+package's one multi-index enumerator: the dilation's defect-orbit levels,
+generator orbits and tensor quotient columns take their rows and indices
+from them.  Operators are CSR matrices carrying a degree window
 (lo, hi): they couple input degree k only to output degrees in
 [k+lo, k+hi], so exact (safe) domains under truncation are computable.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegreeOverflow, DimensionMismatch, NotIntertwining, SizeOverflow
+from .errors import DegreeOverflow, DimensionMismatch, SizeOverflow
 from .linops import Subspace, adjoint, operator_norm, orthonormalize
 
 __all__ = [
@@ -34,10 +37,8 @@ __all__ = [
     "InnerReport",
     "enumerate_basis",
     "evaluate",
-    "homogeneous_component",
     "is_inner_on_truncation",
     "kernel_vector",
-    "kernel_norm_sq_full",
     "mobius_partial_product",
     "mult_operator",
     "one_variable_symbol",
@@ -45,7 +46,6 @@ __all__ = [
     "operator_to_json",
     "parity_shift",
     "shift",
-    "symbol_from_intertwiner",
     "vector_from_json",
     "vector_to_json",
     "wandering_subspace",
@@ -278,7 +278,8 @@ def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matr
     shape = (basis_out.size, basis_in.size)
     if not rows:
         return sp.csr_matrix(shape)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
+    return sp.csr_matrix(entries, shape=shape)
 
 
 def shift(k: int, basis: HardyBasis) -> HardyOperator:
@@ -287,10 +288,13 @@ def shift(k: int, basis: HardyBasis) -> HardyOperator:
         raise DimensionMismatch(f"variable index {k} out of range")
     target = basis.exponents.copy()
     target[:, k - 1] += 1
-    return HardyOperator(basis, basis, _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))]), 1, 1)
+    mat = _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))])
+    return HardyOperator(basis, basis, mat, 1, 1)
 
 
-def mult_operator(symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | None = None) -> HardyOperator:
+def mult_operator(
+    symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | None = None
+) -> HardyOperator:
     """Multiplication by a matrix-valued polynomial.
 
     symbol maps exponent tuples (length num_vars, or shorter with implied
@@ -326,7 +330,9 @@ def mult_operator(symbol: dict, basis_in: HardyBasis, basis_out: HardyBasis | No
     return HardyOperator(basis_in, basis_out, mat, min(degrees, default=0), max(degrees, default=0))
 
 
-def one_variable_symbol(k: int, coeffs, basis_in: HardyBasis, basis_out: HardyBasis | None = None) -> HardyOperator:
+def one_variable_symbol(
+    k: int, coeffs, basis_in: HardyBasis, basis_out: HardyBasis | None = None
+) -> HardyOperator:
     """Multiplication by theta(zeta_k) for a one-variable matrix polynomial.
 
     coeffs is a sequence of (e_out, e_in) arrays (scalars allowed), the
@@ -363,12 +369,6 @@ def kernel_vector(lam, basis: HardyBasis, x: np.ndarray | None = None) -> HardyV
     return HardyVector(basis, np.kron(mono, x))
 
 
-def kernel_norm_sq_full(lam) -> float:
-    """||K_lambda||^2 of the untruncated kernel: prod 1/(1-|lam_k|^2)."""
-    coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
-    return float(np.prod(1.0 / (1.0 - np.abs(coords) ** 2)))
-
-
 def evaluate(v: HardyVector, point) -> np.ndarray:
     """Pointwise value of the (polynomial) vector at a multidisk point."""
     coords = np.zeros(v.basis.num_vars, dtype=complex)
@@ -377,14 +377,6 @@ def evaluate(v: HardyVector, point) -> np.ndarray:
     mono = np.prod(coords[None, :] ** v.basis.exponents, axis=1)
     e = v.basis.coeff_dim
     return v.coefficients.reshape(-1, e).T @ mono
-
-
-def homogeneous_component(v: HardyVector, k: int) -> HardyVector:
-    """Restriction of the coefficients to total degree k."""
-    if not 0 <= k <= v.basis.max_degree:
-        raise DegreeOverflow(f"degree {k} outside [0, {v.basis.max_degree}]")
-    mask = v.basis.flat_degrees() == k
-    return HardyVector(v.basis, np.where(mask, v.coefficients, 0.0))
 
 
 @dataclass(frozen=True)
@@ -446,7 +438,8 @@ def parity_shift(k: int, basis: HardyBasis) -> HardyOperator:
     target = basis.exponents.copy()
     j = target[:, k - 1]
     target[:, k - 1] = np.where(j % 2 == 0, j + 3, j - 1)
-    return HardyOperator(basis, basis, _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))]), -1, 3)
+    mat = _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))])
+    return HardyOperator(basis, basis, mat, -1, 3)
 
 
 def mobius_partial_product(lams, m: int, n: int) -> tuple[complex, float]:
@@ -465,50 +458,6 @@ def mobius_partial_product(lams, m: int, n: int) -> tuple[complex, float]:
     return prod, float(abs(prod - 1.0) ** 2 + (1.0 - mod_prod))
 
 
-def symbol_from_intertwiner(op: HardyOperator, sample_points, tol: float = 1e-8):
-    """Recover symbol samples from a shift-intertwining operator.
-
-    Checks that op intertwines the coordinate shifts of its bases on safe
-    degrees, then for each sample point reads the constant-term block of
-    op* applied to truncated kernel vectors, one coefficient slot at a
-    time.  Returns a list of (value matrix, truncation error estimate).
-    """
-    bi, bo = op.basis_in, op.basis_out
-    if (bi.num_vars, bi.max_degree) != (bo.num_vars, bo.max_degree):
-        raise DimensionMismatch("bases must share variables and truncation degree")
-    cutoff = min(op.safe_input_degree - 1, bi.max_degree - 1)
-    if cutoff < 0:
-        raise NotIntertwining("no safe degrees to certify intertwining")
-    worst = 0.0
-    sel = np.nonzero(bi.degree_selector(cutoff))[0]
-    for k in range(1, bi.num_vars + 1):
-        left = op.compose(shift(k, bi))
-        right = shift(k, bo).compose(op)
-        diff = (left.matrix - right.matrix)[:, sel].toarray()
-        worst = max(worst, operator_norm(diff))
-    if worst > tol:
-        raise NotIntertwining(f"intertwining residual {worst:.3e} exceeds {tol:.3e}")
-    op_norm_bound = operator_norm(op.dense()) if bi.size <= 4096 else None
-    samples = []
-    e_out, e_in = bo.coeff_dim, bi.coeff_dim
-    const_rows = slice(0, e_in)  # constant monomial block in the input basis
-    for lam in sample_points:
-        psi_star = np.zeros((e_in, e_out), dtype=complex)
-        for j in range(e_out):
-            x = np.zeros(e_out, dtype=complex)
-            x[j] = 1.0
-            kv = kernel_vector(lam, bo, x)
-            pulled = op.apply_adjoint(kv)
-            psi_star[:, j] = pulled.coefficients[const_rows]
-        coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
-        tail = max(kernel_norm_sq_full(coords) - float(
-            np.sum(np.abs(kernel_vector(lam, enumerate_basis(bi.num_vars, bi.max_degree, 1)).coefficients) ** 2)
-        ), 0.0)
-        bound = (op_norm_bound if op_norm_bound is not None else 1.0) * np.sqrt(tail)
-        samples.append((adjoint(psi_star), float(bound)))
-    return samples
-
-
 def _basis_to_json(b: HardyBasis) -> dict:
     return {"num_vars": b.num_vars, "max_degree": b.max_degree, "coeff_dim": b.coeff_dim}
 
@@ -520,7 +469,9 @@ def _basis_from_json(b: dict) -> HardyBasis:
 def vector_to_json(v: HardyVector) -> dict:
     return {
         "basis": _basis_to_json(v.basis),
-        "coefficients": [[i, float(c.real), float(c.imag)] for i, c in enumerate(v.coefficients) if c != 0],
+        "coefficients": [
+            [i, float(c.real), float(c.imag)] for i, c in enumerate(v.coefficients) if c != 0
+        ],
     }
 
 

@@ -3,8 +3,10 @@
 Submodules are represented by safe-degree sections (orthonormal column
 spans of truncated generator images); quotient modules of tensor type are
 built from one-variable model-space sections so that compressions carry
-exact Kronecker structure.  All set operations happen at the section
-level and every report names the cutoff it used.
+exact Kronecker structure.  Generator orbits and tensor columns are
+placed into the basis by one HardyBasis.rank scatter each.  All set
+operations happen at the section level and every report names the cutoff
+it used.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .hardy import (
     HardyBasis,
     HardyOperator,
     HardyVector,
+    _graded_lex_exponents,
     enumerate_basis,
     evaluate,
     is_inner_on_truncation,
@@ -45,10 +48,8 @@ __all__ = [
     "expected_tensor_compression",
     "inner_symbol_operator",
     "kernel_fixed_point_residual",
-    "minimal_degree_obstruction",
     "model_space_section",
     "projector_product_check",
-    "quotient_from_complement",
     "quotient_tensor_build",
     "restriction_double_commutation",
     "submodule_from_generators",
@@ -101,30 +102,23 @@ def submodule_from_inner(
     return SubmoduleHandle(op.basis_out, space, cutoff, hint)
 
 
-def submodule_from_generators(
-    gens, basis: HardyBasis, cutoff: int
-) -> SubmoduleHandle:
-    """Span of the shift orbit of the given vectors up to the cutoff depth.
+def submodule_from_generators(gens, basis: HardyBasis, cutoff: int) -> SubmoduleHandle:
+    """Span of the shift orbit zeta^beta g, |beta| <= cutoff, of the given
+    vectors; the cutoff bounds the orbit depth, not the coefficient support.
 
-    Shift monomials are enumerated once each (variables applied in
-    non-decreasing index order); the cutoff bounds the orbit depth, not
-    the coefficient support.
+    The columns are placed by one rank scatter: coefficient block alpha of
+    g lands at alpha + beta, and terms beyond the truncation drop.
     """
-    shift_mats = [shift(k, basis).matrix for k in range(1, basis.num_vars + 1)]
-    cols = [np.asarray(g.coefficients, dtype=complex) for g in gens]
-    frontier = [(c, 0) for c in cols]
-    for _ in range(cutoff):
-        nxt = []
-        for vec, start in frontier:
-            for k in range(start, basis.num_vars):
-                w = shift_mats[k] @ vec
-                if np.any(w):
-                    nxt.append((w, k))
-        frontier = nxt
-        cols.extend(w for w, _ in frontier)
-        if not frontier:
-            break
-    space = orthonormalize(np.column_stack(cols), rank_tol=1e-8)
+    e = basis.coeff_dim
+    blocks = np.stack([np.asarray(g.coefficients, dtype=complex) for g in gens], axis=-1)
+    blocks = blocks.reshape(basis.num_monomials, e, -1)
+    betas = _graded_lex_exponents(basis.num_vars, min(cutoff, basis.max_degree))
+    target = basis.exponents[None, :, :] + betas[:, None, :]
+    beta, src = np.nonzero(target.sum(axis=-1) <= basis.max_degree)
+    orbit = np.zeros((basis.num_monomials, e, len(betas), blocks.shape[-1]), dtype=complex)
+    orbit[basis.rank(target[beta, src]), :, beta] = blocks[src]
+    cols = orbit.reshape(basis.size, -1)  # column beta * len(gens) + generator
+    space = orthonormalize(cols[:, np.any(cols, axis=0)], rank_tol=1e-8)
     return SubmoduleHandle(basis, space, cutoff, None)
 
 
@@ -353,20 +347,7 @@ def quotient_tensor_build(
         if free_vars
         else np.zeros((1, 0), dtype=np.int64)
     )
-    cols = []
-    for gamma in free_exps:
-        partial = [(tuple(), 1.0 + 0.0j)]
-        for sec in sections:
-            partial = [
-                (expo + (j,), w)
-                for expo, w in partial
-                for j in range(sec.shape[1])
-            ]
-        for expo, _ in partial:
-            col = np.zeros(basis.size, dtype=complex)
-            _fill_tensor_column(col, basis, sections, expo, gamma)
-            cols.append(col)
-    space = Subspace(basis.size, np.column_stack(cols))
+    space = Subspace(basis.size, _tensor_columns(basis, sections, free_exps))
     compressions = []
     bmat = space.basis
     for k in range(1, n + 1):
@@ -381,23 +362,24 @@ def quotient_tensor_build(
     )
 
 
-def _fill_tensor_column(col, basis, sections, expo, gamma):
-    """Coefficients of prod_i section_i[:, expo_i](zeta_i) * zeta_free^gamma."""
-    per_var = [sec[:, j] for sec, j in zip(sections, expo)]
-    idx_sets = [np.nonzero(v)[0] for v in per_var]
-    L = len(per_var)
-    n = basis.num_vars
+def _tensor_columns(basis: HardyBasis, sections, gammas) -> np.ndarray:
+    """Columns prod_i sections[i][:, j_i](zeta_i) * zeta_free^gamma over a
+    scalar basis: gamma-major, then the section indices j lexicographic.
 
-    def rec(i, alpha, weight):
-        if i == L:
-            full = alpha + [int(g) for g in gamma]
-            if sum(full) <= basis.max_degree:
-                col[basis.monomial_index(tuple(full))] += weight
-            return
-        for j in idx_sets[i]:
-            rec(i + 1, alpha + [int(j)], weight * per_var[i][j])
-
-    rec(0, [], 1.0 + 0.0j)
+    The outer product of the section columns is the Kronecker product of
+    the sections; its rows, extended by gamma, are placed by one rank
+    scatter, and terms beyond the truncation drop.
+    """
+    L = len(sections)
+    values = reduce(np.kron, sections, np.ones((1, 1), dtype=complex))
+    lead = np.indices([s.shape[0] for s in sections]).reshape(L, -1).T
+    exps = np.zeros((len(gammas), len(lead), basis.num_vars), dtype=np.int64)
+    exps[:, :, :L] = lead
+    exps[:, :, L:] = np.asarray(gammas, dtype=np.int64)[:, None, :]
+    g, r = np.nonzero(exps.sum(axis=-1) <= basis.max_degree)
+    out = np.zeros((basis.size, len(gammas), values.shape[1]), dtype=complex)
+    out[basis.rank(exps[g, r]), g] = values[r]
+    return out.reshape(basis.size, -1)
 
 
 def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list, basis=None):
@@ -446,26 +428,6 @@ def _column_degrees(handle: QuotientHandle) -> np.ndarray:
     return np.array(out)
 
 
-def quotient_from_complement(sub: SubmoduleHandle) -> QuotientHandle:
-    """Orthocomplement of a submodule section, with compressions.
-
-    The complement is taken inside the degree <= safe_degree slice so the
-    quotient's adjoint-invariance holds on its own safe degrees.
-    """
-    basis = sub.basis
-    keep = np.nonzero(basis.degree_selector(sub.safe_degree))[0]
-    b = sub.space.basis
-    probes = np.zeros((basis.size, keep.size), dtype=complex)
-    probes[keep, np.arange(keep.size)] = 1.0
-    comp = probes - b @ (adjoint(b) @ probes)
-    space = orthonormalize(comp, rank_tol=1e-8)
-    compressions = tuple(
-        adjoint(space.basis) @ (shift(k, basis).matrix @ space.basis)
-        for k in range(1, basis.num_vars + 1)
-    )
-    return QuotientHandle(basis, space, compressions, sub.safe_degree)
-
-
 def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     """Residual of the kernel fixed-point mechanism for one-variable
     multiplier tuples.
@@ -503,7 +465,9 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     return residual, float(tail)
 
 
-def projector_product_check(inner_list, alpha, basis: HardyBasis, handle: QuotientHandle | None = None):
+def projector_product_check(
+    inner_list, alpha, basis: HardyBasis, handle: QuotientHandle | None = None
+):
     """Tensor product formula for projections of monomials.
 
     Evaluates the per-variable product formula and the direct projection
@@ -533,15 +497,7 @@ def projector_product_check(inner_list, alpha, basis: HardyBasis, handle: Quotie
         if alpha[i] <= c:
             mono[alpha[i]] = 1.0
         per_var.append(sec @ (adjoint(sec) @ mono))
-    formula = np.zeros(basis.size, dtype=complex)
-    gamma = alpha[L:]
-    _fill_tensor_column(
-        formula,
-        basis,
-        [v[:, None] for v in per_var],
-        tuple(0 for _ in per_var),
-        np.array(gamma, dtype=np.int64),
-    )
+    formula = _tensor_columns(basis, [v[:, None] for v in per_var], [alpha[L:]])[:, 0]
     target = monomial_vector(basis, alpha).coefficients
     b = handle.space.basis
     direct = b @ (adjoint(b) @ target)
@@ -551,20 +507,3 @@ def projector_product_check(inner_list, alpha, basis: HardyBasis, handle: Quotie
         HardyVector(basis, direct),
         dist,
     )
-
-
-def minimal_degree_obstruction(handle: SubmoduleHandle):
-    """Minimal homogeneous degree present in the section versus the shifted
-    span: returns (k0, mass of S at k0, mass of sum zeta_k S at k0)."""
-    b = handle.space.basis
-    degs = handle.basis.flat_degrees()
-    present = np.abs(b).max(axis=1) > 1e-12
-    if not present.any():
-        raise DimensionMismatch("empty section")
-    k0 = int(degs[present].min())
-    at_k0 = float(operator_norm(b[degs == k0, :]))
-    shifted_mass = 0.0
-    for k in range(1, handle.basis.num_vars + 1):
-        sh = shift(k, handle.basis).matrix @ b
-        shifted_mass = max(shifted_mass, float(operator_norm(sh[degs == k0, :])))
-    return k0, at_k0, shifted_mass

@@ -8,17 +8,14 @@ from hardymodel.charfn import (
     charfn_build,
     charfn_eval,
     kernel_identity_residual,
-    mult_product_residual,
     poly_truncate,
     projection_identity_residual,
     quotient_model_check,
-    symbol_grammian_residual,
 )
 from hardymodel.contraction import ContractionTuple, mobius_scalar, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
-from hardymodel.errors import UnsafeDegree
+from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
 from hardymodel.generators import controlled_contraction
-from hardymodel.hardy import enumerate_basis, one_variable_symbol
 from hardymodel.linops import adjoint, operator_norm, orthonormalize
 
 
@@ -104,6 +101,13 @@ class TestBuildAndEval:
             assert operator_norm(charfn_eval(cf, z)) <= 1.0 + 1e-8
 
 
+    def test_library_errors(self):
+        with pytest.raises(DimensionMismatch):
+            charfn_build(np.array([[1.5]]))  # not a contraction
+        with pytest.raises(NotInClass):
+            charfn_build(np.diag([1.0, 0.5]))  # spectral radius 1, nontrivial defect
+
+
 class TestKernelIdentity:
     def test_origin_pair(self):
         rng = np.random.default_rng(3)
@@ -123,6 +127,11 @@ class TestKernelIdentity:
             pa = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             pb = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
             assert kernel_identity_residual(cf, pa, pb) <= 1e-10
+
+    def test_boundary_point_refused(self):
+        cf = charfn_build(np.array([[0.5]]))
+        with pytest.raises(DimensionMismatch):
+            kernel_identity_residual(cf, 1.0, 0.2)
 
 
 class TestBoundaryUnitarity:
@@ -173,36 +182,6 @@ class TestPolyTruncate:
         z = 0.75 * np.exp(0.9j)
         series = sum(c * z**k for k, c in enumerate(coeffs))
         assert operator_norm(series - charfn_eval(cf, z)) <= tail + 1e-11
-
-
-class TestGrammianAgreement:
-    def test_unitary_right_factor_matches(self):
-        rng = np.random.default_rng(7)
-        a = strict_contraction(rng, 3, radius=0.5)
-        cf = charfn_build(a)
-        u = np.linalg.qr(rng.standard_normal((cf.dim_in, cf.dim_in)))[0]
-        f1 = lambda z: charfn_eval(cf, z)
-        f2 = lambda z: charfn_eval(cf, z) @ u
-        pts = [0.3 * np.exp(2j * np.pi * j / 20) for j in range(20)]
-        pairs = list(zip(pts, reversed(pts)))
-        assert symbol_grammian_residual(f1, f2, pairs) <= 1e-10
-        # then the multiplication-operator products agree on safe degrees
-        coeffs, _ = poly_truncate(cf, 1e-9)
-        d = len(coeffs) + 7
-        bi = enumerate_basis(1, d, cf.dim_in)
-        bo = enumerate_basis(1, d, cf.dim_out)
-        op1 = one_variable_symbol(1, coeffs, bi, bo)
-        op2 = one_variable_symbol(1, [c @ u for c in coeffs], bi, bo)
-        cutoff = d - (len(coeffs) - 1) - 1
-        assert cutoff >= 0
-        assert mult_product_residual(op1, op2, cutoff) <= 1e-8
-
-    def test_distinct_symbols_detected(self):
-        cf1 = charfn_build(np.array([[0.5]]))
-        cf2 = charfn_build(np.array([[0.2]]))
-        f1 = lambda z: charfn_eval(cf1, z)
-        f2 = lambda z: charfn_eval(cf2, z)
-        assert symbol_grammian_residual(f1, f2, [(0.3, 0.4)]) > 1e-3
 
 
 class TestProjectionIdentity:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from hardymodel.checks import REGISTRY, GeneratorParams
 from hardymodel.cli import load_scenario, main, run_scenario
-from hardymodel.errors import ScenarioError, UnknownCheck
+from hardymodel.errors import NotInner, ScenarioError, UnknownCheck
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -246,3 +247,24 @@ def test_null_tolerances_load(tmp_path):
 def test_boundary_generator_values_load():
     p = GeneratorParams.from_dict({"truncation_degree": 0, "order_cap": 0, "instances": 1, "dims": [1]})
     assert p.truncation_degree == 0 and p.dims == (1,)
+
+
+class TestErrorStatus:
+    def test_not_inner_is_a_failure(self, tmp_path, monkeypatch, capsys):
+        # only SizeOverflow and UnsafeDegree mean skipped; any other package
+        # error a check raises fails it, with the error as its reason
+        def raise_not_inner(rng, params, tol):
+            raise NotInner("isometry residual 1.000e+00 exceeds 1.000e-06")
+
+        spec = REGISTRY["beurling-extraction"]
+        monkeypatch.setitem(REGISTRY, spec.name, dataclasses.replace(spec, run=raise_not_inner))
+        scenario = dict(BASE, checks=["beurling-extraction", "pseudometric"])
+        out = tmp_path / "report.json"
+        assert main(["run", str(write_scenario(tmp_path, scenario)), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "overall: fail"
+        report = json.loads(out.read_text())
+        failed, passed = report["checks"]
+        assert failed["status"] == "fail" and failed["residual"] is None
+        assert failed["reason"] == "NotInner: isometry residual 1.000e+00 exceeds 1.000e-06"
+        assert passed["status"] == "pass"
+        assert report["overall"] == "fail"

@@ -7,7 +7,6 @@ from hardymodel.contraction import (
     BlaschkeProduct,
     ContractionTuple,
     MoebiusPoint,
-    blaschke_apply,
     defect,
     joint_defect,
     mobius,
@@ -171,20 +170,6 @@ class TestMobiusTuple:
 
 
 class TestBlaschke:
-    def test_squared_zero_kills_nilpotent(self):
-        n = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = BlaschkeProduct(1.0, (0.0, 0.0))
-        assert operator_norm(blaschke_apply(b, n)) <= 1e-14
-
-    def test_empty_product_is_identity(self):
-        b = BlaschkeProduct(1.0, ())
-        np.testing.assert_allclose(blaschke_apply(b, np.eye(2) * 0.5), np.eye(2), atol=1e-14)
-
-    def test_zero_of_factor(self):
-        b = BlaschkeProduct(1.0, (0.5,))
-        a = np.array([[0.5]])
-        assert abs(blaschke_apply(b, a)[0, 0]) <= 1e-14
-
     def test_series_matches_pointwise(self):
         b = BlaschkeProduct(np.exp(0.3j), (0.5, -0.2 + 0.1j))
         coeffs = b.coefficients(60)

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple
 from hardymodel.dilation import (
+    _disjoint_power_pairs,
+    _orbit_levels,
     canonical_embedding,
     choose_truncation_degree,
     default_moebius_grid,
     defect_span_completeness,
     defect_transfer_check,
+    embedding_for_tolerance,
     equivalence_pseudometric,
     norm_identity,
     power_search,
     verify_dilation,
 )
-from hardymodel.errors import UnsafeDegree, ZeroDefect
+from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
 from hardymodel.hardy import HardyVector, enumerate_basis, monomial_vector, parity_shift, shift
 from hardymodel.linops import adjoint, operator_norm
 
@@ -93,6 +98,57 @@ class TestCanonicalEmbedding:
         g = model.gram_levels[d - 2]
         gram_route = s @ (t.components[1] @ g @ adjoint(t.components[0])) @ s
         np.testing.assert_allclose(explicit, gram_route, atol=1e-10)
+
+
+class TestLibraryErrors:
+    def test_tuple_outside_the_class(self):
+        t = ContractionTuple((np.diag([1.0, 0.5]),))  # spectral radius 1
+        with pytest.raises(NotInClass):
+            canonical_embedding(t, 4)
+        with pytest.raises(NotInClass):
+            embedding_for_tolerance(t, 1e-8)
+
+    def test_bad_arguments(self):
+        t = ContractionTuple((np.array([[0.5]]),))
+        model = canonical_embedding(t, 4, materialize=False)
+        with pytest.raises(DimensionMismatch):
+            model.normalized_embedding()
+        b = enumerate_basis(1, 6, 1)
+        with pytest.raises(DimensionMismatch):
+            power_search([shift(1, b)], [monomial_vector(b, (0,))], 0.0)
+
+
+class TestOrbitLevels:
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3), d=st.integers(0, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_direct_adjoint_powers(self, seed, n, d):
+        # level k holds every alpha of degree k once, with T*^alpha @ right
+        # = (T_1^a_1 ... T_n^a_n)* @ right; components need not commute
+        rng = np.random.default_rng(seed)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(n)))
+        right = rng.standard_normal((t.space_dim, 2)) + 1j * rng.standard_normal((t.space_dim, 2))
+        levels = list(_orbit_levels([adjoint(c) for c in t.components], d, right))
+        assert len(levels) == d + 1
+        exps_all = enumerate_basis(n, d, 1).exponents
+        for k, (exps, x) in enumerate(levels):
+            want_rows = exps_all[exps_all.sum(axis=1) == k]
+            assert sorted(map(tuple, exps)) == sorted(map(tuple, want_rows))
+            assert x.shape == (len(want_rows), t.space_dim, 2)
+            for alpha, block in zip(exps, x):
+                np.testing.assert_allclose(block, adjoint(t.power(alpha)) @ right, atol=1e-12)
+
+
+def test_disjoint_power_pairs_match_double_loop():
+    for n, cap in ((1, 3), (2, 4), (3, 3)):
+        exps = enumerate_basis(n, cap, 1).exponents
+        want = {
+            (tuple(a), tuple(b))
+            for a in exps
+            for b in exps
+            if 0 < a.sum() + b.sum() <= cap and not np.any((a > 0) & (b > 0))
+        }
+        got = [(tuple(a), tuple(b)) for a, b in _disjoint_power_pairs(n, cap)]
+        assert len(got) == len(set(got)) and set(got) == want
 
 
 class TestVerifyDilation:

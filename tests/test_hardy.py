@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardymodel.contraction import mobius_series
-from hardymodel.errors import DegreeOverflow, DimensionMismatch, NotIntertwining, SizeOverflow
+from hardymodel.errors import DegreeOverflow, DimensionMismatch, SizeOverflow
 from hardymodel.hardy import (
     HardyBasis,
     HardyOperator,
     HardyVector,
     enumerate_basis,
     evaluate,
-    homogeneous_component,
     is_inner_on_truncation,
     kernel_vector,
     mobius_partial_product,
@@ -25,7 +24,6 @@ from hardymodel.hardy import (
     operator_to_json,
     parity_shift,
     shift,
-    symbol_from_intertwiner,
     vector_from_json,
     vector_to_json,
     wandering_subspace,
@@ -446,65 +444,6 @@ class TestParityShift:
         assert out.norm == 0.0
         out = v.apply_adjoint(monomial_vector(b, (3,)))
         np.testing.assert_allclose(out.coefficients, monomial_vector(b, (0,)).coefficients)
-
-
-class TestHomogeneous:
-    def test_constant(self):
-        b = enumerate_basis(2, 3, 1)
-        one = monomial_vector(b, (0, 0))
-        assert homogeneous_component(one, 0).norm == 1.0
-        assert homogeneous_component(one, 1).norm == 0.0
-
-    def test_mixed(self):
-        b = enumerate_basis(2, 3, 1)
-        f = HardyVector(
-            b,
-            monomial_vector(b, (0, 0)).coefficients + monomial_vector(b, (1, 1)).coefficients,
-        )
-        comp = homogeneous_component(f, 2)
-        np.testing.assert_allclose(comp.coefficients, monomial_vector(b, (1, 1)).coefficients)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_parseval_over_components(self, seed):
-        rng = np.random.default_rng(seed)
-        b = enumerate_basis(2, 4, 2)
-        f = HardyVector(b, rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size))
-        total = sum(
-            homogeneous_component(f, k).norm ** 2 for k in range(b.max_degree + 1)
-        )
-        assert abs(total - f.norm**2) <= 1e-12 * max(1.0, f.norm**2)
-
-
-class TestSymbolFromIntertwiner:
-    def test_identity(self):
-        b = enumerate_basis(2, 5, 2)
-        op = mult_operator({(0, 0): np.eye(2)}, b)
-        samples = symbol_from_intertwiner(op, [(0.3, 0.1j)])
-        np.testing.assert_allclose(samples[0][0], np.eye(2), atol=1e-12)
-
-    def test_coordinate_shift(self):
-        b = enumerate_basis(2, 8, 1)
-        points = [(0.5, 0.0), (0.2 + 0.1j, -0.4)]
-        samples = symbol_from_intertwiner(shift(1, b), points)
-        for (value, bound), pt in zip(samples, points):
-            assert abs(value[0, 0] - pt[0]) <= max(bound, 1e-12)
-
-    def test_polynomial_symbol(self):
-        b = enumerate_basis(1, 14, 1)
-        coeffs = [0.3, 0.0, -0.5, 0.25]
-        op = one_variable_symbol(1, coeffs, b)
-        lam = 0.45
-        samples = symbol_from_intertwiner(op, [(lam,)])
-        want = np.polyval(coeffs[::-1], lam)
-        value, bound = samples[0]
-        assert abs(value[0, 0] - want) <= bound + 1e-10
-
-    def test_not_intertwining(self):
-        b = enumerate_basis(1, 4, 1)
-        v = parity_shift(1, b)  # does not commute with the shift
-        with pytest.raises(NotIntertwining):
-            symbol_from_intertwiner(v, [(0.1,)])
 
 
 class TestMobiusPartialProduct:

@@ -1,25 +1,28 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hardymodel.contraction import BlaschkeProduct, mobius_scalar
 from hardymodel.errors import AmbiguousWandering, DegreeOverflow, NotInner
 from hardymodel.hardy import (
+    HardyVector,
     enumerate_basis,
     monomial_vector,
     one_variable_symbol,
     parity_shift,
     shift,
 )
-from hardymodel.linops import operator_norm, projector, subspace_distance
+from hardymodel.linops import adjoint, operator_norm, orthonormalize, projector, subspace_distance
 from hardymodel.submodules import (
+    QuotientHandle,
+    _tensor_columns,
     compression_double_commutation,
     expected_tensor_compression,
     inner_symbol_operator,
     kernel_fixed_point_residual,
-    minimal_degree_obstruction,
     model_space_section,
     projector_product_check,
-    quotient_from_complement,
     quotient_tensor_build,
     restriction_double_commutation,
     submodule_from_generators,
@@ -224,14 +227,99 @@ class TestQuotientTensor:
             quotient_tensor_build([Z2, Z2], b, var_caps=[3, 3], free_cap=0)
 
 
+def _tensor_columns_reference(basis, sections, gammas):
+    """Columns prod_i sections[i][:, j_i](zeta_i) * zeta_free^gamma by dict
+    lookup: gamma-major, then the section indices j lexicographic."""
+    index = {tuple(int(a) for a in alpha): i for i, alpha in enumerate(basis.exponents)}
+    cols = []
+    for gamma in gammas:
+        for js in itertools.product(*(range(s.shape[1]) for s in sections)):
+            col = np.zeros(basis.size, dtype=complex)
+            for ps in itertools.product(*(range(s.shape[0]) for s in sections)):
+                alpha = tuple(ps) + tuple(int(g) for g in gamma)
+                if alpha in index:
+                    col[index[alpha]] = np.prod([s[p, j] for s, p, j in zip(sections, ps, js)])
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+class TestTensorColumns:
+    @pytest.mark.parametrize(
+        "num_vars, d, inner",
+        [(1, 6, [Z2]), (2, 12, [Z2, phi(0.5)]), (2, 10, [Z2]), (3, 9, [phi(0.3), Z])],
+    )
+    def test_quotient_section_matches_reference(self, num_vars, d, inner):
+        b = enumerate_basis(num_vars, d, 1)
+        handle = quotient_tensor_build(inner, b)
+        sections = [model_space_section(eta, c) for eta, c in zip(inner, handle.var_caps)]
+        free = num_vars - len(inner)
+        gammas = enumerate_basis(free, handle.free_cap, 1).exponents if free else [()]
+        want = _tensor_columns_reference(b, sections, gammas)
+        np.testing.assert_array_equal(handle.space.basis, want)
+
+    def test_helper_drops_terms_beyond_truncation(self):
+        rng = np.random.default_rng(5)
+        b = enumerate_basis(3, 5, 1)
+        sections = [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))]
+        gammas = np.array([[0], [1], [2]])
+        want = _tensor_columns_reference(b, sections, gammas)
+        np.testing.assert_array_equal(_tensor_columns(b, sections, gammas), want)
+
+    def test_projector_formula_matches_reference(self):
+        b = enumerate_basis(3, 12, 1)
+        inner = [phi(0.4), Z2]
+        handle = quotient_tensor_build(inner, b)
+        formula, _, _ = projector_product_check(inner, (1, 1, 2), b, handle)
+        sections = [model_space_section(eta, c) for eta, c in zip(inner, handle.var_caps)]
+        per_var = []
+        for i, sec in enumerate(sections):
+            mono = np.zeros(sec.shape[0], dtype=complex)
+            mono[1] = 1.0
+            per_var.append(sec @ (sec.conj().T @ mono))
+        want = _tensor_columns_reference(b, [v[:, None] for v in per_var], [(2,)])
+        np.testing.assert_allclose(formula.coefficients, want[:, 0], atol=1e-15)
+
+
+class TestGeneratorOrbitRanks:
+    @pytest.mark.parametrize(
+        "d, cutoff, dims", [(6, 5, (27, 21, 21)), (8, 3, (14, 10, 10)), (8, 8, (44, 36, 45))]
+    )
+    def test_orbit_dimensions(self, d, cutoff, dims):
+        # monomials z1, z2; the difference generator; 1 + z1 z2 / 2 - 0.3 z2^2
+        b = enumerate_basis(2, d, 1)
+        z1, z2 = monomial_vector(b, (1, 0)), monomial_vector(b, (0, 1))
+        diff = HardyVector(b, (z1.coefficients - z2.coefficients) / np.sqrt(2))
+        poly = HardyVector(
+            b,
+            monomial_vector(b, (0, 0)).coefficients
+            + 0.5 * monomial_vector(b, (1, 1)).coefficients
+            - 0.3 * monomial_vector(b, (0, 2)).coefficients,
+        )
+        got = tuple(submodule_from_generators(g, b, cutoff).dim for g in ([z1, z2], [diff], [poly]))
+        assert got == dims
+
+
+def _complement_handle(sub):
+    """Orthocomplement of a submodule section inside its safe degrees, with
+    the compressed shifts."""
+    basis = sub.basis
+    probes = np.eye(basis.size, dtype=complex)[:, basis.degree_selector(sub.safe_degree)]
+    b = sub.space.basis
+    space = orthonormalize(probes - b @ (adjoint(b) @ probes), rank_tol=1e-8)
+    compressions = tuple(
+        adjoint(space.basis) @ (shift(k, basis).matrix @ space.basis)
+        for k in range(1, basis.num_vars + 1)
+    )
+    return QuotientHandle(basis, space, compressions, sub.safe_degree)
+
+
 class TestCompressionDoubleCommutation:
     def test_full_space(self):
         b = enumerate_basis(2, 6, 1)
-        sub = submodule_from_inner(one_variable_symbol(1, [0.0], b), 1.0, input_cutoff=5)
         # zero symbol gives the zero submodule; complement is everything
-        handle = quotient_from_complement(
-            submodule_from_generators([], b, cutoff=5) if False else sub
-        )
+        sub = submodule_from_inner(one_variable_symbol(1, [0.0], b), 1.0, input_cutoff=5)
+        handle = _complement_handle(sub)
+        assert handle.dim == 21  # every monomial of degree <= 5
         rep = compression_double_commutation(handle, 1e-10)
         assert rep.passed
 
@@ -245,10 +333,8 @@ class TestCompressionDoubleCommutation:
     def test_difference_generator_fails(self):
         b = enumerate_basis(2, 6, 1)
         g = monomial_vector(b, (1, 0)).coefficients - monomial_vector(b, (0, 1)).coefficients
-        from hardymodel.hardy import HardyVector
-
         sub = submodule_from_generators([HardyVector(b, g / np.sqrt(2))], b, cutoff=5)
-        handle = quotient_from_complement(sub)
+        handle = _complement_handle(sub)
         rep = compression_double_commutation(handle, 1e-6)
         assert not rep.passed
         assert rep.max_cross_commutator > 1e-2
@@ -312,17 +398,6 @@ class TestProjectorProduct:
         handle = quotient_tensor_build([Z2], b, var_caps=[1], free_cap=0)
         with pytest.raises(DegreeOverflow):
             projector_product_check([Z2], (4,), b, handle)
-
-
-class TestMinimalDegreeObstruction:
-    def test_shifted_span_misses_bottom_degree(self):
-        b = enumerate_basis(2, 6, 1)
-        gens = [monomial_vector(b, (1, 0)), monomial_vector(b, (0, 1))]
-        handle = submodule_from_generators(gens, b, cutoff=5)
-        k0, at_k0, shifted = minimal_degree_obstruction(handle)
-        assert k0 == 1
-        assert at_k0 > 0.9
-        assert shifted == 0.0
 
 
 class TestParityJointDefect:
