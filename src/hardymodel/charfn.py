@@ -9,14 +9,13 @@ power series read them from there.  theta is evaluated by direct resolvent
 solves, which is exact for |z| <= 1 under the strict spectral-radius
 certificate.
 
-The quotient-model verifier never forms an N x N projector.  With U the
-normalized embedding, R the stacked symbol range and K an orthonormal basis
-of its complement, I - P_U - P_R = K K* - U U*; on the safe rows S that is
-C J C* for C = [K_S | U_S] and J = diag(I, -I).  From the thin QR C = Q R
-its norm is the largest |eigenvalue| of the small Hermitian R J R*.  The
-Gram shortcut (eigenvalues of J C* C) is avoided: it recovers a distance
-sin(theta) only as sqrt(1 - cos(theta)^2), so a distance near 1e-15 comes
-back near sqrt(machine eps) ~ 1e-8.
+The model space of a doubly commuting tuple is the joint range
+complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
+(the multivariable Beurling-Lax form of the Sz.-Nagy-Foias model).  One
+routine, _model_distance, verifies it for quotient_model_check and, as
+the one-component case, for projection_identity_residual.  It applies
+the factors to the unit columns of the safe rows S, one sparse symbol
+W_k at a time, so no N x N matrix and no QR is formed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .linops import (
     apply_shifted_inverse,
     defect_range,
     operator_norm,
-    range_complement,
 )
 
 __all__ = [
@@ -204,24 +202,13 @@ class QuotientModelReport:
         return self.distance <= self.tol
 
 
-def _signed_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """||A A* - B B*|| from the thin QR [A | B] = Q R, without forming either.
-
-    A A* - B B* = Q (R J R*) Q* with J = diag(I, -I), so the norm is the
-    largest |eigenvalue| of the small Hermitian R J R*.  Its entries carry
-    absolute roundoff only, so small distances keep their digits.
-    """
-    r = np.linalg.qr(np.concatenate([a, b], axis=1), mode="r")
-    signs = np.concatenate([np.ones(a.shape[1]), -np.ones(b.shape[1])])
-    return float(np.max(np.abs(np.linalg.eigvalsh((r * signs) @ adjoint(r))), initial=0.0))
-
-
 def _symbol_model(t: ContractionTuple, d: int, tol: float):
     """The degree-d embedding of t and the truncated symbols of its
     components with a nontrivial defect, in the model's coordinates.
 
-    Each symbol keeps the terms poly_truncate certifies to tol / 10; the
-    safe cutoff d - (largest symbol degree) - 1 must be >= 0, else
+    Each symbol keeps the terms poly_truncate certifies to tol / 10.  For
+    K such symbols of degree <= D the safe cutoff is
+    d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
     UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
     tails, worst inclusion residual).
     """
@@ -236,7 +223,7 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
         degrees.append(len(coeffs) - 1)
         tails.append(tail)
     max_deg = max(degrees, default=0)
-    cutoff = d - max_deg - 1
+    cutoff = d - max(len(degrees) // 2, 1) * max_deg - 1
     if cutoff < 0:
         raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max_deg}")
     symbols = [_component_symbol(cf, coeffs, k, model) for k, cf, coeffs in prepared]
@@ -244,41 +231,50 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     return model, cutoff, [mat for mat, _ in symbols], tuple(degrees), tuple(tails), incl_worst
 
 
-def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
-    """Distance between the complement of the embedded space and the span
-    of the componentwise symbol-product ranges, on the safe-degree section.
+def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
+    """||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols W_k
+    and the normalized embedding U, on the safe rows S.
 
-    With U the normalized embedding and K the range_complement of the
-    stacked symbol ranges (rank_tol 1e-8), the projector difference of the
-    two sides is I - P_U - P_R = K K* - U U*.  On the safe rows S its norm
-    is the largest |eigenvalue| of R J R*, where [K_S | U_S] = Q R is a thin
-    QR and J = diag(I, -I): a (k + m) x (k + m) matrix for complement dim k
-    and space dim m, so no N x N projector is formed.  The Gram shortcut,
-    the eigenvalues of J C* C for C = [K_S | U_S], is not used: it squares
-    away half the digits (see the module docstring).
+    The product is applied to the unit columns E_S, cols -= W (W* cols)
+    for each k, at a cost of O(nnz(W) |S|).  On S it is exact for the
+    truncated symbols: a factor I - W_k W_k* moves only the degree in
+    variable k, by at most the symbol degree D either way.  A term that
+    starts and ends in S therefore has degree <= cutoff + min(j, K - j) D
+    after j of the K factors, and _symbol_model's cutoff
+    d - max(K // 2, 1) D - 1 keeps that <= d - 1: the degree-d
+    truncation drops nothing that reaches a row of S.  (For K <= 3 this
+    is the cutoff d - D - 1.)  What the distance does measure is the
+    dropped series: each factor differs from its untruncated form by
+    about 2 * tail, with tail <= tol / 10.
     """
-    model, cutoff, range_cols, degrees, tails, incl_worst = _symbol_model(t, d, tol)
-    # range_cols is never empty: canonical_embedding admits only components
-    # of spectral radius below 1, and such a matrix is not an isometry
-    stacked = sp.hstack(range_cols).toarray(order="F")
-    k_basis = range_complement(stacked, rank_tol=1e-8).basis
+    model, cutoff, symbols, degrees, tails, incl_worst = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
-    dist = _signed_difference_norm(k_basis[sel], model.normalized_embedding()[sel])
+    cols = np.zeros((model.basis.size, sel.size), dtype=complex)
+    cols[sel, np.arange(sel.size)] = 1.0
+    for w in symbols:
+        cols -= w @ (w.conj().T @ cols)
+    u_s = model.normalized_embedding()[sel]
+    dist = operator_norm(cols[sel] - u_s @ adjoint(u_s))
     return QuotientModelReport(dist, cutoff, degrees, tails, incl_worst, tol)
 
 
+def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
+    """Distance between the embedded space and the model space
+    prod_k (I - M_theta_k M_theta_k*) of the components' symbols, on the
+    safe-degree section (see _model_distance).
+
+    The distance sits at the level of the symbol tails (tol / 10 each),
+    not at round-off: the symbols are truncated power series, and the
+    product identity holds only for the full series.
+    """
+    return _model_distance(t, d, tol)
+
+
 def projection_identity_residual(a_matrix: np.ndarray, d: int, tol: float):
-    """Residual of P_embedded = I - M_theta M_theta* on the safe section.
+    """Residual of P_embedded = I - M_theta M_theta* on the safe section:
+    the one-component case of quotient_model_check.
 
     Returns (residual, safe_cutoff) for a single contraction.
     """
-    t = ContractionTuple((np.asarray(a_matrix, dtype=complex),))
-    model, cutoff, (mat,), _, _, _ = _symbol_model(t, d, tol)
-    basis = model.basis
-    sel = np.nonzero(basis.degree_selector(cutoff))[0]
-    u_hat = model.normalized_embedding()
-    p = u_hat @ adjoint(u_hat)
-    ww = (mat @ mat.conj().T).toarray()
-    lhs = p[np.ix_(sel, sel)]
-    rhs = np.eye(sel.size, dtype=complex) - ww[np.ix_(sel, sel)]
-    return operator_norm(lhs - rhs), cutoff
+    rep = _model_distance(ContractionTuple((np.asarray(a_matrix, dtype=complex),)), d, tol)
+    return rep.distance, rep.safe_cutoff

@@ -23,6 +23,7 @@ import numpy as np
 
 from .checks import REGISTRY, GeneratorParams
 from .errors import HardyModelError, ScenarioError, SizeOverflow, UnknownCheck, UnsafeDegree
+from .hardy import basis_size_cap
 
 SCHEMA_VERSION = 1
 _REGIMES = ("matrix", "hardy", "mixed")
@@ -69,7 +70,7 @@ def load_scenario(path) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario needs a nonempty name")
     seed = raw.get("seed")
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ScenarioError("seed must be an unsigned 64-bit integer")
     regime = raw.get("regime", "mixed")
     if regime not in _REGIMES:
@@ -89,8 +90,11 @@ def load_scenario(path) -> Scenario:
     for entry in checks_raw:
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, dict) or "name" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ScenarioError(f"bad check entry: {entry!r}")
+        unknown = set(entry) - {"name", "tol"}
+        if unknown:
+            raise ScenarioError(f"unknown fields {sorted(unknown)} in check entry {entry!r}")
         cname = entry["name"]
         if cname not in REGISTRY:
             raise UnknownCheck(f"unknown check {cname!r}")
@@ -237,6 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        basis_size_cap()  # the environment is input too
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -194,6 +194,25 @@ class ValidationReport:
         )
 
 
+def _commutator_norms(mats, probes=None) -> tuple[float, float]:
+    """Largest commutator ||[A_i, A_j]|| and cross-commutator
+    ||[A_i*, A_j]|| (i != j) of the given matrices, each applied to the
+    probe columns when they are given."""
+
+    def norm(x):
+        return operator_norm(x if probes is None else x @ probes)
+
+    max_comm = 0.0
+    max_cross = 0.0
+    for i, ci in enumerate(mats):
+        for j, cj in enumerate(mats):
+            if i < j:
+                max_comm = max(max_comm, norm(ci @ cj - cj @ ci))
+            if i != j:
+                max_cross = max(max_cross, norm(adjoint(ci) @ cj - cj @ adjoint(ci)))
+    return max_comm, max_cross
+
+
 def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
     """Contraction margins, stability estimates and (cross-)commutator residuals.
 
@@ -204,20 +223,7 @@ def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
     comps = t.components
     margins = tuple(1.0 - operator_norm(c) for c in comps)
     radii = tuple(spectral_radius_bound(c) for c in comps)
-    max_comm = 0.0
-    max_cross = 0.0
-    for i in range(len(comps)):
-        for j in range(len(comps)):
-            if i == j:
-                continue
-            if i < j:
-                max_comm = max(
-                    max_comm, operator_norm(comps[i] @ comps[j] - comps[j] @ comps[i])
-                )
-            ci = adjoint(comps[i])
-            max_cross = max(
-                max_cross, operator_norm(ci @ comps[j] - comps[j] @ ci)
-            )
+    max_comm, max_cross = _commutator_norms(comps)
     passed = (
         all(m >= -tol for m in margins)
         and all(r <= 1.0 - C00_MARGIN for r in radii)

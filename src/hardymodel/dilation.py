@@ -158,7 +158,10 @@ def embedding_for_tolerance(
     The starting degree comes from the geometric tail rule on the
     spectral-radius estimates; the computed cumulative Gram sums then
     certify the tail (they equal the exact truncation deficiency), and
-    the degree is extended until the certificate holds.
+    the degree is extended by 8 until the certificate holds.  G_k
+    increases to I, so the certificate cannot grow in exact arithmetic:
+    one that is not below its value 8 degrees earlier has stalled at
+    round-off, and UnsafeDegree is raised there, as at max_degree.
     """
     report = validate_tuple(t)
     if not report.passed:
@@ -166,15 +169,16 @@ def embedding_for_tolerance(
     radius = max(report.radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
     eye = np.eye(t.space_dim)
+    previous = np.inf
     while True:
         model = canonical_embedding(t, d, materialize=materialize)
         defect = operator_norm(model.gram_levels[d - order_cap] - eye)
         if defect <= tol:
             return model
-        if d + 8 > max_degree:
-            raise UnsafeDegree(
-                f"certificate {defect:.3e} > {tol:.3e} still open at degree {d}"
-            )
+        if defect >= previous or d + 8 > max_degree:
+            state = "stalled" if defect >= previous else "still open"
+            raise UnsafeDegree(f"certificate {defect:.3e} > {tol:.3e} {state} at degree {d}")
+        previous = defect
         d += 8
 
 

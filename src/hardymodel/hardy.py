@@ -56,7 +56,16 @@ _DEFAULT_BASIS_CAP = 200_000
 
 
 def basis_size_cap() -> int:
-    return int(os.environ.get(BASIS_CAP_ENV, _DEFAULT_BASIS_CAP))
+    """The truncated-basis size cap; ValueError when the environment
+    override is not a positive integer."""
+    raw = os.environ.get(BASIS_CAP_ENV, str(_DEFAULT_BASIS_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{BASIS_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _binomial(top: np.ndarray, k: int) -> np.ndarray:

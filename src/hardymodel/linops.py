@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Adjoints, Hermitian PSD square roots, resolvent solves, deterministic
-orthonormalization and range complements, orthogonal projectors and
-subspace comparison.  All functions are pure; inputs are never mutated.
-Every defect range in the package is ranked by defect_range.
+orthonormalization, orthogonal projectors and subspace comparison.  All
+functions are pure; inputs are never mutated.  Every defect range in the
+package is ranked by defect_range.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "operator_norm",
     "orthonormalize",
     "projector",
-    "range_complement",
     "solve_shifted",
     "subspace_distance",
 ]
@@ -112,67 +111,25 @@ def apply_shifted_inverse(t: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndar
         raise SingularShift(str(exc)) from exc
 
 
-def _pivoted_qr(vectors: np.ndarray, rank_tol: float, mode: str):
-    """Column-pivoted QR (LAPACK geqp3) and the rank rule of orthonormalize.
+def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
+    """Deterministic pivoted span of the given columns.
 
-    Returns (ambient dim, scipy.linalg.qr output in the given mode, rank);
-    the output is None for empty or zero input, whose rank is 0.
+    Column-pivoted QR (LAPACK geqp3) greedily picks the largest remaining
+    column norm (ties resolved by lowest index inside LAPACK,
+    deterministically); a pivot is accepted while its residual norm
+    exceeds rank_tol times the largest original column norm.  Zero input
+    yields the zero-dimensional subspace.
     """
     v = np.array(vectors, dtype=complex, order="F")
     if v.ndim == 1:
         v = v[:, None]
-    ambient, ncols = v.shape
-    if ncols == 0 or ambient == 0:
-        return ambient, None, 0
-    scale = float(np.max(np.linalg.norm(v, axis=0)))
-    if scale == 0.0:
-        return ambient, None, 0
-    out = scipy.linalg.qr(v, mode=mode, pivoting=True, overwrite_a=True)
-    rank = int(np.sum(np.abs(np.diag(out[1])) > rank_tol * scale))
-    return ambient, out, rank
-
-
-def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
-    """Deterministic pivoted span of the given columns.
-
-    Column-pivoted QR greedily picks the largest remaining column norm
-    (ties resolved by lowest index inside LAPACK, deterministically); a
-    pivot is accepted while its residual norm exceeds rank_tol times the
-    largest original column norm.  Zero input yields the
-    zero-dimensional subspace.
-    """
-    ambient, out, rank = _pivoted_qr(vectors, rank_tol, "economic")
-    if rank == 0:
+    ambient = v.shape[0]
+    scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
+    if scale == 0.0:  # also no rows or no columns
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    return Subspace(ambient, np.ascontiguousarray(out[0][:, :rank]))
-
-
-def range_complement(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
-    """Orthogonal complement of the span orthonormalize(vectors, rank_tol) gives.
-
-    With the full pivoted factorization V P = Q R of rank r, the
-    complement is K = Q[:, r:].  It is obtained by applying the Householder
-    reflectors to the trailing unit vectors (LAPACK unmqr), so Q is never
-    formed (Golub & Van Loan, Matrix Computations, 5.1.6 and 5.4.1).  As
-    both routines share one geqp3 call and rank rule, [B | K] is unitary
-    for B = orthonormalize(vectors, rank_tol).basis.
-    """
-    ambient, out, rank = _pivoted_qr(vectors, rank_tol, "raw")
-    if out is None:
-        return Subspace(ambient, np.eye(ambient, dtype=complex))
-    if rank == ambient:
-        return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    (reflectors, tau), _, _ = out
-    trailing = np.zeros((ambient, ambient - rank), dtype=complex, order="F")
-    trailing[rank:, :] = np.eye(ambient - rank)
-    unmqr = scipy.linalg.get_lapack_funcs("unmqr", (reflectors,))
-    # one reflector per column of the first min(rows, cols)
-    args = ("L", "N", reflectors[:, : tau.size], tau, trailing)
-    lwork = max(int(unmqr(*args, lwork=-1)[1][0].real), 1)
-    basis, _, info = unmqr(*args, lwork=lwork, overwrite_c=1)
-    if info != 0:  # pragma: no cover - LAPACK argument error
-        raise scipy.linalg.LinAlgError(f"unmqr failed with info {info}")
-    return Subspace(ambient, np.ascontiguousarray(basis))
+    q, r, _ = scipy.linalg.qr(v, mode="economic", pivoting=True, overwrite_a=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > rank_tol * scale))
+    return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
 
 
 #: absolute rank floor of a defect operator D = (I - T*T)^(1/2): a pivot of

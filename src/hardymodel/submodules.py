@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .contraction import BlaschkeProduct, mobius
+from .contraction import BlaschkeProduct, _commutator_norms, mobius
 from .errors import (
     AmbiguousWandering,
     DegreeOverflow,
@@ -173,24 +173,9 @@ def restriction_double_commutation(
     n = handle.basis.num_vars
     restricted = [adjoint(b) @ (shift(k, handle.basis).matrix @ b) for k in range(1, n + 1)]
     probes = _low_section(handle, slack)
-    return _commutation_report(restricted, probes, handle.safe_degree - slack, tol)
-
-
-def _commutation_report(mats, probes, safe_degree: int, tol: float) -> CommutationReport:
-    """Largest commutator [A_i, A_j] and cross-commutator [A_i*, A_j]
-    (i != j) of the given matrices, each applied to the probe columns."""
-    max_comm = 0.0
-    max_cross = 0.0
-    for i, ci in enumerate(mats):
-        for j, cj in enumerate(mats):
-            if i == j:
-                continue
-            if i < j:
-                max_comm = max(max_comm, operator_norm((ci @ cj - cj @ ci) @ probes))
-            max_cross = max(
-                max_cross, operator_norm((adjoint(ci) @ cj - cj @ adjoint(ci)) @ probes)
-            )
-    return CommutationReport(max_comm, max_cross, safe_degree, tol)
+    return CommutationReport(
+        *_commutator_norms(restricted, probes), handle.safe_degree - slack, tol
+    )
 
 
 @dataclass(frozen=True)
@@ -382,7 +367,7 @@ def _tensor_columns(basis: HardyBasis, sections, gammas) -> np.ndarray:
     return out.reshape(basis.size, -1)
 
 
-def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list, basis=None):
+def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list):
     """Kronecker-structured compression predicted by the tensor layout."""
     sections = [
         model_space_section(eta, c) for eta, c in zip(inner_list, handle.var_caps)
@@ -416,7 +401,9 @@ def compression_double_commutation(
     handle columns of total degree <= safe_degree - slack."""
     col_degrees = _column_degrees(handle)
     probes = np.eye(handle.dim, dtype=complex)[:, col_degrees <= handle.safe_degree - slack]
-    return _commutation_report(handle.compressions, probes, handle.safe_degree - slack, tol)
+    return CommutationReport(
+        *_commutator_norms(handle.compressions, probes), handle.safe_degree - slack, tol
+    )
 
 
 def _column_degrees(handle: QuotientHandle) -> np.ndarray:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hardymodel import charfn
 from hardymodel.charfn import (
     _component_symbol,
-    _signed_difference_norm,
+    _symbol_model,
     boundary_unitarity,
     charfn_build,
     charfn_eval,
@@ -257,13 +258,6 @@ def dense_quotient_distance(t, d, tol):
 
 
 class TestComplementPrecision:
-    def test_small_angle_keeps_its_digits(self):
-        # eigenvalues of J C*C would give sqrt(1 - cos^2) = 0 here
-        theta = 1e-12
-        a = np.array([[1.0], [0.0]], dtype=complex)
-        b = np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex)
-        assert abs(_signed_difference_norm(a, b) - np.sin(theta)) <= 1e-15
-
     @pytest.mark.parametrize("d", [28, 32])
     @pytest.mark.parametrize("seed", [1, 19, 25])
     def test_matches_dense_projector_form(self, seed, d):
@@ -275,3 +269,75 @@ class TestComplementPrecision:
             want, cutoff = dense_quotient_distance(t, d, 1e-10)
             assert rep.safe_cutoff == cutoff
             assert abs(rep.distance - want) <= 1e-13
+
+
+def dense_product_distance(t, d, tol):
+    """The product form of the quotient-model distance, built N x N:
+    ||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols."""
+    model = canonical_embedding(t, d)
+    prod = np.eye(model.basis.size, dtype=complex)
+    degrees = []
+    for k, comp in enumerate(t.components, start=1):
+        cf = charfn_build(comp)
+        coeffs, _ = poly_truncate(cf, tol / 10.0)
+        degrees.append(len(coeffs) - 1)
+        w = _component_symbol(cf, coeffs, k, model)[0].toarray()
+        prod = prod @ (np.eye(model.basis.size) - w @ adjoint(w))
+    cutoff = d - max(degrees) - 1
+    sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+    u = model.normalized_embedding()
+    diff = prod - u @ adjoint(u)
+    return operator_norm(diff[np.ix_(sel, sel)]), cutoff
+
+
+def _model_instances(seed):
+    rng = np.random.default_rng(seed)
+    single = ContractionTuple((controlled_contraction(rng, 1, 0.55, 0.75),))
+    pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
+    return single, pair
+
+
+class TestModelProduct:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 19, 25])
+    def test_one_component_is_the_projection_identity(self, seed, dim):
+        a = controlled_contraction(np.random.default_rng(seed), dim, 0.55, 0.75)
+        rep = quotient_model_check(ContractionTuple((a,)), 40, 1e-6)
+        assert projection_identity_residual(a, 40, 1e-6) == (rep.distance, rep.safe_cutoff)
+
+    @pytest.mark.parametrize("d", [24, 32])
+    @pytest.mark.parametrize("seed", [1, 19, 25])
+    def test_matches_dense_product_form(self, seed, d):
+        for t in _model_instances(seed):
+            rep = quotient_model_check(t, d, 1e-6)
+            want, cutoff = dense_product_distance(t, d, 1e-6)
+            assert rep.safe_cutoff == cutoff
+            assert abs(rep.distance - want) <= 1e-13
+
+    def test_foreign_embedding_fails(self, monkeypatch):
+        # the embedding of a different contraction is not the model space
+        t = ContractionTuple((np.array([[0.5]]),))
+        other = ContractionTuple((np.array([[0.3]]),))
+        monkeypatch.setattr(charfn, "canonical_embedding", lambda _t, d: canonical_embedding(other, d))
+        rep = quotient_model_check(t, 40, 1e-6)
+        assert rep.distance > 1e-2
+        assert not rep.passed
+
+    @pytest.mark.parametrize("components", [2, 3, 4])
+    def test_safe_rows_see_no_truncation(self, components):
+        # on the safe rows the product at degree d equals the product at
+        # degree d + 8; four symbols need the cutoff d - 2 D - 1
+        rng = np.random.default_rng(1)
+        t = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(components)])
+
+        def product_rows(d, cutoff):
+            model, _, symbols, *_ = _symbol_model(t, d, 0.3)
+            sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+            cols = np.eye(model.basis.size, dtype=complex)[:, sel]
+            for w in symbols:
+                cols = cols - w @ (adjoint(w) @ cols)
+            return cols[sel]
+
+        _, cutoff, _, degrees, _, _ = _symbol_model(t, 11, 0.3)
+        assert cutoff == 11 - max(components // 2, 1) * max(degrees) - 1 >= 0
+        np.testing.assert_array_equal(product_rows(11, cutoff), product_rows(19, cutoff))

@@ -236,6 +236,35 @@ def test_malformed_tolerance_exits_2(tmp_path, changes, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"checks": [{"name": ["a"]}]}, "bad check entry"),
+        ({"seed": True}, "seed"),
+        ({"checks": [{"name": "pseudometric", "tolx": 5}]}, "'tolx'"),
+    ],
+)
+def test_malformed_scenario_exits_2(tmp_path, changes, message, capsys):
+    assert main(["run", str(write_scenario(tmp_path, dict(BASE, **changes)))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_suite_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
+    write_scenario(tmp_path, dict(BASE, checks=[{"name": ["a"]}]), "a.json")
+    write_scenario(tmp_path, BASE, "b.json")
+    assert main(["suite", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "error in a.json" in captured.err
+    assert "overall: pass" in captured.out
+
+
+@pytest.mark.parametrize("cap", ["abc", "1e5", "-5", "0"])
+def test_malformed_basis_cap_exits_2(cap, monkeypatch, capsys):
+    monkeypatch.setenv("HARDYMODEL_BASIS_CAP", cap)
+    assert main(["run", str(SCENARIOS / "hardy-structure.json")]) == 2
+    assert "HARDYMODEL_BASIS_CAP" in capsys.readouterr().err
+
+
 def test_null_tolerances_load(tmp_path):
     scenario = dict(BASE, tolerances={"default": None}, checks=[{"name": "tuple-validation", "tol": None}])
     s = load_scenario(write_scenario(tmp_path, scenario))

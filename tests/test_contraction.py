@@ -7,6 +7,7 @@ from hardymodel.contraction import (
     BlaschkeProduct,
     ContractionTuple,
     MoebiusPoint,
+    _commutator_norms,
     defect,
     joint_defect,
     mobius,
@@ -47,6 +48,26 @@ class TestValidateTuple:
                 a, b = t.components[i], t.components[j]
                 assert operator_norm(a @ b - b @ a) <= 1e-12
                 assert operator_norm(adjoint(a) @ b - b @ adjoint(a)) <= 1e-12
+
+    def test_residuals_of_a_non_commuting_tuple(self):
+        # the shared (cross-)commutator loop against a direct one, on the
+        # whole space (validate_tuple) and on probe columns
+        rng = np.random.default_rng(12)
+        comps = [random_contraction(rng, 4) for _ in range(3)]
+        probes = random_contraction(rng, 4)[:, :2]
+        for cols in (np.eye(4), probes):
+            comm = max(
+                operator_norm((comps[i] @ comps[j] - comps[j] @ comps[i]) @ cols)
+                for i in range(3) for j in range(i + 1, 3)
+            )
+            cross = max(
+                operator_norm((adjoint(comps[i]) @ comps[j] - comps[j] @ adjoint(comps[i])) @ cols)
+                for i in range(3) for j in range(3) if i != j
+            )
+            assert _commutator_norms(comps, cols) == pytest.approx((comm, cross), rel=1e-12)
+        rep = validate_tuple(ContractionTuple(tuple(comps)))
+        assert (rep.max_commutator, rep.max_cross_commutator) == _commutator_norms(comps)
+        assert rep.max_commutator > 0.1 and not rep.passed
 
     def test_nilpotent_pair_fails_double_commutation(self):
         n = np.array([[0.0, 1.0], [0.0, 0.0]])

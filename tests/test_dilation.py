@@ -4,6 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardymodel import dilation
+from hardymodel.checks import REGISTRY, GeneratorParams
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple
 from hardymodel.dilation import (
     _disjoint_power_pairs,
@@ -107,6 +109,21 @@ class TestLibraryErrors:
             canonical_embedding(t, 4)
         with pytest.raises(NotInClass):
             embedding_for_tolerance(t, 1e-8)
+
+    def test_stalled_certificate_is_refused_early(self, monkeypatch):
+        # at tol 1e-14 the certificate target 1e-15 lies below the round-off
+        # plateau 1.29e-15 of this instance; the search stops where the
+        # certificate stops decreasing instead of climbing to degree 512
+        degrees = []
+
+        def counted(t, d, **kwargs):
+            degrees.append(d)
+            return canonical_embedding(t, d, **kwargs)
+
+        monkeypatch.setattr(dilation, "canonical_embedding", counted)
+        with pytest.raises(UnsafeDegree, match="stalled"):
+            REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
+        assert len(degrees) <= 8
 
     def test_bad_arguments(self):
         t = ContractionTuple((np.array([[0.5]]),))

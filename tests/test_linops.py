@@ -14,7 +14,6 @@ from hardymodel.linops import (
     operator_norm,
     orthonormalize,
     projector,
-    range_complement,
     solve_shifted,
     subspace_distance,
 )
@@ -115,50 +114,6 @@ class TestOrthonormalize:
         a = orthonormalize(v).basis
         b = orthonormalize(v.copy()).basis
         np.testing.assert_array_equal(a, b)
-
-
-def _columns(kind, rng, rows, cols):
-    """Test input of the given kind: tall, wide, rank-deficient or zero."""
-    if kind == "tall":
-        return random_complex(rng, rows + cols, cols)
-    if kind == "wide":
-        return random_complex(rng, rows, rows + cols)
-    if kind == "deficient":
-        rank = max(min(rows, cols) - 1, 0)
-        return random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
-    return np.zeros((rows, cols), dtype=complex)
-
-
-class TestRangeComplement:
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        kind=st.sampled_from(["tall", "wide", "deficient", "zero"]),
-        rows=st.integers(1, 7),
-        cols=st.integers(1, 7),
-        rank_tol=st.sampled_from([1e-10, 1e-8]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_completes_orthonormalize(self, seed, kind, rows, cols, rank_tol):
-        v = _columns(kind, np.random.default_rng(seed), rows, cols)
-        b = orthonormalize(v, rank_tol)
-        k = range_complement(v, rank_tol)
-        assert k.ambient_dim == v.shape[0]
-        assert k.dim + b.dim == v.shape[0]
-        full = np.concatenate([b.basis, k.basis], axis=1)
-        assert operator_norm(adjoint(full) @ full - np.eye(v.shape[0])) <= 1e-12
-        scale = max(np.linalg.norm(v, axis=0))
-        bound = 2.0 * rank_tol * scale * np.sqrt(v.shape[1]) + 1e-12
-        assert operator_norm(adjoint(v) @ k.basis) <= bound
-
-    def test_no_columns_gives_whole_space(self):
-        k = range_complement(np.zeros((3, 0)))
-        np.testing.assert_array_equal(k.basis, np.eye(3))
-
-    def test_input_not_mutated(self):
-        v = random_complex(np.random.default_rng(6), 5, 2)
-        before = v.copy()
-        range_complement(v)
-        np.testing.assert_array_equal(v, before)
 
 
 def _unitary(rng, m):
