@@ -161,7 +161,7 @@ def poly_truncate(cf: CharFn, tol: float):
     power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
     k = 1
     while tail_from(k) >= tol:
-        if operator_norm(power) == 0.0:
+        if not power.any():
             return coeffs, 0.0  # nilpotent: series terminates exactly
         coeffs.append(adjoint(qo) @ d_out @ power @ d_in @ qi)
         power = adjoint(t) @ power

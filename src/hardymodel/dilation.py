@@ -5,7 +5,11 @@ The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 |alpha| <= d, expressed in an orthonormal basis of the adjoint defect
 space.  The orbit is walked one degree at a time over the graded-lex
 exponent rows of the hardy module, each alpha reached from its parent
-alpha - e_v by one adjoint, so the embedding's rows fill in basis order.
+alpha - e_v by one adjoint.  Which parent and which v is a property of
+(n, d) alone, so it is computed once per (n, d) into a cached, read-only
+level plan; a level is then one matrix product and one gather.  The
+whole orbit in basis order then gives every embedding row with one
+product, and each cumulative Gram level with one product per degree.
 Compressions of truncated shift powers through the embedding
 reduce to cumulative defect-orbit Gram sums, which is how the verifier
 computes them; the identity is exercised against explicit Hardy-side
@@ -14,6 +18,7 @@ matrices in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,26 +62,40 @@ __all__ = [
 ]
 
 
-def _orbit_levels(adjoints, d: int, right: np.ndarray):
-    """Levels of the adjoint orbit: per total degree k, the graded-lex
-    exponent rows of degree k and the stacked products T*^alpha @ right.
+@functools.lru_cache(maxsize=64)
+def _level_plan(n: int, d: int) -> tuple:
+    """Per degree k <= d, read-only: the exponent rows of degree k and each
+    row's source p n + v.  Row alpha is T*_v of its parent alpha - e_v, v
+    the last variable alpha uses, p the parent's index in level k - 1 (its
+    rank minus the C(k-2+n, n) monomials of lower degree)."""
+    exps = enumerate_basis(n, d).exponents
+    starts = np.array([math.comb(k - 1 + n, n) for k in range(d + 2)])
+    rows = exps[1:]
+    last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    source = np.zeros(len(exps), dtype=np.intp)  # level 0 has no parent
+    parents = rows - np.eye(n, dtype=rows.dtype)[last]
+    source[1:] = (_graded_lex_rank(parents) - starts[rows.sum(axis=1) - 1]) * n + last
+    source.flags.writeable = False
+    return tuple((exps[a:b], source[a:b]) for a, b in zip(starts, starts[1:]))
 
-    Row alpha of degree k >= 1 is T*_v applied to its parent alpha - e_v,
-    v the last variable alpha uses; the parent's index within level k - 1
-    is its rank minus the C(k-2+n, n) monomials of lower degree.
+
+def _orbit_levels(adjoints, d: int, right: np.ndarray):
+    """Per degree k, the exponent rows of degree k and the stacked products
+    T*^alpha @ right, shape (rows, m, q).
+
+    A level is kept as w[c, alpha, :] = (T*^alpha @ right)[:, c]: one
+    product w @ [T*_1^T ... T*_n^T] applies every T*_v to the previous
+    level, and one take by the plan's sources keeps this level's rows.
+    The blocks are yielded as the view w.transpose(1, 2, 0).
     """
-    n = len(adjoints)
-    stacked = np.stack(adjoints)
-    exps = _graded_lex_exponents(n, d)
-    x = right[None, :, :].astype(complex)
-    yield exps[:1], x
-    for k in range(1, d + 1):
-        rows = exps[math.comb(k - 1 + n, n) : math.comb(k + n, n)]
-        last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-        parents = rows.copy()
-        parents[np.arange(len(rows)), last] -= 1
-        x = stacked[last] @ x[_graded_lex_rank(parents) - math.comb(k - 2 + n, n)]
-        yield rows, x
+    m = right.shape[0]
+    steps = np.concatenate([a.T for a in adjoints], axis=1)
+    w = np.asarray(right, dtype=complex).T[:, None, :]
+    plan = _level_plan(len(adjoints), d)
+    yield plan[0][0], w.transpose(1, 2, 0)
+    for rows, source in plan[1:]:
+        w = np.take((w.reshape(-1, m) @ steps).reshape(len(w), -1, m), source, axis=1)
+        yield rows, w.transpose(1, 2, 0)
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -168,10 +187,11 @@ def embedding_for_tolerance(
         raise NotInClass(f"tuple fails class validation: {report.summary()}")
     radius = max(report.radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
+    d_star, q = _adjoint_defect(t)
     eye = np.eye(t.space_dim)
     previous = np.inf
     while True:
-        model = canonical_embedding(t, d, materialize=materialize)
+        model = _embedding(t, d, materialize, report, d_star, q)
         defect = operator_norm(model.gram_levels[d - order_cap] - eye)
         if defect <= tol:
             return model
@@ -182,6 +202,15 @@ def embedding_for_tolerance(
         d += 8
 
 
+def _adjoint_defect(t: ContractionTuple):
+    """D_* and its range; ZeroDefect when that range is trivial."""
+    d_star = joint_defect(t.adjoint())
+    q = defect_range(d_star)
+    if q.dim == 0:
+        raise ZeroDefect("adjoint defect space is trivial")
+    return d_star, q
+
+
 def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -> DilationModel:
     """Defect-orbit embedding of the space into the truncated Hardy space.
 
@@ -189,33 +218,28 @@ def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -
     judged by linops.defect_range; a numerically zero defect (a
     coisometric tuple) raises ZeroDefect.
     """
-    m = t.space_dim
-    d_star = joint_defect(t.adjoint())
-    q = defect_range(d_star)
-    if q.dim == 0:
-        raise ZeroDefect("adjoint defect space is trivial")
+    d_star, q = _adjoint_defect(t)
     report = validate_tuple(t)
     if not report.passed:
         raise NotInClass(f"tuple fails class validation: {report.summary()}")
-    e = q.dim
-    basis = enumerate_basis(t.num_components, d, e)
-    qd = adjoint(q.basis) @ d_star
-    d_sq = adjoint(d_star) @ d_star
+    return _embedding(t, d, materialize, report, d_star, q)
+
+
+def _embedding(t: ContractionTuple, d: int, materialize: bool, report, d_star, q) -> DilationModel:
+    """canonical_embedding with the class report and adjoint defect given."""
+    m = t.space_dim
+    basis = enumerate_basis(t.num_components, d, q.dim)
     adjoints = [adjoint(c) for c in t.components]
-    u = np.zeros((basis.size, m), dtype=complex) if materialize else None
-    gram_levels: list[np.ndarray] = []
-    g = np.zeros((m, m), dtype=complex)
-    row = 0  # levels come in graded-lex order, so each fills the next rows of u
-    for _, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex)):
-        g = g + np.einsum("cji,jk,ckl->il", x.conj(), d_sq, x, optimize=True)
-        gram_levels.append(g.copy())
-        if u is not None:
-            blocks = np.einsum("ej,cjm->cem", qd, x, optimize=True).reshape(-1, m)
-            u[row : row + len(blocks)] = blocks
-            row += len(blocks)
-    return DilationModel(
-        t, basis, q, u, gram_levels, d, tuple(report.radius_estimates)
-    )
+    levels = [x.transpose(2, 0, 1) for _, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex))]
+    # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
+    y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
+    # level k adds sum_{|alpha| = k} (D_* T*^alpha)* (D_* T*^alpha), one product
+    bounds = np.cumsum([x.shape[1] for x in levels])[:-1]
+    stacked = [b.reshape(m, -1) for b in np.split(y, bounds, axis=1)]
+    gram_levels = list(np.cumsum([b.conj() @ b.T for b in stacked], axis=0))
+    # rows Q* D_* T*^alpha, monomial-major, defect slot minor
+    u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T if materialize else None
+    return DilationModel(t, basis, q, u, gram_levels, d, tuple(report.radius_estimates))
 
 
 def _disjoint_power_pairs(n: int, cap: int):
@@ -329,18 +353,13 @@ def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
     x may hold several probe columns; returns (partial, residual) arrays
     of matching width (scalars for a single vector).
     """
-    xs = np.asarray(x, dtype=complex)
-    single = xs.ndim == 1
-    if single:
-        xs = xs[:, None]
+    single = np.ndim(x) == 1
+    xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
     d_star = joint_defect(t.adjoint())
-    adjoints = [adjoint(c) for c in t.components]
     partial = np.zeros(xs.shape[1])
-    for _, blocks in _orbit_levels(adjoints, d, xs):
-        y = np.einsum("ij,cjq->ciq", d_star, blocks, optimize=True)
-        partial += np.sum(np.abs(y) ** 2, axis=(0, 1))
-    norms = np.sum(np.abs(xs) ** 2, axis=0)
-    residual = norms - partial
+    for _, blocks in _orbit_levels([adjoint(c) for c in t.components], d, xs):
+        partial += np.sum(np.abs(blocks.transpose(2, 0, 1) @ d_star.T) ** 2, axis=(1, 2))
+    residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
     if single:
         return float(partial[0]), float(residual[0])
     return partial, residual

@@ -158,6 +158,7 @@ def enumerate_basis(n: int, d: int, e: int = 1) -> HardyBasis:
     exps = _BASIS_CACHE.get(key)
     if exps is None:
         exps = _graded_lex_exponents(n, d)
+        exps.flags.writeable = False  # every basis of this (n, d) shares the array
         if len(_BASIS_CACHE) < 64:
             _BASIS_CACHE[key] = exps
     return HardyBasis(n, d, e, exps)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams
-from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple
+from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple, validate_tuple
 from hardymodel.dilation import (
     _disjoint_power_pairs,
+    _level_plan,
     _orbit_levels,
     canonical_embedding,
     choose_truncation_degree,
@@ -153,6 +156,95 @@ class TestOrbitLevels:
             assert x.shape == (len(want_rows), t.space_dim, 2)
             for alpha, block in zip(exps, x):
                 np.testing.assert_allclose(block, adjoint(t.power(alpha)) @ right, atol=1e-12)
+
+
+def explicit_orbit(t, d):
+    """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one adjoint(t.power(alpha)) each."""
+    d_star = joint_defect(t.adjoint())
+    exps = enumerate_basis(t.num_components, d, 1).exponents
+    return [(alpha, d_star @ adjoint(t.power(alpha))) for alpha in exps]
+
+
+class TestOrbitAgainstExplicitPowers:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_embedding_and_gram_levels(self, monkeypatch, n, materialize):
+        # the class check is bypassed so that non-commuting components
+        # expose any error in the order of the adjoint products
+        monkeypatch.setattr(dilation, "validate_tuple", lambda t: replace(validate_tuple(t), passed=True))
+        rng = np.random.default_rng(30 + n)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
+        assert n == 1 or validate_tuple(t).max_commutator > 1e-3
+        d = 6
+        model = canonical_embedding(t, d, materialize=materialize)
+        q = model.defect_basis.basis
+        orbit = explicit_orbit(t, d)
+        want = np.concatenate([adjoint(q) @ y for _, y in orbit])
+        if materialize:
+            np.testing.assert_allclose(model.embedding, want, atol=1e-13)
+        else:
+            assert model.embedding is None
+        g = np.zeros((3, 3), dtype=complex)
+        for k in range(d + 1):
+            g = g + sum(adjoint(y) @ y for alpha, y in orbit if alpha.sum() == k)
+            np.testing.assert_allclose(model.gram_levels[k], g, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norm_identity_is_the_orbit_sum(self, n):
+        rng = np.random.default_rng(40 + n)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
+        x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        d = 7
+        partial, residual = norm_identity(t, x, d)
+        want = sum(np.sum(np.abs(y @ x) ** 2, axis=0) for _, y in explicit_orbit(t, d))
+        np.testing.assert_allclose(partial, want, atol=1e-13)
+        np.testing.assert_allclose(residual, np.sum(np.abs(x) ** 2, axis=0) - want, atol=1e-13)
+
+    def test_level_plan_is_built_once_and_read_only(self):
+        _level_plan.cache_clear()
+        rng = np.random.default_rng(5)
+        t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])
+        canonical_embedding(t, 9)
+        canonical_embedding(t, 9, materialize=False)
+        norm_identity(t, np.ones(4), 9)
+        info = _level_plan.cache_info()
+        assert info.misses == 1 and info.hits == 2
+        plan = _level_plan(2, 9)
+        assert _level_plan(2, 9) is plan
+        rows, source = plan[3]
+        with pytest.raises(ValueError):
+            rows[0] = 0
+        with pytest.raises(ValueError):
+            source[0] = 0
+
+
+def test_embedding_search_validates_once(monkeypatch):
+    # the search extends the degree by 8 until the Gram certificate holds;
+    # the class report and the adjoint defect are shared by every attempt
+    validations, attempts = [], []
+    embedding = dilation._embedding
+
+    def counted_validate(t, tol=1e-10):
+        validations.append(t)
+        return validate_tuple(t, tol)
+
+    def counted_embedding(*args):
+        attempts.append(args[1])
+        return embedding(*args)
+
+    monkeypatch.setattr(dilation, "validate_tuple", counted_validate)
+    monkeypatch.setattr(dilation, "_embedding", counted_embedding)
+    # a non-normal block decays slower than its spectral radius 0.3 suggests
+    a = np.array([[0.3, 0.9], [0.0, 0.3]])
+    t = ContractionTuple((0.97 * a / operator_norm(a),))
+    model = embedding_for_tolerance(t, 1e-8)
+    assert len(validations) == 1 and len(attempts) >= 2
+    assert attempts == list(range(attempts[0], model.truncation_degree + 1, 8))
+    # test_stalled_certificate_is_refused_early, counted where the attempts are made
+    attempts.clear()
+    with pytest.raises(UnsafeDegree, match="stalled"):
+        REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
+    assert len(attempts) <= 8
 
 
 def test_disjoint_power_pairs_match_double_loop():

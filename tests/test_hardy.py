@@ -81,6 +81,13 @@ class TestEnumerateBasis:
             fill([], deg)
         np.testing.assert_array_equal(enumerate_basis(n, d, 1).exponents, np.array(rows))
 
+    def test_cached_exponents_are_read_only(self):
+        # every enumerate_basis(2, 3) shares one array; a write would reach them all
+        b = enumerate_basis(2, 3, 1)
+        with pytest.raises(ValueError):
+            b.exponents[1] = [3, 0]
+        np.testing.assert_array_equal(enumerate_basis(2, 3, 2).exponents[1], [1, 0])
+
     def test_rank_rejects_exponents_outside_the_basis(self):
         b = enumerate_basis(2, 3, 1)
         with pytest.raises(DegreeOverflow):
