@@ -144,9 +144,7 @@ def _norm_identity(rng, p: GeneratorParams, tol: float):
 
 def _dilation_reports(rng, p: GeneratorParams, tol: float):
     for t in tuple_ensemble(rng, p.instances, p.radius_cap, p.norm_cap):
-        model = dilation.embedding_for_tolerance(
-            t, tol / 10.0, order_cap=p.order_cap, materialize=False
-        )
+        model = dilation.embedding_for_tolerance(t, tol / 10.0, order_cap=p.order_cap)
         yield dilation.verify_dilation(model, p.order_cap, tol)
 
 

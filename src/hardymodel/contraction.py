@@ -40,8 +40,9 @@ _RADIUS_POWER = 64
 def spectral_radius_bound(a: np.ndarray, power: int = _RADIUS_POWER) -> float:
     """Upper bound ||A^K||^(1/K) on the spectral radius, K a power of two.
 
-    Powers are renormalized after each squaring to avoid under/overflow,
-    tracking the accumulated log norm instead.
+    Powers are rescaled by their largest entry after each squaring to
+    avoid under/overflow, tracking the accumulated log scale instead; any
+    scale gives the same bound, so only the last power pays for an SVD.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
@@ -52,7 +53,7 @@ def spectral_radius_bound(a: np.ndarray, power: int = _RADIUS_POWER) -> float:
     while k < power:
         m = m @ m
         k *= 2
-        n = operator_norm(m)
+        n = operator_norm(m) if k >= power else float(np.abs(m).max())
         if n == 0.0:
             return 0.0
         log_norm = 2.0 * log_norm + np.log(n)

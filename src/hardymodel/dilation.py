@@ -10,10 +10,12 @@ alpha - e_v by one adjoint.  Which parent and which v is a property of
 level plan; a level is then one matrix product and one gather.  The
 whole orbit in basis order then gives every embedding row with one
 product, and each cumulative Gram level with one product per degree.
-Compressions of truncated shift powers through the embedding
-reduce to cumulative defect-orbit Gram sums, which is how the verifier
-computes them; the identity is exercised against explicit Hardy-side
-matrices in the test suite.
+Every DilationModel holds its rows: a model is built once, at its
+degree, and every verdict on it, minimality included, reads the rows it
+already has.  Compressions of truncated shift powers through the
+embedding reduce to cumulative defect-orbit Gram sums, which is how the
+verifier computes them; the identity is exercised against explicit
+Hardy-side matrices in the test suite.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ __all__ = [
     "verify_dilation",
 ]
 
+#: Highest truncation degree the tail rule and the certificate search try.
+_DEGREE_CAP = 512
+
 
 @functools.lru_cache(maxsize=64)
 def _level_plan(n: int, d: int) -> tuple:
@@ -106,21 +111,21 @@ def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DilationModel:
-    """Truncated analytic model of a contraction tuple.
+    """Truncated analytic model of a contraction tuple, built once.
 
-    embedding holds the raw coefficient map (rows indexed monomial-major,
-    defect slot minor); gram_levels[k] is the cumulative defect-orbit Gram
-    sum over |alpha| <= k, so gram_levels[-1] measures how far the raw
-    embedding is from isometric.
+    embedding always holds the raw coefficient map (rows indexed
+    monomial-major in graded-lex order, defect slot minor, so for every
+    c the rows of degree <= c come first); gram_levels[k] is the cumulative defect-orbit Gram sum over
+    |alpha| <= k, so gram_levels[-1] measures how far the raw embedding
+    is from isometric.
     """
 
     tuple_: ContractionTuple
     basis: HardyBasis
     defect_basis: Subspace
-    embedding: np.ndarray | None
+    embedding: np.ndarray
     gram_levels: list = field(repr=False)
     truncation_degree: int
-    radius_estimates: tuple
 
     @property
     def space_dim(self) -> int:
@@ -135,23 +140,21 @@ class DilationModel:
         return operator_norm(g - np.eye(g.shape[0]))
 
     def normalized_embedding(self) -> np.ndarray:
-        if self.embedding is None:
-            raise DimensionMismatch("model was built without a materialized embedding")
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
-    def tail_bound(self, x: np.ndarray, degree: int | None = None) -> float:
+    def tail_bound(self, x: np.ndarray, degree: int) -> float:
         """||x||^2 minus the partial defect-orbit sum up to the degree."""
-        g = self.gram_levels[-1 if degree is None else degree]
+        g = self.gram_levels[degree]
         x = np.asarray(x, dtype=complex).reshape(-1)
         val = np.vdot(x, x) - np.vdot(x, g @ x)
         return float(max(val.real, 0.0))
 
-    def embed(self, x: np.ndarray, normalized: bool = True) -> HardyVector:
-        u = self.normalized_embedding() if normalized else self.embedding
-        return HardyVector(self.basis, u @ np.asarray(x, dtype=complex).reshape(-1))
+    def embed(self, x: np.ndarray) -> HardyVector:
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        return HardyVector(self.basis, self.normalized_embedding() @ x)
 
 
-def choose_truncation_degree(radius: float, dim: int, tol: float, cap: int = 512) -> int:
+def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
     """Smallest d with radius^(2(d+1)) * dim < tol (geometric tail rule)."""
     if radius <= 0.0:
         return 1
@@ -160,18 +163,12 @@ def choose_truncation_degree(radius: float, dim: int, tol: float, cap: int = 512
     d = 0
     while radius ** (2 * (d + 1)) * dim >= tol:
         d += 1
-        if d > cap:
-            raise UnsafeDegree(f"required degree exceeds cap {cap}")
+        if d > _DEGREE_CAP:
+            raise UnsafeDegree(f"required degree exceeds cap {_DEGREE_CAP}")
     return max(d, 1)
 
 
-def embedding_for_tolerance(
-    t: ContractionTuple,
-    tol: float,
-    order_cap: int = 0,
-    materialize: bool = True,
-    max_degree: int = 512,
-) -> DilationModel:
+def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0) -> DilationModel:
     """Embedding whose Gram defect at degree d - order_cap is certified <= tol.
 
     The starting degree comes from the geometric tail rule on the
@@ -180,26 +177,31 @@ def embedding_for_tolerance(
     the degree is extended by 8 until the certificate holds.  G_k
     increases to I, so the certificate cannot grow in exact arithmetic:
     one that is not below its value 8 degrees earlier has stalled at
-    round-off, and UnsafeDegree is raised there, as at max_degree.
+    round-off, and UnsafeDegree is raised there, as past degree _DEGREE_CAP.
     """
-    report = validate_tuple(t)
-    if not report.passed:
-        raise NotInClass(f"tuple fails class validation: {report.summary()}")
-    radius = max(report.radius_estimates)
+    radius = max(_class_report(t).radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
     d_star, q = _adjoint_defect(t)
     eye = np.eye(t.space_dim)
     previous = np.inf
     while True:
-        model = _embedding(t, d, materialize, report, d_star, q)
+        model = _embedding(t, d, d_star, q)
         defect = operator_norm(model.gram_levels[d - order_cap] - eye)
         if defect <= tol:
             return model
-        if defect >= previous or d + 8 > max_degree:
+        if defect >= previous or d + 8 > _DEGREE_CAP:
             state = "stalled" if defect >= previous else "still open"
             raise UnsafeDegree(f"certificate {defect:.3e} > {tol:.3e} {state} at degree {d}")
         previous = defect
         d += 8
+
+
+def _class_report(t: ContractionTuple):
+    """validate_tuple's report; NotInClass when the tuple fails it."""
+    report = validate_tuple(t)
+    if not report.passed:
+        raise NotInClass(f"tuple fails class validation: {report.summary()}")
+    return report
 
 
 def _adjoint_defect(t: ContractionTuple):
@@ -211,7 +213,7 @@ def _adjoint_defect(t: ContractionTuple):
     return d_star, q
 
 
-def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -> DilationModel:
+def canonical_embedding(t: ContractionTuple, d: int) -> DilationModel:
     """Defect-orbit embedding of the space into the truncated Hardy space.
 
     The coefficient dimension e is the rank of the joint adjoint defect,
@@ -219,14 +221,12 @@ def canonical_embedding(t: ContractionTuple, d: int, materialize: bool = True) -
     coisometric tuple) raises ZeroDefect.
     """
     d_star, q = _adjoint_defect(t)
-    report = validate_tuple(t)
-    if not report.passed:
-        raise NotInClass(f"tuple fails class validation: {report.summary()}")
-    return _embedding(t, d, materialize, report, d_star, q)
+    _class_report(t)
+    return _embedding(t, d, d_star, q)
 
 
-def _embedding(t: ContractionTuple, d: int, materialize: bool, report, d_star, q) -> DilationModel:
-    """canonical_embedding with the class report and adjoint defect given."""
+def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
+    """canonical_embedding of a validated tuple with its adjoint defect given."""
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
     adjoints = [adjoint(c) for c in t.components]
@@ -238,8 +238,8 @@ def _embedding(t: ContractionTuple, d: int, materialize: bool, report, d_star, q
     stacked = [b.reshape(m, -1) for b in np.split(y, bounds, axis=1)]
     gram_levels = list(np.cumsum([b.conj() @ b.T for b in stacked], axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
-    u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T if materialize else None
-    return DilationModel(t, basis, q, u, gram_levels, d, tuple(report.radius_estimates))
+    u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
+    return DilationModel(t, basis, q, u, gram_levels, d)
 
 
 def _disjoint_power_pairs(n: int, cap: int):
@@ -324,17 +324,11 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
 
 
 def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
-    t = model.tuple_
-    n = t.num_components
     e = model.defect_dim
-    basis_c = enumerate_basis(n, c, e)
-    if model.embedding is not None:
-        u = model.embedding @ s
-    else:
-        small = canonical_embedding(t, c)
-        u = small.embedding
-    # block (beta, alpha) holds the embedding block of zeta^(beta - alpha);
-    # graded-lex indices of degree <= c agree in basis_c and model.basis
+    basis_c = enumerate_basis(model.tuple_.num_components, c, e)
+    # graded-lex rows of degree <= c come first, so they are basis_c's rows;
+    # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
+    u = model.embedding[: basis_c.size] @ s
     m = model.space_dim
     exps = basis_c.exponents
     gamma = exps[:, None, :] - exps[None, :, :]

@@ -367,7 +367,7 @@ def kernel_vector(lam, basis: HardyBasis, x: np.ndarray | None = None) -> HardyV
     lam_arr = np.zeros(basis.num_vars, dtype=complex)
     coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
     if coords.size > basis.num_vars and np.any(coords[basis.num_vars :] != 0):
-        raise DimensionMismatch("kernel point supported beyond the materialized variables")
+        raise DimensionMismatch("kernel point supported beyond the basis variables")
     lam_arr[: min(coords.size, basis.num_vars)] = coords[: basis.num_vars]
     if np.any(np.abs(lam_arr) >= 1.0):
         raise DimensionMismatch("kernel point must lie inside the open multidisk")

@@ -426,7 +426,7 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     if basis.coeff_dim != 1:
         raise DimensionMismatch("kernel mechanism is scalar-valued")
     if len(symbols) > basis.num_vars:
-        raise DimensionMismatch("more symbols than materialized variables")
+        raise DimensionMismatch("more symbols than basis variables")
     coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
     kv = kernel_vector(lam, basis).coefficients
     v = kv.copy()

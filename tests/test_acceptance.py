@@ -95,7 +95,7 @@ def test_criterion_02_dilation_and_regularity():
     worst_reg = 0.0
     minimal_ok = True
     for t in tuple_ensemble(rng, 50, radius_cap=0.75, norm_cap=0.8):
-        model = embedding_for_tolerance(t, 1e-9, order_cap=4, materialize=False)
+        model = embedding_for_tolerance(t, 1e-9, order_cap=4)
         rep = verify_dilation(model, order_cap=4, tol=1e-8)
         worst_dil = max(worst_dil, rep.residual_dilation)
         worst_reg = max(worst_reg, rep.residual_regularity)
@@ -130,7 +130,7 @@ def test_criterion_04_defect_transfer():
     worst_excess = -np.inf
     count = 0
     for t in tuple_ensemble(rng, 50, radius_cap=0.6, norm_cap=0.8):
-        model = embedding_for_tolerance(t, 1e-10, materialize=True)
+        model = embedding_for_tolerance(t, 1e-10)
         lam = random_moebius_point(rng, t.num_components, radius=0.45)
         x = random_probes(rng, t.space_dim, 1)[:, 0]
         direct, via_model, bound = defect_transfer_check(model, lam, x)

@@ -95,6 +95,31 @@ class TestSpectralRadiusBound:
         rho = max(abs(np.linalg.eigvals(a)))
         assert spectral_radius_bound(a) >= rho - 1e-12
 
+    def test_matches_renormalizing_by_the_norm(self):
+        # reference: renormalize every one of the six squarings by its
+        # operator norm; any scale between squarings gives the same bound
+        def six_svd_bound(a, power=64):
+            k, m, log_norm = 1, np.asarray(a, dtype=complex), 0.0
+            while k < power:
+                m = m @ m
+                k *= 2
+                n = operator_norm(m)
+                if n == 0.0:
+                    return 0.0
+                log_norm = 2.0 * log_norm + np.log(n)
+                m = m / n
+            return float(np.exp(log_norm / k))
+
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 5, 16):
+            for norm in (0.05, 0.5, 0.9, 0.999):
+                for _ in range(10):
+                    a = random_contraction(rng, dim, norm=norm)
+                    want = six_svd_bound(a)
+                    assert abs(spectral_radius_bound(a) - want) <= 1e-12 * want
+        jordan = np.diag(np.full(5, 0.5)) + np.diag(np.ones(4), 1)
+        assert abs(spectral_radius_bound(jordan) - six_svd_bound(jordan)) <= 1e-12 * six_svd_bound(jordan)
+
 
 class TestDefect:
     def test_zero(self):

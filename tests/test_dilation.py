@@ -25,6 +25,7 @@ from hardymodel.dilation import (
     verify_dilation,
 )
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
+from hardymodel.generators import tuple_ensemble
 from hardymodel.hardy import HardyVector, enumerate_basis, monomial_vector, parity_shift, shift
 from hardymodel.linops import adjoint, operator_norm
 
@@ -76,7 +77,7 @@ class TestCanonicalEmbedding:
 
     def test_compression_matches_explicit_hardy_matrices(self):
         # independent oracle: pull the truncated shifts back through the
-        # materialized embedding and compare with the Gram-sum route
+        # embedding rows and compare with the Gram-sum route
         rng = np.random.default_rng(11)
         t = tensor_tuple([controlled_contraction(rng, 2, 0.5), controlled_contraction(rng, 2, 0.5)])
         d = 10
@@ -116,23 +117,21 @@ class TestLibraryErrors:
     def test_stalled_certificate_is_refused_early(self, monkeypatch):
         # at tol 1e-14 the certificate target 1e-15 lies below the round-off
         # plateau 1.29e-15 of this instance; the search stops where the
-        # certificate stops decreasing instead of climbing to degree 512
+        # certificate stops decreasing instead of climbing to degree 512;
+        # every attempt of the search goes through _embedding
         degrees = []
+        build = dilation._embedding
 
-        def counted(t, d, **kwargs):
+        def counted(t, d, *args):
             degrees.append(d)
-            return canonical_embedding(t, d, **kwargs)
+            return build(t, d, *args)
 
-        monkeypatch.setattr(dilation, "canonical_embedding", counted)
+        monkeypatch.setattr(dilation, "_embedding", counted)
         with pytest.raises(UnsafeDegree, match="stalled"):
             REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
-        assert len(degrees) <= 8
+        assert 2 <= len(degrees) <= 8
 
     def test_bad_arguments(self):
-        t = ContractionTuple((np.array([[0.5]]),))
-        model = canonical_embedding(t, 4, materialize=False)
-        with pytest.raises(DimensionMismatch):
-            model.normalized_embedding()
         b = enumerate_basis(1, 6, 1)
         with pytest.raises(DimensionMismatch):
             power_search([shift(1, b)], [monomial_vector(b, (0,))], 0.0)
@@ -158,6 +157,50 @@ class TestOrbitLevels:
                 np.testing.assert_allclose(block, adjoint(t.power(alpha)) @ right, atol=1e-12)
 
 
+class TestOneModelPerVerdict:
+    def test_one_validation_and_no_rebuild(self, monkeypatch):
+        # each instance validates once and builds models only at the
+        # degrees of its certificate search, never a second one at order_cap
+        validated, degrees = [], []
+        validate, build = dilation.validate_tuple, dilation._embedding
+
+        def counted_validate(t, *args):
+            validated.append(t)
+            return validate(t, *args)
+
+        def counted_build(t, d, *args):
+            degrees.append(d)
+            return build(t, d, *args)
+
+        monkeypatch.setattr(dilation, "validate_tuple", counted_validate)
+        monkeypatch.setattr(dilation, "_embedding", counted_build)
+        p = GeneratorParams()
+        out = REGISTRY["dilation-minimality"].run(np.random.default_rng(7), p, 1e-8)
+        assert out.passed
+        assert len(validated) == p.instances
+        assert degrees and p.order_cap not in degrees
+
+    def test_minimality_rank_matches_a_rebuilt_model(self):
+        # the former route ranked the rows of a separately built degree-c
+        # model; the rank from the model's own first rows is the same
+        def rebuilt_rank(t, c):
+            small = canonical_embedding(t, c)
+            u, e, m = small.embedding, small.defect_dim, small.space_dim
+            basis_c = enumerate_basis(t.num_components, c, e)
+            exps = basis_c.exponents
+            gamma = exps[:, None, :] - exps[None, :, :]
+            ok = (gamma >= 0).all(axis=-1)
+            blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
+            blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
+            sv = np.linalg.svd(blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1), compute_uv=False)
+            return int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
+
+        rng = np.random.default_rng(101)  # the criterion-2 ensemble
+        for t in tuple_ensemble(rng, 50, radius_cap=0.75, norm_cap=0.8):
+            rep = verify_dilation(embedding_for_tolerance(t, 1e-9, order_cap=4), order_cap=4, tol=1e-8)
+            assert rep.minimality_rank == rebuilt_rank(t, 4)
+
+
 def explicit_orbit(t, d):
     """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one adjoint(t.power(alpha)) each."""
     d_star = joint_defect(t.adjoint())
@@ -167,23 +210,27 @@ def explicit_orbit(t, d):
 
 class TestOrbitAgainstExplicitPowers:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("materialize", [True, False])
-    def test_embedding_and_gram_levels(self, monkeypatch, n, materialize):
+    @pytest.mark.parametrize("warm_plan", [True, False])
+    def test_embedding_and_gram_levels(self, monkeypatch, n, warm_plan):
         # the class check is bypassed so that non-commuting components
-        # expose any error in the order of the adjoint products
+        # expose any error in the order of the adjoint products; with a
+        # warm plan the cached level plan was first built for another
+        # tuple, so it must carry nothing of that tuple
         monkeypatch.setattr(dilation, "validate_tuple", lambda t: replace(validate_tuple(t), passed=True))
         rng = np.random.default_rng(30 + n)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
         assert n == 1 or validate_tuple(t).max_commutator > 1e-3
         d = 6
-        model = canonical_embedding(t, d, materialize=materialize)
+        _level_plan.cache_clear()
+        if warm_plan:
+            other = np.random.default_rng(130 + n)
+            canonical_embedding(ContractionTuple(tuple(controlled_contraction(other, 3, 0.5) for _ in range(n))), d)
+        model = canonical_embedding(t, d)
+        assert _level_plan.cache_info().hits == int(warm_plan)
         q = model.defect_basis.basis
         orbit = explicit_orbit(t, d)
         want = np.concatenate([adjoint(q) @ y for _, y in orbit])
-        if materialize:
-            np.testing.assert_allclose(model.embedding, want, atol=1e-13)
-        else:
-            assert model.embedding is None
+        np.testing.assert_allclose(model.embedding, want, atol=1e-13)
         g = np.zeros((3, 3), dtype=complex)
         for k in range(d + 1):
             g = g + sum(adjoint(y) @ y for alpha, y in orbit if alpha.sum() == k)
@@ -205,7 +252,7 @@ class TestOrbitAgainstExplicitPowers:
         rng = np.random.default_rng(5)
         t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])
         canonical_embedding(t, 9)
-        canonical_embedding(t, 9, materialize=False)
+        canonical_embedding(t, 9)
         norm_identity(t, np.ones(4), 9)
         info = _level_plan.cache_info()
         assert info.misses == 1 and info.hits == 2
@@ -438,7 +485,7 @@ def test_embedding_respects_basis_ordering():
     t = tensor_tuple([controlled_contraction(rng, 2, 0.5), controlled_contraction(rng, 2, 0.5)])
     model = canonical_embedding(t, 6)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    emb = model.embed(x, normalized=False)
+    emb = HardyVector(model.basis, model.embedding @ x)
     d_star = joint_defect(t.adjoint())
     qd = adjoint(model.defect_basis.basis) @ d_star
     for alpha in [(0, 0), (1, 0), (2, 3), (0, 4)]:
