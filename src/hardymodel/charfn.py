@@ -114,18 +114,26 @@ def kernel_identity_residual(cf: CharFn, a: complex, b: complex) -> float:
     return operator_norm(lhs - rhs)
 
 
-def boundary_unitarity(cf: CharFn, samples: int = 32) -> float:
-    """Max of ||theta(z)* theta(z) - I|| over equispaced unit-circle points."""
+#: unit-circle points boundary_unitarity samples
+_BOUNDARY_SAMPLES = 32
+
+#: largest power of two _power_norm_envelope probes
+_MAX_PROBE = 256
+
+
+def boundary_unitarity(cf: CharFn) -> float:
+    """Max of ||theta(z)* theta(z) - I|| over _BOUNDARY_SAMPLES equispaced
+    unit-circle points."""
     worst = 0.0
     eye = np.eye(cf.dim_in, dtype=complex)
-    for j in range(samples):
-        z = np.exp(2j * np.pi * j / samples)
+    for j in range(_BOUNDARY_SAMPLES):
+        z = np.exp(2j * np.pi * j / _BOUNDARY_SAMPLES)
         th = charfn_eval(cf, z)
         worst = max(worst, operator_norm(adjoint(th) @ th - eye))
     return worst
 
 
-def _power_norm_envelope(t: np.ndarray, max_probe: int = 256):
+def _power_norm_envelope(t: np.ndarray):
     """(p, q, m): ||T^k|| <= m * q^(k // p) with q < 1, by probing powers."""
     p = 1
     tp = np.asarray(t, dtype=complex)
@@ -134,7 +142,7 @@ def _power_norm_envelope(t: np.ndarray, max_probe: int = 256):
         q = operator_norm(tp)
         if q < 0.95:
             return p, max(q, 1e-300), max(norms)
-        if p >= max_probe:
+        if p >= _MAX_PROBE:
             raise UnsafeDegree("no power of the matrix has norm below 0.95")
         norms.append(q)
         tp = tp @ tp

@@ -6,7 +6,7 @@ timing fields.  A check that refuses to certify at the given size
 (SizeOverflow, UnsafeDegree) is reported as skipped; any other package
 error it raises is a failure.  Either way the error is its reason.  Exit
 codes: 0 all checks that ran pass, 1 at least one failure or no check
-ran, 2 malformed input.
+ran, 2 malformed input or a report that cannot be written.
 """
 
 from __future__ import annotations
@@ -185,7 +185,11 @@ def _cmd_run(args) -> int:
         return 2
     _print_report(report, args.quiet)
     if args.out:
-        Path(args.out).write_text(_json_report(report))
+        try:
+            Path(args.out).write_text(_json_report(report))
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0 if report["overall"] == "pass" else 1
 
 def _cmd_list_checks(_args) -> int:

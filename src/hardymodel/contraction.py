@@ -37,8 +37,8 @@ _NORM_SLACK = 1e-10
 _RADIUS_POWER = 64
 
 
-def spectral_radius_bound(a: np.ndarray, power: int = _RADIUS_POWER) -> float:
-    """Upper bound ||A^K||^(1/K) on the spectral radius, K a power of two.
+def spectral_radius_bound(a: np.ndarray) -> float:
+    """Upper bound ||A^K||^(1/K) on the spectral radius, K = _RADIUS_POWER.
 
     Powers are rescaled by their largest entry after each squaring to
     avoid under/overflow, tracking the accumulated log scale instead; any
@@ -50,10 +50,10 @@ def spectral_radius_bound(a: np.ndarray, power: int = _RADIUS_POWER) -> float:
     k = 1
     m = a
     log_norm = 0.0
-    while k < power:
+    while k < _RADIUS_POWER:
         m = m @ m
         k *= 2
-        n = operator_norm(m) if k >= power else float(np.abs(m).max())
+        n = operator_norm(m) if k >= _RADIUS_POWER else float(np.abs(m).max())
         if n == 0.0:
             return 0.0
         log_norm = 2.0 * log_norm + np.log(n)
@@ -151,7 +151,7 @@ class BlaschkeProduct:
         coeffs = np.zeros(degree + 1, dtype=complex)
         coeffs[0] = self.unimodular_factor
         for a in self.zeros:
-            coeffs = _convolve_truncated(coeffs, mobius_series(a, degree), degree)
+            coeffs = np.convolve(coeffs, mobius_series(a, degree))[: degree + 1]
         return coeffs
 
 
@@ -165,10 +165,6 @@ def mobius_series(a: complex, degree: int) -> np.ndarray:
         k = np.arange(degree)
         out[1:] = (abs(a) ** 2 - 1.0) * ab**k
     return out
-
-
-def _convolve_truncated(p: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:
-    return np.convolve(p, q)[: degree + 1]
 
 
 def mobius_scalar(a: complex, z: complex) -> complex:
@@ -240,7 +236,7 @@ def defect(a: np.ndarray) -> np.ndarray:
     if operator_norm(a) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
     gram = np.eye(a.shape[0], dtype=complex) - adjoint(a) @ a
-    return hermitian_sqrt(gram, 1e-9)
+    return hermitian_sqrt(gram)
 
 
 def joint_defect(t: ContractionTuple) -> np.ndarray:

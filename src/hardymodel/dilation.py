@@ -369,14 +369,14 @@ def equivalence_pseudometric(lam: MoebiusPoint, mu: MoebiusPoint) -> float:
     return float(total)
 
 
-def default_moebius_grid(n_components: int, max_coords: int = 2):
+def default_moebius_grid(n_components: int):
     """Deterministic grid: radii {0, 0.45, 0.9} times second roots of unity
-    per coordinate, crossed over the first min(n, max_coords) coordinates."""
+    per coordinate, crossed over the first min(n, 2) coordinates."""
     one_d = [0.0]
     for r in (0.45, 0.9):
         for j in range(2):
             one_d.append(r * np.exp(2j * np.pi * j / 2))
-    k = min(n_components, max_coords)
+    k = min(n_components, 2)
     grids = [one_d] * k
     points = [()]
     for g in grids:

@@ -48,17 +48,12 @@ def controlled_contraction(rng, dim: int, radius: float = 0.6, norm_cap: float =
     return a
 
 
-def tuple_ensemble(
-    rng,
-    count: int,
-    radius_cap: float = 0.7,
-    norm_cap: float = 0.8,
-    patterns=_PATTERNS,
-) -> list:
-    """Deterministic list of tensor-built tuples cycling factor patterns."""
+def tuple_ensemble(rng, count: int, radius_cap: float = 0.7, norm_cap: float = 0.8) -> list:
+    """Deterministic list of tensor-built tuples cycling the factor patterns
+    of _PATTERNS."""
     out = []
     for i in range(count):
-        dims = patterns[i % len(patterns)]
+        dims = _PATTERNS[i % len(_PATTERNS)]
         radius = radius_cap * rng.uniform(0.5, 1.0)
         factors = [controlled_contraction(rng, m, radius, norm_cap) for m in dims]
         out.append(tensor_tuple(factors))

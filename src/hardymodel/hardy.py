@@ -200,10 +200,9 @@ def monomial_vector(basis: HardyBasis, alpha, slot: int = 0) -> HardyVector:
 class HardyOperator:
     """CSR matrix over truncated Hardy bases with a degree coupling window.
 
-    shift_lo/shift_hi bound output degree - input degree; degree_shift in
-    the sense of the build contract is shift_hi.  Exact semantics hold on
-    inputs of degree <= safe_input_degree.  Any matrix given (dense or
-    sparse) is stored as CSR.
+    shift_lo/shift_hi bound output degree - input degree.  Exact semantics
+    hold on inputs of degree <= safe_input_degree.  Any matrix given
+    (dense or sparse) is stored as CSR.
     """
 
     basis_in: HardyBasis
@@ -220,10 +219,6 @@ class HardyOperator:
                 f"matrix shape {m.shape} does not match bases "
                 f"({self.basis_out.size}, {self.basis_in.size})"
             )
-
-    @property
-    def degree_shift(self) -> int:
-        return self.shift_hi
 
     @property
     def safe_input_degree(self) -> int:

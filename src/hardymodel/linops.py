@@ -70,33 +70,42 @@ class Subspace:
             raise DimensionMismatch("basis columns are not orthonormal")
 
 
-def hermitian_sqrt(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+#: round-off window of hermitian_sqrt: asymmetry and negative eigenvalues
+#: up to this size are forgiven
+_SQRT_TOL = 1e-9
+
+#: largest condition number solve_shifted accepts for I - z*T
+_COND_CAP = 1e12
+
+
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root via full eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clamped to 0; anything below -tol raises
-    NegativeEigenvalue.  Asymmetry beyond tol raises NotHermitian.
+    Eigenvalues in [-_SQRT_TOL, 0) are clamped to 0; anything below
+    -_SQRT_TOL raises NegativeEigenvalue.  Asymmetry beyond _SQRT_TOL
+    raises NotHermitian.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("hermitian_sqrt expects a square matrix")
     asym = operator_norm(a - adjoint(a))
-    if asym > tol:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tol {tol:.3e}")
+    if asym > _SQRT_TOL:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tol {_SQRT_TOL:.3e}")
     w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
-    if w.size and w[0] < -tol:
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -tol {-tol:.3e}")
+    if w.size and w[0] < -_SQRT_TOL:
+        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -tol {-_SQRT_TOL:.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ adjoint(v)
 
 
-def solve_shifted(t: np.ndarray, z: complex, cond_cap: float = 1e12) -> np.ndarray:
+def solve_shifted(t: np.ndarray, z: complex) -> np.ndarray:
     """(I - z*T)^{-1} by direct linear solve, no series truncation."""
     t = np.asarray(t, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch("solve_shifted expects a square matrix")
     m = np.eye(t.shape[0], dtype=complex) - z * t
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > _COND_CAP:
         raise SingularShift(f"I - z*T has condition number {cond:.3e}")
     return scipy.linalg.solve(m, np.eye(t.shape[0], dtype=complex))
 

@@ -76,12 +76,17 @@ class QuotientHandle:
     space: Subspace
     compressions: tuple  # one square matrix per variable, in the handle basis
     safe_degree: int
-    var_caps: tuple = ()
+    sections: tuple = ()  # one model-space section per leading variable
     free_cap: int = 0
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @property
+    def var_caps(self) -> tuple:
+        """Section degree of each leading variable."""
+        return tuple(sec.shape[0] - 1 for sec in self.sections)
 
 
 def submodule_from_inner(
@@ -159,23 +164,28 @@ class CommutationReport:
         return max(self.max_commutator, self.max_cross_commutator) <= self.tol
 
 
-def restriction_double_commutation(
-    handle: SubmoduleHandle, tol: float, slack: int = 2
-) -> CommutationReport:
+#: degrees below the safe degree left out of each verdict's probes, so
+#: truncation edge effects do not pollute it
+_RESTRICTION_SLACK = 2
+_EXTRACTION_SLACK = 1
+_COMPRESSION_SLACK = 1
+
+
+def restriction_double_commutation(handle: SubmoduleHandle, tol: float) -> CommutationReport:
     """(Cross-)commutators of the restricted shifts on the handle section.
 
     Residuals are measured on the handle's low-degree part (safe_degree
-    minus slack) so truncation edge effects do not pollute the verdict.
+    minus _RESTRICTION_SLACK) so truncation edge effects do not pollute
+    the verdict.
     """
-    if handle.safe_degree - slack < 0:
+    cutoff = handle.safe_degree - _RESTRICTION_SLACK
+    if cutoff < 0:
         raise UnsafeDegree("section too shallow for the requested slack")
     b = handle.space.basis
     n = handle.basis.num_vars
     restricted = [adjoint(b) @ (shift(k, handle.basis).matrix @ b) for k in range(1, n + 1)]
-    probes = _low_section(handle, slack)
-    return CommutationReport(
-        *_commutator_norms(restricted, probes), handle.safe_degree - slack, tol
-    )
+    probes = _low_section(handle, _RESTRICTION_SLACK)
+    return CommutationReport(*_commutator_norms(restricted, probes), cutoff, tol)
 
 
 @dataclass(frozen=True)
@@ -187,10 +197,11 @@ class ExtractionResult:
     grid: tuple
 
 
-def _deviation_grid(num_vars: int, points: int = 16, radius: float = 0.5):
+def _deviation_grid(num_vars: int):
+    """16 points on the circle of radius 0.5, damped by 0.9 per variable."""
     out = []
-    for j in range(points):
-        z = radius * np.exp(2j * np.pi * j / points)
+    for j in range(16):
+        z = 0.5 * np.exp(2j * np.pi * j / 16)
         out.append(tuple(z * (0.9**i) for i in range(num_vars)))
     return tuple(out)
 
@@ -202,7 +213,7 @@ def _hint_value(hint, point) -> complex:
     return val
 
 
-def wandering_generator_extract(handle: SubmoduleHandle, slack: int = 1) -> ExtractionResult:
+def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     """Wandering part of the section and the recovered generator.
 
     Scalar coefficient space only.  When the wandering dimension is one,
@@ -212,7 +223,7 @@ def wandering_generator_extract(handle: SubmoduleHandle, slack: int = 1) -> Extr
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
     b = handle.space.basis
-    low = _low_section(handle, slack)  # handle coords of the low part
+    low = _low_section(handle, _EXTRACTION_SLACK)  # handle coords of the low part
     low_cols = b @ low
     shifted = []
     for k in range(1, handle.basis.num_vars + 1):
@@ -227,7 +238,8 @@ def wandering_generator_extract(handle: SubmoduleHandle, slack: int = 1) -> Extr
     gen = HardyVector(handle.basis, wandering.basis[:, 0])
     if handle.generator_hint is None:
         return ExtractionResult(1, gen, None, None, ())
-    hint_vec = _hint_coefficients(handle.generator_hint, handle.basis)
+    op = inner_symbol_operator(handle.generator_hint, handle.basis)
+    hint_vec = op.matrix[:, 0].toarray().ravel()  # the hint times 1, flat index 0
     idx = int(np.argmax(np.abs(hint_vec)))
     if abs(hint_vec[idx]) == 0 or abs(gen.coefficients[idx]) == 0:
         raise AmbiguousWandering("degenerate coefficient match")
@@ -240,14 +252,6 @@ def wandering_generator_extract(handle: SubmoduleHandle, slack: int = 1) -> Extr
         want = unimodular * _hint_value(handle.generator_hint, pt)
         worst = max(worst, abs(got - want))
     return ExtractionResult(1, gen, complex(unimodular), float(worst), grid)
-
-
-def _hint_coefficients(hint: dict, basis: HardyBasis) -> np.ndarray:
-    vec = monomial_vector(basis, (0,) * basis.num_vars).coefficients
-    for var, eta in hint.items():
-        op = one_variable_symbol(var, eta.coefficients(basis.max_degree), basis)
-        vec = op.matrix @ vec
-    return np.asarray(vec).reshape(-1)
 
 
 def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:
@@ -297,35 +301,26 @@ def _default_caps(inner_list, num_vars: int, d: int):
     return caps, free_cap
 
 
-def quotient_tensor_build(
-    inner_list,
-    basis: HardyBasis,
-    var_caps=None,
-    free_cap: int | None = None,
-) -> QuotientHandle:
+def quotient_tensor_build(inner_list, basis: HardyBasis) -> QuotientHandle:
     """Tensor of one-variable model-space sections in the leading variables
-    and (truncated) full Hardy space in the rest, with compressions."""
+    and (truncated) full Hardy space in the rest, with compressions.
+
+    The section degrees and the free-block degree come from _default_caps;
+    the handle keeps the sections it was built from.
+    """
     if basis.coeff_dim != 1:
         raise DimensionMismatch("tensor quotients are built over scalar coefficients")
     n = basis.num_vars
     el = list(inner_list)
+    if not el:
+        raise DimensionMismatch("need at least one inner factor")
     if len(el) > n:
         raise DimensionMismatch("more inner functions than variables")
     for eta in el:
         if eta.degree < 1:
             raise DimensionMismatch("each inner factor needs degree >= 1")
-    d = basis.max_degree
-    if var_caps is None or free_cap is None:
-        caps_auto, free_auto = _default_caps(el, n, d)
-        caps = list(var_caps) if var_caps is not None else caps_auto
-        free_cap = free_auto if free_cap is None else free_cap
-    else:
-        caps = list(var_caps)
-    if sum(caps) + free_cap + 1 > d:
-        raise DegreeOverflow(
-            f"degree budget {sum(caps)}+{free_cap}+1 exceeds truncation {d}"
-        )
-    sections = [model_space_section(eta, c) for eta, c in zip(el, caps)]
+    caps, free_cap = _default_caps(el, n, basis.max_degree)
+    sections = tuple(model_space_section(eta, c) for eta, c in zip(el, caps))
     free_vars = n - len(el)
     free_exps = (
         enumerate_basis(free_vars, free_cap, 1).exponents
@@ -333,18 +328,9 @@ def quotient_tensor_build(
         else np.zeros((1, 0), dtype=np.int64)
     )
     space = Subspace(basis.size, _tensor_columns(basis, sections, free_exps))
-    compressions = []
     bmat = space.basis
-    for k in range(1, n + 1):
-        compressions.append(adjoint(bmat) @ (shift(k, basis).matrix @ bmat))
-    return QuotientHandle(
-        basis,
-        space,
-        tuple(compressions),
-        sum(caps) + free_cap,
-        tuple(caps),
-        free_cap,
-    )
+    compressions = tuple(adjoint(bmat) @ (shift(k, basis).matrix @ bmat) for k in range(1, n + 1))
+    return QuotientHandle(basis, space, compressions, sum(caps) + free_cap, sections, free_cap)
 
 
 def _tensor_columns(basis: HardyBasis, sections, gammas) -> np.ndarray:
@@ -367,17 +353,15 @@ def _tensor_columns(basis: HardyBasis, sections, gammas) -> np.ndarray:
     return out.reshape(basis.size, -1)
 
 
-def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list):
-    """Kronecker-structured compression predicted by the tensor layout."""
-    sections = [
-        model_space_section(eta, c) for eta, c in zip(inner_list, handle.var_caps)
-    ]
-    n = handle.basis.num_vars
-    free_vars = n - len(inner_list)
+def expected_tensor_compression(handle: QuotientHandle, k: int):
+    """Kronecker-structured compression of variable k predicted by the
+    tensor layout of the handle's sections."""
+    sections = handle.sections
+    free_vars = handle.basis.num_vars - len(sections)
     free_basis = enumerate_basis(free_vars, handle.free_cap, 1) if free_vars else None
-    if k <= len(inner_list):
+    if k <= len(sections):
         sec = sections[k - 1]
-        c = handle.var_caps[k - 1]
+        c = sec.shape[0] - 1
         one_var = enumerate_basis(1, c + 1, 1)
         embedded = np.zeros((c + 2, sec.shape[1]), dtype=complex)
         embedded[: c + 1, :] = sec
@@ -389,21 +373,17 @@ def expected_tensor_compression(handle: QuotientHandle, k: int, inner_list):
             factors.append(jordan if i == k - 1 else np.eye(s.shape[1]))
         return reduce(np.kron, factors)
     # free-variable compression: truncated shift on the free block
-    free_k = k - len(inner_list)
+    free_k = k - len(sections)
     free_shift = shift(free_k, free_basis).dense()
     return reduce(np.kron, [free_shift] + [np.eye(s.shape[1]) for s in sections])
 
 
-def compression_double_commutation(
-    handle: QuotientHandle, tol: float, slack: int = 1
-) -> CommutationReport:
+def compression_double_commutation(handle: QuotientHandle, tol: float) -> CommutationReport:
     """(Cross-)commutator residuals of the stored compressions, measured on
-    handle columns of total degree <= safe_degree - slack."""
-    col_degrees = _column_degrees(handle)
-    probes = np.eye(handle.dim, dtype=complex)[:, col_degrees <= handle.safe_degree - slack]
-    return CommutationReport(
-        *_commutator_norms(handle.compressions, probes), handle.safe_degree - slack, tol
-    )
+    handle columns of total degree <= safe_degree - _COMPRESSION_SLACK."""
+    cutoff = handle.safe_degree - _COMPRESSION_SLACK
+    probes = np.eye(handle.dim, dtype=complex)[:, _column_degrees(handle) <= cutoff]
+    return CommutationReport(*_commutator_norms(handle.compressions, probes), cutoff, tol)
 
 
 def _column_degrees(handle: QuotientHandle) -> np.ndarray:
@@ -452,37 +432,29 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     return residual, float(tail)
 
 
-def projector_product_check(
-    inner_list, alpha, basis: HardyBasis, handle: QuotientHandle | None = None
-):
+def projector_product_check(handle: QuotientHandle, alpha):
     """Tensor product formula for projections of monomials.
 
-    Evaluates the per-variable product formula and the direct projection
-    onto the tensor quotient section; returns (formula, direct, distance).
+    Evaluates the per-variable product formula on the handle's sections and
+    the direct projection onto the tensor quotient section; returns
+    (formula, direct, distance).
     """
-    if handle is None:
-        handle = quotient_tensor_build(inner_list, basis)
+    basis = handle.basis
     alpha = tuple(int(a) for a in alpha) + (0,) * (basis.num_vars - len(alpha))
     if len(alpha) > basis.num_vars:
         raise DegreeOverflow("exponent uses a variable beyond the basis")
-    L = len(list(inner_list))
+    L = len(handle.sections)
     free_total = sum(alpha[L:])
     if free_total > handle.free_cap:
         raise DegreeOverflow(f"free exponent weight {free_total} exceeds {handle.free_cap}")
-    for i in range(L):
-        if alpha[i] > handle.var_caps[i]:
+    per_var = []
+    for i, sec in enumerate(handle.sections):
+        if alpha[i] > sec.shape[0] - 1:
             raise DegreeOverflow(
                 f"exponent {alpha[i]} exceeds the section budget in slot {i}"
             )
-    sections = [
-        model_space_section(eta, c) for eta, c in zip(inner_list, handle.var_caps)
-    ]
-    per_var = []
-    for i, sec in enumerate(sections):
-        c = sec.shape[0] - 1
-        mono = np.zeros(c + 1, dtype=complex)
-        if alpha[i] <= c:
-            mono[alpha[i]] = 1.0
+        mono = np.zeros(sec.shape[0], dtype=complex)
+        mono[alpha[i]] = 1.0
         per_var.append(sec @ (adjoint(sec) @ mono))
     formula = _tensor_columns(basis, [v[:, None] for v in per_var], [alpha[L:]])[:, 0]
     target = monomial_vector(basis, alpha).coefficients

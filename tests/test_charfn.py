@@ -148,7 +148,7 @@ class TestBoundaryUnitarity:
         rng = np.random.default_rng(5)
         a = strict_contraction(rng, 4)
         cf = charfn_build(a)
-        assert boundary_unitarity(cf, samples=32) <= 1e-8
+        assert boundary_unitarity(cf) <= 1e-8
 
 
 class TestPolyTruncate:

@@ -128,15 +128,57 @@ BUNDLED_CUTOFFS = {
 }
 
 
+#: the library modules whose public functions the profiler follows
+LIBRARY = (linops, contraction, hardy, dilation, charfn, submodules, generators)
+
+
+def _public_functions() -> dict:
+    """{code object: (module.name, {optional parameter: default})} of every
+    function in a library module's __all__."""
+    out = {}
+    for module in LIBRARY:
+        short = module.__name__.rsplit(".", 1)[-1]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters.values()
+                optional = {p.name: p.default for p in params if p.default is not p.empty}
+                out[obj.__code__] = (f"{short}.{name}", optional)
+    return out
+
+
+PUBLIC = _public_functions()
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except ValueError:  # an array compares elementwise: not the default
+        return False
+
+
 @pytest.fixture(scope="module")
 def bundled_run():
     """Reports of the bundled scenarios, run once under a profiler that
-    records the code object of every Python function they call."""
-    called = set()
+    records the code object of every Python function they call and, for
+    each public function, the optional parameters some call sets away from
+    their default ("module.function.parameter")."""
+    called, turned = set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
+            public = PUBLIC.get(frame.f_code)
+            if public is not None:
+                name, optional = public
+                args = frame.f_locals
+                turned.update(
+                    f"{name}.{param}"
+                    for param, default in optional.items()
+                    if not _is_default(args[param], default)
+                )
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -144,7 +186,7 @@ def bundled_run():
         reports = {name: run_scenario(SCENARIOS / f"{name}.json") for name in BUNDLED_CUTOFFS}
     finally:
         sys.setprofile(previous)
-    return reports, called
+    return reports, called, turned
 
 
 @pytest.mark.parametrize("scenario", sorted(BUNDLED_CUTOFFS))
@@ -172,11 +214,28 @@ def test_every_public_function_is_reached(bundled_run):
     # a public function that no check reaches is dead API: delete it, or
     # give the reason it stays in UNREACHED_ALLOWED
     called = bundled_run[1]
-    unreached = set()
-    for module in (linops, contraction, hardy, dilation, charfn, submodules, generators):
-        short = module.__name__.rsplit(".", 1)[-1]
-        for name in module.__all__:
-            obj = getattr(module, name)
-            if inspect.isfunction(obj) and obj.__code__ not in called:
-                unreached.add(f"{short}.{name}")
+    unreached = {name for code, (name, _) in PUBLIC.items() if code not in called}
     assert unreached == set(UNREACHED_ALLOWED)
+
+
+#: optional parameters that the bundled scenarios leave at their default,
+#: each with why it stays a parameter
+UNTURNED_ALLOWED = {
+    "contraction.validate_tuple.tol": "scenario-driven: tuple-validation passes its check tolerance",
+    "generators.tuple_ensemble.norm_cap": "scenario-driven: the generator record's norm_cap",
+}
+
+
+def test_every_optional_parameter_is_turned(bundled_run):
+    # an optional parameter that no call sets away from its default is a
+    # knob no caller turns: make it a module constant, or give the reason
+    # it stays in UNTURNED_ALLOWED (functions in UNREACHED_ALLOWED are exempt)
+    turned = bundled_run[2]
+    unturned = {
+        f"{name}.{param}"
+        for name, optional in PUBLIC.values()
+        if name not in UNREACHED_ALLOWED
+        for param in optional
+        if f"{name}.{param}" not in turned
+    }
+    assert unturned == set(UNTURNED_ALLOWED)

@@ -96,6 +96,16 @@ class TestRunScenario:
             }
             assert c["reason"] is None
 
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, BASE)
+        out = tmp_path / "missing" / "report.json"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "overall: pass" in captured.out  # the table is printed first
+        assert captured.err.startswith(f"error: cannot write report {out}")
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
 
 class TestSkippedChecks:
     def test_size_overflow_marks_skipped(self, tmp_path, monkeypatch):

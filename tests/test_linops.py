@@ -36,7 +36,7 @@ class TestHermitianSqrt:
         rng = np.random.default_rng(4)
         c = random_complex(rng, 4, 4)
         a = adjoint(c) @ c
-        m = hermitian_sqrt(a, tol=1e-10)
+        m = hermitian_sqrt(a)
         assert operator_norm(m @ m - a) <= 1e-10
         assert operator_norm(m - adjoint(m)) <= 1e-12
 
@@ -49,9 +49,11 @@ class TestHermitianSqrt:
             hermitian_sqrt(np.diag([1.0, -1.0]))
 
     def test_clamp_window(self):
-        a = np.diag([1.0, -5e-13])
-        m = hermitian_sqrt(a, tol=1e-12)
+        # eigenvalues in [-1e-9, 0) are round-off and clamped; below, refused
+        m = hermitian_sqrt(np.diag([1.0, -5e-10]))
         np.testing.assert_allclose(m, np.diag([1.0, 0.0]), atol=1e-13)
+        with pytest.raises(NegativeEigenvalue):
+            hermitian_sqrt(np.diag([1.0, -2e-9]))
 
 
 class TestSolveShifted:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardymodel.contraction import BlaschkeProduct, mobius_scalar
-from hardymodel.errors import AmbiguousWandering, DegreeOverflow, NotInner
+from hardymodel.errors import AmbiguousWandering, DegreeOverflow, DimensionMismatch, NotInner
 from hardymodel.hardy import (
     HardyVector,
     enumerate_basis,
@@ -143,6 +143,36 @@ class TestWanderingExtraction:
         res = wandering_generator_extract(handle)
         assert res.max_deviation <= 1e-7
 
+    #: the beurling-extraction fixtures at degree 30: (hint, max_deviation,
+    #: unimodular) as computed by applying each factor to the constant
+    BEURLING = [
+        ({1: phi(0.45)}, 2.2591401799415137e-16, -1.0),
+        (
+            {1: BlaschkeProduct(np.exp(0.7j), (0.4, -0.25, 0.3j))},
+            4.449269386460305e-11,
+            -1.0 - 3.331193819373384e-15j,
+        ),
+        ({1: phi(0.45), 2: phi(-0.35)}, 2.3245294578089215e-16, 1.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "hint, deviation, unimodular", BEURLING, ids=["one-zero", "three-zeros", "two-variable"]
+    )
+    def test_beurling_fixtures_pinned(self, hint, deviation, unimodular):
+        b = enumerate_basis(2, 30, 1)
+        op = inner_symbol_operator(hint, b)
+        # the hint's coefficients are the operator's first column: the
+        # factors applied one by one to the constant 1
+        vec = monomial_vector(b, (0, 0)).coefficients
+        for var, eta in hint.items():
+            vec = one_variable_symbol(var, eta.coefficients(b.max_degree), b).matrix @ vec
+        np.testing.assert_array_equal(op.matrix[:, 0].toarray().ravel(), vec)
+        handle = submodule_from_inner(op, 1e-6, hint=hint, input_cutoff=9)
+        res = wandering_generator_extract(handle)
+        assert res.unimodular == pytest.approx(unimodular, abs=1e-12)
+        # round-off where the series is exact, else the truncation level
+        assert res.max_deviation == pytest.approx(deviation, rel=1e-6, abs=1e-15)
+
     def test_ambiguous_for_two_generator_fixture(self):
         b = enumerate_basis(2, 8, 1)
         gens = [monomial_vector(b, (1, 0)), monomial_vector(b, (0, 1))]
@@ -196,7 +226,8 @@ class TestQuotientTensor:
 
     def test_z_squared_jordan_block(self):
         b = enumerate_basis(1, 6, 1)
-        handle = quotient_tensor_build([Z2], b, var_caps=[1], free_cap=0)
+        handle = quotient_tensor_build([Z2], b)
+        assert (handle.var_caps, handle.free_cap) == ((5,), 0)
         assert handle.dim == 2
         comp = handle.compressions[0]
         want = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -208,7 +239,7 @@ class TestQuotientTensor:
         inner = [Z2, phi(0.5)]
         handle = quotient_tensor_build(inner, b)
         for k in (1, 2):
-            want = expected_tensor_compression(handle, k, inner)
+            want = expected_tensor_compression(handle, k)
             np.testing.assert_allclose(handle.compressions[k - 1], want, atol=1e-10)
         # variable 1 compression is (2x2 nilpotent) tensor identity
         c1 = handle.compressions[0]
@@ -216,15 +247,29 @@ class TestQuotientTensor:
 
     def test_free_variable_block(self):
         b = enumerate_basis(2, 10, 1)
-        inner = [Z2]
-        handle = quotient_tensor_build(inner, b, var_caps=[1], free_cap=3)
-        want = expected_tensor_compression(handle, 2, inner)
+        handle = quotient_tensor_build([Z2], b)
+        assert (handle.var_caps, handle.free_cap) == ((7,), 2)
+        assert handle.dim == 2 * 3  # model space of z^2 times the degree <= 2 free block
+        want = expected_tensor_compression(handle, 2)
         np.testing.assert_allclose(handle.compressions[1], want, atol=1e-12)
 
     def test_budget_overflow(self):
-        b = enumerate_basis(2, 4, 1)
+        # two z^2 sections need degree 1 each, one more than a degree-2 basis holds
+        b = enumerate_basis(2, 2, 1)
         with pytest.raises(DegreeOverflow):
-            quotient_tensor_build([Z2, Z2], b, var_caps=[3, 3], free_cap=0)
+            quotient_tensor_build([Z2, Z2], b)
+
+    def test_needs_an_inner_factor(self):
+        with pytest.raises(DimensionMismatch, match="need at least one inner factor"):
+            quotient_tensor_build([], enumerate_basis(2, 6, 1))
+
+    def test_handle_carries_its_sections(self):
+        b = enumerate_basis(2, 12, 1)
+        inner = [Z2, phi(0.5)]
+        handle = quotient_tensor_build(inner, b)
+        assert len(handle.sections) == 2
+        for eta, c, sec in zip(inner, handle.var_caps, handle.sections):
+            np.testing.assert_array_equal(sec, model_space_section(eta, c))
 
 
 def _tensor_columns_reference(basis, sections, gammas):
@@ -269,7 +314,7 @@ class TestTensorColumns:
         b = enumerate_basis(3, 12, 1)
         inner = [phi(0.4), Z2]
         handle = quotient_tensor_build(inner, b)
-        formula, _, _ = projector_product_check(inner, (1, 1, 2), b, handle)
+        formula, _, _ = projector_product_check(handle, (1, 1, 2))
         sections = [model_space_section(eta, c) for eta, c in zip(inner, handle.var_caps)]
         per_var = []
         for i, sec in enumerate(sections):
@@ -366,7 +411,7 @@ class TestKernelFixedPoint:
 class TestProjectorProduct:
     def test_z_alpha_zero(self):
         b = enumerate_basis(1, 4, 1)
-        formula, direct, dist = projector_product_check([Z], (0,), b)
+        formula, direct, dist = projector_product_check(quotient_tensor_build([Z], b), (0,))
         assert dist <= 1e-13
         np.testing.assert_allclose(
             formula.coefficients, monomial_vector(b, (0,)).coefficients, atol=1e-13
@@ -374,8 +419,8 @@ class TestProjectorProduct:
 
     def test_z_squared_alpha_one(self):
         b = enumerate_basis(1, 6, 1)
-        handle = quotient_tensor_build([Z2], b, var_caps=[1], free_cap=0)
-        formula, direct, dist = projector_product_check([Z2], (1,), b, handle)
+        handle = quotient_tensor_build([Z2], b)
+        formula, direct, dist = projector_product_check(handle, (1,))
         assert dist <= 1e-13
         np.testing.assert_allclose(
             formula.coefficients, monomial_vector(b, (1,)).coefficients, atol=1e-13
@@ -383,21 +428,25 @@ class TestProjectorProduct:
 
     def test_mobius_constant_projection(self):
         b = enumerate_basis(1, 25, 1)
-        formula, direct, dist = projector_product_check([phi(0.5)], (0,), b)
+        formula, direct, dist = projector_product_check(quotient_tensor_build([phi(0.5)], b), (0,))
         assert dist <= 1e-10
 
     def test_two_variable_product(self):
         b = enumerate_basis(2, 14, 1)
         inner = [phi(0.4), Z2]
         handle = quotient_tensor_build(inner, b)
-        formula, direct, dist = projector_product_check(inner, (1, 1), b, handle)
+        formula, direct, dist = projector_product_check(handle, (1, 1))
         assert dist <= 1e-10
 
     def test_overflow(self):
         b = enumerate_basis(1, 6, 1)
-        handle = quotient_tensor_build([Z2], b, var_caps=[1], free_cap=0)
+        handle = quotient_tensor_build([Z2], b)  # section degree 5
+        projector_product_check(handle, (5,))
         with pytest.raises(DegreeOverflow):
-            projector_product_check([Z2], (4,), b, handle)
+            projector_product_check(handle, (6,))
+        free = quotient_tensor_build([Z2], enumerate_basis(2, 10, 1))  # free block degree 2
+        with pytest.raises(DegreeOverflow):
+            projector_product_check(free, (0, 3))
 
 
 class TestParityJointDefect:
