@@ -23,7 +23,6 @@ __all__ = [
     "defect",
     "joint_defect",
     "mobius",
-    "mobius_scalar",
     "mobius_tuple",
     "spectral_radius_bound",
     "tensor_tuple",
@@ -165,11 +164,6 @@ def mobius_series(a: complex, degree: int) -> np.ndarray:
         k = np.arange(degree)
         out[1:] = (abs(a) ** 2 - 1.0) * ab**k
     return out
-
-
-def mobius_scalar(a: complex, z: complex) -> complex:
-    """phi_a(z) = (a - z) / (1 - conj(a) z)."""
-    return complex((a - z) / (1.0 - np.conj(a) * z))
 
 
 @dataclass(frozen=True)

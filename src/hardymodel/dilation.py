@@ -144,6 +144,8 @@ class DilationModel:
 
     def tail_bound(self, x: np.ndarray, degree: int) -> float:
         """||x||^2 minus the partial defect-orbit sum up to the degree."""
+        if not 0 <= degree <= self.truncation_degree:
+            raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
         g = self.gram_levels[degree]
         x = np.asarray(x, dtype=complex).reshape(-1)
         val = np.vdot(x, x) - np.vdot(x, g @ x)
@@ -286,6 +288,8 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     pullback of the truncated shift action through the embedding.
     """
     d = model.truncation_degree
+    if order_cap < 0:
+        raise DimensionMismatch(f"order cap {order_cap} is negative")
     if order_cap > d:
         raise UnsafeDegree(f"order cap {order_cap} exceeds truncation degree {d}")
     t = model.tuple_

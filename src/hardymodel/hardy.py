@@ -42,12 +42,8 @@ __all__ = [
     "mobius_partial_product",
     "mult_operator",
     "one_variable_symbol",
-    "operator_from_json",
-    "operator_to_json",
     "parity_shift",
     "shift",
-    "vector_from_json",
-    "vector_to_json",
     "wandering_subspace",
 ]
 
@@ -183,12 +179,6 @@ class HardyVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coefficients))
 
-    def block(self, alpha) -> np.ndarray:
-        """Coefficient-slot block attached to the monomial alpha."""
-        i = self.basis.monomial_index(alpha)
-        e = self.basis.coeff_dim
-        return self.coefficients[i * e : (i + 1) * e]
-
 
 def monomial_vector(basis: HardyBasis, alpha, slot: int = 0) -> HardyVector:
     c = np.zeros(basis.size, dtype=complex)
@@ -237,11 +227,6 @@ class HardyOperator:
             raise DimensionMismatch("vector basis does not match operator output")
         return HardyVector(self.basis_in, self.matrix.conj().T @ v.coefficients)
 
-    def adjoint(self) -> "HardyOperator":
-        return HardyOperator(
-            self.basis_out, self.basis_in, self.matrix.conj().T, -self.shift_hi, -self.shift_lo
-        )
-
     def compose(self, other: "HardyOperator") -> "HardyOperator":
         """self after other; degree windows add."""
         if other.basis_out != self.basis_in:
@@ -253,15 +238,6 @@ class HardyOperator:
             self.shift_lo + other.shift_lo,
             self.shift_hi + other.shift_hi,
         )
-
-    def check_window(self) -> float:
-        """Largest entry violating the declared degree window (tests only)."""
-        m = self.dense()
-        din = self.basis_in.flat_degrees()
-        dout = self.basis_out.flat_degrees()
-        diff = dout[:, None] - din[None, :]
-        bad = (diff < self.shift_lo) | (diff > self.shift_hi)
-        return float(np.abs(m[bad]).max()) if bad.any() else 0.0
 
 
 def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matrix:
@@ -462,56 +438,3 @@ def mobius_partial_product(lams, m: int, n: int) -> tuple[complex, float]:
     mod_prod = float(np.prod([abs(c) ** 2 for c in seg])) if seg else 1.0
     return prod, float(abs(prod - 1.0) ** 2 + (1.0 - mod_prod))
 
-
-def _basis_to_json(b: HardyBasis) -> dict:
-    return {"num_vars": b.num_vars, "max_degree": b.max_degree, "coeff_dim": b.coeff_dim}
-
-
-def _basis_from_json(b: dict) -> HardyBasis:
-    return enumerate_basis(b["num_vars"], b["max_degree"], b["coeff_dim"])
-
-
-def vector_to_json(v: HardyVector) -> dict:
-    return {
-        "basis": _basis_to_json(v.basis),
-        "coefficients": [
-            [i, float(c.real), float(c.imag)] for i, c in enumerate(v.coefficients) if c != 0
-        ],
-    }
-
-
-def vector_from_json(payload: dict) -> HardyVector:
-    basis = _basis_from_json(payload["basis"])
-    coeffs = np.zeros(basis.size, dtype=complex)
-    for i, re, im in payload["coefficients"]:
-        coeffs[int(i)] = re + 1j * im
-    return HardyVector(basis, coeffs)
-
-
-def operator_to_json(op: HardyOperator) -> dict:
-    mat = sp.coo_matrix(op.matrix)
-    return {
-        "basis_in": _basis_to_json(op.basis_in),
-        "basis_out": _basis_to_json(op.basis_out),
-        "shift_lo": op.shift_lo,
-        "shift_hi": op.shift_hi,
-        "entries": [
-            [int(r), int(c), float(v.real), float(v.imag)]
-            for r, c, v in zip(mat.row, mat.col, mat.data)
-        ],
-    }
-
-
-def operator_from_json(payload: dict) -> HardyOperator:
-    basis_in = _basis_from_json(payload["basis_in"])
-    basis_out = _basis_from_json(payload["basis_out"])
-    rows, cols, data = [], [], []
-    for r, c, re, im in payload["entries"]:
-        rows.append(int(r))
-        cols.append(int(c))
-        data.append(re + 1j * im)
-    mat = sp.csr_matrix(
-        (np.array(data, dtype=complex), (rows, cols)),
-        shape=(basis_out.size, basis_in.size),
-    )
-    return HardyOperator(basis_in, basis_out, mat, payload["shift_lo"], payload["shift_hi"])

@@ -1,9 +1,8 @@
 """Dense complex linear algebra kernel.
 
-Adjoints, Hermitian PSD square roots, resolvent solves, deterministic
-orthonormalization, orthogonal projectors and subspace comparison.  All
-functions are pure; inputs are never mutated.  Every defect range in the
-package is ranked by defect_range.
+Adjoints, Hermitian PSD square roots, resolvent solves and deterministic
+orthonormalization.  All functions are pure; inputs are never mutated.
+Every defect range in the package is ranked by defect_range.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ __all__ = [
     "hermitian_sqrt",
     "operator_norm",
     "orthonormalize",
-    "projector",
     "solve_shifted",
-    "subspace_distance",
 ]
 
 
@@ -163,14 +160,3 @@ def defect_range(d: np.ndarray) -> Subspace:
     # orthonormalize scales rank_tol by the largest column norm
     return orthonormalize(d, rank_tol=DEFECT_FLOOR / scale)
 
-
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projector basis @ basis*."""
-    return s.basis @ adjoint(s.basis)
-
-
-def subspace_distance(s1: Subspace, s2: Subspace) -> float:
-    """Spectral norm of the projector difference; lies in [0, 1]."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    return min(1.0, operator_norm(projector(s1) - projector(s2)))

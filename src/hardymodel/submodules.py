@@ -64,10 +64,7 @@ class SubmoduleHandle:
     space: Subspace
     safe_degree: int
     generator_hint: object = None  # optional: dict var index -> BlaschkeProduct
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+    hint_column: np.ndarray | None = None  # the hint's coefficients: the hint times 1
 
 
 @dataclass(frozen=True)
@@ -83,16 +80,15 @@ class QuotientHandle:
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def var_caps(self) -> tuple:
-        """Section degree of each leading variable."""
-        return tuple(sec.shape[0] - 1 for sec in self.sections)
-
 
 def submodule_from_inner(
     op: HardyOperator, tol: float = 1e-8, hint=None, input_cutoff: int | None = None
 ) -> SubmoduleHandle:
-    """Safe-degree section of the range of an inner symbol's operator."""
+    """Safe-degree section of the range of an inner symbol's operator.
+
+    A hint names the inner factors op multiplies by; the handle keeps it
+    with op's first column, the hint's coefficients.
+    """
     report = is_inner_on_truncation(op, tol, cutoff=input_cutoff)
     if not report.passed:
         raise NotInner(
@@ -104,7 +100,8 @@ def submodule_from_inner(
     sel = np.nonzero(basis.degree_selector(cutoff))[0]
     cols = op.matrix[:, sel].toarray()
     space = orthonormalize(cols, rank_tol=1e-8)
-    return SubmoduleHandle(op.basis_out, space, cutoff, hint)
+    column = None if hint is None else op.matrix[:, 0].toarray().ravel()
+    return SubmoduleHandle(op.basis_out, space, cutoff, hint, column)
 
 
 def submodule_from_generators(gens, basis: HardyBasis, cutoff: int) -> SubmoduleHandle:
@@ -238,8 +235,7 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     gen = HardyVector(handle.basis, wandering.basis[:, 0])
     if handle.generator_hint is None:
         return ExtractionResult(1, gen, None, None, ())
-    op = inner_symbol_operator(handle.generator_hint, handle.basis)
-    hint_vec = op.matrix[:, 0].toarray().ravel()  # the hint times 1, flat index 0
+    hint_vec = handle.hint_column
     idx = int(np.argmax(np.abs(hint_vec)))
     if abs(hint_vec[idx]) == 0 or abs(gen.coefficients[idx]) == 0:
         raise AmbiguousWandering("degenerate coefficient match")

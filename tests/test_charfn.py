@@ -13,7 +13,9 @@ from hardymodel.charfn import (
     projection_identity_residual,
     quotient_model_check,
 )
-from hardymodel.contraction import ContractionTuple, mobius_scalar, tensor_tuple
+from _references import mobius_scalar
+
+from hardymodel.contraction import ContractionTuple, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
 from hardymodel.generators import controlled_contraction

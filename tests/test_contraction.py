@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import mobius_scalar
+
 from hardymodel.contraction import (
     BlaschkeProduct,
     ContractionTuple,
@@ -11,7 +13,6 @@ from hardymodel.contraction import (
     defect,
     joint_defect,
     mobius,
-    mobius_scalar,
     mobius_series,
     mobius_tuple,
     spectral_radius_bound,

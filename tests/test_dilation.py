@@ -6,6 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import block
+
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple, validate_tuple
@@ -130,6 +132,18 @@ class TestLibraryErrors:
         with pytest.raises(UnsafeDegree, match="stalled"):
             REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
         assert 2 <= len(degrees) <= 8
+
+    def test_degree_outside_the_truncation(self):
+        # a negative degree must not read a Gram level from the end of the
+        # list, and one above d must not leak numpy's IndexError
+        model = canonical_embedding(ContractionTuple((np.array([[0.5]]),)), 10)
+        x = np.ones(1)
+        assert model.tail_bound(x, 10) == pytest.approx(0.25**11, rel=1e-6)  # 1 - sum 0.75 / 4^k
+        for degree in (-1, 11):
+            with pytest.raises(DimensionMismatch, match="outside 0..10"):
+                model.tail_bound(x, degree)
+        with pytest.raises(DimensionMismatch, match="negative"):
+            verify_dilation(model, order_cap=-1, tol=1e-8)
 
     def test_bad_arguments(self):
         b = enumerate_basis(1, 6, 1)
@@ -490,4 +504,4 @@ def test_embedding_respects_basis_ordering():
     qd = adjoint(model.defect_basis.basis) @ d_star
     for alpha in [(0, 0), (1, 0), (2, 3), (0, 4)]:
         want = qd @ adjoint(t.power(alpha)) @ x
-        np.testing.assert_allclose(emb.block(alpha), want, atol=1e-12)
+        np.testing.assert_allclose(block(emb, alpha), want, atol=1e-12)

@@ -6,6 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import check_window, operator_adjoint, projector
+
 from hardymodel.contraction import mobius_series
 from hardymodel.errors import DegreeOverflow, DimensionMismatch, SizeOverflow
 from hardymodel.hardy import (
@@ -20,15 +22,11 @@ from hardymodel.hardy import (
     monomial_vector,
     mult_operator,
     one_variable_symbol,
-    operator_from_json,
-    operator_to_json,
     parity_shift,
     shift,
-    vector_from_json,
-    vector_to_json,
     wandering_subspace,
 )
-from hardymodel.linops import adjoint, operator_norm, projector
+from hardymodel.linops import adjoint, operator_norm
 
 
 class TestEnumerateBasis:
@@ -119,8 +117,8 @@ class TestShift:
 
     def test_window_declared_correctly(self):
         b = enumerate_basis(2, 3, 1)
-        assert shift(1, b).check_window() == 0.0
-        assert shift(1, b).adjoint().check_window() == 0.0
+        assert check_window(shift(1, b)) == 0.0
+        assert check_window(operator_adjoint(shift(1, b))) == 0.0
 
     def test_basis_with_its_own_exponent_array(self):
         # enumerate_basis stops caching after 64 (n, d) keys, so equal bases
@@ -234,9 +232,8 @@ class TestCsrStorage:
             mult_operator({(1,): np.zeros((2, 2))}, b),
             HardyOperator(b, b, np.eye(b.size)),
         ]
-        ops += [op.adjoint() for op in ops]
-        ops += [ops[2].compose(ops[0]), ops[0].compose(ops[1].adjoint())]
-        ops += [operator_from_json(operator_to_json(op)) for op in ops]
+        ops += [operator_adjoint(op) for op in ops]
+        ops += [ops[2].compose(ops[0]), ops[0].compose(operator_adjoint(ops[1]))]
         for op in ops:
             assert isinstance(op.matrix, sp.csr_matrix), type(op.matrix)
 
@@ -487,18 +484,3 @@ class TestMobiusPartialProduct:
         with pytest.raises(IndexError):
             mobius_partial_product([0.1], 1, 2)
 
-
-class TestSerialization:
-    def test_vector_roundtrip(self):
-        rng = np.random.default_rng(3)
-        b = enumerate_basis(2, 3, 2)
-        v = HardyVector(b, rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size))
-        back = vector_from_json(vector_to_json(v))
-        np.testing.assert_allclose(back.coefficients, v.coefficients, atol=1e-15)
-
-    def test_operator_roundtrip(self):
-        b = enumerate_basis(2, 3, 1)
-        op = shift(1, b)
-        back = operator_from_json(operator_to_json(op))
-        np.testing.assert_allclose(back.dense(), op.dense(), atol=1e-15)
-        assert (back.shift_lo, back.shift_hi) == (1, 1)

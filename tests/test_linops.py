@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import projector, subspace_distance
+
 from hardymodel.contraction import defect
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 from hardymodel.linops import (
@@ -13,9 +15,7 @@ from hardymodel.linops import (
     hermitian_sqrt,
     operator_norm,
     orthonormalize,
-    projector,
     solve_shifted,
-    subspace_distance,
 )
 
 

@@ -3,7 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from hardymodel.contraction import BlaschkeProduct, mobius_scalar
+from _references import mobius_scalar, projector, subspace_distance, var_caps
+
+from hardymodel import submodules
+from hardymodel.checks import REGISTRY, GeneratorParams
+from hardymodel.contraction import BlaschkeProduct
 from hardymodel.errors import AmbiguousWandering, DegreeOverflow, DimensionMismatch, NotInner
 from hardymodel.hardy import (
     HardyVector,
@@ -13,7 +17,7 @@ from hardymodel.hardy import (
     parity_shift,
     shift,
 )
-from hardymodel.linops import adjoint, operator_norm, orthonormalize, projector, subspace_distance
+from hardymodel.linops import adjoint, operator_norm, orthonormalize
 from hardymodel.submodules import (
     QuotientHandle,
     _tensor_columns,
@@ -51,7 +55,7 @@ class TestSubmoduleFromInner:
         b = enumerate_basis(1, 6, 1)
         op = one_variable_symbol(1, [0, 0, 1.0], b)
         handle = submodule_from_inner(op, 1e-10)
-        assert handle.dim == handle.safe_degree + 1  # z^2 .. z^(2+cutoff)
+        assert handle.space.dim == handle.safe_degree + 1  # z^2 .. z^(2+cutoff)
         p = projector(handle.space)
         v = monomial_vector(b, (3,)).coefficients
         np.testing.assert_allclose(p @ v, v, atol=1e-10)
@@ -61,7 +65,7 @@ class TestSubmoduleFromInner:
         b = enumerate_basis(1, d, 1)
         op = inner_symbol_operator({1: phi(0.5)}, b)
         handle = submodule_from_inner(op, 1e-6, hint={1: phi(0.5)}, input_cutoff=6)
-        assert handle.dim == 7  # one column per admitted input degree
+        assert handle.space.dim == 7  # one column per admitted input degree
 
     def test_not_inner(self):
         b = enumerate_basis(1, 5, 1)
@@ -173,6 +177,20 @@ class TestWanderingExtraction:
         # round-off where the series is exact, else the truncation level
         assert res.max_deviation == pytest.approx(deviation, rel=1e-6, abs=1e-15)
 
+    def test_extraction_builds_each_hint_operator_once(self, monkeypatch):
+        # the handle keeps the hint's coefficients, so beurling-extraction
+        # builds one operator per fixture and the extraction builds none
+        hints = []
+        build = submodules.inner_symbol_operator
+
+        def counted(hint, basis):
+            hints.append(hint)
+            return build(hint, basis)
+
+        monkeypatch.setattr(submodules, "inner_symbol_operator", counted)
+        out = REGISTRY["beurling-extraction"].run(np.random.default_rng(0), GeneratorParams(), 1e-7)
+        assert out.passed and len(hints) == 3
+
     def test_ambiguous_for_two_generator_fixture(self):
         b = enumerate_basis(2, 8, 1)
         gens = [monomial_vector(b, (1, 0)), monomial_vector(b, (0, 1))]
@@ -191,7 +209,7 @@ class TestWanderingExtraction:
         handle = submodule_from_inner(op, 1e-6, hint=hint, input_cutoff=cutoff)
         res = wandering_generator_extract(handle)
         regen = submodule_from_generators([res.generator], b, cutoff=cutoff)
-        assert regen.dim == handle.dim
+        assert regen.space.dim == handle.space.dim
         assert subspace_distance(handle.space, regen.space) <= 1e-6
 
 
@@ -227,7 +245,7 @@ class TestQuotientTensor:
     def test_z_squared_jordan_block(self):
         b = enumerate_basis(1, 6, 1)
         handle = quotient_tensor_build([Z2], b)
-        assert (handle.var_caps, handle.free_cap) == ((5,), 0)
+        assert (var_caps(handle), handle.free_cap) == ((5,), 0)
         assert handle.dim == 2
         comp = handle.compressions[0]
         want = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -248,7 +266,7 @@ class TestQuotientTensor:
     def test_free_variable_block(self):
         b = enumerate_basis(2, 10, 1)
         handle = quotient_tensor_build([Z2], b)
-        assert (handle.var_caps, handle.free_cap) == ((7,), 2)
+        assert (var_caps(handle), handle.free_cap) == ((7,), 2)
         assert handle.dim == 2 * 3  # model space of z^2 times the degree <= 2 free block
         want = expected_tensor_compression(handle, 2)
         np.testing.assert_allclose(handle.compressions[1], want, atol=1e-12)
@@ -268,7 +286,7 @@ class TestQuotientTensor:
         inner = [Z2, phi(0.5)]
         handle = quotient_tensor_build(inner, b)
         assert len(handle.sections) == 2
-        for eta, c, sec in zip(inner, handle.var_caps, handle.sections):
+        for eta, c, sec in zip(inner, var_caps(handle), handle.sections):
             np.testing.assert_array_equal(sec, model_space_section(eta, c))
 
 
@@ -296,7 +314,7 @@ class TestTensorColumns:
     def test_quotient_section_matches_reference(self, num_vars, d, inner):
         b = enumerate_basis(num_vars, d, 1)
         handle = quotient_tensor_build(inner, b)
-        sections = [model_space_section(eta, c) for eta, c in zip(inner, handle.var_caps)]
+        sections = [model_space_section(eta, c) for eta, c in zip(inner, var_caps(handle))]
         free = num_vars - len(inner)
         gammas = enumerate_basis(free, handle.free_cap, 1).exponents if free else [()]
         want = _tensor_columns_reference(b, sections, gammas)
@@ -315,7 +333,7 @@ class TestTensorColumns:
         inner = [phi(0.4), Z2]
         handle = quotient_tensor_build(inner, b)
         formula, _, _ = projector_product_check(handle, (1, 1, 2))
-        sections = [model_space_section(eta, c) for eta, c in zip(inner, handle.var_caps)]
+        sections = [model_space_section(eta, c) for eta, c in zip(inner, var_caps(handle))]
         per_var = []
         for i, sec in enumerate(sections):
             mono = np.zeros(sec.shape[0], dtype=complex)
@@ -340,7 +358,8 @@ class TestGeneratorOrbitRanks:
             + 0.5 * monomial_vector(b, (1, 1)).coefficients
             - 0.3 * monomial_vector(b, (0, 2)).coefficients,
         )
-        got = tuple(submodule_from_generators(g, b, cutoff).dim for g in ([z1, z2], [diff], [poly]))
+        gens = ([z1, z2], [diff], [poly])
+        got = tuple(submodule_from_generators(g, b, cutoff).space.dim for g in gens)
         assert got == dims
 
 
