@@ -15,7 +15,8 @@ complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
 routine, _model_distance, verifies it for quotient_model_check and, as
 the one-component case, for projection_identity_residual.  It applies
 the factors to the unit columns of the safe rows S, one sparse symbol
-W_k at a time, so no N x N matrix and no QR is formed.
+W_k at a time, so no N x N matrix and no QR is formed.  Each W_k is built
+directly in the model's adjoint-defect coordinates (_component_symbol).
 """
 
 from __future__ import annotations
@@ -23,19 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree
 from .hardy import enumerate_basis, one_variable_symbol
-from .linops import (
-    Subspace,
-    adjoint,
-    apply_shifted_inverse,
-    defect_range,
-    operator_norm,
-)
+from .linops import Subspace, adjoint, apply_shifted_inverse, defect_range, operator_norm
 
 __all__ = [
     "CharFn",
@@ -167,12 +161,13 @@ def poly_truncate(cf: CharFn, tol: float):
         return scale * m * p * q**base / (1.0 - q)
 
     power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
+    left, t_star = adjoint(qo) @ d_out, adjoint(t)
     k = 1
     while tail_from(k) >= tol:
         if not power.any():
             return coeffs, 0.0  # nilpotent: series terminates exactly
-        coeffs.append(adjoint(qo) @ d_out @ power @ d_in @ qi)
-        power = adjoint(t) @ power
+        coeffs.append(left @ power @ d_in @ qi)
+        power = t_star @ power
         k += 1
         if k > 4096:
             raise UnsafeDegree("characteristic-function tail does not certify")
@@ -180,20 +175,15 @@ def poly_truncate(cf: CharFn, tol: float):
 
 
 def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
-    """Truncated M_theta~ of one component, output expressed in the model's
-    adjoint defect coordinates; returns (matrix, inclusion residual)."""
-    n = model.tuple_.num_components
-    d = model.truncation_degree
-    basis_in = enumerate_basis(n, d, cf.dim_in)
-    basis_out = enumerate_basis(n, d, cf.dim_out)
-    w = one_variable_symbol(k, coeffs, basis_in, basis_out)
-    # inclusion of the joint adjoint defect space into this component's
+    """Truncated M_theta~ of one component with output basis model.basis:
+    its coefficients are incl* theta_j, incl the inclusion of the joint
+    adjoint defect space into this component's.  Returns (CSR matrix,
+    inclusion residual)."""
+    basis_in = enumerate_basis(model.tuple_.num_components, model.truncation_degree, cf.dim_in)
     incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
     incl_residual = operator_norm(adjoint(incl) @ incl - np.eye(model.defect_dim))
-    n_mono = model.basis.num_monomials
-    proj = sp.kron(sp.identity(n_mono), sp.csr_matrix(adjoint(incl)), "csr")
-    mat = proj @ w.matrix
-    return mat, incl_residual
+    w = one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis)
+    return w.matrix, incl_residual
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,8 @@ def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0)
     one that is not below its value 8 degrees earlier has stalled at
     round-off, and UnsafeDegree is raised there, as past degree _DEGREE_CAP.
     """
+    if order_cap < 0:
+        raise DimensionMismatch(f"order cap {order_cap} is negative")
     radius = max(_class_report(t).radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
     d_star, q = _adjoint_defect(t)

@@ -16,6 +16,8 @@ generator orbits and tensor quotient columns take their rows and indices
 from them.  Operators are CSR matrices carrying a degree window
 (lo, hi): they couple input degree k only to output degrees in
 [k+lo, k+hi], so exact (safe) domains under truncation are computable.
+Shifts and multiplication operators are assembled in one vectorized pass
+over all their terms, in a fixed entry order (term, source, block entry).
 """
 
 from __future__ import annotations
@@ -244,23 +246,22 @@ def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matr
     """CSR matrix of a sum of monomial maps tensored with coefficient blocks.
 
     Each term (target, c) sends monomial i to monomial target[i] (dropped
-    when beyond the truncation) with the (e_out, e_in) block c; all terms
-    go into one COO pass.
+    when beyond the truncation) with the (e_out, e_in) block c.  The terms
+    are stacked, their kept (term, source) pairs ranked in one call, and
+    the entries laid out term-major, then by source, then by nonzero (p, q).
     """
     e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
-    rows, cols, vals = [], [], []
-    for target, c in terms:
-        src = np.nonzero(target.sum(axis=1) <= basis_in.max_degree)[0]
-        dst = basis_in.rank(target[src])
-        p, q = np.nonzero(c)
-        rows.append((dst[:, None] * e_out + p).reshape(-1))
-        cols.append((src[:, None] * e_in + q).reshape(-1))
-        vals.append(np.broadcast_to(c[p, q], (src.size, p.size)).reshape(-1))
     shape = (basis_out.size, basis_in.size)
-    if not rows:
+    if not terms:
         return sp.csr_matrix(shape)
-    entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
-    return sp.csr_matrix(entries, shape=shape)
+    targets = np.stack([target for target, _ in terms])
+    blocks = np.stack([c for _, c in terms]).reshape(len(terms), -1)
+    term, src = np.nonzero(targets.sum(axis=2) <= basis_in.max_degree)
+    dst = basis_in.rank(targets[term, src])
+    pair, pq = np.nonzero((blocks != 0)[term])
+    rows = dst[pair] * e_out + pq // e_in
+    cols = src[pair] * e_in + pq % e_in
+    return sp.csr_matrix((blocks[term[pair], pq], (rows, cols)), shape=shape)
 
 
 def shift(k: int, basis: HardyBasis) -> HardyOperator:

@@ -32,13 +32,17 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Spectral norm; accepts dense arrays or scipy sparse matrices."""
+    """Spectral norm; accepts dense arrays or scipy sparse matrices.
+
+    The largest singular value from the same LAPACK call as
+    np.linalg.norm(a, 2), without its wrapper overhead.
+    """
     if hasattr(a, "toarray"):
         a = a.toarray()
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 No registered check reaches these, so they live with the tests and not in
 the package.  Each is the plain formula: dense projectors, the scalar
-Moebius map, a dense scan of an operator's degree window.
+Moebius map, a dense scan of an operator's degree window, the per-term
+assembly loop of a multiplication operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from hardymodel.errors import DimensionMismatch
-from hardymodel.hardy import HardyOperator, HardyVector
+from hardymodel.hardy import HardyBasis, HardyOperator, HardyVector
 from hardymodel.linops import Subspace, adjoint, operator_norm
 from hardymodel.submodules import QuotientHandle
 
@@ -57,3 +59,26 @@ def block(v: HardyVector, alpha) -> np.ndarray:
 def var_caps(handle: QuotientHandle) -> tuple:
     """Section degree of each leading variable."""
     return tuple(sec.shape[0] - 1 for sec in handle.sections)
+
+
+def assemble_per_term(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matrix:
+    """CSR matrix of a sum of monomial maps tensored with coefficient blocks.
+
+    Each term (target, c) sends monomial i to monomial target[i] (dropped
+    when beyond the truncation) with the (e_out, e_in) block c; all terms
+    go into one COO pass.
+    """
+    e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
+    rows, cols, vals = [], [], []
+    for target, c in terms:
+        src = np.nonzero(target.sum(axis=1) <= basis_in.max_degree)[0]
+        dst = basis_in.rank(target[src])
+        p, q = np.nonzero(c)
+        rows.append((dst[:, None] * e_out + p).reshape(-1))
+        cols.append((src[:, None] * e_in + q).reshape(-1))
+        vals.append(np.broadcast_to(c[p, q], (src.size, p.size)).reshape(-1))
+    shape = (basis_out.size, basis_in.size)
+    if not rows:
+        return sp.csr_matrix(shape)
+    entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
+    return sp.csr_matrix(entries, shape=shape)

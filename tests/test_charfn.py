@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hardymodel import charfn
 from hardymodel.charfn import (
@@ -19,6 +20,7 @@ from hardymodel.contraction import ContractionTuple, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
 from hardymodel.generators import controlled_contraction
+from hardymodel.hardy import enumerate_basis, one_variable_symbol
 from hardymodel.linops import adjoint, operator_norm, orthonormalize
 
 
@@ -187,6 +189,20 @@ class TestPolyTruncate:
         assert operator_norm(series - charfn_eval(cf, z)) <= tail + 1e-11
 
 
+    @pytest.mark.parametrize("seed", [1, 19, 25])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_coefficients_match_the_unhoisted_loop(self, seed, dim):
+        cf = charfn_build(controlled_contraction(np.random.default_rng(seed), dim, 0.55, 0.75))
+        coeffs, _ = poly_truncate(cf, 1e-10)
+        t, qi, qo = cf.t, cf.defect_in.basis, cf.defect_out.basis
+        want = [adjoint(qo) @ (-t) @ qi]
+        power = np.eye(dim, dtype=complex)
+        while len(want) < len(coeffs):
+            want.append(adjoint(qo) @ cf.d_out @ power @ cf.d_in @ qi)
+            power = adjoint(t) @ power
+        assert [c.tobytes() for c in coeffs] == [w.tobytes() for w in want]
+
+
 class TestProjectionIdentity:
     def test_scalar_zero(self):
         residual, cutoff = projection_identity_residual(np.array([[0.0]]), 10, 1e-8)
@@ -343,3 +359,34 @@ class TestModelProduct:
         _, cutoff, _, degrees, _, _ = _symbol_model(t, 11, 0.3)
         assert cutoff == 11 - max(components // 2, 1) * max(degrees) - 1 >= 0
         np.testing.assert_array_equal(product_rows(11, cutoff), product_rows(19, cutoff))
+
+
+def symbol_through_component_basis(cf, coeffs, k, model):
+    """The symbol built in the component's own defect coordinates, then
+    moved into the model's by the Kronecker inclusion I (x) incl*."""
+    n, d = model.tuple_.num_components, model.truncation_degree
+    w = one_variable_symbol(k, coeffs, enumerate_basis(n, d, cf.dim_in), enumerate_basis(n, d, cf.dim_out))
+    incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
+    proj = sp.kron(sp.identity(model.basis.num_monomials), sp.csr_matrix(adjoint(incl)), "csr")
+    return proj @ w.matrix
+
+
+class TestSymbolInModelCoordinates:
+    @pytest.mark.parametrize(
+        "t",
+        [
+            ContractionTuple((np.array([[0.5]]),)),
+            ContractionTuple((controlled_contraction(np.random.default_rng(4), 2, 0.55, 0.75),)),
+            tensor_tuple([controlled_contraction(np.random.default_rng(s), 2, 0.55, 0.75) for s in (5, 6)]),
+        ],
+        ids=["1x1", "2x2", "tensor-pair"],
+    )
+    def test_matches_the_kronecker_inclusion(self, t):
+        model = canonical_embedding(t, 20)
+        for k, comp in enumerate(t.components, start=1):
+            cf = charfn_build(comp)
+            coeffs, _ = poly_truncate(cf, 1e-3)
+            mat, _ = _component_symbol(cf, coeffs, k, model)
+            want = symbol_through_component_basis(cf, coeffs, k, model)
+            assert mat.shape == want.shape == (model.basis.size, model.basis.size // model.defect_dim * cf.dim_in)
+            assert abs(mat - want).max() <= 1e-15

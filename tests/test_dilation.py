@@ -133,6 +133,16 @@ class TestLibraryErrors:
             REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
         assert 2 <= len(degrees) <= 8
 
+    def test_negative_order_cap_in_the_search(self, monkeypatch):
+        # the certificate level d - order_cap would lie past the last Gram
+        # level; the search refuses before it builds any embedding
+        built = []
+        monkeypatch.setattr(dilation, "_embedding", lambda *args: built.append(args))
+        t = ContractionTuple((np.array([[0.5]]),))
+        with pytest.raises(DimensionMismatch, match="negative"):
+            embedding_for_tolerance(t, 1e-8, order_cap=-1)
+        assert built == []
+
     def test_degree_outside_the_truncation(self):
         # a negative degree must not read a Gram level from the end of the
         # list, and one above d must not leak numpy's IndexError

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import check_window, operator_adjoint, projector
+from _references import assemble_per_term, check_window, operator_adjoint, projector
 
 from hardymodel.contraction import mobius_series
 from hardymodel.errors import DegreeOverflow, DimensionMismatch, SizeOverflow
@@ -216,6 +216,61 @@ class TestAssemblyAgainstReference:
         ]
         want = _reference_matrix(b_in, b_out, terms)
         assert np.array_equal(mult_operator(symbol, b_in, b_out).dense(), want)
+
+
+def _assert_same_csr(got, want):
+    """Same shape, index arrays and data, bit for bit (dtype included)."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _bumped(b, k, step):
+    target = b.exponents.copy()
+    target[:, k - 1] = step(target[:, k - 1])
+    return target
+
+
+class TestAssemblyMatchesPerTermLoop:
+    """The one-pass assembly lays out indptr, indices and data exactly as
+    the per-term loop does: term-major, then source, then (p, q)."""
+
+    @pytest.mark.parametrize("n,d,e", [(1, 6, 1), (2, 5, 2), (3, 4, 1), (3, 3, 3)])
+    def test_shifts(self, n, d, e):
+        b = enumerate_basis(n, d, e)
+        for k in range(1, n + 1):
+            want = assemble_per_term(b, b, [(_bumped(b, k, lambda j: j + 1), np.eye(e))])
+            _assert_same_csr(shift(k, b).matrix, want)
+            parity = _bumped(b, k, lambda j: np.where(j % 2 == 0, j + 3, j - 1))
+            _assert_same_csr(parity_shift(k, b).matrix, assemble_per_term(b, b, [(parity, np.eye(e))]))
+
+    @pytest.mark.parametrize("n,d,e_in,e_out", [(1, 7, 1, 2), (2, 5, 2, 1), (2, 4, 3, 2), (3, 4, 2, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mult_operator(self, n, d, e_in, e_out, seed):
+        rng = np.random.default_rng([seed, n, d, e_in, e_out])
+        b_in, b_out = enumerate_basis(n, d, e_in), enumerate_basis(n, d, e_out)
+        exps = enumerate_basis(n, d, 1).exponents  # up to degree d: many targets are dropped
+        symbol = {}
+        for beta in exps[rng.choice(len(exps), size=min(6, len(exps)), replace=False)]:
+            c = rng.standard_normal((e_out, e_in)) + 1j * rng.standard_normal((e_out, e_in))
+            c[rng.random(c.shape) < 0.4] = 0.0  # zero block entries are not stored
+            symbol[tuple(int(x) for x in beta)] = c
+        terms = [(b_in.exponents + np.array(beta), c) for beta, c in symbol.items() if np.any(c)]
+        _assert_same_csr(mult_operator(symbol, b_in, b_out).matrix, assemble_per_term(b_in, b_out, terms))
+
+    def test_empty_symbol(self):
+        b_in, b_out = enumerate_basis(2, 3, 2), enumerate_basis(2, 3, 1)
+        want = assemble_per_term(b_in, b_out, [])
+        _assert_same_csr(mult_operator({}, b_in, b_out).matrix, want)
+        _assert_same_csr(mult_operator({(1, 0): np.zeros((1, 2))}, b_in, b_out).matrix, want)
+
+    def test_targets_beyond_the_truncation(self):
+        b = enumerate_basis(2, 3, 2)
+        c = np.array([[1.0, 0.0], [2.0, 3.0]])
+        want = assemble_per_term(b, b, [(b.exponents + np.array([3, 0]), c.astype(complex))])
+        assert want.nnz > 0  # only the constant monomial reaches degree 3
+        _assert_same_csr(mult_operator({(3, 0): c}, b).matrix, want)
 
 
 class TestCsrStorage:

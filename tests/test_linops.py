@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,3 +222,23 @@ class TestSubspaceDistance:
 def test_subspace_rejects_non_orthonormal():
     with pytest.raises(DimensionMismatch):
         Subspace(2, np.array([[1.0], [1.0]]))
+
+
+class TestOperatorNorm:
+    """operator_norm is numpy's spectral norm, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (7, 4), (40, 40)])
+    def test_dense_matches_numpy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for a in (rng.standard_normal(shape), random_complex(rng, *shape)):
+            assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+    def test_sparse_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        a = sp.random(30, 20, density=0.1, random_state=rng, format="csr") * (1 + 2j)
+        assert operator_norm(a) == float(np.linalg.norm(a.toarray(), 2))
+
+    def test_one_by_one_and_empty(self):
+        for a in (np.array([[-2.5 + 0.5j]]), np.zeros((0, 3)), np.zeros((4, 0), dtype=complex)):
+            assert operator_norm(a) == float(np.linalg.norm(a, 2))
+        assert operator_norm(sp.csr_matrix((4, 0))) == 0.0
