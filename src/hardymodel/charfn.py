@@ -13,10 +13,15 @@ The model space of a doubly commuting tuple is the joint range
 complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
 (the multivariable Beurling-Lax form of the Sz.-Nagy-Foias model).  One
 routine, _model_distance, verifies it for quotient_model_check and, as
-the one-component case, for projection_identity_residual.  It applies
-the factors to the unit columns of the safe rows S, one sparse symbol
-W_k at a time, so no N x N matrix and no QR is formed.  Each W_k is built
-directly in the model's adjoint-defect coordinates (_component_symbol).
+the one-component case, for projection_identity_residual.  Each sparse
+symbol W_k is built directly in the model's adjoint-defect coordinates
+(_component_symbol).  The factors are Hermitian, so the safe block of
+the product is Y* X for two sparse halves, each applied to the unit
+columns of the safe rows S (_half_product): no N x N or N x |S| dense
+matrix and no QR is formed.  The distance is linops.certified_norm of
+the |S| x |S| difference, an upper bound within round-off of its
+spectral norm (Lanczos and two Cholesky factorizations, plus the
+Frobenius norm of the skew part), not a dense SVD.
 """
 
 from __future__ import annotations
@@ -24,12 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree
 from .hardy import enumerate_basis, one_variable_symbol
-from .linops import Subspace, adjoint, apply_shifted_inverse, defect_range, operator_norm
+from .linops import (
+    Subspace,
+    adjoint,
+    apply_shifted_inverse,
+    certified_norm,
+    defect_range,
+    operator_norm,
+)
 
 __all__ = [
     "CharFn",
@@ -229,31 +242,59 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     return model, cutoff, [mat for mat, _ in symbols], tuple(degrees), tuple(tails), incl_worst
 
 
+def _half_product(symbols, sel: np.ndarray, size: int):
+    """F_j ... F_1 E_S as a sparse size x |S| matrix, for the symbols
+    W_1, ..., W_j (in that order) and F_k = I - W_k W_k*.  E_S only picks
+    columns, so F_1 E_S = E_S - W_1 W_1[S, :]*; each later factor
+    subtracts W (W* Y)."""
+    y = sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))), shape=(size, sel.size))
+    for i, w in enumerate(symbols):
+        y = y - w @ (w[sel].conj().T if i == 0 else w.conj().T @ y)
+    return y
+
+
 def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
     """||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols W_k
     and the normalized embedding U, on the safe rows S.
 
-    The product is applied to the unit columns E_S, cols -= W (W* cols)
-    for each k, at a cost of O(nnz(W) |S|).  On S it is exact for the
-    truncated symbols: a factor I - W_k W_k* moves only the degree in
-    variable k, by at most the symbol degree D either way.  A term that
-    starts and ends in S therefore has degree <= cutoff + min(j, K - j) D
-    after j of the K factors, and _symbol_model's cutoff
-    d - max(K // 2, 1) D - 1 keeps that <= d - 1: the degree-d
-    truncation drops nothing that reaches a row of S.  (For K <= 3 this
-    is the cutoff d - D - 1.)  What the distance does measure is the
-    dropped series: each factor differs from its untruncated form by
-    about 2 * tail, with tail <= tol / 10.
+    The factors F_k = I - W_k W_k* are Hermitian, so with j = K // 2
+    the safe block is P_SS = E_S* F_1 ... F_K E_S = Y* X for the halves
+    Y = F_j ... F_1 E_S and X = F_(j+1) ... F_K E_S (_half_product).  Both
+    halves and Y* X stay sparse; no N x |S| dense array is formed.  One
+    symbol gives P_SS = I - W_S W_S* from the dense |S| x N_in row block
+    W_S = W[S, :].
+
+    On S this is exact for the truncated symbols.  A factor moves only the
+    degree in its own variable, by at most the symbol degree D either way.
+    Y* X reads X only on rows of degree <= cutoff + j D, where Y can be
+    nonzero, and a term of a half that starts in S and ends on such a row
+    never climbs above cutoff + j D (a half has at most j + 1 factors, and
+    what a term climbs it must descend again).  _symbol_model's cutoff
+    d - max(K // 2, 1) D - 1 keeps that <= d - 1: the degree-d truncation
+    drops nothing that reaches Y* X.  (For K <= 3 this is the cutoff
+    d - D - 1.)  What the distance does measure is the dropped series:
+    each factor differs from its untruncated form by about 2 * tail, with
+    tail <= tol / 10.
+
+    The norm is linops.certified_norm: an upper bound within round-off of
+    the spectral norm.  The difference is Hermitian up to the truncation
+    (the factors commute on S), and the bound adds the Frobenius norm of
+    its skew part, which is at round-off here.
     """
     model, cutoff, symbols, degrees, tails, incl_worst = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
-    cols = np.zeros((model.basis.size, sel.size), dtype=complex)
-    cols[sel, np.arange(sel.size)] = 1.0
-    for w in symbols:
-        cols -= w @ (w.conj().T @ cols)
+    if len(symbols) == 1:
+        w_s = symbols[0][sel].toarray()
+        diff = -(w_s @ adjoint(w_s))
+        diff.flat[:: sel.size + 1] += 1.0
+    else:
+        j = len(symbols) // 2
+        y = _half_product(symbols[:j], sel, model.basis.size)
+        x = _half_product(symbols[j:][::-1], sel, model.basis.size)
+        diff = (y.conj().T @ x).toarray()
     u_s = model.normalized_embedding()[sel]
-    dist = operator_norm(cols[sel] - u_s @ adjoint(u_s))
-    return QuotientModelReport(dist, cutoff, degrees, tails, incl_worst, tol)
+    diff -= u_s @ adjoint(u_s)
+    return QuotientModelReport(certified_norm(diff), cutoff, degrees, tails, incl_worst, tol)
 
 
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:

@@ -296,7 +296,7 @@ def _parity_family(rng, p: GeneratorParams, tol: float):
     for k in range(1, n + 1):
         v = ops[k - 1]
         m = shift(k, b)
-        diff = v.compose(v).dense()[:, sel] - m.compose(m).dense()[:, sel]
+        diff = (v.compose(v).matrix - m.compose(m).matrix)[:, sel]
         yield _within(operator_norm(diff), tol, 0.0, d - 3)
         rep = hardy.is_inner_on_truncation(v, tol)
         yield CheckOutcome(rep.passed, rep.residual, 0.0, d - 3)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeOverflow, DimensionMismatch, SizeOverflow
-from .linops import Subspace, adjoint, operator_norm, orthonormalize
+from .linops import Subspace, operator_norm, orthonormalize
 
 __all__ = [
     "HardyBasis",
@@ -379,9 +379,8 @@ def is_inner_on_truncation(op: HardyOperator, tol: float, cutoff: int | None = N
     sel = np.nonzero(op.basis_in.degree_selector(c))[0]
     if sel.size == 0:
         return InnerReport(False, float("inf"), c, tol)
-    cols = op.matrix[:, sel].toarray()
-    gram = adjoint(cols) @ cols
-    residual = operator_norm(gram - np.eye(sel.size))
+    cols = op.matrix[:, sel]
+    residual = operator_norm(cols.conj().T @ cols - sp.identity(sel.size, format="csr"))
     return InnerReport(residual <= tol, float(residual), c, tol)
 
 

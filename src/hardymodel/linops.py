@@ -1,8 +1,17 @@
 """Dense complex linear algebra kernel.
 
-Adjoints, Hermitian PSD square roots, resolvent solves and deterministic
-orthonormalization.  All functions are pure; inputs are never mutated.
-Every defect range in the package is ranked by defect_range.
+Adjoints, spectral norms, Hermitian PSD square roots, resolvent solves and
+deterministic orthonormalization.  All functions are pure; inputs are
+never mutated.  Every defect range in the package is ranked by
+defect_range.
+
+operator_norm is the exact largest singular value (one LAPACK SVD); a
+sparse input with no nonzero value is 0.0 without being densified.
+certified_norm is an upper bound on the spectral norm of a large, nearly
+Hermitian matrix, within round-off of it: one Lanczos estimate of the
+Hermitian part's extreme eigenvalue, certified by two Cholesky
+factorizations, plus the Frobenius norm of the skew part.  It falls back
+to operator_norm whenever the certificate cannot be had.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 
@@ -18,6 +28,7 @@ __all__ = [
     "DEFECT_FLOOR",
     "Subspace",
     "adjoint",
+    "certified_norm",
     "defect_range",
     "hermitian_sqrt",
     "operator_norm",
@@ -38,11 +49,89 @@ def operator_norm(a) -> float:
     np.linalg.norm(a, 2), without its wrapper overhead.
     """
     if hasattr(a, "toarray"):
+        if a.count_nonzero() == 0:
+            return 0.0
         a = a.toarray()
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+#: smallest order certified_norm certifies.  Below it the SVD is cheaper
+#: than ARPACK's set-up and the two factorizations: on the quotient-model
+#: differences (BLAS on 1 thread) the certificate took 1.7x the SVD's time
+#: at n = 91 and 105, and 0.73x at n = 120
+_CERTIFY_MIN = 112
+
+
+def _lanczos_start(n: int) -> np.ndarray:
+    """The fixed, dense start vector of certified_norm's Lanczos run."""
+    return np.cos(np.arange(1, n + 1, dtype=float))
+
+
+def certified_norm(a: np.ndarray) -> float:
+    """Upper bound on ||a||_2 of a square dense matrix, within round-off of
+    it when a is nearly Hermitian.
+
+    a = H + K with H = (a + a*)/2 Hermitian and K = (a - a*)/2 skew, so
+    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One ARPACK Lanczos
+    run (eigsh, fixed start vector, so the result is deterministic) gives
+    the largest-magnitude eigenvalue lambda of H, and two Cholesky
+    factorizations certify ||H|| <= mu:
+
+    - They factor s I - H and s I + H with s = |lambda| (1 + 4 n eps).
+      Both are positive definite once s exceeds ||H||; the Ritz value is
+      exact to a few eps, and 4 n eps leaves the factorizations room to
+      succeed.
+    - If floating-point Cholesky of a Hermitian B of order n runs to
+      completion, then lambda_min(B) >= -g tr(B) with
+      g = gamma_{n+1} / (1 - gamma_{n+1}), gamma_k = k u / (1 - k u)
+      (Rump, BIT 46 (2006), after Demmel; Higham, Accuracy and Stability
+      of Numerical Algorithms, Thm 10.5).  g = 2 (n + 3) eps is at least
+      four times that, enough for complex arithmetic, and also covers the
+      rounding in forming H, K and s I -+ H.
+    - So both factorizations succeeding give ||H|| <= mu = s + g tr_max
+      with tr_max = n s + |tr H| >= tr(s I -+ H).  As |tr H| <= n ||H||,
+      mu <= |lambda| (1 + c n eps) with c about 4 (n + 4): the margin
+      grows like n^2 eps, the order of the worst-case Cholesky error, and
+      is at most 4e-10 relative at n = 666.
+
+    The result is mu + ||K||_F (1 + n eps); a zero H needs no certificate.
+    Below order _CERTIFY_MIN, when ARPACK does not converge, or when a
+    factorization fails (the Ritz value missed the extreme eigenvalue),
+    it is the exact operator_norm, so it never under-reports.  One n x n
+    buffer serves both factorizations.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if n < _CERTIFY_MIN:
+        return operator_norm(a)
+    eps = np.finfo(float).eps
+    skew = 0.5 * np.linalg.norm(a - adjoint(a)) * (1.0 + n * eps)
+    h = a + adjoint(a)
+    h *= 0.5
+    if not h.any():
+        return skew
+    try:
+        lam = scipy.sparse.linalg.eigsh(
+            h, k=1, which="LM", v0=_lanczos_start(n), return_eigenvectors=False
+        )[0]
+    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+        return operator_norm(a)
+    s = abs(float(lam)) * (1.0 + 4 * n * eps)
+    potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
+    buf = np.empty_like(h)
+    for sign in (-1.0, 1.0):
+        np.multiply(h, sign, out=buf)
+        buf.flat[:: n + 1] += s
+        # buf.T is Fortran-ordered and equals conj(s I -+ H): positive
+        # definite exactly when s I -+ H is; a zero or NaN pivot fails
+        if potrf(buf.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
+            return operator_norm(a)
+    g = 2 * (n + 3) * eps
+    mu = s + g * (n * s + abs(float(h.diagonal().real.sum())))
+    return mu + skew
 
 
 @dataclass(frozen=True)
@@ -66,8 +155,9 @@ class Subspace:
             )
         if self.dim > self.ambient_dim:
             raise DimensionMismatch("more basis vectors than ambient dimension")
-        gram = adjoint(self.basis) @ self.basis
-        if self.dim and operator_norm(gram - np.eye(self.dim)) > 1e-12:
+        # ||G - I||_F >= ||G - I||_2: the cheap norm accepts, the SVD decides
+        dev = adjoint(self.basis) @ self.basis - np.eye(self.dim)
+        if np.linalg.norm(dev) > 1e-12 and operator_norm(dev) > 1e-12:
             raise DimensionMismatch("basis columns are not orthonormal")
 
 

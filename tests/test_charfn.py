@@ -301,7 +301,7 @@ def dense_product_distance(t, d, tol):
         degrees.append(len(coeffs) - 1)
         w = _component_symbol(cf, coeffs, k, model)[0].toarray()
         prod = prod @ (np.eye(model.basis.size) - w @ adjoint(w))
-    cutoff = d - max(degrees) - 1
+    cutoff = d - max(len(degrees) // 2, 1) * max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     u = model.normalized_embedding()
     diff = prod - u @ adjoint(u)
@@ -331,6 +331,17 @@ class TestModelProduct:
             want, cutoff = dense_product_distance(t, d, 1e-6)
             assert rep.safe_cutoff == cutoff
             assert abs(rep.distance - want) <= 1e-13
+
+    @pytest.mark.parametrize("components, d", [(3, 8), (4, 7)])
+    def test_split_halves_match_dense_product_form(self, components, d):
+        # the halves F_1 E_S and F_3 F_2 E_S (three symbols) or F_2 F_1 E_S
+        # and F_3 F_4 E_S (four) against the N x N product F_1 ... F_K
+        t = tensor_tuple([np.array([[v]]) for v in (0.02, -0.015, 0.01j, 0.018)[:components]])
+        rep = quotient_model_check(t, d, 0.3)
+        want, cutoff = dense_product_distance(t, d, 0.3)
+        assert rep.safe_cutoff == cutoff
+        assert rep.distance > 1e-2  # the dropped symbol terms show
+        assert abs(rep.distance - want) <= 1e-13
 
     def test_foreign_embedding_fails(self, monkeypatch):
         # the embedding of a different contraction is not the model space

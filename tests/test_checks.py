@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardymodel import charfn, contraction, dilation, generators, hardy, linops, submodules
-from hardymodel.checks import REGISTRY, CheckOutcome, _fold, _within
+from hardymodel.checks import REGISTRY, CheckOutcome, GeneratorParams, _fold, _within
 from hardymodel.cli import main, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -117,6 +117,16 @@ class TestRegistry:
     def test_list_checks_output(self, capsys):
         assert main(["list-checks"]) == 0
         assert capsys.readouterr().out == LIST_CHECKS
+
+
+def test_parity_family_three_variables_is_exact():
+    # the square identity and the isometry Gram are sparse 0/1 products;
+    # their differences have no nonzero entry, so the residual is exactly 0
+    p = GeneratorParams.from_dict({"num_vars": 3, "truncation_degree": 20, "coeff_dim": 1})
+    out = REGISTRY["parity-family"].run(np.random.default_rng(1), p, 1e-12)
+    assert out.passed
+    assert out.residual == 0.0
+    assert out.safe_cutoff == 17
 
 
 #: safe_cutoff of each check of each bundled scenario, in declared order

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from _references import projector, subspace_distance
 
+from hardymodel import linops
 from hardymodel.contraction import defect
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 from hardymodel.linops import (
+    _CERTIFY_MIN,
     DEFECT_FLOOR,
     Subspace,
     adjoint,
+    certified_norm,
     defect_range,
     hermitian_sqrt,
     operator_norm,
@@ -224,6 +227,19 @@ def test_subspace_rejects_non_orthonormal():
         Subspace(2, np.array([[1.0], [1.0]]))
 
 
+@pytest.mark.parametrize("dev, ok", [(0.4e-12, True), (0.8e-12, True), (2e-12, False)])
+def test_subspace_recheck_decides_on_the_spectral_norm(dev, ok):
+    # G - I = dev I_4 up to round-off: ||.||_2 = dev, ||.||_F = 2 dev.
+    # 0.8e-12 passes the spectral test only; the Frobenius pre-test must not
+    # reject it, and 2e-12 must still be rejected
+    basis = np.eye(4) * np.sqrt(1 + dev)
+    if ok:
+        assert Subspace(4, basis).dim == 4
+    else:
+        with pytest.raises(DimensionMismatch):
+            Subspace(4, basis)
+
+
 class TestOperatorNorm:
     """operator_norm is numpy's spectral norm, bit for bit."""
 
@@ -242,3 +258,93 @@ class TestOperatorNorm:
         for a in (np.array([[-2.5 + 0.5j]]), np.zeros((0, 3)), np.zeros((4, 0), dtype=complex)):
             assert operator_norm(a) == float(np.linalg.norm(a, 2))
         assert operator_norm(sp.csr_matrix((4, 0))) == 0.0
+
+    def test_all_zero_sparse_is_not_densified(self):
+        class NoDense(sp.csr_matrix):
+            def toarray(self, *args, **kwargs):
+                raise AssertionError("densified")
+
+        explicit_zeros = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
+        for a in (sp.csr_matrix((500, 400), dtype=complex), explicit_zeros):
+            assert operator_norm(NoDense(a)) == 0.0
+        with pytest.raises(AssertionError, match="densified"):
+            operator_norm(NoDense(sp.identity(3, format="csr")))
+
+
+def nearly_hermitian(rng, n, skew, low_rank):
+    """A Hermitian matrix (random, or rank 3 plus 1e-9 noise) plus skew
+    times a random skew-Hermitian one."""
+    if low_rank:
+        u = random_complex(rng, n, 3)
+        h = u @ adjoint(u) / n + 1e-9 * random_complex(rng, n, n)
+    else:
+        h = random_complex(rng, n, n)
+    h = (h + adjoint(h)) / 2
+    k = random_complex(rng, n, n)
+    return h + skew * (k - adjoint(k)) / 2
+
+
+class TestCertifiedNorm:
+    """certified_norm is an upper bound on the spectral norm, within
+    round-off of it for a nearly Hermitian matrix."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 2 * _CERTIFY_MIN),
+        skew=st.sampled_from([0.0, 1e-14, 1e-8]),
+        low_rank=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_brackets_the_svd(self, seed, n, skew, low_rank):
+        a = nearly_hermitian(np.random.default_rng(seed), n, skew, low_rank)
+        exact = operator_norm(a)
+        skew_f = np.linalg.norm(a - adjoint(a)) / 2
+        eps = np.finfo(float).eps
+        margin = 8 * n * (n + 4) * eps * exact + n * eps * skew_f
+        got = certified_norm(a)
+        assert exact - 1e-15 * exact <= got <= exact + skew_f + margin
+
+    def test_skew_part_is_counted(self):
+        # a = 0.01 H + K: ||a|| is carried by the skew part, which the
+        # Hermitian certificate alone would miss
+        rng = np.random.default_rng(2)
+        n = 2 * _CERTIFY_MIN
+        h, k = nearly_hermitian(rng, n, 0.0, True), random_complex(rng, n, n)
+        a = 0.01 * h + (k - adjoint(k)) / 2
+        exact = operator_norm(a)
+        assert exact <= certified_norm(a) <= np.linalg.norm(a - adjoint(a)) / 2 + 0.011 * operator_norm(h)
+
+    @pytest.mark.parametrize("hidden", [1.5, -1.5])
+    def test_missed_top_eigenvalue_falls_back_to_the_svd(self, monkeypatch, hidden):
+        # a start vector that vanishes on the last two coordinates keeps the
+        # Lanczos run exactly inside the first block, so the Ritz value is
+        # that block's (about 1) and misses the hidden eigenvalue; one
+        # Cholesky factorization then fails and the SVD decides
+        n = _CERTIFY_MIN
+        start = np.cos(np.arange(1, n + 1, dtype=float))
+        start[-2:] = 0.0
+        monkeypatch.setattr(linops, "_lanczos_start", lambda m: start[:m])
+        rng = np.random.default_rng(5)
+        a = np.zeros((n, n), dtype=complex)
+        a[:-2, :-2] = nearly_hermitian(rng, n - 2, 0.0, False)
+        a[:-2, :-2] /= operator_norm(a[:-2, :-2])
+        a[-2:, -2:] = hidden * np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        assert abs(np.linalg.eigvalsh(a)).max() == pytest.approx(abs(hidden))
+        assert certified_norm(a) == operator_norm(a)
+
+    @pytest.mark.parametrize("n", [0, 1, _CERTIFY_MIN - 1, _CERTIFY_MIN])
+    def test_zero_matrix(self, n):
+        assert certified_norm(np.zeros((n, n), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, _CERTIFY_MIN - 1])
+    def test_below_the_size_constant_is_the_svd(self, n):
+        a = nearly_hermitian(np.random.default_rng(n), n, 1e-8, False)
+        assert certified_norm(a) == operator_norm(a)
+
+    def test_at_the_size_constant_is_certified(self):
+        n = _CERTIFY_MIN
+        a = nearly_hermitian(np.random.default_rng(n), n, 0.0, True)
+        exact = operator_norm(a)
+        got = certified_norm(a)
+        # the certificate's margin is above the SVD's last bit, below n^2 eps
+        assert exact < got <= exact * (1 + 8 * n * (n + 4) * np.finfo(float).eps)
