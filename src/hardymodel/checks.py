@@ -121,7 +121,7 @@ def _within(residual: float, tol: float, tail: float = 0.0, cutoff: int = -1) ->
 
 
 def _select_degree(t: contraction.ContractionTuple, target: float, cap: int) -> int:
-    radius = max(validate_tuple(t).radius_estimates)
+    radius = max(contraction.spectral_radius_bound(c) for c in t.components)
     return min(dilation.choose_truncation_degree(radius, t.space_dim, target), cap)
 
 

@@ -15,7 +15,9 @@ degree, and every verdict on it, minimality included, reads the rows it
 already has.  Compressions of truncated shift powers through the
 embedding reduce to cumulative defect-orbit Gram sums, which is how the
 verifier computes them; the identity is exercised against explicit
-Hardy-side matrices in the test suite.
+Hardy-side matrices in the test suite.  A Moebius map phi_a(S_k) of a
+truncated shift is the multiplier of the degree-d series of phi_a(zeta_k),
+exactly: S_k is nilpotent and S_k^j is the multiplier of zeta_k^j.
 """
 
 from __future__ import annotations
@@ -25,25 +27,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .contraction import (
     ContractionTuple,
     MoebiusPoint,
     joint_defect,
+    mobius_series,
     mobius_tuple,
     validate_tuple,
 )
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
 from .hardy import (
     HardyBasis,
-    HardyOperator,
     HardyVector,
     _graded_lex_exponents,
     _graded_lex_rank,
     enumerate_basis,
-    shift,
+    one_variable_symbol,
 )
 from .linops import Subspace, adjoint, defect_range, operator_norm
 
@@ -247,14 +247,14 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
 
 
 def _disjoint_power_pairs(n: int, cap: int):
-    """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
+    """Index pairs (i, j) into _graded_lex_exponents(n, cap) of the
+    exponents alpha_i, beta_j with disjoint supports and
+    |alpha_i| + |beta_j| <= cap, (0, 0) included."""
     exps = _graded_lex_exponents(n, cap)
     deg = exps.sum(axis=1)
     support = exps > 0
     ok = (deg[:, None] + deg[None, :] <= cap) & ~(support @ support.T)
-    ok[0, 0] = False
-    alpha, beta = np.nonzero(ok)
-    return zip(exps[alpha], exps[beta])
+    return zip(*np.nonzero(ok))
 
 
 @dataclass(frozen=True)
@@ -295,26 +295,23 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     if order_cap > d:
         raise UnsafeDegree(f"order cap {order_cap} exceeds truncation degree {d}")
     t = model.tuple_
-    n = t.num_components
+    exps = _graded_lex_exponents(t.num_components, order_cap)
+    degrees = exps.sum(axis=1)
+    powers = [t.power(gamma) for gamma in exps]
     s = _inv_sqrt_psd(model.gram_levels[-1])
-    res_dil = 0.0
-    # dilation property over all |alpha| <= order_cap
-    for alpha in _graded_lex_exponents(n, order_cap):
-        ta = t.power(alpha)
-        g = model.gram_levels[d - int(alpha.sum())]
-        val = s @ (ta @ g) @ s
-        res_dil = max(res_dil, operator_norm(val - ta))
-    # regularity over disjoint pairs
-    res_reg = 0.0
-    for alpha, beta in _disjoint_power_pairs(n, order_cap):
-        level = d - int(alpha.sum()) - int(beta.sum())
-        g = model.gram_levels[level]
-        val = s @ (t.power(beta) @ g @ adjoint(t.power(alpha))) @ s
-        want = adjoint(t.power(alpha)) @ t.power(beta)
-        res_reg = max(res_reg, operator_norm(val - want))
+    # one pass over the disjoint pairs: those with alpha = 0 are the
+    # dilation property, and regularity takes every pair but (0, 0)
+    res_dil = res_reg = 0.0
+    for i, j in _disjoint_power_pairs(t.num_components, order_cap):
+        g = model.gram_levels[d - degrees[i] - degrees[j]]
+        val = s @ (powers[j] @ g @ adjoint(powers[i])) @ s
+        res = operator_norm(val - adjoint(powers[i]) @ powers[j])
+        if i == 0:
+            res_dil = max(res_dil, res)
+        if i or j:
+            res_reg = max(res_reg, res)
     # minimality proxy: shifted embeddings span the whole safe section
-    c = min(order_cap, d)
-    rank, expected = _minimality_rank(model, c, s)
+    rank, expected = _minimality_rank(model, order_cap, s)
     tail = operator_norm(model.gram_levels[d - order_cap] - np.eye(model.space_dim))
     return DilationReport(
         res_dil,
@@ -459,46 +456,29 @@ def _max_degree(v: HardyVector) -> int:
     return int(v.basis.flat_degrees()[nz].max())
 
 
-class _MobiusShift:
-    """phi_a of a truncated coordinate shift, applied through sparse solves."""
-
-    def __init__(self, op: HardyOperator, a: complex):
-        self.a = complex(a)
-        self.m = op.matrix.tocsc()
-        self.madj = op.matrix.conj().T.tocsc()
-        n = op.matrix.shape[0]
-        eye = sp.identity(n, format="csc", dtype=complex)
-        self._solve = spla.factorized(eye - np.conj(self.a) * self.m)
-        self._solve_adj = spla.factorized(eye - self.a * self.madj)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        u = self._solve(v)
-        return self.a * u - self.m @ u
-
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return self._solve_adj(np.conj(self.a) * v - self.madj @ v)
-
-
 def defect_transfer_check(
     model: DilationModel, lam: MoebiusPoint, x: np.ndarray
 ) -> tuple[float, float, float]:
     """Adjoint defect norm computed directly and through the model.
 
-    Returns (direct, via_model, reported_bound).  The bound combines the
-    embedding tail at a split degree c with the Neumann truncation of the
-    Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3 per coordinate, minimized
-    over a few split degrees.
+    Returns (direct, via_model, reported_bound).  The model side applies
+    each phi_a(S_k) as the multiplier of the series of phi_a(zeta_k).  The
+    bound combines the embedding tail at a split degree c with the
+    Neumann truncation of the Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3
+    per coordinate, minimized over a few split degrees.
     """
     t = model.tuple_
     x = np.asarray(x, dtype=complex).reshape(-1)
     direct = float(np.linalg.norm(joint_defect(mobius_tuple(t, lam).adjoint()) @ x))
     y = model.embed(x).coefficients
     v = y.copy()
-    for k in range(1, t.num_components + 1):
-        w = _MobiusShift(shift(k, model.basis), lam.coord(k - 1))
-        v = v - w.apply(w.apply_adjoint(v))
-    via_model = float(np.sqrt(max(np.vdot(v, y).real, 0.0)))
     d = model.truncation_degree
+    eye = np.eye(model.defect_dim)
+    for k in range(1, t.num_components + 1):
+        series = mobius_series(lam.coord(k - 1), d)
+        w = one_variable_symbol(k, [c * eye for c in series], model.basis).matrix
+        v = v - w @ (w.conj().T @ v)
+    via_model = float(np.sqrt(max(np.vdot(v, y).real, 0.0)))
     xnorm = float(np.linalg.norm(x))
     best = np.inf
     for c in {d // 2, (2 * d) // 3, (3 * d) // 4, max(d - 5, 0)}:

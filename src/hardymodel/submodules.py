@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
-from .contraction import BlaschkeProduct, _commutator_norms, mobius
+from .contraction import BlaschkeProduct, _commutator_norms
 from .errors import (
     AmbiguousWandering,
     DegreeOverflow,
@@ -37,7 +38,7 @@ from .hardy import (
     one_variable_symbol,
     shift,
 )
-from .linops import Subspace, adjoint, operator_norm, orthonormalize
+from .linops import Subspace, adjoint, orthonormalize
 
 __all__ = [
     "CommutationReport",
@@ -383,12 +384,10 @@ def compression_double_commutation(handle: QuotientHandle, tol: float) -> Commut
 
 
 def _column_degrees(handle: QuotientHandle) -> np.ndarray:
-    degs = handle.basis.flat_degrees()
-    out = []
-    for j in range(handle.dim):
-        nz = np.abs(handle.space.basis[:, j]) > 1e-13
-        out.append(int(degs[nz].max()) if nz.any() else 0)
-    return np.array(out)
+    """Highest degree each handle column reaches (entries above 1e-13); 0
+    for a zero column."""
+    nz = np.abs(handle.space.basis) > 1e-13
+    return np.where(nz, handle.basis.flat_degrees()[:, None], 0).max(axis=0, initial=0)
 
 
 def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
@@ -397,7 +396,9 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
 
     For each listed variable k with symbol f_k and mu_k = f_k(lam_k), the
     factor I - phi_{mu_k}(M_k) phi_{mu_k}(M_k)* should fix the truncated
-    kernel at lam.  Returns (residual, tail_bound).
+    kernel at lam.  phi_{mu_k}(M_k) is the truncated multiplier of the
+    degree-d series of (mu_k - f_k)/(1 - conj(mu_k) f_k): truncated
+    multipliers form an algebra.  Returns (residual, tail_bound).
     """
     if basis.coeff_dim != 1:
         raise DimensionMismatch("kernel mechanism is scalar-valued")
@@ -411,18 +412,15 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     for k, eta in enumerate(symbols, start=1):
         lam_k = coords[k - 1] if k - 1 < coords.size else 0.0j
         mu = complex(eta(lam_k))
-        op = one_variable_symbol(k, eta.coefficients(d), basis)
-        mat = np.asarray(op.dense())
-        nrm = operator_norm(mat)
-        if nrm > 1.0 + 1e-6:
-            raise UnsafeDegree("truncated multiplier is not a contraction")
-        if nrm > 1.0:
-            mat = mat / nrm  # series truncation can overshoot by its tail
-            tail = max(tail, nrm - 1.0)
         if abs(mu) >= 1.0:
             raise DimensionMismatch("symbol value lies on the boundary")
-        w = mobius(mat, mu)
-        v = v - w @ (adjoint(w) @ v)
+        f = eta.coefficients(d)
+        eye = np.eye(d + 1)
+        # the series division is a lower-triangular Toeplitz solve
+        den = eye - np.conj(mu) * scipy.linalg.toeplitz(f, np.zeros(d + 1))
+        series = scipy.linalg.solve_triangular(den, mu * eye[0] - f, lower=True)
+        w = one_variable_symbol(k, series, basis).matrix
+        v = v - w @ (w.conj().T @ v)
         tail = max(tail, abs(lam_k) ** max(d - eta.degree, 0))
     residual = float(np.linalg.norm(v - kv))
     return residual, float(tail)

@@ -3,7 +3,8 @@
 No registered check reaches these, so they live with the tests and not in
 the package.  Each is the plain formula: dense projectors, the scalar
 Moebius map, a dense scan of an operator's degree window, the per-term
-assembly loop of a multiplication operator.
+assembly loop of a multiplication operator, the two-loop dilation and
+regularity residuals, the per-column degree loop.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from hardymodel.dilation import DilationModel, _inv_sqrt_psd
 from hardymodel.errors import DimensionMismatch
-from hardymodel.hardy import HardyBasis, HardyOperator, HardyVector
+from hardymodel.hardy import HardyBasis, HardyOperator, HardyVector, _graded_lex_exponents
 from hardymodel.linops import Subspace, adjoint, operator_norm
 from hardymodel.submodules import QuotientHandle
 
@@ -56,6 +58,17 @@ def block(v: HardyVector, alpha) -> np.ndarray:
     return v.coefficients[i * e : (i + 1) * e]
 
 
+def column_degrees(handle: QuotientHandle) -> np.ndarray:
+    """Highest degree each handle column reaches (entries above 1e-13); 0
+    for a zero column."""
+    degs = handle.basis.flat_degrees()
+    out = []
+    for j in range(handle.dim):
+        nz = np.abs(handle.space.basis[:, j]) > 1e-13
+        out.append(int(degs[nz].max()) if nz.any() else 0)
+    return np.array(out)
+
+
 def var_caps(handle: QuotientHandle) -> tuple:
     """Section degree of each leading variable."""
     return tuple(sec.shape[0] - 1 for sec in handle.sections)
@@ -82,3 +95,40 @@ def assemble_per_term(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.
         return sp.csr_matrix(shape)
     entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
     return sp.csr_matrix(entries, shape=shape)
+
+
+def disjoint_exponent_pairs(n: int, cap: int):
+    """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
+    exps = _graded_lex_exponents(n, cap)
+    deg = exps.sum(axis=1)
+    support = exps > 0
+    ok = (deg[:, None] + deg[None, :] <= cap) & ~(support @ support.T)
+    ok[0, 0] = False
+    alpha, beta = np.nonzero(ok)
+    return zip(exps[alpha], exps[beta])
+
+
+def dilation_residuals(model: DilationModel, order_cap: int) -> tuple[float, float]:
+    """verify_dilation's (residual_dilation, residual_regularity) by two
+    loops: the dilation property over every |alpha| <= order_cap, then
+    regularity over the disjointly supported pairs other than (0, 0)."""
+    d = model.truncation_degree
+    t = model.tuple_
+    n = t.num_components
+    s = _inv_sqrt_psd(model.gram_levels[-1])
+    res_dil = 0.0
+    # dilation property over all |alpha| <= order_cap
+    for alpha in _graded_lex_exponents(n, order_cap):
+        ta = t.power(alpha)
+        g = model.gram_levels[d - int(alpha.sum())]
+        val = s @ (ta @ g) @ s
+        res_dil = max(res_dil, operator_norm(val - ta))
+    # regularity over disjoint pairs
+    res_reg = 0.0
+    for alpha, beta in disjoint_exponent_pairs(n, order_cap):
+        level = d - int(alpha.sum()) - int(beta.sum())
+        g = model.gram_levels[level]
+        val = s @ (t.power(beta) @ g @ adjoint(t.power(alpha))) @ s
+        want = adjoint(t.power(alpha)) @ t.power(beta)
+        res_reg = max(res_reg, operator_norm(val - want))
+    return res_dil, res_reg

@@ -6,11 +6,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import block
+from _references import block, dilation_residuals
 
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams
-from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, tensor_tuple, validate_tuple
+from hardymodel.contraction import (
+    ContractionTuple,
+    MoebiusPoint,
+    joint_defect,
+    mobius,
+    tensor_tuple,
+    validate_tuple,
+)
 from hardymodel.dilation import (
     _disjoint_power_pairs,
     _level_plan,
@@ -27,7 +34,7 @@ from hardymodel.dilation import (
     verify_dilation,
 )
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
-from hardymodel.generators import tuple_ensemble
+from hardymodel.generators import _PATTERNS, tuple_ensemble
 from hardymodel.hardy import HardyVector, enumerate_basis, monomial_vector, parity_shift, shift
 from hardymodel.linops import adjoint, operator_norm
 
@@ -322,13 +329,27 @@ def test_disjoint_power_pairs_match_double_loop():
     for n, cap in ((1, 3), (2, 4), (3, 3)):
         exps = enumerate_basis(n, cap, 1).exponents
         want = {
-            (tuple(a), tuple(b))
-            for a in exps
-            for b in exps
-            if 0 < a.sum() + b.sum() <= cap and not np.any((a > 0) & (b > 0))
+            (i, j)
+            for i, a in enumerate(exps)
+            for j, b in enumerate(exps)
+            if a.sum() + b.sum() <= cap and not np.any((a > 0) & (b > 0))
         }
-        got = [(tuple(a), tuple(b)) for a, b in _disjoint_power_pairs(n, cap)]
+        got = [(int(i), int(j)) for i, j in _disjoint_power_pairs(n, cap)]
         assert len(got) == len(set(got)) and set(got) == want
+        assert (0, 0) in got
+
+
+def test_single_pass_residuals_match_two_loops():
+    # one ensemble cycles every factor pattern; each model is checked at
+    # every order cap up to the one it was built for
+    rng = np.random.default_rng(11)
+    for t in tuple_ensemble(rng, len(_PATTERNS), 0.7, 0.8):
+        model = embedding_for_tolerance(t, 1e-9, order_cap=4)
+        for order_cap in range(5):
+            rep = verify_dilation(model, order_cap, 1e-8)
+            assert (rep.residual_dilation, rep.residual_regularity) == dilation_residuals(
+                model, order_cap
+            )
 
 
 class TestVerifyDilation:
@@ -495,6 +516,25 @@ class TestDefectTransfer:
         direct, via_model, bound = defect_transfer_check(model, MoebiusPoint(()), np.array([1.0]))
         assert abs(direct - np.sqrt(3.0) / 2.0) <= 1e-12
         assert abs(direct - via_model) <= min(bound, 1e-8)
+
+    @pytest.mark.parametrize("dims, d", [((3,), 30), ((2, 2), 14)])
+    @pytest.mark.parametrize("radius", [0.0, 0.9])
+    def test_via_model_matches_dense_mobius(self, dims, d, radius):
+        # phi_a(S_k) as a multiplier against (a I - S)(I - conj(a) S)^(-1) on
+        # the dense truncated shift
+        rng = np.random.default_rng(5)
+        t = tensor_tuple([controlled_contraction(rng, m, 0.5) for m in dims])
+        model = canonical_embedding(t, d)
+        assert model.defect_dim >= 2
+        lam = MoebiusPoint(tuple(radius * np.exp(1j * (0.7 + k)) for k in range(len(dims))))
+        x = rng.standard_normal(t.space_dim) + 1j * rng.standard_normal(t.space_dim)
+        _, via_model, _ = defect_transfer_check(model, lam, x)
+        y = model.embed(x).coefficients
+        v = y.copy()
+        for k in range(1, len(dims) + 1):
+            w = mobius(shift(k, model.basis).dense(), lam.coord(k - 1))
+            v = v - w @ (adjoint(w) @ v)
+        assert abs(via_model - np.sqrt(max(np.vdot(v, y).real, 0.0))) <= 1e-12
 
 
 def test_choose_truncation_degree():

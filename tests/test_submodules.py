@@ -1,17 +1,19 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 
-from _references import mobius_scalar, projector, subspace_distance, var_caps
+from _references import column_degrees, mobius_scalar, projector, subspace_distance, var_caps
 
 from hardymodel import submodules
 from hardymodel.checks import REGISTRY, GeneratorParams
-from hardymodel.contraction import BlaschkeProduct
+from hardymodel.contraction import BlaschkeProduct, mobius
 from hardymodel.errors import AmbiguousWandering, DegreeOverflow, DimensionMismatch, NotInner
 from hardymodel.hardy import (
     HardyVector,
     enumerate_basis,
+    kernel_vector,
     monomial_vector,
     one_variable_symbol,
     parity_shift,
@@ -394,6 +396,21 @@ class TestCompressionDoubleCommutation:
         assert rep.max_cross_commutator <= 1e-10
         assert rep.passed
 
+    def test_column_degrees_match_loop(self):
+        b = enumerate_basis(2, 12, 1)
+        tensor = quotient_tensor_build([Z2, phi(0.4)], b)
+        full = _complement_handle(
+            submodule_from_inner(one_variable_symbol(1, [0.0], b), 1.0, input_cutoff=5)
+        )
+        # a zero column and a column below the 1e-13 floor both read degree 0
+        tiny = np.zeros((b.size, 2), dtype=complex)
+        tiny[-1, 1] = 1e-14
+        cols = np.hstack([tensor.space.basis, tiny])
+        padded = types.SimpleNamespace(basis=b, space=types.SimpleNamespace(basis=cols), dim=cols.shape[1])
+        for handle in (tensor, full, padded):
+            np.testing.assert_array_equal(submodules._column_degrees(handle), column_degrees(handle))
+        assert list(submodules._column_degrees(padded)[-2:]) == [0, 0]
+
     def test_difference_generator_fails(self):
         b = enumerate_basis(2, 6, 1)
         g = monomial_vector(b, (1, 0)).coefficients - monomial_vector(b, (0, 1)).coefficients
@@ -425,6 +442,29 @@ class TestKernelFixedPoint:
         assert abs(mu - mobius_scalar(0.3, 0.5)) <= 1e-15
         residual, tail = kernel_fixed_point_residual([eta], (0.5,), b)
         assert residual <= 10 * tail + 1e-10
+
+    def test_matches_dense_mobius(self):
+        # the multiplier of the composed series against phi_mu applied to the
+        # dense truncated multiplier, the formula it replaces
+        b = enumerate_basis(2, 20, 1)
+        symbols = [BlaschkeProduct(1.0, (0.3, -0.2j)), BlaschkeProduct(1.0, (0.5,))]
+        lam = (0.4, -0.3)
+        residual, tail = kernel_fixed_point_residual(symbols, lam, b)
+        kv = kernel_vector(lam, b).coefficients
+        v = kv.copy()
+        for k, eta in enumerate(symbols, start=1):
+            mat = one_variable_symbol(k, eta.coefficients(20), b).dense()
+            assert operator_norm(mat) <= 1.0 + 1e-12
+            w = mobius(mat, eta(lam[k - 1]))
+            v = v - w @ (adjoint(w) @ v)
+        assert abs(residual - np.linalg.norm(v - kv)) <= 1e-14
+        assert abs(residual - 1.0179e-09) <= 1e-12
+        assert abs(tail - 6.87e-08) <= 1e-10
+
+    def test_boundary_value_raises(self):
+        b = enumerate_basis(1, 8, 1)
+        with pytest.raises(DimensionMismatch):
+            kernel_fixed_point_residual([BlaschkeProduct(-1.0, ())], (0.5,), b)
 
 
 class TestProjectorProduct:
