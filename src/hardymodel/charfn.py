@@ -66,7 +66,6 @@ class CharFn:
     d_out: np.ndarray
     defect_in: Subspace
     defect_out: Subspace
-    radius_estimate: float
 
     @property
     def dim_in(self) -> int:
@@ -90,7 +89,7 @@ def charfn_build(t: np.ndarray) -> CharFn:
     radius = spectral_radius_bound(t)
     if radius >= 1.0 and (q_in.dim or q_out.dim):
         raise NotInClass(f"spectral radius estimate {radius:.6f} is not below 1")
-    return CharFn(t, d_in, d_out, q_in, q_out, radius)
+    return CharFn(t, d_in, d_out, q_in, q_out)
 
 
 def charfn_eval(cf: CharFn, z: complex) -> np.ndarray:
@@ -188,24 +187,19 @@ def poly_truncate(cf: CharFn, tol: float):
 
 
 def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
-    """Truncated M_theta~ of one component with output basis model.basis:
-    its coefficients are incl* theta_j, incl the inclusion of the joint
-    adjoint defect space into this component's.  Returns (CSR matrix,
-    inclusion residual)."""
+    """Truncated M_theta~ of one component with output basis model.basis,
+    as a CSR matrix: its coefficients are incl* theta_j, incl the
+    inclusion of the joint adjoint defect space into this component's."""
     basis_in = enumerate_basis(model.tuple_.num_components, model.truncation_degree, cf.dim_in)
     incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
-    incl_residual = operator_norm(adjoint(incl) @ incl - np.eye(model.defect_dim))
-    w = one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis)
-    return w.matrix, incl_residual
+    return one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis).matrix
 
 
 @dataclass(frozen=True)
 class QuotientModelReport:
     distance: float
     safe_cutoff: int
-    symbol_degrees: tuple
     symbol_tails: tuple
-    inclusion_residual: float
     tol: float
 
     @property
@@ -221,7 +215,7 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     K such symbols of degree <= D the safe cutoff is
     d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
     UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
-    tails, worst inclusion residual).
+    tails).
     """
     model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
     prepared, degrees, tails = [], [], []  # prepared: (component index, charfn, coefficients)
@@ -238,8 +232,7 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     if cutoff < 0:
         raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max_deg}")
     symbols = [_component_symbol(cf, coeffs, k, model) for k, cf, coeffs in prepared]
-    incl_worst = max((res for _, res in symbols), default=0.0)
-    return model, cutoff, [mat for mat, _ in symbols], tuple(degrees), tuple(tails), incl_worst
+    return model, cutoff, symbols, tuple(degrees), tuple(tails)
 
 
 def _half_product(symbols, sel: np.ndarray, size: int):
@@ -281,7 +274,7 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     (the factors commute on S), and the bound adds the Frobenius norm of
     its skew part, which is at round-off here.
     """
-    model, cutoff, symbols, degrees, tails, incl_worst = _symbol_model(t, d, tol)
+    model, cutoff, symbols, _, tails = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     if len(symbols) == 1:
         w_s = symbols[0][sel].toarray()
@@ -294,7 +287,7 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
         diff = (y.conj().T @ x).toarray()
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)
-    return QuotientModelReport(certified_norm(diff), cutoff, degrees, tails, incl_worst, tol)
+    return QuotientModelReport(certified_norm(diff), cutoff, tails, tol)
 
 
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:

@@ -190,9 +190,10 @@ def _defect_transfer(rng, p: GeneratorParams, tol: float):
         d = max(_select_degree(t, 1e-10, p.truncation_degree * 4), 20)
         model = dilation.canonical_embedding(t, d)
         lam = random_moebius_point(rng, t.num_components)
-        for x in random_probes(rng, t.space_dim, p.probes).T:
-            direct, via_model, bound = dilation.defect_transfer_check(model, lam, x)
-            yield _within(abs(direct - via_model), bound, bound)
+        probes = random_probes(rng, t.space_dim, p.probes)
+        direct, via_model, bound = dilation.defect_transfer_check(model, lam, probes)
+        for gap, b in zip(np.abs(direct - via_model), bound):
+            yield _within(float(gap), float(b), float(b))
 
 
 @_check("defect-span", "matrix", 1e-9, "Moebius-shifted adjoint defects span the space over a grid")

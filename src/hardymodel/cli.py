@@ -103,13 +103,10 @@ def load_scenario(path) -> Scenario:
     return Scenario(name, seed, regime, generator, tuple(checks), default_tol)
 
 
-def run_scenario(path_or_scenario) -> dict:
-    """Execute a scenario's checks in declared order; deterministic report."""
-    scenario = (
-        path_or_scenario
-        if isinstance(path_or_scenario, Scenario)
-        else load_scenario(path_or_scenario)
-    )
+def run_scenario(path) -> dict:
+    """Load the scenario file at path and execute its checks in declared
+    order; deterministic report."""
+    scenario = load_scenario(path)
     results = []
     for idx, item in enumerate(scenario.checks):
         spec = REGISTRY[item.name]

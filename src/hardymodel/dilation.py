@@ -23,6 +23,7 @@ exactly: S_k is nilpotent and S_k^j is the multiplier of zeta_k^j.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +46,7 @@ from .hardy import (
     enumerate_basis,
     one_variable_symbol,
 )
-from .linops import Subspace, adjoint, defect_range, operator_norm
+from .linops import Subspace, adjoint, defect_range, operator_norm, orthonormalize
 
 __all__ = [
     "DilationModel",
@@ -142,18 +143,18 @@ class DilationModel:
     def normalized_embedding(self) -> np.ndarray:
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
-    def tail_bound(self, x: np.ndarray, degree: int) -> float:
-        """||x||^2 minus the partial defect-orbit sum up to the degree."""
+    def tail_bound(self, x: np.ndarray, degree: int):
+        """||x||^2 minus the partial defect-orbit sum up to the degree.
+
+        x may hold several probe columns; returns an array of matching
+        width (a float for a single vector).
+        """
         if not 0 <= degree <= self.truncation_degree:
             raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
         g = self.gram_levels[degree]
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        val = np.vdot(x, x) - np.vdot(x, g @ x)
-        return float(max(val.real, 0.0))
-
-    def embed(self, x: np.ndarray) -> HardyVector:
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        return HardyVector(self.basis, self.normalized_embedding() @ x)
+        xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
+        val = np.maximum(np.sum(xs.conj() * (xs - g @ xs), axis=0).real, 0.0)
+        return float(val[0]) if np.ndim(x) == 1 else val
 
 
 def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
@@ -264,8 +265,6 @@ class DilationReport:
     minimality_rank: int
     minimality_expected: int
     tail_bound: float
-    isometry_defect: float
-    order_cap: int
     safe_cutoff: int
     tol: float
 
@@ -313,17 +312,7 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     # minimality proxy: shifted embeddings span the whole safe section
     rank, expected = _minimality_rank(model, order_cap, s)
     tail = operator_norm(model.gram_levels[d - order_cap] - np.eye(model.space_dim))
-    return DilationReport(
-        res_dil,
-        res_reg,
-        rank,
-        expected,
-        tail,
-        model.isometry_defect(),
-        order_cap,
-        d - order_cap,
-        tol,
-    )
+    return DilationReport(res_dil, res_reg, rank, expected, tail, d - order_cap, tol)
 
 
 def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
@@ -339,9 +328,7 @@ def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, 
     blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
     blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
     stacked = blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1)
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
-    return rank, basis_c.size
+    return orthonormalize(stacked, rank_tol=1e-7).dim, basis_c.size
 
 
 def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
@@ -375,16 +362,8 @@ def equivalence_pseudometric(lam: MoebiusPoint, mu: MoebiusPoint) -> float:
 def default_moebius_grid(n_components: int):
     """Deterministic grid: radii {0, 0.45, 0.9} times second roots of unity
     per coordinate, crossed over the first min(n, 2) coordinates."""
-    one_d = [0.0]
-    for r in (0.45, 0.9):
-        for j in range(2):
-            one_d.append(r * np.exp(2j * np.pi * j / 2))
-    k = min(n_components, 2)
-    grids = [one_d] * k
-    points = [()]
-    for g in grids:
-        points = [p + (c,) for p in points for c in g]
-    return [MoebiusPoint(p) for p in points]
+    one_d = [0.0] + [r * np.exp(2j * np.pi * j / 2) for r in (0.45, 0.9) for j in range(2)]
+    return [MoebiusPoint(p) for p in itertools.product(one_d, repeat=min(n_components, 2))]
 
 
 def defect_span_completeness(t: ContractionTuple, grid) -> tuple[int, bool]:
@@ -402,7 +381,6 @@ def defect_span_completeness(t: ContractionTuple, grid) -> tuple[int, bool]:
 class PowerSearchResult:
     exponents: tuple
     lower_bounds: tuple  # ||prod (I - V^k V*^k) x|| per probe
-    epsilon: float
     passed: bool
 
 
@@ -446,7 +424,7 @@ def power_search(ops, probes, eps: float) -> PowerSearchResult:
             w = HardyVector(w.basis, w.coefficients - y.coefficients)
         bounds.append(w.norm)
         ok = ok and w.norm >= (1.0 - eps) * v.norm - 1e-12
-    return PowerSearchResult(tuple(exponents), tuple(bounds), eps, ok)
+    return PowerSearchResult(tuple(exponents), tuple(bounds), ok)
 
 
 def _max_degree(v: HardyVector) -> int:
@@ -456,21 +434,23 @@ def _max_degree(v: HardyVector) -> int:
     return int(v.basis.flat_degrees()[nz].max())
 
 
-def defect_transfer_check(
-    model: DilationModel, lam: MoebiusPoint, x: np.ndarray
-) -> tuple[float, float, float]:
+def defect_transfer_check(model: DilationModel, lam: MoebiusPoint, x: np.ndarray):
     """Adjoint defect norm computed directly and through the model.
 
-    Returns (direct, via_model, reported_bound).  The model side applies
-    each phi_a(S_k) as the multiplier of the series of phi_a(zeta_k).  The
-    bound combines the embedding tail at a split degree c with the
-    Neumann truncation of the Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3
-    per coordinate, minimized over a few split degrees.
+    x may hold several probe columns, as in norm_identity; returns
+    (direct, via_model, reported_bound) arrays of matching width (floats
+    for a single vector).  The n Moebius multipliers, the normalized
+    embedding, the transformed tuple's defect and the isometry defect are
+    built once for all probes.  The model side applies each phi_a(S_k) as
+    the multiplier of the series of phi_a(zeta_k).  The bound combines the
+    embedding tail at a split degree c with the Neumann truncation of the
+    Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3 per coordinate, minimized
+    over a few split degrees.
     """
     t = model.tuple_
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    direct = float(np.linalg.norm(joint_defect(mobius_tuple(t, lam).adjoint()) @ x))
-    y = model.embed(x).coefficients
+    xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
+    direct = np.linalg.norm(joint_defect(mobius_tuple(t, lam).adjoint()) @ xs, axis=0)
+    y = model.normalized_embedding() @ xs
     v = y.copy()
     d = model.truncation_degree
     eye = np.eye(model.defect_dim)
@@ -478,15 +458,17 @@ def defect_transfer_check(
         series = mobius_series(lam.coord(k - 1), d)
         w = one_variable_symbol(k, [c * eye for c in series], model.basis).matrix
         v = v - w @ (w.conj().T @ v)
-    via_model = float(np.sqrt(max(np.vdot(v, y).real, 0.0)))
-    xnorm = float(np.linalg.norm(x))
-    best = np.inf
+    via_model = np.sqrt(np.maximum(np.sum(v.conj() * y, axis=0).real, 0.0))
+    xnorm = np.linalg.norm(xs, axis=0)
+    best = np.full(xs.shape[1], np.inf)
     for c in {d // 2, (2 * d) // 3, (3 * d) // 4, max(d - 5, 0)}:
-        tail = np.sqrt(model.tail_bound(x, degree=c))
+        tail = np.sqrt(model.tail_bound(xs, degree=c))
         trunc = sum(
             8.0 * abs(lam.coord(k)) ** (d - c + 1) / (1.0 - abs(lam.coord(k))) ** 3
             for k in range(t.num_components)
         )
-        best = min(best, tail + trunc * xnorm)
-    bound = float(best + 4.0 * model.isometry_defect() * xnorm)
+        best = np.minimum(best, tail + trunc * xnorm)
+    bound = best + 4.0 * model.isometry_defect() * xnorm
+    if np.ndim(x) == 1:
+        return float(direct[0]), float(via_model[0]), float(bound[0])
     return direct, via_model, bound

@@ -28,6 +28,7 @@ __all__ = [
     "DEFECT_FLOOR",
     "Subspace",
     "adjoint",
+    "apply_shifted_inverse",
     "certified_norm",
     "defect_range",
     "hermitian_sqrt",

@@ -192,7 +192,6 @@ class ExtractionResult:
     generator: HardyVector | None
     unimodular: complex | None
     max_deviation: float | None
-    grid: tuple
 
 
 def _deviation_grid(num_vars: int):
@@ -235,20 +234,19 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
         )
     gen = HardyVector(handle.basis, wandering.basis[:, 0])
     if handle.generator_hint is None:
-        return ExtractionResult(1, gen, None, None, ())
+        return ExtractionResult(1, gen, None, None)
     hint_vec = handle.hint_column
     idx = int(np.argmax(np.abs(hint_vec)))
     if abs(hint_vec[idx]) == 0 or abs(gen.coefficients[idx]) == 0:
         raise AmbiguousWandering("degenerate coefficient match")
     ratio = gen.coefficients[idx] / hint_vec[idx]
     unimodular = ratio / abs(ratio)
-    grid = _deviation_grid(handle.basis.num_vars)
     worst = 0.0
-    for pt in grid:
+    for pt in _deviation_grid(handle.basis.num_vars):
         got = evaluate(gen, pt)[0]
         want = unimodular * _hint_value(handle.generator_hint, pt)
         worst = max(worst, abs(got - want))
-    return ExtractionResult(1, gen, complex(unimodular), float(worst), grid)
+    return ExtractionResult(1, gen, complex(unimodular), float(worst))
 
 
 def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:

@@ -4,7 +4,8 @@ No registered check reaches these, so they live with the tests and not in
 the package.  Each is the plain formula: dense projectors, the scalar
 Moebius map, a dense scan of an operator's degree window, the per-term
 assembly loop of a multiplication operator, the two-loop dilation and
-regularity residuals, the per-column degree loop.
+regularity residuals, the singular-value rank of the minimality stack,
+the per-column degree loop, the nested-loop Moebius grid.
 """
 
 from __future__ import annotations
@@ -12,9 +13,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from hardymodel.contraction import MoebiusPoint
 from hardymodel.dilation import DilationModel, _inv_sqrt_psd
 from hardymodel.errors import DimensionMismatch
-from hardymodel.hardy import HardyBasis, HardyOperator, HardyVector, _graded_lex_exponents
+from hardymodel.hardy import (
+    HardyBasis,
+    HardyOperator,
+    HardyVector,
+    _graded_lex_exponents,
+    enumerate_basis,
+)
 from hardymodel.linops import Subspace, adjoint, operator_norm
 from hardymodel.submodules import QuotientHandle
 
@@ -132,3 +140,33 @@ def dilation_residuals(model: DilationModel, order_cap: int) -> tuple[float, flo
         want = adjoint(t.power(alpha)) @ t.power(beta)
         res_reg = max(res_reg, operator_norm(val - want))
     return res_dil, res_reg
+
+
+def minimality_rank_svd(model: DilationModel, c: int) -> int:
+    """Rank of verify_dilation's minimality stack at order c, counted as
+    the singular values above 1e-7 times the largest one."""
+    s = _inv_sqrt_psd(model.gram_levels[-1])
+    e, m = model.defect_dim, model.space_dim
+    basis_c = enumerate_basis(model.tuple_.num_components, c, e)
+    u = model.embedding[: basis_c.size] @ s
+    exps = basis_c.exponents
+    gamma = exps[:, None, :] - exps[None, :, :]
+    ok = (gamma >= 0).all(axis=-1)
+    blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
+    blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
+    sv = np.linalg.svd(blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1), compute_uv=False)
+    return int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
+
+
+def moebius_grid(n_components: int) -> list:
+    """The default Moebius grid by nested loops: radii {0, 0.45, 0.9} times
+    second roots of unity per coordinate, crossed over the first
+    min(n, 2) coordinates."""
+    one_d = [0.0]
+    for r in (0.45, 0.9):
+        for j in range(2):
+            one_d.append(r * np.exp(2j * np.pi * j / 2))
+    points = [()]
+    for g in [one_d] * min(n_components, 2):
+        points = [p + (c,) for p in points for c in g]
+    return [MoebiusPoint(p) for p in points]

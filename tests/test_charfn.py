@@ -265,8 +265,7 @@ def dense_quotient_distance(t, d, tol):
         cf = charfn_build(comp)
         coeffs, _ = poly_truncate(cf, tol / 10.0)
         degrees.append(len(coeffs) - 1)
-        mat, _ = _component_symbol(cf, coeffs, k, model)
-        cols.append(mat.toarray())
+        cols.append(_component_symbol(cf, coeffs, k, model).toarray())
     cutoff = d - max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     u = model.normalized_embedding()
@@ -299,7 +298,7 @@ def dense_product_distance(t, d, tol):
         cf = charfn_build(comp)
         coeffs, _ = poly_truncate(cf, tol / 10.0)
         degrees.append(len(coeffs) - 1)
-        w = _component_symbol(cf, coeffs, k, model)[0].toarray()
+        w = _component_symbol(cf, coeffs, k, model).toarray()
         prod = prod @ (np.eye(model.basis.size) - w @ adjoint(w))
     cutoff = d - max(len(degrees) // 2, 1) * max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
@@ -367,7 +366,7 @@ class TestModelProduct:
                 cols = cols - w @ (adjoint(w) @ cols)
             return cols[sel]
 
-        _, cutoff, _, degrees, _, _ = _symbol_model(t, 11, 0.3)
+        _, cutoff, _, degrees, _ = _symbol_model(t, 11, 0.3)
         assert cutoff == 11 - max(components // 2, 1) * max(degrees) - 1 >= 0
         np.testing.assert_array_equal(product_rows(11, cutoff), product_rows(19, cutoff))
 
@@ -397,7 +396,7 @@ class TestSymbolInModelCoordinates:
         for k, comp in enumerate(t.components, start=1):
             cf = charfn_build(comp)
             coeffs, _ = poly_truncate(cf, 1e-3)
-            mat, _ = _component_symbol(cf, coeffs, k, model)
+            mat = _component_symbol(cf, coeffs, k, model)
             want = symbol_through_component_basis(cf, coeffs, k, model)
             assert mat.shape == want.shape == (model.basis.size, model.basis.size // model.defect_dim * cf.dim_in)
             assert abs(mat - want).max() <= 1e-15

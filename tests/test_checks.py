@@ -1,3 +1,4 @@
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -7,9 +8,10 @@ import pytest
 
 from hardymodel import charfn, contraction, dilation, generators, hardy, linops, submodules
 from hardymodel.checks import REGISTRY, CheckOutcome, GeneratorParams, _fold, _within
-from hardymodel.cli import main, run_scenario
+from hardymodel.cli import load_scenario, main, run_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def _outcomes_then_raise(items):
@@ -280,3 +282,64 @@ def test_every_optional_parameter_is_turned(bundled_run):
         if f"{name}.{param}" not in turned
     }
     assert unturned == set(UNTURNED_ALLOWED)
+
+
+def _dataclass_fields(path: Path) -> set:
+    """"Class.field" of every annotated field of every public dataclass
+    defined at the top level of a source file."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            out.update(
+                f"{node.name}.{stmt.target.id}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            )
+    return out
+
+
+def _attributes_read(paths) -> set:
+    """Every attribute name some expression in the files loads."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+#: public dataclass fields that no code in src/ or tests/ reads, each with
+#: why it stays
+UNREAD_FIELDS_ALLOWED: dict = {}
+
+
+def test_every_public_dataclass_field_is_read():
+    # a report field that nothing reads costs the work that fills it: drop
+    # both, or give the reason it stays in UNREAD_FIELDS_ALLOWED.  Reads are
+    # matched by attribute name, over src/hardymodel and tests/
+    sources = sorted((ROOT / "src" / "hardymodel").glob("*.py"))
+    read = _attributes_read([*sources, *sorted((ROOT / "tests").glob("*.py"))])
+    fields = set().union(*map(_dataclass_fields, sources))
+    assert {f for f in fields if f.split(".", 1)[1] not in read} == set(UNREAD_FIELDS_ALLOWED)
+
+
+def test_defect_transfer_builds_each_multiplier_once(monkeypatch):
+    # one defect_transfer_check per instance takes all its probes: the
+    # dilation-model run (4 instances of one or two variables, 2 probes
+    # each) builds each of its 6 Moebius multipliers and 4 normalized
+    # embeddings once, not once per probe
+    builds, embeddings = [], []
+    build, embed = dilation.one_variable_symbol, dilation.DilationModel.normalized_embedding
+    monkeypatch.setattr(dilation, "one_variable_symbol", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(
+        dilation.DilationModel, "normalized_embedding", lambda m: embeddings.append(m) or embed(m)
+    )
+    scenario = load_scenario(SCENARIOS / "dilation-model.json")
+    idx = [c.name for c in scenario.checks].index("defect-transfer")
+    spec = REGISTRY["defect-transfer"]
+    rng = np.random.default_rng([scenario.seed, idx])
+    assert spec.run(rng, scenario.generator, spec.default_tol).passed
+    assert (len(builds), len(embeddings)) == (6, 4)

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import block, dilation_residuals
+from _references import block, dilation_residuals, minimality_rank_svd, moebius_grid
 
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams
@@ -64,7 +64,7 @@ class TestCanonicalEmbedding:
     def test_zero_vector_embeds_to_zero(self):
         t = ContractionTuple((np.array([[0.5]]),))
         model = canonical_embedding(t, 8)
-        assert model.embed(np.array([0.0])).norm == 0.0
+        assert np.linalg.norm(model.normalized_embedding() @ np.array([0.0])) == 0.0
 
     def test_unitary_raises_zero_defect(self):
         with pytest.raises(ZeroDefect):
@@ -341,7 +341,9 @@ def test_disjoint_power_pairs_match_double_loop():
 
 def test_single_pass_residuals_match_two_loops():
     # one ensemble cycles every factor pattern; each model is checked at
-    # every order cap up to the one it was built for
+    # every order cap up to the one it was built for.  The minimality rank
+    # (pivoted QR at 1e-7) must equal the count of singular values above
+    # 1e-7 times the largest
     rng = np.random.default_rng(11)
     for t in tuple_ensemble(rng, len(_PATTERNS), 0.7, 0.8):
         model = embedding_for_tolerance(t, 1e-9, order_cap=4)
@@ -350,6 +352,7 @@ def test_single_pass_residuals_match_two_loops():
             assert (rep.residual_dilation, rep.residual_regularity) == dilation_residuals(
                 model, order_cap
             )
+            assert rep.minimality_rank == minimality_rank_svd(model, order_cap)
 
 
 class TestVerifyDilation:
@@ -446,6 +449,12 @@ class TestDefectSpan:
         rank, complete = defect_span_completeness(t, [MoebiusPoint(())])
         assert rank == 1 and complete
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_matches_nested_loops(self, n):
+        got = [lam.coords for lam in default_moebius_grid(n)]
+        assert got == [lam.coords for lam in moebius_grid(n)]
+        assert len(got) == 5 ** min(n, 2)
+
     def test_tensor_pair_grid(self):
         rng = np.random.default_rng(5)
         t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])
@@ -529,12 +538,29 @@ class TestDefectTransfer:
         lam = MoebiusPoint(tuple(radius * np.exp(1j * (0.7 + k)) for k in range(len(dims))))
         x = rng.standard_normal(t.space_dim) + 1j * rng.standard_normal(t.space_dim)
         _, via_model, _ = defect_transfer_check(model, lam, x)
-        y = model.embed(x).coefficients
+        y = model.normalized_embedding() @ x
         v = y.copy()
         for k in range(1, len(dims) + 1):
             w = mobius(shift(k, model.basis).dense(), lam.coord(k - 1))
             v = v - w @ (adjoint(w) @ v)
         assert abs(via_model - np.sqrt(max(np.vdot(v, y).real, 0.0))) <= 1e-12
+
+    @pytest.mark.parametrize("dims, d", [((3,), 30), ((2, 2), 20), ((2, 2, 2), 12)])
+    def test_block_matches_single_columns(self, dims, d):
+        rng = np.random.default_rng(7)
+        t = tensor_tuple([controlled_contraction(rng, m, 0.5) for m in dims])
+        model = canonical_embedding(t, d)
+        lam = MoebiusPoint(tuple(0.4 * np.exp(1j * (0.3 + k)) for k in range(len(dims))))
+        xs = rng.standard_normal((t.space_dim, 3)) + 1j * rng.standard_normal((t.space_dim, 3))
+        direct, via_model, bound = defect_transfer_check(model, lam, xs)
+        assert direct.shape == via_model.shape == bound.shape == (3,)
+        assert np.all(bound >= np.abs(direct - via_model))
+        for j, x in enumerate(xs.T):
+            one = defect_transfer_check(model, lam, x)
+            assert all(isinstance(v, float) for v in one)
+            assert abs(direct[j] - one[0]) <= 1e-14
+            assert abs(via_model[j] - one[1]) <= 1e-14
+            assert abs(bound[j] - one[2]) <= 1e-9
 
 
 def test_choose_truncation_degree():
