@@ -227,7 +227,8 @@ def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
 def defect(a: np.ndarray) -> np.ndarray:
     """Defect operator (I - A*A)^(1/2) of a contraction; its range is linops.defect_range."""
     a = np.asarray(a, dtype=complex)
-    if operator_norm(a) > 1.0 + _NORM_SLACK:
+    # ||A||_2 <= ||A||_F: the cheap norm accepts, the SVD decides
+    if np.linalg.norm(a) > 1.0 + _NORM_SLACK and operator_norm(a) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
     gram = np.eye(a.shape[0], dtype=complex) - adjoint(a) @ a
     return hermitian_sqrt(gram)

@@ -9,7 +9,8 @@ alpha - e_v by one adjoint.  Which parent and which v is a property of
 (n, d) alone, so it is computed once per (n, d) into a cached, read-only
 level plan; a level is then one matrix product and one gather.  The
 whole orbit in basis order then gives every embedding row with one
-product, and each cumulative Gram level with one product per degree.
+product, and every cumulative Gram level from one batched per-row
+product summed over the level starts (np.add.reduceat) and cumulated.
 Every DilationModel holds its rows: a model is built once, at its
 degree, and every verdict on it, minimality included, reads the rows it
 already has.  Compressions of truncated shift powers through the
@@ -236,12 +237,13 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     basis = enumerate_basis(t.num_components, d, q.dim)
     adjoints = [adjoint(c) for c in t.components]
     levels = [x.transpose(2, 0, 1) for _, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex))]
+    starts = np.cumsum([0] + [x.shape[1] for x in levels[:-1]])
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
     y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
-    # level k adds sum_{|alpha| = k} (D_* T*^alpha)* (D_* T*^alpha), one product
-    bounds = np.cumsum([x.shape[1] for x in levels])[:-1]
-    stacked = [b.reshape(m, -1) for b in np.split(y, bounds, axis=1)]
-    gram_levels = list(np.cumsum([b.conj() @ b.T for b in stacked], axis=0))
+    # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
+    # summed over each level's rows, then over the levels up to k
+    rows = np.einsum("cak,bak->acb", y.conj(), y)
+    gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
     return DilationModel(t, basis, q, u, gram_levels, d)

@@ -16,12 +16,17 @@ generator orbits and tensor quotient columns take their rows and indices
 from them.  Operators are CSR matrices carrying a degree window
 (lo, hi): they couple input degree k only to output degrees in
 [k+lo, k+hi], so exact (safe) domains under truncation are computable.
-Shifts and multiplication operators are assembled in one vectorized pass
-over all their terms, in a fixed entry order (term, source, block entry).
+Shifts, parity shifts and multiplication operators are all assembled by
+one routine from a cached, read-only plan: the CSR indptr and indices
+and a gather index into the stacked coefficient blocks, keyed by the
+sizes, the terms' exponent shifts (or the parity rule) and the blocks'
+nonzero pattern, never their values.  Building an operator is then one
+gather of the block entries and the CSR constructor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -242,36 +247,90 @@ class HardyOperator:
         )
 
 
-def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.csr_matrix:
-    """CSR matrix of a sum of monomial maps tensored with coefficient blocks.
+#: support of parity_shift's one term, the rule j -> j + 3 (j even), j - 1
+#: (j odd) on one variable's exponent, in place of exponent shifts
+_PARITY = "parity"
 
-    Each term (target, c) sends monomial i to monomial target[i] (dropped
-    when beyond the truncation) with the (e_out, e_in) block c.  The terms
-    are stacked, their kept (term, source) pairs ranked in one call, and
-    the entries laid out term-major, then by source, then by nonzero (p, q).
+
+@functools.lru_cache(maxsize=128)
+def _assembly_plan(n: int, d: int, e_in: int, e_out: int, support: tuple, pattern: bytes) -> tuple:
+    """CSR indptr and indices of a sum of monomial maps tensored with
+    coefficient blocks, and each stored entry's index into the blocks
+    stacked (terms, e_out, e_in) and flattened; read-only.
+
+    support holds each term's exponent shift beta (monomial alpha goes to
+    alpha + beta), or is (_PARITY, v) for one term moving variable v by
+    the parity rule; targets beyond degree d are dropped.  pattern is the
+    bytes of the blocks' nonzero mask, so the plan depends on sizes,
+    support and pattern, never on coefficient values.  Entries are in
+    canonical CSR order: by row, columns ascending within a row.
     """
-    e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
-    shape = (basis_out.size, basis_in.size)
-    if not terms:
-        return sp.csr_matrix(shape)
-    targets = np.stack([target for target, _ in terms])
-    blocks = np.stack([c for _, c in terms]).reshape(len(terms), -1)
-    term, src = np.nonzero(targets.sum(axis=2) <= basis_in.max_degree)
-    dst = basis_in.rank(targets[term, src])
-    pair, pq = np.nonzero((blocks != 0)[term])
+    exps = enumerate_basis(n, d).exponents
+    if support[:1] == (_PARITY,):
+        targets = exps[None].copy()
+        j = exps[:, support[1]]
+        targets[0, :, support[1]] = np.where(j % 2 == 0, j + 3, j - 1)
+    else:
+        targets = exps + np.array(support, dtype=np.int64).reshape(-1, 1, n)
+    term, src = np.nonzero(targets.sum(axis=2) <= d)
+    dst = _graded_lex_rank(targets[term, src])
+    pair, pq = np.nonzero(np.frombuffer(pattern, dtype=bool).reshape(-1, e_out * e_in)[term])
     rows = dst[pair] * e_out + pq // e_in
     cols = src[pair] * e_in + pq % e_in
-    return sp.csr_matrix((blocks[term[pair], pq], (rows, cols)), shape=shape)
+    order = np.argsort(rows * (len(exps) * e_in) + cols)
+    # the index dtype scipy picks: 32-bit when the shape and nnz fit
+    index = np.int32 if max(len(exps) * max(e_in, e_out), pair.size) < 2**31 else np.int64
+    indptr = np.zeros(len(exps) * e_out + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=len(exps) * e_out), out=indptr[1:])
+    plan = indptr, cols[order].astype(index), term[pair][order] * (e_out * e_in) + pq[order]
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, support: tuple, blocks: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix of the terms (support, blocks) from their cached plan.
+
+    blocks is the C-contiguous (terms, e_out, e_in) stack; the data are
+    its entries gathered by the plan, so they keep its dtype.  Each build
+    gets its own index arrays: in-place scipy operations on the result
+    cannot reach the plan.
+    """
+    indptr, indices, gather = _assembly_plan(
+        basis_in.num_vars, basis_in.max_degree, basis_in.coeff_dim, basis_out.coeff_dim,
+        support, (blocks != 0).tobytes(),
+    )
+    shape = (basis_out.size, basis_in.size)
+    return sp.csr_matrix((blocks.reshape(-1)[gather], indices.copy(), indptr.copy()), shape=shape)
 
 
 def shift(k: int, basis: HardyBasis) -> HardyOperator:
     """Coordinate multiplication in variable k (1-based), truncated."""
     if not 1 <= k <= basis.num_vars:
         raise DimensionMismatch(f"variable index {k} out of range")
-    target = basis.exponents.copy()
-    target[:, k - 1] += 1
-    mat = _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))])
+    beta = tuple(int(v == k - 1) for v in range(basis.num_vars))
+    mat = _assemble(basis, basis, (beta,), np.eye(basis.coeff_dim)[None])
     return HardyOperator(basis, basis, mat, 1, 1)
+
+
+def _coefficient_blocks(values: list, e_out: int, e_in: int) -> np.ndarray:
+    """The values as one complex (terms, e_out, e_in) stack.
+
+    Each value is read as np.atleast_2d reads it, so a scalar is a 1 x 1
+    block and a length-e_in vector a 1 x e_in block.
+    """
+    try:
+        stacked = np.asarray(values, dtype=complex)
+        shapes = {stacked.shape[1:]} if values else set()
+    except ValueError:  # values of mixed shapes, say scalars beside 1 x 1 arrays
+        stacked, shapes = None, {np.shape(c) for c in values}
+    for shape in shapes:
+        block = (1,) * (2 - len(shape)) + shape
+        if block != (e_out, e_in):
+            raise DimensionMismatch(f"coefficient block {block} does not match ({e_out}, {e_in})")
+    if stacked is None:
+        stacked = np.array([np.reshape(c, (e_out, e_in)) for c in values], dtype=complex)
+    return stacked.reshape(len(values), e_out, e_in)
 
 
 def mult_operator(
@@ -281,35 +340,41 @@ def mult_operator(
 
     symbol maps exponent tuples (length num_vars, or shorter with implied
     zeros) to (e_out, e_in) coefficient arrays; scalars are accepted when
-    both coefficient dimensions are 1.
+    both coefficient dimensions are 1.  Exponents and blocks are checked
+    and stacked as whole arrays; all-zero blocks are dropped, and blocks
+    of keys naming one exponent, like (1,) and (1, 0), are summed.
     """
     if basis_out is None:
         basis_out = basis_in
     if (basis_in.num_vars, basis_in.max_degree) != (basis_out.num_vars, basis_out.max_degree):
         raise DimensionMismatch("bases must share variables and truncation degree")
     e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
-    n = basis_in.num_vars
-    terms, degrees = [], []
-    for beta_raw, coeff in symbol.items():
-        beta = np.zeros(n, dtype=np.int64)
-        braw = tuple(beta_raw)
-        if len(braw) > n and any(b for b in braw[n:]):
-            raise DegreeOverflow("symbol exponent uses a variable beyond the basis")
-        beta[: min(len(braw), n)] = braw[: min(len(braw), n)]
-        deg = int(beta.sum())
-        if deg > basis_in.max_degree:
-            raise DegreeOverflow(f"symbol degree {deg} exceeds truncation")
-        c = np.atleast_2d(np.asarray(coeff, dtype=complex))
-        if c.shape != (e_out, e_in):
-            raise DimensionMismatch(
-                f"coefficient block {c.shape} does not match ({e_out}, {e_in})"
-            )
-        if not np.any(c):
-            continue
-        terms.append((basis_in.exponents + beta, c))
-        degrees.append(deg)
-    mat = _assemble(basis_in, basis_out, terms)
-    return HardyOperator(basis_in, basis_out, mat, min(degrees, default=0), max(degrees, default=0))
+    n, d = basis_in.num_vars, basis_in.max_degree
+    keys = [tuple(beta) for beta in symbol]
+    width = max(n, *map(len, keys)) if keys else n
+    betas = np.array([beta + (0,) * (width - len(beta)) for beta in keys], dtype=np.int64).reshape(-1, width)
+    if betas[:, n:].any():
+        raise DegreeOverflow("symbol exponent uses a variable beyond the basis")
+    betas = betas[:, :n]
+    if (betas < 0).any():
+        raise DegreeOverflow(f"exponent outside the degree <= {d} basis")
+    degrees = betas.sum(axis=1)
+    if (degrees > d).any():
+        raise DegreeOverflow(f"symbol degree {degrees[degrees > d][0]} exceeds truncation")
+    blocks = _coefficient_blocks(list(symbol.values()), e_out, e_in)
+    keep = blocks.any(axis=(1, 2))
+    support = list(map(tuple, betas[keep].tolist()))
+    blocks, degrees = blocks[keep], degrees[keep]
+    if len(set(support)) < len(support):
+        merged = dict.fromkeys(support, 0)
+        for beta, c in zip(support, blocks):
+            merged[beta] = merged[beta] + c
+        support, blocks = list(merged), np.array(list(merged.values()))
+    if not support:  # no terms: scipy's default (float) zero matrix
+        blocks = np.zeros((0, e_out, e_in))
+    mat = _assemble(basis_in, basis_out, tuple(support), blocks)
+    lo, hi = (int(degrees.min()), int(degrees.max())) if degrees.size else (0, 0)
+    return HardyOperator(basis_in, basis_out, mat, lo, hi)
 
 
 def one_variable_symbol(
@@ -322,11 +387,8 @@ def one_variable_symbol(
     """
     if not 1 <= k <= basis_in.num_vars:
         raise DimensionMismatch(f"variable index {k} out of range")
-    symbol = {}
-    for j, c in enumerate(coeffs):
-        beta = [0] * basis_in.num_vars
-        beta[k - 1] = j
-        symbol[tuple(beta)] = np.atleast_2d(np.asarray(c, dtype=complex))
+    before, after = (0,) * (k - 1), (0,) * (basis_in.num_vars - k)
+    symbol = {before + (j,) + after: c for j, c in enumerate(coeffs)}
     return mult_operator(symbol, basis_in, basis_out)
 
 
@@ -369,18 +431,32 @@ class InnerReport:
     tol: float
 
 
+#: nonzero density of the selected columns from which is_inner_on_truncation
+#: forms their Gram as a dense product.  BLAS 1 thread: the Blaschke
+#: multipliers of beurling-extraction (5-66% dense) take 0.5 ms dense
+#: against 0.9-2.7 ms sparse; shifts and parity shifts at N >= 455
+#: (0.2% dense) take 0.2-0.4 ms sparse against 3-26 ms dense
+_DENSE_GRAM_DENSITY = 0.01
+
+
 def is_inner_on_truncation(op: HardyOperator, tol: float, cutoff: int | None = None) -> InnerReport:
     """||op* op - I|| on inputs of degree <= cutoff; pass iff <= tol.
 
     The cutoff defaults to the operator's window-derived safe degree;
     callers holding a sharper bound on the symbol's decay may widen it.
+    The Gram of the selected columns is a dense product when they are at
+    least _DENSE_GRAM_DENSITY nonzero, a sparse one otherwise.
     """
     c = op.safe_input_degree if cutoff is None else cutoff
     sel = np.nonzero(op.basis_in.degree_selector(c))[0]
     if sel.size == 0:
         return InnerReport(False, float("inf"), c, tol)
     cols = op.matrix[:, sel]
-    residual = operator_norm(cols.conj().T @ cols - sp.identity(sel.size, format="csr"))
+    if cols.nnz >= _DENSE_GRAM_DENSITY * cols.shape[0] * sel.size:
+        a = cols.toarray()
+        residual = operator_norm(a.conj().T @ a - np.eye(sel.size))
+    else:
+        residual = operator_norm(cols.conj().T @ cols - sp.identity(sel.size, format="csr"))
     return InnerReport(residual <= tol, float(residual), c, tol)
 
 
@@ -416,10 +492,7 @@ def parity_shift(k: int, basis: HardyBasis) -> HardyOperator:
     """
     if not 1 <= k <= basis.num_vars:
         raise DimensionMismatch(f"variable index {k} out of range")
-    target = basis.exponents.copy()
-    j = target[:, k - 1]
-    target[:, k - 1] = np.where(j % 2 == 0, j + 3, j - 1)
-    mat = _assemble(basis, basis, [(target, np.eye(basis.coeff_dim))])
+    mat = _assemble(basis, basis, (_PARITY, k - 1), np.eye(basis.coeff_dim)[None])
     return HardyOperator(basis, basis, mat, -1, 3)
 
 

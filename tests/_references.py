@@ -5,7 +5,8 @@ the package.  Each is the plain formula: dense projectors, the scalar
 Moebius map, a dense scan of an operator's degree window, the per-term
 assembly loop of a multiplication operator, the two-loop dilation and
 regularity residuals, the singular-value rank of the minimality stack,
-the per-column degree loop, the nested-loop Moebius grid.
+the per-column degree loop, the nested-loop Moebius grid, the per-level
+Gram products of the defect orbit.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from hardymodel.contraction import MoebiusPoint
-from hardymodel.dilation import DilationModel, _inv_sqrt_psd
+from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect
+from hardymodel.dilation import DilationModel, _inv_sqrt_psd, _orbit_levels
 from hardymodel.errors import DimensionMismatch
 from hardymodel.hardy import (
     HardyBasis,
@@ -103,6 +104,21 @@ def assemble_per_term(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.
         return sp.csr_matrix(shape)
     entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
     return sp.csr_matrix(entries, shape=shape)
+
+
+def gram_levels_per_level(t: ContractionTuple, d: int) -> list:
+    """Cumulative defect-orbit Gram levels G_k, |alpha| <= k <= d: the
+    blocks D_* T*^alpha of each degree stacked side by side, one product
+    with their adjoint per degree, then summed over the degrees."""
+    m = t.space_dim
+    d_star = joint_defect(t.adjoint())
+    eye = np.eye(m, dtype=complex)
+    levels = [x.transpose(2, 0, 1) for _, x in _orbit_levels([adjoint(c) for c in t.components], d, eye)]
+    # y[c, alpha, :] = (D_* T*^alpha)[:, c]
+    y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
+    bounds = np.cumsum([x.shape[1] for x in levels])[:-1]
+    stacked = [b.reshape(m, -1) for b in np.split(y, bounds, axis=1)]
+    return list(np.cumsum([b.conj() @ b.T for b in stacked], axis=0))
 
 
 def disjoint_exponent_pairs(n: int, cap: int):

@@ -19,6 +19,7 @@ from hardymodel.contraction import (
     tensor_tuple,
     validate_tuple,
 )
+from hardymodel.errors import DimensionMismatch
 from hardymodel.linops import adjoint, operator_norm
 
 
@@ -133,6 +134,24 @@ class TestDefect:
     def test_scalar(self):
         d = defect(np.array([[0.5]]))
         assert abs(d[0, 0] - np.sqrt(3.0) / 2.0) <= 1e-12
+
+    def test_gate_svd_only_when_frobenius_undecided(self, svd_calls):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a = a / np.linalg.norm(a)  # Frobenius norm 1 decides
+        defect(a)
+        assert svd_calls[0] == 0
+        np.testing.assert_allclose(defect(np.eye(2)), np.zeros((2, 2)), atol=1e-14)
+        assert svd_calls[0] == 1  # Frobenius sqrt(2): the SVD decides
+
+    def test_gate_boundary(self, svd_calls):
+        # 2-norm within the 1e-10 slack passes, beyond it raises
+        defect(np.diag([1.0 + 0.5e-10, 1.0]))
+        with pytest.raises(DimensionMismatch, match="matrix is not a contraction"):
+            defect(np.diag([1.0 + 2e-10, 1.0]))
+        with pytest.raises(DimensionMismatch, match="matrix is not a contraction"):
+            defect(np.array([[1.0 + 2e-10]]))
+        assert svd_calls[0] == 3
 
     def test_joint_defect_single(self):
         a = np.array([[0.5]])

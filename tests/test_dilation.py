@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import block, dilation_residuals, minimality_rank_svd, moebius_grid
+from _references import block, dilation_residuals, gram_levels_per_level, minimality_rank_svd, moebius_grid
 
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams
@@ -266,6 +266,19 @@ class TestOrbitAgainstExplicitPowers:
         for k in range(d + 1):
             g = g + sum(adjoint(y) @ y for alpha, y in orbit if alpha.sum() == k)
             np.testing.assert_allclose(model.gram_levels[k], g, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gram_levels_match_per_level_products(self, n):
+        # one batched per-row product summed by level agrees with the
+        # former per-level products up to the order of summation
+        rng = np.random.default_rng(50 + n)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(n)])
+        d = 12 if n < 3 else 8
+        model = canonical_embedding(t, d)
+        want = gram_levels_per_level(t, d)
+        assert len(model.gram_levels) == len(want) == d + 1
+        for got, ref in zip(model.gram_levels, want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_norm_identity_is_the_orbit_sum(self, n):

@@ -14,6 +14,7 @@ from hardymodel.hardy import (
     HardyBasis,
     HardyOperator,
     HardyVector,
+    _assembly_plan,
     enumerate_basis,
     evaluate,
     is_inner_on_truncation,
@@ -233,8 +234,9 @@ def _bumped(b, k, step):
 
 
 class TestAssemblyMatchesPerTermLoop:
-    """The one-pass assembly lays out indptr, indices and data exactly as
-    the per-term loop does: term-major, then source, then (p, q)."""
+    """Operators built from cached plans have the indptr, indices and data
+    of the per-term COO loop after scipy's conversion to CSR, bit for bit:
+    rows in order, columns ascending within a row."""
 
     @pytest.mark.parametrize("n,d,e", [(1, 6, 1), (2, 5, 2), (3, 4, 1), (3, 3, 3)])
     def test_shifts(self, n, d, e):
@@ -539,3 +541,72 @@ class TestMobiusPartialProduct:
         with pytest.raises(IndexError):
             mobius_partial_product([0.1], 1, 2)
 
+
+
+class TestAssemblyPlans:
+    @pytest.mark.parametrize("n,d,k,e_in,e_out", [(1, 9, 1, 1, 1), (2, 6, 2, 2, 3), (3, 4, 1, 3, 2)])
+    def test_one_variable_symbol_matches_per_term_loop(self, n, d, k, e_in, e_out):
+        rng = np.random.default_rng([n, d, k, e_in, e_out])
+        b_in, b_out = enumerate_basis(n, d, e_in), enumerate_basis(n, d, e_out)
+        coeffs = rng.standard_normal((d + 1, e_out, e_in)) + 1j * rng.standard_normal((d + 1, e_out, e_in))
+        coeffs[rng.random(coeffs.shape) < 0.3] = 0.0  # zero block entries are not stored
+        coeffs[:2] = 0.0  # leading and trailing zero coefficients set the window
+        coeffs[-1] = 0.0
+        op = one_variable_symbol(k, coeffs, b_in, b_out)
+        beta = np.eye(n, dtype=np.int64)[k - 1]
+        terms = [(b_in.exponents + j * beta, c) for j, c in enumerate(coeffs) if np.any(c)]
+        _assert_same_csr(op.matrix, assemble_per_term(b_in, b_out, terms))
+        assert op.matrix.dtype == np.complex128
+        nonzero = [j for j, c in enumerate(coeffs) if np.any(c)]
+        assert (op.shift_lo, op.shift_hi) == (nonzero[0], nonzero[-1])
+
+    def test_same_support_reuses_one_plan(self):
+        b = enumerate_basis(2, 7, 2)
+        rng = np.random.default_rng(3)
+        _assembly_plan.cache_clear()
+        for _ in range(3):  # new values, one support and nonzero pattern
+            one_variable_symbol(2, rng.standard_normal((5, 2, 2)) + 0.5, b)
+        info = _assembly_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        one_variable_symbol(2, np.ones((6, 2, 2)), b)  # another support
+        one_variable_symbol(2, np.tile(np.eye(2), (5, 1, 1)), b)  # another pattern
+        assert _assembly_plan.cache_info().misses == 3
+        shift(1, b)
+        mult_operator({(1, 0): np.eye(2)}, b)  # the shift's plan
+        info = _assembly_plan.cache_info()
+        assert (info.misses, info.hits) == (4, 3)
+
+    def test_keys_naming_one_exponent_are_summed(self):
+        b = enumerate_basis(2, 4, 2)
+        a, c = np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([[0.5, 0.0], [1.0, -3.0]])
+        got = mult_operator({(1,): a, (0, 1): a, (1, 0): c}, b)
+        want = mult_operator({(1, 0): a + c, (0, 1): a}, b)
+        assert np.array_equal(got.dense(), want.dense())
+        assert got.matrix.has_canonical_format
+
+    def test_plans_are_read_only(self):
+        b = enumerate_basis(2, 5, 2)
+        _assembly_plan.cache_clear()
+        shift(2, b)
+        plan = _assembly_plan(2, 5, 2, 2, ((0, 1),), np.eye(2, dtype=bool)[None].tobytes())
+        assert _assembly_plan.cache_info().hits == 1
+        for a in plan:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_in_place_changes_do_not_reach_the_next_build(self):
+        b_in, b_out = enumerate_basis(2, 5, 2), enumerate_basis(2, 5, 1)
+        coeffs = [np.array([[1.0, 0.0]]), np.array([[0.5, -2.0]]), np.array([[0.0, 3.0]])]
+        terms = [(b_in.exponents + np.array([j, 0]), c.astype(complex)) for j, c in enumerate(coeffs)]
+        want = assemble_per_term(b_in, b_out, terms)
+        m = one_variable_symbol(1, coeffs, b_in, b_out).matrix
+        m.data[::2] = 0.0
+        m.eliminate_zeros()  # rewrites indices and indptr in place
+        m.indices[:] = 0
+        m.indptr[1:] = m.nnz
+        m *= 2.0
+        _assert_same_csr(one_variable_symbol(1, coeffs, b_in, b_out).matrix, want)
+        s = shift(1, b_in).matrix
+        s.indices[:] = 0
+        s.data[:] = 7.0
+        _assert_same_csr(shift(1, b_in).matrix, assemble_per_term(b_in, b_in, [(_bumped(b_in, 1, lambda j: j + 1), np.eye(2))]))

@@ -60,6 +60,34 @@ class TestHermitianSqrt:
             hermitian_sqrt(np.diag([1.0, -2e-9]))
 
 
+class TestHermitianGate:
+    """The asymmetry gate: ||A - A*||_F <= tol accepts without an SVD; the
+    SVD decides, with the same NotHermitian message, otherwise."""
+
+    @staticmethod
+    def _skewed(t):
+        # A - A* = t [[0, 1], [-1, 0]] twice: 2-norm t, Frobenius norm 2t
+        j = np.array([[0.0, 1.0], [0.0, 0.0]])
+        return np.eye(4) + t * np.kron(np.eye(2), j)
+
+    def test_hermitian_needs_no_svd(self, svd_calls):
+        rng = np.random.default_rng(11)
+        c = random_complex(rng, 5, 5)
+        hermitian_sqrt(adjoint(c) @ c)
+        hermitian_sqrt(self._skewed(0.4e-9))  # Frobenius 0.8e-9 decides
+        assert svd_calls[0] == 0
+
+    def test_svd_decides_between_the_norms(self, svd_calls):
+        m = hermitian_sqrt(self._skewed(0.8e-9))  # Frobenius 1.6e-9, 2-norm 0.8e-9
+        assert svd_calls[0] == 1
+        np.testing.assert_allclose(m, np.eye(4), atol=1e-9)
+
+    def test_boundary_still_raises(self, svd_calls):
+        with pytest.raises(NotHermitian, match=r"asymmetry 1\.100e-09 exceeds tol 1\.000e-09"):
+            hermitian_sqrt(self._skewed(1.1e-9))
+        assert svd_calls[0] == 1
+
+
 class TestSolveShifted:
     def test_zero_shift(self):
         rng = np.random.default_rng(0)
