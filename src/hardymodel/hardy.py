@@ -288,7 +288,9 @@ def _assembly_plan(n: int, d: int, e_in: int, e_out: int, support: tuple, patter
     return plan
 
 
-def _assemble(basis_in: HardyBasis, basis_out: HardyBasis, support: tuple, blocks: np.ndarray) -> sp.csr_matrix:
+def _assemble(
+    basis_in: HardyBasis, basis_out: HardyBasis, support: tuple, blocks: np.ndarray
+) -> sp.csr_matrix:
     """CSR matrix of the terms (support, blocks) from their cached plan.
 
     blocks is the C-contiguous (terms, e_out, e_in) stack; the data are
@@ -352,7 +354,8 @@ def mult_operator(
     n, d = basis_in.num_vars, basis_in.max_degree
     keys = [tuple(beta) for beta in symbol]
     width = max(n, *map(len, keys)) if keys else n
-    betas = np.array([beta + (0,) * (width - len(beta)) for beta in keys], dtype=np.int64).reshape(-1, width)
+    padded = [beta + (0,) * (width - len(beta)) for beta in keys]
+    betas = np.array(padded, dtype=np.int64).reshape(-1, width)
     if betas[:, n:].any():
         raise DegreeOverflow("symbol exponent uses a variable beyond the basis")
     betas = betas[:, :n]

@@ -6,7 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import block, dilation_residuals, gram_levels_per_level, minimality_rank_svd, moebius_grid
+from _references import (
+    block,
+    dilation_residuals,
+    gram_levels_per_level,
+    minimality_rank_svd,
+    moebius_grid,
+)
 
 from hardymodel import dilation
 from hardymodel.checks import REGISTRY, GeneratorParams

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _references import assemble_per_term, check_window, operator_adjoint, projector
 
+from hardymodel import hardy
 from hardymodel.contraction import mobius_series
 from hardymodel.errors import DegreeOverflow, DimensionMismatch, SizeOverflow
 from hardymodel.hardy import (
@@ -392,6 +393,22 @@ class TestInnerReport:
         assert not rep.passed
         assert abs(rep.residual - 0.75) <= 1e-12
 
+    @pytest.mark.parametrize("n,d", [(1, 12), (2, 12), (3, 8)])
+    def test_dense_and_sparse_gram_agree(self, monkeypatch, n, d):
+        # the density rule picks the product; both give the residual within round-off
+        b = enumerate_basis(n, d, 1)
+        ops = [one_variable_symbol(1, mobius_series(0.3 + 0.35j, d), b), shift(n, b), parity_shift(1, b)]
+        for op in ops:
+            cutoff = min(op.safe_input_degree, 5)
+            default = is_inner_on_truncation(op, 1e-6, cutoff).residual
+            monkeypatch.setattr(hardy, "_DENSE_GRAM_DENSITY", 0.0)
+            dense = is_inner_on_truncation(op, 1e-6, cutoff).residual
+            monkeypatch.setattr(hardy, "_DENSE_GRAM_DENSITY", 2.0)
+            sparse = is_inner_on_truncation(op, 1e-6, cutoff).residual
+            monkeypatch.undo()
+            assert abs(dense - sparse) <= 1e-14
+            assert default in (dense, sparse)
+
     def test_truncated_mobius_within_geometric_tail(self):
         a = 0.5
         d = 20
@@ -542,13 +559,13 @@ class TestMobiusPartialProduct:
             mobius_partial_product([0.1], 1, 2)
 
 
-
 class TestAssemblyPlans:
     @pytest.mark.parametrize("n,d,k,e_in,e_out", [(1, 9, 1, 1, 1), (2, 6, 2, 2, 3), (3, 4, 1, 3, 2)])
     def test_one_variable_symbol_matches_per_term_loop(self, n, d, k, e_in, e_out):
         rng = np.random.default_rng([n, d, k, e_in, e_out])
         b_in, b_out = enumerate_basis(n, d, e_in), enumerate_basis(n, d, e_out)
-        coeffs = rng.standard_normal((d + 1, e_out, e_in)) + 1j * rng.standard_normal((d + 1, e_out, e_in))
+        shape = (d + 1, e_out, e_in)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs[rng.random(coeffs.shape) < 0.3] = 0.0  # zero block entries are not stored
         coeffs[:2] = 0.0  # leading and trailing zero coefficients set the window
         coeffs[-1] = 0.0
@@ -609,4 +626,5 @@ class TestAssemblyPlans:
         s = shift(1, b_in).matrix
         s.indices[:] = 0
         s.data[:] = 7.0
-        _assert_same_csr(shift(1, b_in).matrix, assemble_per_term(b_in, b_in, [(_bumped(b_in, 1, lambda j: j + 1), np.eye(2))]))
+        want = assemble_per_term(b_in, b_in, [(_bumped(b_in, 1, lambda j: j + 1), np.eye(2))])
+        _assert_same_csr(shift(1, b_in).matrix, want)
