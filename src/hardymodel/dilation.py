@@ -4,21 +4,21 @@ vector-valued Hardy space, and the verification machinery around it.
 The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 |alpha| <= d, expressed in an orthonormal basis of the adjoint defect
 space.  The orbit is walked one degree at a time over the graded-lex
-exponent rows of the hardy module, each alpha reached from its parent
-alpha - e_v by one adjoint.  Which parent and which v is a property of
-(n, d) alone, so it is computed once per (n, d) into a cached, read-only
-level plan; a level is then one matrix product and one gather.  The
-whole orbit in basis order then gives every embedding row with one
-product, and every cumulative Gram level from one batched per-row
-product summed over the level starts (np.add.reduceat) and cumulated.
-Every DilationModel holds its rows: a model is built once, at its
-degree, and every verdict on it, minimality included, reads the rows it
-already has.  Compressions of truncated shift powers through the
-embedding reduce to cumulative defect-orbit Gram sums, which is how the
-verifier computes them; the identity is exercised against explicit
-Hardy-side matrices in the test suite.  A Moebius map phi_a(S_k) of a
-truncated shift is the multiplier of the degree-d series of phi_a(zeta_k),
-exactly: S_k is nilpotent and S_k^j is the multiplier of zeta_k^j.
+exponent rows, each alpha reached from its parent alpha - e_v by one
+adjoint; parents and v depend on (n, d) alone and sit in a cached,
+read-only level plan.  One product over the whole orbit gives every
+embedding row, and one batched per-row product summed over the level
+starts (np.add.reduceat) and cumulated gives every Gram level G_k.  The
+walk goes on to degree d + 1 for the level sums
+L_k = sum_{|beta| = k} T^beta T*^beta: by the norm identity applied to
+T*^beta x, the truncation tail x* (I - G_c) x lies between the max and
+the sum of ||T*^beta x||^2 over |beta| = c + 1 (equal for n = 1), so
+L_(c+1), a sum of nonnegative terms, is the one truncation measure: the
+tail in exact arithmetic, with the computed Gram's own round-off, about
+1e-15, on top of it.  A model of lower degree is a prefix of a built one.
+Shift-power compressions through the embedding reduce to Gram sums, and a
+Moebius map phi_a(S_k) is, exactly, the multiplier of the degree-d series
+of phi_a(zeta_k).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,38 +71,32 @@ _DEGREE_CAP = 512
 
 @functools.lru_cache(maxsize=64)
 def _level_plan(n: int, d: int) -> tuple:
-    """Per degree k <= d, read-only: the exponent rows of degree k and each
-    row's source p n + v.  Row alpha is T*_v of its parent alpha - e_v, v
-    the last variable alpha uses, p the parent's index in level k - 1 (its
-    rank minus the C(k-2+n, n) monomials of lower degree)."""
-    exps = enumerate_basis(n, d).exponents
+    """Per degree 1 <= k <= d, read-only: each row's source p n + v.  Row
+    alpha is T*_v of its parent alpha - e_v, v the last variable alpha
+    uses, p the parent's index in level k - 1 (its rank minus the
+    C(k-2+n, n) monomials of lower degree)."""
+    rows = enumerate_basis(n, d).exponents[1:]
     starts = np.array([math.comb(k - 1 + n, n) for k in range(d + 2)])
-    rows = exps[1:]
     last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-    source = np.zeros(len(exps), dtype=np.intp)  # level 0 has no parent
     parents = rows - np.eye(n, dtype=rows.dtype)[last]
-    source[1:] = (_graded_lex_rank(parents) - starts[rows.sum(axis=1) - 1]) * n + last
+    source = (_graded_lex_rank(parents) - starts[rows.sum(axis=1) - 1]) * n + last
     source.flags.writeable = False
-    return tuple((exps[a:b], source[a:b]) for a, b in zip(starts, starts[1:]))
+    return tuple(source[a - 1 : b - 1] for a, b in zip(starts[1:], starts[2:]))
 
 
 def _orbit_levels(adjoints, d: int, right: np.ndarray):
-    """Per degree k, the exponent rows of degree k and the stacked products
-    T*^alpha @ right, shape (rows, m, q).
-
-    A level is kept as w[c, alpha, :] = (T*^alpha @ right)[:, c]: one
-    product w @ [T*_1^T ... T*_n^T] applies every T*_v to the previous
-    level, and one take by the plan's sources keeps this level's rows.
-    The blocks are yielded as the view w.transpose(1, 2, 0).
-    """
+    """Per degree k <= d, the products T*^alpha @ right, |alpha| = k in basis
+    order, as the view w.transpose(1, 2, 0) of shape (rows, m, q) of
+    w[c, alpha, :] = (T*^alpha @ right)[:, c]: one product
+    w @ [T*_1^T ... T*_n^T] applies every T*_v to the previous level, and one
+    take by the plan's sources keeps this level's rows."""
     m = right.shape[0]
     steps = np.concatenate([a.T for a in adjoints], axis=1)
     w = np.asarray(right, dtype=complex).T[:, None, :]
-    plan = _level_plan(len(adjoints), d)
-    yield plan[0][0], w.transpose(1, 2, 0)
-    for rows, source in plan[1:]:
+    yield w.transpose(1, 2, 0)
+    for source in _level_plan(len(adjoints), d):
         w = np.take((w.reshape(-1, m) @ steps).reshape(len(w), -1, m), source, axis=1)
-        yield rows, w.transpose(1, 2, 0)
+        yield w.transpose(1, 2, 0)
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -115,18 +109,18 @@ def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
 class DilationModel:
     """Truncated analytic model of a contraction tuple, built once.
 
-    embedding always holds the raw coefficient map (rows indexed
-    monomial-major in graded-lex order, defect slot minor, so for every
-    c the rows of degree <= c come first); gram_levels[k] is the cumulative defect-orbit Gram sum over
-    |alpha| <= k, so gram_levels[-1] measures how far the raw embedding
-    is from isometric.
-    """
+    embedding holds the raw coefficient map (rows monomial-major in graded-lex
+    order, defect slot minor, so the rows of degree <= c come first);
+    gram_levels[k] is the cumulative Gram sum G_k over |alpha| <= k, and
+    level_sums[k] is L_k, k <= d + 1, with 0 <= I - G_(k-1) <= L_k in exact
+    arithmetic (the computed Gram carries its own round-off, about 1e-15)."""
 
     tuple_: ContractionTuple
     basis: HardyBasis
     defect_basis: Subspace
     embedding: np.ndarray
     gram_levels: list = field(repr=False)
+    level_sums: list = field(repr=False)
     truncation_degree: int
 
     @property
@@ -144,17 +138,23 @@ class DilationModel:
     def normalized_embedding(self) -> np.ndarray:
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
-    def tail_bound(self, x: np.ndarray, degree: int):
-        """||x||^2 minus the partial defect-orbit sum up to the degree.
+    def prefix(self, degree: int) -> "DilationModel":
+        """The model of a degree <= d: this one's first rows and levels."""
+        basis = enumerate_basis(self.basis.num_vars, degree, self.defect_dim)
+        return replace(self, basis=basis, embedding=self.embedding[: basis.size],
+                       gram_levels=self.gram_levels[: degree + 1],
+                       level_sums=self.level_sums[: degree + 2], truncation_degree=degree)
 
-        x may hold several probe columns; returns an array of matching
-        width (a float for a single vector).
-        """
+    def tail_bound(self, x: np.ndarray, degree: int):
+        """x* L_(degree+1) x: the truncation tail ||x||^2 - x* G_degree x in
+        exact arithmetic is at most this (equal for n = 1), and the computed
+        Gram carries its own round-off, about 1e-15, on top of it.  x may hold
+        several probe columns; returns an array of matching width (a float
+        for a single vector)."""
         if not 0 <= degree <= self.truncation_degree:
             raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
-        g = self.gram_levels[degree]
         xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
-        val = np.maximum(np.sum(xs.conj() * (xs - g @ xs), axis=0).real, 0.0)
+        val = np.sum(xs.conj() * (self.level_sums[degree + 1] @ xs), axis=0).real
         return float(val[0]) if np.ndim(x) == 1 else val
 
 
@@ -173,32 +173,28 @@ def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
 
 
 def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0) -> DilationModel:
-    """Embedding whose Gram defect at degree d - order_cap is certified <= tol.
+    """Embedding of the smallest degree d whose tail at d - order_cap is <= tol.
 
-    The starting degree comes from the geometric tail rule on the
-    spectral-radius estimates; the computed cumulative Gram sums then
-    certify the tail (they equal the exact truncation deficiency), and
-    the degree is extended by 8 until the certificate holds.  G_k
-    increases to I, so the certificate cannot grow in exact arithmetic:
-    one that is not below its value 8 degrees earlier has stalled at
-    round-off, and UnsafeDegree is raised there, as past degree _DEGREE_CAP.
+    The tail at degree c is lambda_max(L_(c+1)), a bound on ||I - G_c|| in
+    exact arithmetic (the computed Gram carries its own round-off, about
+    1e-15, on top of it).  The walk starts at the geometric tail rule on the
+    spectral-radius estimates and returns the prefix at the first level
+    that certifies; only while none does, the degree grows by 8, and past
+    _DEGREE_CAP UnsafeDegree is raised.
     """
     if order_cap < 0:
         raise DimensionMismatch(f"order cap {order_cap} is negative")
     radius = max(_class_report(t).radius_estimates)
     d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
     d_star, q = _adjoint_defect(t)
-    eye = np.eye(t.space_dim)
-    previous = np.inf
     while True:
         model = _embedding(t, d, d_star, q)
-        defect = operator_norm(model.gram_levels[d - order_cap] - eye)
-        if defect <= tol:
-            return model
-        if defect >= previous or d + 8 > _DEGREE_CAP:
-            state = "stalled" if defect >= previous else "still open"
-            raise UnsafeDegree(f"certificate {defect:.3e} > {tol:.3e} {state} at degree {d}")
-        previous = defect
+        tails = np.linalg.eigvalsh(np.stack(model.level_sums[1 : d - order_cap + 2]))[:, -1]
+        certified = np.flatnonzero(tails <= tol)
+        if certified.size:
+            return model.prefix(int(certified[0]) + order_cap)
+        if d + 8 > _DEGREE_CAP:
+            raise UnsafeDegree(f"tail {tails[-1]:.3e} > {tol:.3e} at degree {d}")
         d += 8
 
 
@@ -236,7 +232,11 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
     adjoints = [adjoint(c) for c in t.components]
-    levels = [x.transpose(2, 0, 1) for _, x in _orbit_levels(adjoints, d, np.eye(m, dtype=complex))]
+    # w[c, alpha, :] = (T*^alpha)[:, c], one array per level k <= d + 1
+    levels = [x.transpose(2, 0, 1) for x in _orbit_levels(adjoints, d + 1, np.identity(m, complex))]
+    # L_k = sum_{|beta| = k} T^beta T*^beta, one product per level
+    level_sums = [w.reshape(m, -1).conj() @ w.reshape(m, -1).T for w in levels]
+    levels = levels[:-1]
     starts = np.cumsum([0] + [x.shape[1] for x in levels[:-1]])
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
     y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
@@ -246,7 +246,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
-    return DilationModel(t, basis, q, u, gram_levels, d)
+    return DilationModel(t, basis, q, u, gram_levels, level_sums, d)
 
 
 def _disjoint_power_pairs(n: int, cap: int):
@@ -288,7 +288,8 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
 
     Compressions are evaluated as S T^beta G_l T*^alpha S with S the
     polar normalizer and G_l the cumulative Gram sums, which equals the
-    pullback of the truncated shift action through the embedding.
+    pullback of the truncated shift action through the embedding; the tail
+    reported is lambda_max(L_(d-order_cap+1)).
     """
     d = model.truncation_degree
     if order_cap < 0:
@@ -313,17 +314,15 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
             res_reg = max(res_reg, res)
     # minimality proxy: shifted embeddings span the whole safe section
     rank, expected = _minimality_rank(model, order_cap, s)
-    tail = operator_norm(model.gram_levels[d - order_cap] - np.eye(model.space_dim))
+    tail = float(np.linalg.eigvalsh(model.level_sums[d - order_cap + 1])[-1])
     return DilationReport(res_dil, res_reg, rank, expected, tail, d - order_cap, tol)
 
 
 def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
-    e = model.defect_dim
-    basis_c = enumerate_basis(model.tuple_.num_components, c, e)
-    # graded-lex rows of degree <= c come first, so they are basis_c's rows;
+    small = model.prefix(c)
+    e, m, basis_c = small.defect_dim, small.space_dim, small.basis
     # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
-    u = model.embedding[: basis_c.size] @ s
-    m = model.space_dim
+    u = small.embedding @ s
     exps = basis_c.exponents
     gamma = exps[:, None, :] - exps[None, :, :]
     ok = (gamma >= 0).all(axis=-1)
@@ -343,7 +342,7 @@ def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
     xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
     d_star = joint_defect(t.adjoint())
     partial = np.zeros(xs.shape[1])
-    for _, blocks in _orbit_levels([adjoint(c) for c in t.components], d, xs):
+    for blocks in _orbit_levels([adjoint(c) for c in t.components], d, xs):
         partial += np.sum(np.abs(blocks.transpose(2, 0, 1) @ d_star.T) ** 2, axis=(1, 2))
     residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
     if single:

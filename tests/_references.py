@@ -113,7 +113,7 @@ def gram_levels_per_level(t: ContractionTuple, d: int) -> list:
     m = t.space_dim
     d_star = joint_defect(t.adjoint())
     eye = np.eye(m, dtype=complex)
-    levels = [x.transpose(2, 0, 1) for _, x in _orbit_levels([adjoint(c) for c in t.components], d, eye)]
+    levels = [x.transpose(2, 0, 1) for x in _orbit_levels([adjoint(c) for c in t.components], d, eye)]
     # y[c, alpha, :] = (D_* T*^alpha)[:, c]
     y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     bounds = np.cumsum([x.shape[1] for x in levels])[:-1]

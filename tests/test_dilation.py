@@ -129,11 +129,12 @@ class TestLibraryErrors:
         with pytest.raises(NotInClass):
             embedding_for_tolerance(t, 1e-8)
 
-    def test_stalled_certificate_is_refused_early(self, monkeypatch):
-        # at tol 1e-14 the certificate target 1e-15 lies below the round-off
-        # plateau 1.29e-15 of this instance; the search stops where the
-        # certificate stops decreasing instead of climbing to degree 512;
-        # every attempt of the search goes through _embedding
+    def test_round_off_certificate_passes_in_one_build(self, monkeypatch):
+        # at tol 1e-14 the target 1e-15 lies below the round-off plateau
+        # 1.29e-15 of ||I - G_c|| on this instance, where the former Gram
+        # certificate stalled; the level sums keep decaying below it, so
+        # each instance certifies from its first build; every attempt of
+        # the search goes through _embedding
         degrees = []
         build = dilation._embedding
 
@@ -142,9 +143,10 @@ class TestLibraryErrors:
             return build(t, d, *args)
 
         monkeypatch.setattr(dilation, "_embedding", counted)
-        with pytest.raises(UnsafeDegree, match="stalled"):
-            REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
-        assert 2 <= len(degrees) <= 8
+        p = GeneratorParams()
+        out = REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), p, 1e-14)
+        assert out.passed
+        assert len(degrees) == p.instances
 
     def test_negative_order_cap_in_the_search(self, monkeypatch):
         # the certificate level d - order_cap would lie past the last Gram
@@ -186,11 +188,10 @@ class TestOrbitLevels:
         levels = list(_orbit_levels([adjoint(c) for c in t.components], d, right))
         assert len(levels) == d + 1
         exps_all = enumerate_basis(n, d, 1).exponents
-        for k, (exps, x) in enumerate(levels):
-            want_rows = exps_all[exps_all.sum(axis=1) == k]
-            assert sorted(map(tuple, exps)) == sorted(map(tuple, want_rows))
+        for k, x in enumerate(levels):
+            want_rows = exps_all[exps_all.sum(axis=1) == k]  # basis order
             assert x.shape == (len(want_rows), t.space_dim, 2)
-            for alpha, block in zip(exps, x):
+            for alpha, block in zip(want_rows, x):
                 np.testing.assert_allclose(block, adjoint(t.power(alpha)) @ right, atol=1e-12)
 
 
@@ -301,23 +302,116 @@ class TestOrbitAgainstExplicitPowers:
         _level_plan.cache_clear()
         rng = np.random.default_rng(5)
         t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])
+        # an embedding of degree 9 walks the orbit to degree 10 for its
+        # level sums, so it shares the plan of a degree-10 norm identity
         canonical_embedding(t, 9)
         canonical_embedding(t, 9)
-        norm_identity(t, np.ones(4), 9)
+        norm_identity(t, np.ones(4), 10)
         info = _level_plan.cache_info()
         assert info.misses == 1 and info.hits == 2
-        plan = _level_plan(2, 9)
-        assert _level_plan(2, 9) is plan
-        rows, source = plan[3]
+        plan = _level_plan(2, 10)
+        assert _level_plan(2, 10) is plan
+        assert len(plan) == 10
         with pytest.raises(ValueError):
-            rows[0] = 0
-        with pytest.raises(ValueError):
-            source[0] = 0
+            plan[3][0] = 0
+
+
+def _adjoint_powers(a, count):
+    """[A*^0, ..., A*^(count - 1)], each from the one before."""
+    powers = [np.eye(len(a), dtype=complex)]
+    for _ in range(count - 1):
+        powers.append(adjoint(a) @ powers[-1])
+    return powers
+
+
+class TestTruncationTail:
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 2), c=st.integers(0, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_tail_between_level_max_and_level_sum(self, seed, n, c):
+        # the true tail past degree c, summed directly over c < |alpha| <= c + 60
+        # from positive terms (||T|| <= 0.7, so the rest is below 0.7^120 of
+        # it), lies between max and sum of ||T*^beta x||^2 over |beta| = c + 1;
+        # for n = 1 both bounds equal it (the telescoping sum)
+        rng = np.random.default_rng(seed)
+        factors = [controlled_contraction(rng, 3 if n == 1 else 2, 0.6, 0.7) for _ in range(n)]
+        t = tensor_tuple(factors)
+        x = rng.standard_normal(t.space_dim) + 1j * rng.standard_normal(t.space_dim)
+        d_star = joint_defect(t.adjoint())
+        powers = [_adjoint_powers(a, c + 61) for a in factors]
+        if n == 1:
+            orbit = {(k,): powers[0][k] @ x for k in range(c + 61)}
+        else:
+            grid = x.reshape(2, 2)  # tensor_tuple's space is C^2 (x) C^2, row-major
+            orbit = {
+                (a, k - a): (powers[0][a] @ grid @ powers[1][k - a].T).reshape(-1)
+                for k in range(c + 61)
+                for a in range(k + 1)
+            }
+        true_tail = sum(
+            np.linalg.norm(d_star @ v) ** 2 for alpha, v in orbit.items() if sum(alpha) > c
+        )
+        level = [np.linalg.norm(v) ** 2 for alpha, v in orbit.items() if sum(alpha) == c + 1]
+        bound = canonical_embedding(t, 12).tail_bound(x, c)
+        assert max(level) <= true_tail * (1 + 1e-12)
+        assert true_tail <= bound * (1 + 1e-12)
+        assert bound == pytest.approx(sum(level), rel=1e-12, abs=0)
+        if n == 1:
+            assert bound == pytest.approx(true_tail, rel=1e-12, abs=0)
+
+    def test_reported_tails_do_not_read_zero(self):
+        # the non-normal block of test_embedding_search_validates_once: its
+        # tails at c = 20 and 29 are 9.2e-20 and 4.9e-29, far below the
+        # round-off of ||x||^2 - x* G_c x, yet they are reported, as
+        # ||T*^(c+1) x||^2 (n = 1)
+        a = np.array([[0.3, 0.9], [0.0, 0.3]])
+        t = ContractionTuple((0.97 * a / operator_norm(a),))
+        model = canonical_embedding(t, 30)
+        x = np.ones(2) / np.sqrt(2.0)
+        power = [np.linalg.matrix_power(adjoint(t.components[0]), k) for k in range(31)]
+        for c, want in ((20, 9.2e-20), (29, 4.9e-29)):
+            tail = model.tail_bound(x, c)
+            assert tail == pytest.approx(np.linalg.norm(power[c + 1] @ x) ** 2, rel=1e-12, abs=0)
+            assert tail == pytest.approx(want, rel=0.01, abs=0)
+        # the tail at the safe cutoff 29 is ||T*^30||^2 = lambda_max(L_30)
+        rep = verify_dilation(model, order_cap=1, tol=1e-8)
+        assert rep.tail_bound == pytest.approx(operator_norm(power[30]) ** 2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nilpotent_tail_is_exactly_zero(self, n):
+        # each component squares to 0, so every level past n is an exact
+        # zero: the tail is 0.0 from degree n on and the search stops there
+        t = tensor_tuple([np.array([[0.0, 0.5], [0.0, 0.0]])] * n)
+        model = canonical_embedding(t, 8)
+        x = np.ones(t.space_dim)
+        assert model.tail_bound(x, 0) > 0.0
+        for c in range(n, 9):
+            assert model.tail_bound(x, c) == 0.0
+        assert verify_dilation(model, order_cap=2, tol=1e-8).tail_bound == 0.0
+        assert embedding_for_tolerance(t, 1e-12).truncation_degree == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_prefix_equals_a_fresh_embedding(self, n):
+        # a prefix keeps the rows, Gram levels and level sums of degree <= c,
+        # which are those of a model built at c
+        rng = np.random.default_rng(60 + n)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(n)])
+        model = canonical_embedding(t, 9)
+        searched = embedding_for_tolerance(t, 1e-9, order_cap=2)
+        for small in [model.prefix(c) for c in (0, 4, 9)] + [searched]:
+            fresh = canonical_embedding(t, small.truncation_degree)
+            assert small.basis == fresh.basis
+            np.testing.assert_allclose(small.embedding, fresh.embedding, rtol=0, atol=1e-14)
+            for name in ("gram_levels", "level_sums"):
+                got, want = getattr(small, name), getattr(fresh, name)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 def test_embedding_search_validates_once(monkeypatch):
-    # the search extends the degree by 8 until the Gram certificate holds;
-    # the class report and the adjoint defect are shared by every attempt
+    # the search grows the degree by 8 only while no walked level
+    # certifies, and returns the prefix at the first level that does; the
+    # class report and the adjoint defect are shared by every attempt
     validations, attempts = [], []
     embedding = dilation._embedding
 
@@ -336,12 +430,13 @@ def test_embedding_search_validates_once(monkeypatch):
     t = ContractionTuple((0.97 * a / operator_norm(a),))
     model = embedding_for_tolerance(t, 1e-8)
     assert len(validations) == 1 and len(attempts) >= 2
-    assert attempts == list(range(attempts[0], model.truncation_degree + 1, 8))
-    # test_stalled_certificate_is_refused_early, counted where the attempts are made
+    assert attempts == [8, 16] and model.truncation_degree == 10
+    # test_round_off_certificate_passes_in_one_build, counted where the
+    # attempts are made: nothing is rebuilt at the certified degree
     attempts.clear()
-    with pytest.raises(UnsafeDegree, match="stalled"):
-        REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), GeneratorParams(), 1e-14)
-    assert len(attempts) <= 8
+    p = GeneratorParams()
+    assert REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), p, 1e-14).passed
+    assert len(attempts) == p.instances
 
 
 def test_disjoint_power_pairs_match_double_loop():
