@@ -83,13 +83,20 @@ def charfn_build(t: np.ndarray) -> CharFn:
     needing the stability certificate; any other spectral radius at 1 is
     rejected since boundary evaluation would be undefined.
     """
-    t = np.asarray(t, dtype=complex)
-    d_in, d_out = defect(t), defect(adjoint(t))  # DimensionMismatch unless a contraction
-    q_in, q_out = defect_range(d_in), defect_range(d_out)
-    radius = spectral_radius_bound(t)
-    if radius >= 1.0 and (q_in.dim or q_out.dim):
+    cf = _charfn(np.asarray(t, dtype=complex))
+    radius = spectral_radius_bound(cf.t)
+    if radius >= 1.0 and (cf.dim_in or cf.dim_out):
         raise NotInClass(f"spectral radius estimate {radius:.6f} is not below 1")
-    return CharFn(t, d_in, d_out, q_in, q_out)
+    return cf
+
+
+def _charfn(t: np.ndarray, defect_out: Subspace | None = None) -> CharFn:
+    """charfn_build without the stability certificate; defect_out, when
+    given, is the range of D_T* already ranked."""
+    d_in, d_out = defect(t), defect(adjoint(t))  # DimensionMismatch unless a contraction
+    if defect_out is None:
+        defect_out = defect_range(d_out)
+    return CharFn(t, d_in, d_out, defect_range(d_in), defect_out)
 
 
 def charfn_eval(cf: CharFn, z: complex) -> np.ndarray:
@@ -126,6 +133,12 @@ _BOUNDARY_SAMPLES = 32
 #: largest power of two _power_norm_envelope probes
 _MAX_PROBE = 256
 
+#: most series terms poly_truncate keeps before it refuses
+_MAX_TERMS = 4096
+
+#: size of the stack of adjoint powers poly_truncate fills at a time
+_POWER_BLOCK_BYTES = 1 << 20
+
 
 def boundary_unitarity(cf: CharFn) -> float:
     """Max of ||theta(z)* theta(z) - I|| over _BOUNDARY_SAMPLES equispaced
@@ -159,7 +172,12 @@ def poly_truncate(cf: CharFn, tol: float):
     """Power-series coefficients of theta with a certified geometric tail.
 
     Coefficients are compress(-T) and compress(D_out T*^(k-1) D_in); the
-    returned tail bounds the operator-norm sum of all dropped ones.
+    returned tail bounds the operator-norm sum of all dropped ones.  The
+    tail envelope depends on k alone, so the number of terms is counted
+    before any product.  The powers T*^j = T* @ T*^(j-1) are filled into
+    a stack of at most _POWER_BLOCK_BYTES, and each block's coefficients
+    come from one batched ((Q_out* D_out) @ T*^j @ D_in) @ Q_in.  A power
+    that is exactly zero ends the series with a tail of 0.0 (nilpotent).
     """
     t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
@@ -172,18 +190,28 @@ def poly_truncate(cf: CharFn, tol: float):
         base = (k - 1) // p
         return scale * m * p * q**base / (1.0 - q)
 
-    power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
+    terms = 0  # the terms k = 1 .. terms are kept, T*^0 .. T*^(terms - 1)
+    while terms < _MAX_TERMS and tail_from(terms + 1) >= tol:
+        terms += 1
     left, t_star = adjoint(qo) @ d_out, adjoint(t)
-    k = 1
-    while tail_from(k) >= tol:
-        if not power.any():
+    size = t.shape[0]
+    block_len = max(1, min(terms, _POWER_BLOCK_BYTES // max(16 * size * size, 1)))
+    stack = np.empty((block_len, size, size), complex)
+    power = np.eye(size, dtype=complex)  # T*^start
+    for start in range(0, terms, len(stack)):
+        block = stack[: min(len(stack), terms - start)]
+        block[0] = power
+        for j in range(1, len(block)):
+            np.matmul(t_star, block[j - 1], out=block[j])
+        power = t_star @ block[-1]
+        zero = np.flatnonzero(~block.reshape(len(block), -1).any(axis=1))
+        block = block[: zero[0]] if zero.size else block
+        coeffs.extend(left @ block @ d_in @ qi)
+        if zero.size:
             return coeffs, 0.0  # nilpotent: series terminates exactly
-        coeffs.append(left @ power @ d_in @ qi)
-        power = t_star @ power
-        k += 1
-        if k > 4096:
-            raise UnsafeDegree("characteristic-function tail does not certify")
-    return coeffs, float(tail_from(k))
+    if terms == _MAX_TERMS:
+        raise UnsafeDegree("characteristic-function tail does not certify")
+    return coeffs, float(tail_from(terms + 1))
 
 
 def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
@@ -211,16 +239,20 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     """The degree-d embedding of t and the truncated symbols of its
     components with a nontrivial defect, in the model's coordinates.
 
-    Each symbol keeps the terms poly_truncate certifies to tol / 10.  For
-    K such symbols of degree <= D the safe cutoff is
+    The components' CharFns come from the model just built: its class
+    check certified every spectral radius, so none is estimated again, and
+    for one component D_* = D_T*, so the model's adjoint defect range is
+    the component's.  Each symbol keeps the terms poly_truncate certifies
+    to tol / 10.  For K such symbols of degree <= D the safe cutoff is
     d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
     UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
     tails).
     """
     model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
+    defect_out = model.defect_basis if t.num_components == 1 else None
     prepared, degrees, tails = [], [], []  # prepared: (component index, charfn, coefficients)
     for k, comp in enumerate(t.components, start=1):
-        cf = charfn_build(comp)
+        cf = _charfn(comp, defect_out)
         if cf.dim_in == 0:
             continue  # isometric component contributes no complement range
         coeffs, tail = poly_truncate(cf, tol / 10.0)

@@ -6,7 +6,9 @@ The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 space.  The orbit is walked one degree at a time over the graded-lex
 exponent rows, each alpha reached from its parent alpha - e_v by one
 adjoint; parents and v depend on (n, d) alone and sit in a cached,
-read-only level plan.  One product over the whole orbit gives every
+read-only level plan.  A single contraction has one row per level and
+needs no plan: its powers T*^k fill one stack, one product per degree in
+the walk's own order.  One product over the whole orbit gives every
 embedding row, and one batched per-row product summed over the level
 starts (np.add.reduceat) and cumulated gives every Gram level G_k.  The
 walk goes on to degree d + 1 for the level sums
@@ -138,8 +140,13 @@ class DilationModel:
     def normalized_embedding(self) -> np.ndarray:
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
+    def _check_degree(self, degree: int) -> None:
+        if not 0 <= degree <= self.truncation_degree:
+            raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
+
     def prefix(self, degree: int) -> "DilationModel":
         """The model of a degree <= d: this one's first rows and levels."""
+        self._check_degree(degree)
         basis = enumerate_basis(self.basis.num_vars, degree, self.defect_dim)
         return replace(self, basis=basis, embedding=self.embedding[: basis.size],
                        gram_levels=self.gram_levels[: degree + 1],
@@ -151,8 +158,7 @@ class DilationModel:
         Gram carries its own round-off, about 1e-15, on top of it.  x may hold
         several probe columns; returns an array of matching width (a float
         for a single vector)."""
-        if not 0 <= degree <= self.truncation_degree:
-            raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
+        self._check_degree(degree)
         xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
         val = np.sum(xs.conj() * (self.level_sums[degree + 1] @ xs), axis=0).real
         return float(val[0]) if np.ndim(x) == 1 else val
@@ -232,14 +238,25 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
     adjoints = [adjoint(c) for c in t.components]
-    # w[c, alpha, :] = (T*^alpha)[:, c], one array per level k <= d + 1
-    levels = [x.transpose(2, 0, 1) for x in _orbit_levels(adjoints, d + 1, np.identity(m, complex))]
-    # L_k = sum_{|beta| = k} T^beta T*^beta, one product per level
-    level_sums = [w.reshape(m, -1).conj() @ w.reshape(m, -1).T for w in levels]
-    levels = levels[:-1]
-    starts = np.cumsum([0] + [x.shape[1] for x in levels[:-1]])
+    if len(adjoints) == 1:
+        # one row per level, source 0: the walk is w_k = w_(k-1) @ T*^T,
+        # filled into one stack, and all L_k = w_k.conj() @ w_k.T at once
+        stack = np.empty((d + 2, m, m), complex)
+        stack[0] = np.identity(m)
+        for k in range(1, d + 2):
+            np.matmul(stack[k - 1], adjoints[0].T, out=stack[k])
+        level_sums = list(np.matmul(stack.conj(), stack.transpose(0, 2, 1)))
+        orbit, starts = stack[: d + 1].transpose(1, 0, 2), np.arange(d + 1)
+    else:
+        # w[c, alpha, :] = (T*^alpha)[:, c], one array per level k <= d + 1
+        walk = _orbit_levels(adjoints, d + 1, np.identity(m, complex))
+        levels = [x.transpose(2, 0, 1) for x in walk]
+        # L_k = sum_{|beta| = k} T^beta T*^beta, one product per level
+        level_sums = [w.reshape(m, -1).conj() @ w.reshape(m, -1).T for w in levels]
+        orbit = np.concatenate(levels[:-1], axis=1)
+        starts = np.cumsum([0] + [x.shape[1] for x in levels[:-2]])
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
-    y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
+    y = (orbit.reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
     # summed over each level's rows, then over the levels up to k
     rows = np.einsum("cak,bak->acb", y.conj(), y)

@@ -6,7 +6,8 @@ Moebius map, a dense scan of an operator's degree window, the per-term
 assembly loop of a multiplication operator, the two-loop dilation and
 regularity residuals, the singular-value rank of the minimality stack,
 the per-column degree loop, the nested-loop Moebius grid, the per-level
-Gram products of the defect orbit.
+Gram products of the defect orbit, the embedding by the level-plan walk
+for one component, the term-by-term characteristic-function series.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from hardymodel.charfn import CharFn, _power_norm_envelope
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect
-from hardymodel.dilation import DilationModel, _inv_sqrt_psd, _orbit_levels
-from hardymodel.errors import DimensionMismatch
+from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd, _orbit_levels
+from hardymodel.errors import DimensionMismatch, UnsafeDegree
 from hardymodel.hardy import (
     HardyBasis,
     HardyOperator,
@@ -121,6 +123,25 @@ def gram_levels_per_level(t: ContractionTuple, d: int) -> list:
     return list(np.cumsum([b.conj() @ b.T for b in stacked], axis=0))
 
 
+def embedding_by_plan_walk(t: ContractionTuple, d: int) -> DilationModel:
+    """The degree-d canonical embedding by the level-plan walk for any
+    number of components: the orbit walked to d + 1 by _orbit_levels, one
+    level-sum product per level, then the batched Gram rows."""
+    d_star, q = _adjoint_defect(t)
+    m = t.space_dim
+    basis = enumerate_basis(t.num_components, d, q.dim)
+    adjoints = [adjoint(c) for c in t.components]
+    levels = [x.transpose(2, 0, 1) for x in _orbit_levels(adjoints, d + 1, np.identity(m, complex))]
+    level_sums = [w.reshape(m, -1).conj() @ w.reshape(m, -1).T for w in levels]
+    levels = levels[:-1]
+    starts = np.cumsum([0] + [x.shape[1] for x in levels[:-1]])
+    y = (np.concatenate(levels, axis=1).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
+    rows = np.einsum("cak,bak->acb", y.conj(), y)
+    gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
+    u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
+    return DilationModel(t, basis, q, u, gram_levels, level_sums, d)
+
+
 def disjoint_exponent_pairs(n: int, cap: int):
     """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
     exps = _graded_lex_exponents(n, cap)
@@ -186,3 +207,30 @@ def moebius_grid(n_components: int) -> list:
     for g in [one_d] * min(n_components, 2):
         points = [p + (c,) for p in points for c in g]
     return [MoebiusPoint(p) for p in points]
+
+
+def poly_truncate_loop(cf: CharFn, tol: float):
+    """charfn.poly_truncate term by term: the tail envelope tested before
+    each term, one adjoint power and one coefficient product per term."""
+    t, d_in, d_out = cf.t, cf.d_in, cf.d_out
+    qi, qo = cf.defect_in.basis, cf.defect_out.basis
+    coeffs = [adjoint(qo) @ (-t) @ qi]
+    p, q, m = _power_norm_envelope(t)
+    scale = operator_norm(d_out) * operator_norm(d_in)
+
+    def tail_from(k):
+        base = (k - 1) // p
+        return scale * m * p * q**base / (1.0 - q)
+
+    power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
+    left, t_star = adjoint(qo) @ d_out, adjoint(t)
+    k = 1
+    while tail_from(k) >= tol:
+        if not power.any():
+            return coeffs, 0.0  # nilpotent: series terminates exactly
+        coeffs.append(left @ power @ d_in @ qi)
+        power = t_star @ power
+        k += 1
+        if k > 4096:
+            raise UnsafeDegree("characteristic-function tail does not certify")
+    return coeffs, float(tail_from(k))

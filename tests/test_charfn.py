@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,8 +16,9 @@ from hardymodel.charfn import (
     projection_identity_residual,
     quotient_model_check,
 )
-from _references import mobius_scalar
+from _references import mobius_scalar, poly_truncate_loop
 
+from hardymodel import contraction, dilation
 from hardymodel.contraction import ContractionTuple, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
@@ -201,6 +204,114 @@ class TestPolyTruncate:
             want.append(adjoint(qo) @ cf.d_out @ power @ cf.d_in @ qi)
             power = adjoint(t) @ power
         assert [c.tobytes() for c in coeffs] == [w.tobytes() for w in want]
+
+
+def assert_same_series(cf, tol):
+    got, want = poly_truncate(cf, tol), poly_truncate_loop(cf, tol)
+    assert [c.tobytes() for c in got[0]] == [c.tobytes() for c in want[0]]
+    assert got[1] == want[1]
+    return got
+
+
+class TestPolyTruncateEdgePaths:
+    # the counted terms and the stacked powers against the term-by-term loop
+
+    @pytest.mark.parametrize("a", [np.diag([0.5, 0.4], 1), np.array([[0.0, 0.5], [0.0, 0.0]])])
+    def test_nilpotent_series_ends_with_a_zero_tail(self, a):
+        coeffs, tail = assert_same_series(charfn_build(a), 1e-12)
+        assert len(coeffs) == len(a) + 1 and tail == 0.0
+
+    def test_tolerance_above_the_first_tail_keeps_the_constant_only(self):
+        coeffs, tail = assert_same_series(charfn_build(np.array([[0.5]])), 10.0)
+        assert len(coeffs) == 1 and 0.0 < tail < 10.0
+
+    def test_term_cap_refuses_with_the_same_message(self):
+        cf = charfn_build(np.array([[0.94]]))
+        for build in (poly_truncate, poly_truncate_loop):
+            with pytest.raises(UnsafeDegree, match="^characteristic-function tail does not certify$"):
+                build(cf, 1e-200)
+
+    @pytest.mark.parametrize("seed", [2, 7])
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_random_contractions(self, seed, dim):
+        a = controlled_contraction(np.random.default_rng([seed, dim]), dim, 0.7, 0.85)
+        for tol in (1e-4, 1e-13):
+            assert_same_series(charfn_build(a), tol)
+
+    def test_powers_are_filled_in_blocks(self):
+        # a 64 x 64 weighted cyclic shift: T^64 = 0.01 I, rank-one defects,
+        # 385 terms whose 64 x 64 powers would take 25 MB together
+        size = 64
+        a = np.roll(np.eye(size), 1, axis=0)
+        a[0, -1] = 0.01
+        cf = charfn_build(a)
+        tracemalloc.start()
+        try:
+            coeffs, _ = poly_truncate(cf, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        powers_bytes = (len(coeffs) - 1) * size * size * 16
+        assert len(coeffs) > 300 and peak < powers_bytes / 8
+        assert_same_series(cf, 1e-10)
+
+
+def counted(monkeypatch, module_names, name):
+    """Count the calls of a package function through every listed module."""
+    calls = []
+    for module in module_names:
+        inner = getattr(module, name)
+
+        def wrapper(*args, _inner=inner):
+            calls.append(name)
+            return _inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestOneDefectBuildPerComponent:
+    # the components' CharFns reuse what the model's class check and
+    # adjoint defect already computed
+
+    def test_single_contraction(self, monkeypatch):
+        radii = counted(monkeypatch, (contraction, charfn), "spectral_radius_bound")
+        ranges = counted(monkeypatch, (dilation, charfn), "defect_range")
+        a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
+        residual, _ = projection_identity_residual(a, 40, 1e-6)
+        assert residual <= 1e-6
+        assert len(radii) == 1 and len(ranges) == 2
+
+    def test_quotient_model_pair(self, monkeypatch):
+        radii = counted(monkeypatch, (contraction, charfn), "spectral_radius_bound")
+        rng = np.random.default_rng(4)
+        t = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
+        assert quotient_model_check(t, 40, 1e-6).passed
+        assert len(radii) == 2
+
+    def test_direct_build_still_certifies(self, monkeypatch):
+        radii = counted(monkeypatch, (contraction, charfn), "spectral_radius_bound")
+        with pytest.raises(NotInClass):
+            charfn_build(np.diag([1.0, 0.5]))
+        assert len(radii) == 1
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_symbols_equal_those_of_charfn_build(self, components):
+        # a tensor pair's joint adjoint defect range is not a component's
+        rng = np.random.default_rng(8)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.55, 0.75) for _ in range(components)])
+        model, _, symbols, _, _ = _symbol_model(t, 40, 1e-6)
+        assert len(symbols) == components
+        for k, (comp, w) in enumerate(zip(t.components, symbols), start=1):
+            cf = charfn_build(comp)
+            want = _component_symbol(cf, poly_truncate(cf, 1e-7)[0], k, model)
+            assert w.shape == want.shape and (w != want).nnz == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_model_defect_range_is_the_components(self, dim):
+        a = controlled_contraction(np.random.default_rng(dim), dim, 0.55, 0.75)
+        q = canonical_embedding(ContractionTuple((a,)), 4).defect_basis.basis
+        assert q.tobytes() == charfn_build(a).defect_out.basis.tobytes()
 
 
 class TestProjectionIdentity:

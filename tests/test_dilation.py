@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _references import (
     block,
     dilation_residuals,
+    embedding_by_plan_walk,
     gram_levels_per_level,
     minimality_rank_svd,
     moebius_grid,
@@ -170,6 +171,15 @@ class TestLibraryErrors:
         with pytest.raises(DimensionMismatch, match="negative"):
             verify_dilation(model, order_cap=-1, tol=1e-8)
 
+    def test_prefix_outside_the_truncation(self):
+        # a prefix above d claimed the degree with fewer rows and levels than
+        # it needs, and its tail_bound then leaked numpy's IndexError
+        model = canonical_embedding(ContractionTuple((np.array([[0.5]]),)), 6)
+        for degree in (9, 7, -1):
+            with pytest.raises(DimensionMismatch, match=f"^degree {degree} outside 0..6$"):
+                model.prefix(degree)
+        assert model.prefix(6).truncation_degree == 6
+
     def test_bad_arguments(self):
         b = enumerate_basis(1, 6, 1)
         with pytest.raises(DimensionMismatch):
@@ -253,7 +263,8 @@ class TestOrbitAgainstExplicitPowers:
         # the class check is bypassed so that non-commuting components
         # expose any error in the order of the adjoint products; with a
         # warm plan the cached level plan was first built for another
-        # tuple, so it must carry nothing of that tuple
+        # tuple, so it must carry nothing of that tuple; one component
+        # walks its powers without a plan
         monkeypatch.setattr(dilation, "validate_tuple", lambda t: replace(validate_tuple(t), passed=True))
         rng = np.random.default_rng(30 + n)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
@@ -264,7 +275,8 @@ class TestOrbitAgainstExplicitPowers:
             other = np.random.default_rng(130 + n)
             canonical_embedding(ContractionTuple(tuple(controlled_contraction(other, 3, 0.5) for _ in range(n))), d)
         model = canonical_embedding(t, d)
-        assert _level_plan.cache_info().hits == int(warm_plan)
+        if n >= 2:
+            assert _level_plan.cache_info().hits == int(warm_plan)
         q = model.defect_basis.basis
         orbit = explicit_orbit(t, d)
         want = np.concatenate([adjoint(q) @ y for _, y in orbit])
@@ -273,6 +285,19 @@ class TestOrbitAgainstExplicitPowers:
         for k in range(d + 1):
             g = g + sum(adjoint(y) @ y for alpha, y in orbit if alpha.sum() == k)
             np.testing.assert_allclose(model.gram_levels[k], g, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("d", [0, 1, 7, 40])
+    def test_one_component_matches_the_plan_walk_bit_for_bit(self, m, d):
+        # the stacked powers of a single contraction take the walk's
+        # operands in the walk's order, so nothing may move
+        t = ContractionTuple((controlled_contraction(np.random.default_rng([m, d]), m, 0.7),))
+        model, want = canonical_embedding(t, d), embedding_by_plan_walk(t, d)
+        assert model.embedding.tobytes() == want.embedding.tobytes()
+        for name in ("gram_levels", "level_sums"):
+            got, ref = getattr(model, name), getattr(want, name)
+            assert len(got) == len(ref) == d + 1 + (name == "level_sums")
+            assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gram_levels_match_per_level_products(self, n):
