@@ -217,10 +217,11 @@ def poly_truncate(cf: CharFn, tol: float):
 def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
     """Truncated M_theta~ of one component with output basis model.basis,
     as a CSR matrix: its coefficients are incl* theta_j, incl the
-    inclusion of the joint adjoint defect space into this component's."""
+    inclusion of the joint adjoint defect space into this component's,
+    applied to all coefficients in one batched product."""
     basis_in = enumerate_basis(model.tuple_.num_components, model.truncation_degree, cf.dim_in)
     incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
-    return one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis).matrix
+    return one_variable_symbol(k, adjoint(incl) @ np.stack(coeffs), basis_in, model.basis).matrix
 
 
 @dataclass(frozen=True)

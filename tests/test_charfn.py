@@ -511,3 +511,19 @@ class TestSymbolInModelCoordinates:
             want = symbol_through_component_basis(cf, coeffs, k, model)
             assert mat.shape == want.shape == (model.basis.size, model.basis.size // model.defect_dim * cf.dim_in)
             assert abs(mat - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (2, 2), (3, 2)])
+    def test_batched_inclusion_matches_per_coefficient_products(self, dims):
+        # one product over the stacked coefficients takes each one's
+        # operands in the same order, so no entry may move
+        t = tensor_tuple([controlled_contraction(np.random.default_rng(len(dims)), m, 0.55, 0.75) for m in dims])
+        model = canonical_embedding(t, 30)
+        for k, comp in enumerate(t.components, start=1):
+            cf = charfn_build(comp)
+            coeffs, _ = poly_truncate(cf, 1e-3)
+            incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
+            basis_in = enumerate_basis(t.num_components, 30, cf.dim_in)
+            want = one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis).matrix
+            got = _component_symbol(cf, coeffs, k, model)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
