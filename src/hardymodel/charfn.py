@@ -174,7 +174,8 @@ def poly_truncate(cf: CharFn, tol: float):
     Coefficients are compress(-T) and compress(D_out T*^(k-1) D_in); the
     returned tail bounds the operator-norm sum of all dropped ones.  The
     tail envelope depends on k alone, so the number of terms is counted
-    before any product.  The powers T*^j = T* @ T*^(j-1) are filled into
+    before any product; a count that reaches _MAX_TERMS is refused before
+    any power is formed.  The powers T*^j = T* @ T*^(j-1) are filled into
     a stack of at most _POWER_BLOCK_BYTES, and each block's coefficients
     come from one batched ((Q_out* D_out) @ T*^j @ D_in) @ Q_in.  A power
     that is exactly zero ends the series with a tail of 0.0 (nilpotent).
@@ -193,6 +194,8 @@ def poly_truncate(cf: CharFn, tol: float):
     terms = 0  # the terms k = 1 .. terms are kept, T*^0 .. T*^(terms - 1)
     while terms < _MAX_TERMS and tail_from(terms + 1) >= tol:
         terms += 1
+    if terms == _MAX_TERMS:
+        raise UnsafeDegree("characteristic-function tail does not certify")
     left, t_star = adjoint(qo) @ d_out, adjoint(t)
     size = t.shape[0]
     block_len = max(1, min(terms, _POWER_BLOCK_BYTES // max(16 * size * size, 1)))
@@ -209,8 +212,6 @@ def poly_truncate(cf: CharFn, tol: float):
         coeffs.extend(left @ block @ d_in @ qi)
         if zero.size:
             return coeffs, 0.0  # nilpotent: series terminates exactly
-    if terms == _MAX_TERMS:
-        raise UnsafeDegree("characteristic-function tail does not certify")
     return coeffs, float(tail_from(terms + 1))
 
 

@@ -3,21 +3,24 @@ vector-valued Hardy space, and the verification machinery around it.
 
 The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 |alpha| <= d, expressed in an orthonormal basis of the adjoint defect
-space.  The orbit is walked one degree at a time over the graded-lex
-exponent rows, each alpha reached from its parent alpha - e_v by one
-adjoint; parents and v depend on (n, d) alone and sit in a cached,
-read-only level plan.  A single contraction has one row per level and
-needs no plan: its powers T*^k fill one stack, one product per degree in
-the walk's own order.  One product over the whole orbit gives every
-embedding row, and one batched per-row product summed over the level
-starts (np.add.reduceat) and cumulated gives every Gram level G_k.  The
-walk goes on to degree d + 1 for the level sums
-L_k = sum_{|beta| = k} T^beta T*^beta: by the norm identity applied to
-T*^beta x, the truncation tail x* (I - G_c) x lies between the max and
-the sum of ||T*^beta x||^2 over |beta| = c + 1 (equal for n = 1), so
-L_(c+1), a sum of nonnegative terms, is the one truncation measure: the
-tail in exact arithmetic, with the computed Gram's own round-off, about
-1e-15, on top of it.  A model of lower degree is a prefix of a built one.
+space.  For any number of components the orbit comes from one routine:
+each component's powers (T*_v^j)^T fill one stack, one product per
+power, and the rows (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T of any
+array of exponents are n - 1 batched products of the stack entries they
+pick.  Rows do not depend on each other, so nothing is cached and only
+hardy knows the exponent layout; a single contraction's rows are its
+stack.  One product over the orbit gives every embedding row, and one
+batched per-row product summed over the level starts (np.add.reduceat,
+the starts read off the rows' degrees) and cumulated gives every Gram
+level G_k.  The rows go on to degree d + 1 for the level sums
+L_k = sum_{|beta| = k} T^beta T*^beta, per-row products summed the same
+way: by the norm identity applied to T*^beta x, the truncation tail
+x* (I - G_c) x lies between the max and the sum of ||T*^beta x||^2 over
+|beta| = c + 1 (equal for n = 1), so L_(c+1), a sum of nonnegative
+terms, is the one truncation measure: the tail in exact arithmetic, with
+the computed Gram's own round-off, about 1e-15, on top of it.  A model of
+lower degree is a prefix of a built one.  norm_identity asks the routine
+for one degree level at a time, so it holds one level of rows.
 Shift-power compressions through the embedding reduce to Gram sums, and a
 Moebius map phi_a(S_k) is, exactly, the multiplier of the degree-d series
 of phi_a(zeta_k).
@@ -25,9 +28,7 @@ of phi_a(zeta_k).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +46,6 @@ from .hardy import (
     HardyBasis,
     HardyVector,
     _graded_lex_exponents,
-    _graded_lex_rank,
     enumerate_basis,
     one_variable_symbol,
 )
@@ -71,34 +71,36 @@ __all__ = [
 _DEGREE_CAP = 512
 
 
-@functools.lru_cache(maxsize=64)
-def _level_plan(n: int, d: int) -> tuple:
-    """Per degree 1 <= k <= d, read-only: each row's source p n + v.  Row
-    alpha is T*_v of its parent alpha - e_v, v the last variable alpha
-    uses, p the parent's index in level k - 1 (its rank minus the
-    C(k-2+n, n) monomials of lower degree)."""
-    rows = enumerate_basis(n, d).exponents[1:]
-    starts = np.array([math.comb(k - 1 + n, n) for k in range(d + 2)])
-    last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
-    parents = rows - np.eye(n, dtype=rows.dtype)[last]
-    source = (_graded_lex_rank(parents) - starts[rows.sum(axis=1) - 1]) * n + last
-    source.flags.writeable = False
-    return tuple(source[a - 1 : b - 1] for a, b in zip(starts[1:], starts[2:]))
+def _adjoint_power_rows(adjoints, top: int):
+    """rows(exps): (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each
+    row alpha of exps, in the given order, for exponents at most top.
+
+    Each component's powers (T*_v^j)^T, j <= top, fill one stack, one
+    product per power; a batch of rows is then n - 1 batched products of
+    the stack entries its exponents pick.  Rows do not depend on each
+    other, so any subset or order of exponents can be asked for."""
+    m = len(adjoints[0])
+    stacks = []
+    for a in adjoints:
+        stack = np.empty((top + 1, m, m), complex)
+        stack[0] = np.identity(m)
+        for k in range(1, top + 1):
+            np.matmul(stack[k - 1], a.T, out=stack[k])
+        stacks.append(stack)
+
+    def rows(exps: np.ndarray) -> np.ndarray:
+        out = stacks[0][exps[:, 0]]
+        for stack, col in zip(stacks[1:], exps.T[1:]):
+            out = out @ stack[col]
+        return out
+
+    return rows
 
 
-def _orbit_levels(adjoints, d: int, right: np.ndarray):
-    """Per degree k <= d, the products T*^alpha @ right, |alpha| = k in basis
-    order, as the view w.transpose(1, 2, 0) of shape (rows, m, q) of
-    w[c, alpha, :] = (T*^alpha @ right)[:, c]: one product
-    w @ [T*_1^T ... T*_n^T] applies every T*_v to the previous level, and one
-    take by the plan's sources keeps this level's rows."""
-    m = right.shape[0]
-    steps = np.concatenate([a.T for a in adjoints], axis=1)
-    w = np.asarray(right, dtype=complex).T[:, None, :]
-    yield w.transpose(1, 2, 0)
-    for source in _level_plan(len(adjoints), d):
-        w = np.take((w.reshape(-1, m) @ steps).reshape(len(w), -1, m), source, axis=1)
-        yield w.transpose(1, 2, 0)
+def _level_bounds(exps: np.ndarray, top: int) -> np.ndarray:
+    """Start of each degree 0..top among degree-sorted exponent rows, then
+    the end of degree top."""
+    return np.searchsorted(exps.sum(axis=1), np.arange(top + 2))
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -237,30 +239,19 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     """canonical_embedding of a validated tuple with its adjoint defect given."""
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
-    adjoints = [adjoint(c) for c in t.components]
-    if len(adjoints) == 1:
-        # one row per level, source 0: the walk is w_k = w_(k-1) @ T*^T,
-        # filled into one stack, and all L_k = w_k.conj() @ w_k.T at once
-        stack = np.empty((d + 2, m, m), complex)
-        stack[0] = np.identity(m)
-        for k in range(1, d + 2):
-            np.matmul(stack[k - 1], adjoints[0].T, out=stack[k])
-        level_sums = list(np.matmul(stack.conj(), stack.transpose(0, 2, 1)))
-        orbit, starts = stack[: d + 1].transpose(1, 0, 2), np.arange(d + 1)
-    else:
-        # w[c, alpha, :] = (T*^alpha)[:, c], one array per level k <= d + 1
-        walk = _orbit_levels(adjoints, d + 1, np.identity(m, complex))
-        levels = [x.transpose(2, 0, 1) for x in walk]
-        # L_k = sum_{|beta| = k} T^beta T*^beta, one product per level
-        level_sums = [w.reshape(m, -1).conj() @ w.reshape(m, -1).T for w in levels]
-        orbit = np.concatenate(levels[:-1], axis=1)
-        starts = np.cumsum([0] + [x.shape[1] for x in levels[:-2]])
+    # p[alpha] = (T*^alpha)^T, p[alpha][c, :] = (T*^alpha)[:, c], |alpha| <= d + 1
+    exps = enumerate_basis(t.num_components, d + 1).exponents
+    starts = _level_bounds(exps, d + 1)[:-1]
+    p = _adjoint_power_rows([adjoint(c) for c in t.components], d + 1)(exps)
+    # L_k = sum_{|beta| = k} T^beta T*^beta, one batched per-row product
+    # summed over each level's rows
+    level_sums = list(np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0))
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
-    y = (orbit.reshape(-1, m) @ d_star.T).reshape(m, -1, m)
+    y = (p[: basis.num_monomials].transpose(1, 0, 2).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
     # summed over each level's rows, then over the levels up to k
     rows = np.einsum("cak,bak->acb", y.conj(), y)
-    gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
+    gram_levels = list(np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
     return DilationModel(t, basis, q, u, gram_levels, level_sums, d)
@@ -358,9 +349,14 @@ def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
     single = np.ndim(x) == 1
     xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
     d_star = joint_defect(t.adjoint())
+    exps = enumerate_basis(t.num_components, d).exponents
+    bounds = _level_bounds(exps, d)
+    rows = _adjoint_power_rows([adjoint(c) for c in t.components], d)
     partial = np.zeros(xs.shape[1])
-    for blocks in _orbit_levels([adjoint(c) for c in t.components], d, xs):
-        partial += np.sum(np.abs(blocks.transpose(2, 0, 1) @ d_star.T) ** 2, axis=(1, 2))
+    # one level at a time, so only one level of rows is held:
+    # x^T (T*^alpha)^T D_*^T = (D_* T*^alpha x)^T
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        partial += np.sum(np.abs(xs.T @ rows(exps[a:b]) @ d_star.T) ** 2, axis=(0, 2))
     residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
     if single:
         return float(partial[0]), float(residual[0])

@@ -5,25 +5,31 @@ the package.  Each is the plain formula: dense projectors, the scalar
 Moebius map, a dense scan of an operator's degree window, the per-term
 assembly loop of a multiplication operator, the two-loop dilation and
 regularity residuals, the singular-value rank of the minimality stack,
-the per-column degree loop, the nested-loop Moebius grid, the per-level
-Gram products of the defect orbit, the embedding by the level-plan walk
-for one component, the term-by-term characteristic-function series.
+the per-column degree loop, the nested-loop Moebius grid, the
+graded-lex level-plan walk of the defect orbit (each row T*_v of its
+parent, from a cached plan of sources), the per-level Gram products and
+the whole embedding by that walk, the term-by-term
+characteristic-function series.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from hardymodel.charfn import CharFn, _power_norm_envelope
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect
-from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd, _orbit_levels
+from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd
 from hardymodel.errors import DimensionMismatch, UnsafeDegree
 from hardymodel.hardy import (
     HardyBasis,
     HardyOperator,
     HardyVector,
     _graded_lex_exponents,
+    _graded_lex_rank,
     enumerate_basis,
 )
 from hardymodel.linops import Subspace, adjoint, operator_norm
@@ -106,6 +112,36 @@ def assemble_per_term(basis_in: HardyBasis, basis_out: HardyBasis, terms) -> sp.
         return sp.csr_matrix(shape)
     entries = np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))
     return sp.csr_matrix(entries, shape=shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _level_plan(n: int, d: int) -> tuple:
+    """Per degree 1 <= k <= d, read-only: each row's source p n + v.  Row
+    alpha is T*_v of its parent alpha - e_v, v the last variable alpha
+    uses, p the parent's index in level k - 1 (its rank minus the
+    C(k-2+n, n) monomials of lower degree)."""
+    rows = enumerate_basis(n, d).exponents[1:]
+    starts = np.array([math.comb(k - 1 + n, n) for k in range(d + 2)])
+    last = n - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    parents = rows - np.eye(n, dtype=rows.dtype)[last]
+    source = (_graded_lex_rank(parents) - starts[rows.sum(axis=1) - 1]) * n + last
+    source.flags.writeable = False
+    return tuple(source[a - 1 : b - 1] for a, b in zip(starts[1:], starts[2:]))
+
+
+def _orbit_levels(adjoints, d: int, right: np.ndarray):
+    """Per degree k <= d, the products T*^alpha @ right, |alpha| = k in basis
+    order, as the view w.transpose(1, 2, 0) of shape (rows, m, q) of
+    w[c, alpha, :] = (T*^alpha @ right)[:, c]: one product
+    w @ [T*_1^T ... T*_n^T] applies every T*_v to the previous level, and one
+    take by the plan's sources keeps this level's rows."""
+    m = right.shape[0]
+    steps = np.concatenate([a.T for a in adjoints], axis=1)
+    w = np.asarray(right, dtype=complex).T[:, None, :]
+    yield w.transpose(1, 2, 0)
+    for source in _level_plan(len(adjoints), d):
+        w = np.take((w.reshape(-1, m) @ steps).reshape(len(w), -1, m), source, axis=1)
+        yield w.transpose(1, 2, 0)
 
 
 def gram_levels_per_level(t: ContractionTuple, d: int) -> list:

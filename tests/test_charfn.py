@@ -231,6 +231,21 @@ class TestPolyTruncateEdgePaths:
             with pytest.raises(UnsafeDegree, match="^characteristic-function tail does not certify$"):
                 build(cf, 1e-200)
 
+    def test_term_cap_refuses_before_any_power(self):
+        # a 64 x 64 weighted cyclic shift with corner 0.9 needs more than
+        # 4096 terms at 1e-10; the refusal must not form the 4096 powers
+        a = np.roll(np.eye(64), 1, axis=0)
+        a[0, -1] = 0.9
+        cf = charfn_build(a)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsafeDegree, match="^characteristic-function tail does not certify$"):
+                poly_truncate(cf, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
     @pytest.mark.parametrize("seed", [2, 7])
     @pytest.mark.parametrize("dim", [1, 3, 5])
     def test_random_contractions(self, seed, dim):

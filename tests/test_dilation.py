@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,9 +28,8 @@ from hardymodel.contraction import (
     validate_tuple,
 )
 from hardymodel.dilation import (
+    _adjoint_power_rows,
     _disjoint_power_pairs,
-    _level_plan,
-    _orbit_levels,
     canonical_embedding,
     choose_truncation_degree,
     default_moebius_grid,
@@ -40,7 +41,7 @@ from hardymodel.dilation import (
     power_search,
     verify_dilation,
 )
-from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
+from hardymodel.errors import DimensionMismatch, NotInClass, SizeOverflow, UnsafeDegree, ZeroDefect
 from hardymodel.generators import _PATTERNS, tuple_ensemble
 from hardymodel.hardy import HardyVector, enumerate_basis, monomial_vector, parity_shift, shift
 from hardymodel.linops import adjoint, operator_norm
@@ -190,19 +191,27 @@ class TestOrbitLevels:
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3), d=st.integers(0, 5))
     @settings(max_examples=25, deadline=None)
     def test_matches_direct_adjoint_powers(self, seed, n, d):
-        # level k holds every alpha of degree k once, with T*^alpha @ right
-        # = (T_1^a_1 ... T_n^a_n)* @ right; components need not commute
+        # row alpha is (T*^alpha)^T = ((T_1^a_1 ... T_n^a_n)*)^T, for every
+        # alpha of degree <= d in basis order; components need not commute
         rng = np.random.default_rng(seed)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(n)))
-        right = rng.standard_normal((t.space_dim, 2)) + 1j * rng.standard_normal((t.space_dim, 2))
-        levels = list(_orbit_levels([adjoint(c) for c in t.components], d, right))
-        assert len(levels) == d + 1
-        exps_all = enumerate_basis(n, d, 1).exponents
-        for k, x in enumerate(levels):
-            want_rows = exps_all[exps_all.sum(axis=1) == k]  # basis order
-            assert x.shape == (len(want_rows), t.space_dim, 2)
-            for alpha, block in zip(want_rows, x):
-                np.testing.assert_allclose(block, adjoint(t.power(alpha)) @ right, atol=1e-12)
+        exps = enumerate_basis(n, d, 1).exponents
+        rows = _adjoint_power_rows([adjoint(c) for c in t.components], d)(exps)
+        assert rows.shape == (len(exps), t.space_dim, t.space_dim)
+        for alpha, row in zip(exps, rows):
+            np.testing.assert_allclose(row, adjoint(t.power(alpha)).T, atol=1e-12)
+
+    def test_any_order_of_any_exponent_set(self):
+        # a shuffled set that is not a graded block, {alpha : a_1 + 2 a_2 <= 8}:
+        # the rows come back in the order asked for
+        rng = np.random.default_rng(17)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(2)))
+        exps = np.array([(a, b) for a in range(9) for b in range(5) if a + 2 * b <= 8])
+        exps = exps[rng.permutation(len(exps))]
+        rows = _adjoint_power_rows([adjoint(c) for c in t.components], 8)(exps)
+        assert len(rows) == len(exps) == 25
+        for alpha, row in zip(exps, rows):
+            np.testing.assert_allclose(row, adjoint(t.power(alpha)).T, atol=1e-12)
 
 
 class TestOneModelPerVerdict:
@@ -258,25 +267,15 @@ def explicit_orbit(t, d):
 
 class TestOrbitAgainstExplicitPowers:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("warm_plan", [True, False])
-    def test_embedding_and_gram_levels(self, monkeypatch, n, warm_plan):
+    def test_embedding_and_gram_levels(self, monkeypatch, n):
         # the class check is bypassed so that non-commuting components
-        # expose any error in the order of the adjoint products; with a
-        # warm plan the cached level plan was first built for another
-        # tuple, so it must carry nothing of that tuple; one component
-        # walks its powers without a plan
+        # expose any error in the order of the adjoint products
         monkeypatch.setattr(dilation, "validate_tuple", lambda t: replace(validate_tuple(t), passed=True))
         rng = np.random.default_rng(30 + n)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
         assert n == 1 or validate_tuple(t).max_commutator > 1e-3
         d = 6
-        _level_plan.cache_clear()
-        if warm_plan:
-            other = np.random.default_rng(130 + n)
-            canonical_embedding(ContractionTuple(tuple(controlled_contraction(other, 3, 0.5) for _ in range(n))), d)
         model = canonical_embedding(t, d)
-        if n >= 2:
-            assert _level_plan.cache_info().hits == int(warm_plan)
         q = model.defect_basis.basis
         orbit = explicit_orbit(t, d)
         want = np.concatenate([adjoint(q) @ y for _, y in orbit])
@@ -298,6 +297,21 @@ class TestOrbitAgainstExplicitPowers:
             got, ref = getattr(model, name), getattr(want, name)
             assert len(got) == len(ref) == d + 1 + (name == "level_sums")
             assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [0, 1, 9])
+    def test_several_components_match_the_plan_walk(self, n, d):
+        # rows as products of stacked powers against rows walked from
+        # their parents: the same orbit up to the order of the products
+        rng = np.random.default_rng([n, d])
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.7) for _ in range(n)])
+        model, want = canonical_embedding(t, d), embedding_by_plan_walk(t, d)
+        np.testing.assert_allclose(model.embedding, want.embedding, rtol=0, atol=1e-14)
+        for name in ("gram_levels", "level_sums"):
+            got, ref = getattr(model, name), getattr(want, name)
+            assert len(got) == len(ref) == d + 1 + (name == "level_sums")
+            for g, r in zip(got, ref):
+                np.testing.assert_allclose(g, r, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gram_levels_match_per_level_products(self, n):
@@ -323,22 +337,31 @@ class TestOrbitAgainstExplicitPowers:
         np.testing.assert_allclose(partial, want, atol=1e-13)
         np.testing.assert_allclose(residual, np.sum(np.abs(x) ** 2, axis=0) - want, atol=1e-13)
 
-    def test_level_plan_is_built_once_and_read_only(self):
-        _level_plan.cache_clear()
-        rng = np.random.default_rng(5)
-        t = tensor_tuple([controlled_contraction(rng, 2), controlled_contraction(rng, 2)])
-        # an embedding of degree 9 walks the orbit to degree 10 for its
-        # level sums, so it shares the plan of a degree-10 norm identity
-        canonical_embedding(t, 9)
-        canonical_embedding(t, 9)
-        norm_identity(t, np.ones(4), 10)
-        info = _level_plan.cache_info()
-        assert info.misses == 1 and info.hits == 2
-        plan = _level_plan(2, 10)
-        assert _level_plan(2, 10) is plan
-        assert len(plan) == 10
-        with pytest.raises(ValueError):
-            plan[3][0] = 0
+    def test_norm_identity_holds_one_level_of_rows(self):
+        # n = 3, m = 8, d = 60: the orbit's 39711 rows (T*^alpha)^T take
+        # 40.7 MB; the identity walks one degree level at a time
+        rng = np.random.default_rng(60)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(3)])
+        x = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        d = 60
+        orbit_bytes = math.comb(d + 3, 3) * 8 * 8 * 16
+        tracemalloc.start()
+        try:
+            partial, _ = norm_identity(t, x, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < orbit_bytes / 4
+        np.testing.assert_allclose(partial, np.sum(np.abs(x) ** 2, axis=0), rtol=1e-10)
+
+    def test_norm_identity_obeys_the_basis_cap(self, monkeypatch):
+        # its exponent rows come from enumerate_basis, so the size cap holds
+        rng = np.random.default_rng(61)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(2)])
+        monkeypatch.setenv("HARDYMODEL_BASIS_CAP", "100")
+        norm_identity(t, np.ones(4), 12)  # C(14, 2) = 91 rows
+        with pytest.raises(SizeOverflow):
+            norm_identity(t, np.ones(4), 37)
 
 
 def _adjoint_powers(a, count):
