@@ -6,8 +6,9 @@ charfn_build forms the defects D_T and D_T* once (contraction.defect) and
 their orthonormal ranges (linops.defect_range, absolute DEFECT_FLOOR) and
 keeps all four on the CharFn; evaluation, the kernel identity and the
 power series read them from there.  theta is evaluated by direct resolvent
-solves, which is exact for |z| <= 1 under the strict spectral-radius
-certificate.
+solves, exact for |z| <= 1 under the strict spectral-radius certificate;
+an array of points (boundary_unitarity's circle, an instance's kernel
+pairs) shares one batched solve and one batched SVD.
 
 The model space of a doubly commuting tuple is the joint range
 complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
@@ -90,31 +91,39 @@ def charfn_build(t: np.ndarray) -> CharFn:
     return cf
 
 
-def _charfn(t: np.ndarray, defect_out: Subspace | None = None) -> CharFn:
-    """charfn_build without the stability certificate; defect_out, when
-    given, is the range of D_T* already ranked."""
-    d_in, d_out = defect(t), defect(adjoint(t))  # DimensionMismatch unless a contraction
-    if defect_out is None:
-        defect_out = defect_range(d_out)
-    return CharFn(t, d_in, d_out, defect_range(d_in), defect_out)
+def _charfn(t: np.ndarray, model: DilationModel | None = None) -> CharFn:
+    """charfn_build without the stability certificate; model, when given,
+    is a model of t alone, whose D_* = D_T* and its range are taken as
+    they are."""
+    d_in = defect(t)  # DimensionMismatch unless a contraction
+    if model is None:
+        d_out = defect(adjoint(t))
+        return CharFn(t, d_in, d_out, defect_range(d_in), defect_range(d_out))
+    return CharFn(t, d_in, model.adjoint_defect, defect_range(d_in), model.defect_basis)
 
 
-def charfn_eval(cf: CharFn, z: complex) -> np.ndarray:
-    """theta(z) = compress(-T + z D_out (I - z T*)^{-1} D_in) between defect bases."""
+def charfn_eval(cf: CharFn, z) -> np.ndarray:
+    """theta(z) = compress(-T + z D_out (I - z T*)^{-1} D_in) between defect
+    bases; an array of points gives the stack of theta(z_k), from one
+    batched resolvent solve."""
+    z = np.asarray(z)
     if cf.dim_in == 0 or cf.dim_out == 0:
-        return np.zeros((cf.dim_out, cf.dim_in), dtype=complex)
+        return np.zeros(z.shape + (cf.dim_out, cf.dim_in), dtype=complex)
     t = cf.t
-    inner = -t + z * cf.d_out @ apply_shifted_inverse(adjoint(t), z, cf.d_in)
+    inner = -t + z[..., None, None] * cf.d_out @ apply_shifted_inverse(adjoint(t), z, cf.d_in)
     return adjoint(cf.defect_out.basis) @ inner @ cf.defect_in.basis
 
 
-def kernel_identity_residual(cf: CharFn, a: complex, b: complex) -> float:
+def kernel_identity_residual(cf: CharFn, a, b):
     """Residual of the defect-kernel factorization at an interior pair.
 
     Compares I - theta(b) theta(a)* with
     (1 - conj(a) b) compress(D_out (I - b T*)^{-1} (I - conj(a) T)^{-1} D_out).
+    Arrays a and b give one residual per pair (a_k, b_k), from one solve
+    per resolvent and one batched SVD.
     """
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
+    a, b = np.asarray(a), np.asarray(b)
+    if np.any(np.abs(a) >= 1.0) or np.any(np.abs(b) >= 1.0):
         raise DimensionMismatch("interior points required")
     t, d_out = cf.t, cf.d_out
     th_b = charfn_eval(cf, b)
@@ -123,7 +132,8 @@ def kernel_identity_residual(cf: CharFn, a: complex, b: complex) -> float:
     core = d_out @ apply_shifted_inverse(
         adjoint(t), b, apply_shifted_inverse(t, np.conj(a), d_out)
     )
-    rhs = (1.0 - np.conj(a) * b) * adjoint(cf.defect_out.basis) @ core @ cf.defect_out.basis
+    scale = (1.0 - np.conj(a) * b)[..., None, None]
+    rhs = scale * adjoint(cf.defect_out.basis) @ core @ cf.defect_out.basis
     return operator_norm(lhs - rhs)
 
 
@@ -142,14 +152,11 @@ _POWER_BLOCK_BYTES = 1 << 20
 
 def boundary_unitarity(cf: CharFn) -> float:
     """Max of ||theta(z)* theta(z) - I|| over _BOUNDARY_SAMPLES equispaced
-    unit-circle points."""
-    worst = 0.0
-    eye = np.eye(cf.dim_in, dtype=complex)
-    for j in range(_BOUNDARY_SAMPLES):
-        z = np.exp(2j * np.pi * j / _BOUNDARY_SAMPLES)
-        th = charfn_eval(cf, z)
-        worst = max(worst, operator_norm(adjoint(th) @ th - eye))
-    return worst
+    unit-circle points, from one evaluation and one batched SVD."""
+    z = np.exp(2j * np.pi * np.arange(_BOUNDARY_SAMPLES) / _BOUNDARY_SAMPLES)
+    th = charfn_eval(cf, z)
+    gaps = adjoint(th) @ th - np.eye(cf.dim_in, dtype=complex)
+    return float(np.max(operator_norm(gaps), initial=0.0))
 
 
 def _power_norm_envelope(t: np.ndarray):
@@ -243,18 +250,18 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
 
     The components' CharFns come from the model just built: its class
     check certified every spectral radius, so none is estimated again, and
-    for one component D_* = D_T*, so the model's adjoint defect range is
-    the component's.  Each symbol keeps the terms poly_truncate certifies
-    to tol / 10.  For K such symbols of degree <= D the safe cutoff is
+    for one component D_* = D_T*, so the model's adjoint defect and its
+    range are the component's.  Each symbol keeps the terms poly_truncate
+    certifies to tol / 10.  For K such symbols of degree <= D the safe cutoff is
     d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
     UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
     tails).
     """
     model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
-    defect_out = model.defect_basis if t.num_components == 1 else None
+    own = model if t.num_components == 1 else None
     prepared, degrees, tails = [], [], []  # prepared: (component index, charfn, coefficients)
     for k, comp in enumerate(t.components, start=1):
-        cf = _charfn(comp, defect_out)
+        cf = _charfn(comp, own)
         if cf.dim_in == 0:
             continue  # isometric component contributes no complement range
         coeffs, tail = poly_truncate(cf, tol / 10.0)

@@ -225,10 +225,12 @@ def _random_charfn(rng, p: GeneratorParams) -> charfn.CharFn:
 def _charfn_kernel_identity(rng, p: GeneratorParams, tol: float):
     for _ in range(p.instances):
         cf = _random_charfn(rng, p)
-        for _ in range(20):
-            pa = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            pb = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-            yield _within(charfn.kernel_identity_residual(cf, pa, pb), tol)
+        # the 20 pairs' radii and angles, a then b, in one block of draws
+        u = rng.uniform(size=(20, 4))
+        pa = 0.85 * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
+        pb = 0.85 * u[:, 2] * np.exp(2j * np.pi * u[:, 3])
+        for residual in charfn.kernel_identity_residual(cf, pa, pb):
+            yield _within(float(residual), tol)
 
 
 @_check("charfn-boundary", "matrix", 1e-8, "boundary unitarity of the characteristic function")

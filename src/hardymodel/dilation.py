@@ -20,7 +20,8 @@ x* (I - G_c) x lies between the max and the sum of ||T*^beta x||^2 over
 terms, is the one truncation measure: the tail in exact arithmetic, with
 the computed Gram's own round-off, about 1e-15, on top of it.  A model of
 lower degree is a prefix of a built one.  norm_identity asks the routine
-for one degree level at a time, so it holds one level of rows.
+for one degree level at a time, with its probes x^T at the head of the
+rows, so it holds one level of q x m rows x^T (T*^alpha)^T.
 Shift-power compressions through the embedding reduce to Gram sums, and a
 Moebius map phi_a(S_k) is, exactly, the multiplier of the degree-d series
 of phi_a(zeta_k).
@@ -71,14 +72,16 @@ __all__ = [
 _DEGREE_CAP = 512
 
 
-def _adjoint_power_rows(adjoints, top: int):
+def _adjoint_power_rows(adjoints, top: int, head: np.ndarray | None = None):
     """rows(exps): (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each
     row alpha of exps, in the given order, for exponents at most top.
 
     Each component's powers (T*_v^j)^T, j <= top, fill one stack, one
     product per power; a batch of rows is then n - 1 batched products of
     the stack entries its exponents pick.  Rows do not depend on each
-    other, so any subset or order of exponents can be asked for."""
+    other, so any subset or order of exponents can be asked for.  A head
+    (q x m) multiplies the first stack once, before any row is formed, so
+    the rows are the q x m products head (T*^alpha)^T."""
     m = len(adjoints[0])
     stacks = []
     for a in adjoints:
@@ -87,6 +90,8 @@ def _adjoint_power_rows(adjoints, top: int):
         for k in range(1, top + 1):
             np.matmul(stack[k - 1], a.T, out=stack[k])
         stacks.append(stack)
+    if head is not None:
+        stacks[0] = head @ stacks[0]
 
     def rows(exps: np.ndarray) -> np.ndarray:
         out = stacks[0][exps[:, 0]]
@@ -113,14 +118,16 @@ def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
 class DilationModel:
     """Truncated analytic model of a contraction tuple, built once.
 
-    embedding holds the raw coefficient map (rows monomial-major in graded-lex
-    order, defect slot minor, so the rows of degree <= c come first);
+    adjoint_defect is the joint adjoint defect D_* and defect_basis its
+    range; embedding holds the raw coefficient map (rows monomial-major in
+    graded-lex order, defect slot minor, so the rows of degree <= c come first);
     gram_levels[k] is the cumulative Gram sum G_k over |alpha| <= k, and
     level_sums[k] is L_k, k <= d + 1, with 0 <= I - G_(k-1) <= L_k in exact
     arithmetic (the computed Gram carries its own round-off, about 1e-15)."""
 
     tuple_: ContractionTuple
     basis: HardyBasis
+    adjoint_defect: np.ndarray = field(repr=False)
     defect_basis: Subspace
     embedding: np.ndarray
     gram_levels: list = field(repr=False)
@@ -254,7 +261,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     gram_levels = list(np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
-    return DilationModel(t, basis, q, u, gram_levels, level_sums, d)
+    return DilationModel(t, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
 def _disjoint_power_pairs(n: int, cap: int):
@@ -351,12 +358,12 @@ def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
     d_star = joint_defect(t.adjoint())
     exps = enumerate_basis(t.num_components, d).exponents
     bounds = _level_bounds(exps, d)
-    rows = _adjoint_power_rows([adjoint(c) for c in t.components], d)
+    rows = _adjoint_power_rows([adjoint(c) for c in t.components], d, xs.T)
     partial = np.zeros(xs.shape[1])
     # one level at a time, so only one level of rows is held:
     # x^T (T*^alpha)^T D_*^T = (D_* T*^alpha x)^T
     for a, b in zip(bounds[:-1], bounds[1:]):
-        partial += np.sum(np.abs(xs.T @ rows(exps[a:b]) @ d_star.T) ** 2, axis=(0, 2))
+        partial += np.sum(np.abs(rows(exps[a:b]) @ d_star.T) ** 2, axis=(0, 2))
     residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
     if single:
         return float(partial[0]), float(residual[0])

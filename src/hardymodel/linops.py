@@ -39,15 +39,16 @@ __all__ = [
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; of each matrix, for a stack of matrices."""
+    return a.conj().T if a.ndim <= 2 else a.conj().swapaxes(-1, -2)
 
 
-def operator_norm(a) -> float:
+def operator_norm(a):
     """Spectral norm; accepts dense arrays or scipy sparse matrices.
 
     The largest singular value from the same LAPACK call as
-    np.linalg.norm(a, 2), without its wrapper overhead.
+    np.linalg.norm(a, 2), without its wrapper overhead.  A stack of
+    matrices gives the array of their norms from one batched call.
     """
     if hasattr(a, "toarray"):
         if a.count_nonzero() == 0:
@@ -55,8 +56,9 @@ def operator_norm(a) -> float:
         a = a.toarray()
     a = np.asarray(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+        return np.zeros(a.shape[:-2]) if a.ndim > 2 else 0.0
+    norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return norms if a.ndim > 2 else float(norms)
 
 
 #: smallest order certified_norm certifies.  Below it the SVD is cheaper
@@ -205,13 +207,15 @@ def solve_shifted(t: np.ndarray, z: complex) -> np.ndarray:
     return scipy.linalg.solve(m, np.eye(t.shape[0], dtype=complex))
 
 
-def apply_shifted_inverse(t: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
-    """(I - z*T)^{-1} @ rhs without forming the inverse."""
+def apply_shifted_inverse(t: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
+    """(I - z*T)^{-1} @ rhs without forming the inverse; for an array of
+    points z, the stacked systems I - z_k T in one np.linalg.solve, against
+    rhs or against one right-hand side per point."""
     t = np.asarray(t, dtype=complex)
-    m = np.eye(t.shape[0], dtype=complex) - z * t
+    m = np.eye(t.shape[0], dtype=complex) - np.multiply.outer(z, t)
     try:
-        return scipy.linalg.solve(m, rhs)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularShift(str(exc)) from exc
 
 

@@ -6,7 +6,8 @@ built from one-variable model-space sections so that compressions carry
 exact Kronecker structure.  Generator orbits and tensor columns are
 placed into the basis by one HardyBasis.rank scatter each.  All set
 operations happen at the section level and every report names the cutoff
-it used.
+it used; the Beurling extraction runs in the section's own coordinates,
+so its QRs have the section's s rows, not the basis's N.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .hardy import (
     HardyVector,
     _graded_lex_exponents,
     enumerate_basis,
-    evaluate,
     is_inner_on_truncation,
     kernel_vector,
     monomial_vector,
@@ -142,12 +142,21 @@ def inner_symbol_operator(hint: dict, basis: HardyBasis) -> HardyOperator:
 
 
 def _low_section(handle: SubmoduleHandle, slack: int) -> np.ndarray:
-    """Coordinates (in the handle basis) of the handle's low-degree part."""
-    b = handle.space.basis
+    """Coordinates (in the handle basis) of the handle's low-degree part:
+    the basis cut to its rows of degree <= safe_degree - slack, ranked by a
+    QR of those kept rows alone.  UnsafeDegree when that degree is < 0."""
     cutoff = handle.safe_degree - slack
-    keep = handle.basis.degree_selector(cutoff)
-    low = orthonormalize(b * keep[:, None], rank_tol=1e-6)
-    return adjoint(b) @ low.basis
+    if cutoff < 0:
+        raise UnsafeDegree("section too shallow for the requested slack")
+    kept = handle.space.basis[handle.basis.degree_selector(cutoff)]
+    return adjoint(kept) @ orthonormalize(kept, rank_tol=1e-6).basis
+
+
+def _restricted_shifts(handle: SubmoduleHandle) -> list:
+    """R_k = Q* S_k Q, the s x s restricted shifts on the handle's N x s
+    section basis Q."""
+    b, basis = handle.space.basis, handle.basis
+    return [adjoint(b) @ (shift(k, basis).matrix @ b) for k in range(1, basis.num_vars + 1)]
 
 
 @dataclass(frozen=True)
@@ -176,14 +185,9 @@ def restriction_double_commutation(handle: SubmoduleHandle, tol: float) -> Commu
     minus _RESTRICTION_SLACK) so truncation edge effects do not pollute
     the verdict.
     """
-    cutoff = handle.safe_degree - _RESTRICTION_SLACK
-    if cutoff < 0:
-        raise UnsafeDegree("section too shallow for the requested slack")
-    b = handle.space.basis
-    n = handle.basis.num_vars
-    restricted = [adjoint(b) @ (shift(k, handle.basis).matrix @ b) for k in range(1, n + 1)]
     probes = _low_section(handle, _RESTRICTION_SLACK)
-    return CommutationReport(*_commutator_norms(restricted, probes), cutoff, tol)
+    norms = _commutator_norms(_restricted_shifts(handle), probes)
+    return CommutationReport(*norms, handle.safe_degree - _RESTRICTION_SLACK, tol)
 
 
 @dataclass(frozen=True)
@@ -194,45 +198,44 @@ class ExtractionResult:
     max_deviation: float | None
 
 
-def _deviation_grid(num_vars: int):
-    """16 points on the circle of radius 0.5, damped by 0.9 per variable."""
-    out = []
-    for j in range(16):
-        z = 0.5 * np.exp(2j * np.pi * j / 16)
-        out.append(tuple(z * (0.9**i) for i in range(num_vars)))
-    return tuple(out)
-
-
-def _hint_value(hint, point) -> complex:
-    val = 1.0 + 0.0j
-    for var, eta in hint.items():
-        val *= eta(point[var - 1])
-    return val
+def _deviation_grid(num_vars: int) -> np.ndarray:
+    """16 points on the circle of radius 0.5, damped by 0.9 per variable,
+    as a (16, num_vars) array."""
+    z = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
+    return z[:, None] * 0.9 ** np.arange(num_vars)
 
 
 def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     """Wandering part of the section and the recovered generator.
 
-    Scalar coefficient space only.  When the wandering dimension is one,
-    the generator is compared against the handle's hint (if any) up to a
-    unimodular constant estimated from the largest-modulus coefficient.
+    Scalar coefficient space only; a section shallower than
+    _EXTRACTION_SLACK is UnsafeDegree.  With Q the N x s section basis and
+    L the low part's coordinates, the span of R_k L (R_k = Q* S_k Q), the
+    residual of L against it and the wandering QR are s-row problems; the
+    generator g = Q w alone has N rows, its first real or imaginary part
+    above 1e-10 negative: Re g[0] <= 0 as an N-row Householder QR leaves
+    it, and round-off never picks the sign when Re g[0] = 0.  This is
+    exact when S_k Q L = Q R_k L: the leak is at round-off on the
+    beurling-extraction fixtures, at the inner series' truncation level
+    elsewhere.  A generator of wandering dimension one is compared against
+    the handle's hint (if any) up to a unimodular constant from the
+    largest-modulus coefficient, on _deviation_grid in one monomial product.
     """
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
-    b = handle.space.basis
-    low = _low_section(handle, _EXTRACTION_SLACK)  # handle coords of the low part
-    low_cols = b @ low
-    shifted = []
-    for k in range(1, handle.basis.num_vars + 1):
-        shifted.append(shift(k, handle.basis).matrix @ low_cols)
+    low = _low_section(handle, _EXTRACTION_SLACK)
+    shifted = [r @ low for r in _restricted_shifts(handle)]
     shifted_space = orthonormalize(np.concatenate(shifted, axis=1), rank_tol=1e-8)
-    residual_cols = low_cols - shifted_space.basis @ (adjoint(shifted_space.basis) @ low_cols)
-    wandering = orthonormalize(residual_cols, rank_tol=1e-6)
+    residual = low - shifted_space.basis @ (adjoint(shifted_space.basis) @ low)
+    wandering = orthonormalize(residual, rank_tol=1e-6)
     if wandering.dim != 1:
         raise AmbiguousWandering(
             f"wandering section has dimension {wandering.dim}, expected 1"
         )
-    gen = HardyVector(handle.basis, wandering.basis[:, 0])
+    g = handle.space.basis @ wandering.basis[:, 0]
+    parts = np.concatenate([g.real, g.imag])
+    lead = parts[np.abs(parts) > 1e-10][0]  # ||g|| = 1, so some part is >= 1 / sqrt(2N)
+    gen = HardyVector(handle.basis, -g if lead > 0 else g)
     if handle.generator_hint is None:
         return ExtractionResult(1, gen, None, None)
     hint_vec = handle.hint_column
@@ -241,12 +244,13 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
         raise AmbiguousWandering("degenerate coefficient match")
     ratio = gen.coefficients[idx] / hint_vec[idx]
     unimodular = ratio / abs(ratio)
-    worst = 0.0
-    for pt in _deviation_grid(handle.basis.num_vars):
-        got = evaluate(gen, pt)[0]
-        want = unimodular * _hint_value(handle.generator_hint, pt)
-        worst = max(worst, abs(got - want))
-    return ExtractionResult(1, gen, complex(unimodular), float(worst))
+    grid = _deviation_grid(handle.basis.num_vars)
+    got = np.prod(grid[:, None, :] ** handle.basis.exponents, axis=-1) @ gen.coefficients
+    hint_values = np.ones(len(grid), dtype=complex)
+    for var, eta in handle.generator_hint.items():
+        hint_values *= [eta(z) for z in grid[:, var - 1]]
+    want = unimodular * hint_values
+    return ExtractionResult(1, gen, complex(unimodular), float(np.max(np.abs(got - want))))
 
 
 def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:

@@ -9,7 +9,10 @@ the per-column degree loop, the nested-loop Moebius grid, the
 graded-lex level-plan walk of the defect orbit (each row T*_v of its
 parent, from a cached plan of sources), the per-level Gram products and
 the whole embedding by that walk, the term-by-term
-characteristic-function series.
+characteristic-function series, the characteristic function, its kernel
+identity and its boundary unitarity one sample point at a time (one
+resolvent solve and one SVD per point), and the Beurling extraction on
+the N rows of the ambient basis.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import functools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from hardymodel.charfn import CharFn, _power_norm_envelope
+from hardymodel.charfn import _BOUNDARY_SAMPLES, CharFn, _power_norm_envelope
 from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect
 from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd
-from hardymodel.errors import DimensionMismatch, UnsafeDegree
+from hardymodel.errors import AmbiguousWandering, DimensionMismatch, SingularShift, UnsafeDegree
 from hardymodel.hardy import (
     HardyBasis,
     HardyOperator,
@@ -31,9 +35,11 @@ from hardymodel.hardy import (
     _graded_lex_exponents,
     _graded_lex_rank,
     enumerate_basis,
+    evaluate,
+    shift,
 )
-from hardymodel.linops import Subspace, adjoint, operator_norm
-from hardymodel.submodules import QuotientHandle
+from hardymodel.linops import Subspace, adjoint, operator_norm, orthonormalize
+from hardymodel.submodules import _EXTRACTION_SLACK, ExtractionResult, QuotientHandle, SubmoduleHandle
 
 
 def projector(s: Subspace) -> np.ndarray:
@@ -175,7 +181,7 @@ def embedding_by_plan_walk(t: ContractionTuple, d: int) -> DilationModel:
     rows = np.einsum("cak,bak->acb", y.conj(), y)
     gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
-    return DilationModel(t, basis, q, u, gram_levels, level_sums, d)
+    return DilationModel(t, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
 def disjoint_exponent_pairs(n: int, cap: int):
@@ -270,3 +276,115 @@ def poly_truncate_loop(cf: CharFn, tol: float):
         if k > 4096:
             raise UnsafeDegree("characteristic-function tail does not certify")
     return coeffs, float(tail_from(k))
+
+
+def apply_shifted_inverse_point(t: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
+    """(I - z*T)^{-1} @ rhs at one point, by scipy.linalg.solve."""
+    t = np.asarray(t, dtype=complex)
+    m = np.eye(t.shape[0], dtype=complex) - z * t
+    try:
+        return scipy.linalg.solve(m, rhs)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+        raise SingularShift(str(exc)) from exc
+
+
+def charfn_eval_point(cf: CharFn, z: complex) -> np.ndarray:
+    """theta(z) = compress(-T + z D_out (I - z T*)^{-1} D_in) between defect bases."""
+    if cf.dim_in == 0 or cf.dim_out == 0:
+        return np.zeros((cf.dim_out, cf.dim_in), dtype=complex)
+    t = cf.t
+    inner = -t + z * cf.d_out @ apply_shifted_inverse_point(adjoint(t), z, cf.d_in)
+    return adjoint(cf.defect_out.basis) @ inner @ cf.defect_in.basis
+
+
+def kernel_identity_residual_point(cf: CharFn, a: complex, b: complex) -> float:
+    """Residual of the defect-kernel factorization at an interior pair.
+
+    Compares I - theta(b) theta(a)* with
+    (1 - conj(a) b) compress(D_out (I - b T*)^{-1} (I - conj(a) T)^{-1} D_out).
+    """
+    if abs(a) >= 1.0 or abs(b) >= 1.0:
+        raise DimensionMismatch("interior points required")
+    t, d_out = cf.t, cf.d_out
+    th_b = charfn_eval_point(cf, b)
+    th_a = charfn_eval_point(cf, a)
+    lhs = np.eye(cf.dim_out, dtype=complex) - th_b @ adjoint(th_a)
+    core = d_out @ apply_shifted_inverse_point(
+        adjoint(t), b, apply_shifted_inverse_point(t, np.conj(a), d_out)
+    )
+    rhs = (1.0 - np.conj(a) * b) * adjoint(cf.defect_out.basis) @ core @ cf.defect_out.basis
+    return operator_norm(lhs - rhs)
+
+
+def boundary_unitarity_points(cf: CharFn) -> float:
+    """Max of ||theta(z)* theta(z) - I|| over _BOUNDARY_SAMPLES equispaced
+    unit-circle points, one evaluation and one SVD per point."""
+    worst = 0.0
+    eye = np.eye(cf.dim_in, dtype=complex)
+    for j in range(_BOUNDARY_SAMPLES):
+        z = np.exp(2j * np.pi * j / _BOUNDARY_SAMPLES)
+        th = charfn_eval_point(cf, z)
+        worst = max(worst, operator_norm(adjoint(th) @ th - eye))
+    return worst
+
+
+def low_section_rows(handle: SubmoduleHandle, slack: int) -> np.ndarray:
+    """Coordinates (in the handle basis) of the handle's low-degree part,
+    from a QR of the N-row basis with the rows above the cutoff zeroed."""
+    b = handle.space.basis
+    cutoff = handle.safe_degree - slack
+    keep = handle.basis.degree_selector(cutoff)
+    low = orthonormalize(b * keep[:, None], rank_tol=1e-6)
+    return adjoint(b) @ low.basis
+
+
+def deviation_grid_points(num_vars: int):
+    """16 points on the circle of radius 0.5, damped by 0.9 per variable."""
+    out = []
+    for j in range(16):
+        z = 0.5 * np.exp(2j * np.pi * j / 16)
+        out.append(tuple(z * (0.9**i) for i in range(num_vars)))
+    return tuple(out)
+
+
+def _hint_value(hint, point) -> complex:
+    val = 1.0 + 0.0j
+    for var, eta in hint.items():
+        val *= eta(point[var - 1])
+    return val
+
+
+def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResult:
+    """The Beurling extraction on N rows: the low part, its shifts, their
+    span, the residual and the wandering QR as N-row columns, and the
+    deviation by one evaluate per grid point."""
+    if handle.basis.coeff_dim != 1:
+        raise DimensionMismatch("extraction is defined for scalar coefficients")
+    b = handle.space.basis
+    low = low_section_rows(handle, _EXTRACTION_SLACK)  # handle coords of the low part
+    low_cols = b @ low
+    shifted = []
+    for k in range(1, handle.basis.num_vars + 1):
+        shifted.append(shift(k, handle.basis).matrix @ low_cols)
+    shifted_space = orthonormalize(np.concatenate(shifted, axis=1), rank_tol=1e-8)
+    residual_cols = low_cols - shifted_space.basis @ (adjoint(shifted_space.basis) @ low_cols)
+    wandering = orthonormalize(residual_cols, rank_tol=1e-6)
+    if wandering.dim != 1:
+        raise AmbiguousWandering(
+            f"wandering section has dimension {wandering.dim}, expected 1"
+        )
+    gen = HardyVector(handle.basis, wandering.basis[:, 0])
+    if handle.generator_hint is None:
+        return ExtractionResult(1, gen, None, None)
+    hint_vec = handle.hint_column
+    idx = int(np.argmax(np.abs(hint_vec)))
+    if abs(hint_vec[idx]) == 0 or abs(gen.coefficients[idx]) == 0:
+        raise AmbiguousWandering("degenerate coefficient match")
+    ratio = gen.coefficients[idx] / hint_vec[idx]
+    unimodular = ratio / abs(ratio)
+    worst = 0.0
+    for pt in deviation_grid_points(handle.basis.num_vars):
+        got = evaluate(gen, pt)[0]
+        want = unimodular * _hint_value(handle.generator_hint, pt)
+        worst = max(worst, abs(got - want))
+    return ExtractionResult(1, gen, complex(unimodular), float(worst))

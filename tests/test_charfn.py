@@ -16,10 +16,16 @@ from hardymodel.charfn import (
     projection_identity_residual,
     quotient_model_check,
 )
-from _references import mobius_scalar, poly_truncate_loop
+from _references import (
+    boundary_unitarity_points,
+    charfn_eval_point,
+    kernel_identity_residual_point,
+    mobius_scalar,
+    poly_truncate_loop,
+)
 
-from hardymodel import contraction, dilation
-from hardymodel.contraction import ContractionTuple, tensor_tuple
+from hardymodel import contraction, dilation, linops
+from hardymodel.contraction import ContractionTuple, defect, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
 from hardymodel.generators import controlled_contraction
@@ -156,6 +162,66 @@ class TestBoundaryUnitarity:
         a = strict_contraction(rng, 4)
         cf = charfn_build(a)
         assert boundary_unitarity(cf) <= 1e-8
+
+
+class TestBatchedPoints:
+    """Arrays of points against the per-point references: one resolvent
+    solve and one SVD per point."""
+
+    CASES = [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    @staticmethod
+    def _points(rng, count, radius):
+        return radius * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+    @pytest.mark.parametrize("seed, dim", CASES)
+    def test_eval_matches_the_points(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        cf = charfn_build(strict_contraction(rng, dim))
+        z = self._points(rng, 7, 0.95)
+        stack = charfn_eval(cf, z)
+        assert stack.shape == (7, cf.dim_out, cf.dim_in)
+        for zk, th in zip(z, stack):
+            np.testing.assert_allclose(th, charfn_eval_point(cf, zk), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed, dim", CASES)
+    def test_kernel_pairs_match_the_points(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        cf = charfn_build(strict_contraction(rng, dim))
+        a, b = self._points(rng, 20, 0.85), self._points(rng, 20, 0.85)
+        got = kernel_identity_residual(cf, a, b)
+        want = [kernel_identity_residual_point(cf, ak, bk) for ak, bk in zip(a, b)]
+        assert got.shape == (20,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed, dim", CASES)
+    def test_boundary_matches_the_points(self, seed, dim):
+        cf = charfn_build(strict_contraction(np.random.default_rng(seed), dim))
+        assert abs(boundary_unitarity(cf) - boundary_unitarity_points(cf)) <= 1e-13
+
+    def test_scalar_calls_keep_their_types(self):
+        cf = charfn_build(strict_contraction(np.random.default_rng(6), 3))
+        assert charfn_eval(cf, 0.3 - 0.2j).shape == (cf.dim_out, cf.dim_in)
+        assert isinstance(kernel_identity_residual(cf, 0.3, -0.2j), float)
+        assert isinstance(boundary_unitarity(cf), float)
+
+    def test_empty_function_stacks(self):
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        cf = charfn_build(q)
+        assert charfn_eval(cf, np.zeros(5)).shape == (5, 0, 0)
+        assert boundary_unitarity(cf) == 0.0
+        np.testing.assert_array_equal(kernel_identity_residual(cf, [0.1, 0.2], [0.3, 0.4]), 0.0)
+
+    def test_one_exterior_pair_refuses_the_batch(self):
+        cf = charfn_build(np.array([[0.5]]))
+        with pytest.raises(DimensionMismatch):
+            kernel_identity_residual(cf, [0.1, 0.2], [0.3, 1.0])
+
+    def test_boundary_solves_once(self, monkeypatch):
+        solves = counted(monkeypatch, (charfn,), "apply_shifted_inverse")
+        for seed, dim in self.CASES:
+            boundary_unitarity(charfn_build(strict_contraction(np.random.default_rng(seed), dim)))
+        assert len(solves) == len(self.CASES)
 
 
 class TestPolyTruncate:
@@ -325,8 +391,16 @@ class TestOneDefectBuildPerComponent:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_model_defect_range_is_the_components(self, dim):
         a = controlled_contraction(np.random.default_rng(dim), dim, 0.55, 0.75)
-        q = canonical_embedding(ContractionTuple((a,)), 4).defect_basis.basis
-        assert q.tobytes() == charfn_build(a).defect_out.basis.tobytes()
+        model = canonical_embedding(ContractionTuple((a,)), 4)
+        assert model.defect_basis.basis.tobytes() == charfn_build(a).defect_out.basis.tobytes()
+        assert model.adjoint_defect.tobytes() == defect(adjoint(a)).tobytes()
+
+    def test_single_contraction_takes_the_models_adjoint_defect(self, monkeypatch):
+        # D_T from the component, D_T* = D_* from the model: two square roots
+        sqrts = counted(monkeypatch, (linops, contraction), "hermitian_sqrt")
+        a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
+        projection_identity_residual(a, 40, 1e-6)
+        assert len(sqrts) == 2
 
 
 class TestProjectionIdentity:

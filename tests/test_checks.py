@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardymodel import charfn, contraction, dilation, generators, hardy, linops, submodules
+from _references import kernel_identity_residual_point
+
+from hardymodel import checks, charfn, contraction, dilation, generators, hardy, linops, submodules
 from hardymodel.checks import REGISTRY, CheckOutcome, GeneratorParams, _fold, _within
 from hardymodel.cli import load_scenario, main, run_scenario
 
@@ -343,3 +345,28 @@ def test_defect_transfer_builds_each_multiplier_once(monkeypatch):
     rng = np.random.default_rng([scenario.seed, idx])
     assert spec.run(rng, scenario.generator, spec.default_tol).passed
     assert (len(builds), len(embeddings)) == (6, 4)
+
+
+def test_kernel_identity_block_is_the_scalar_draws():
+    # one (20, 4) block per instance is the stream of 80 scalar draws, a's
+    # radius and angle, then b's, pair by pair
+    block = np.random.default_rng(11).uniform(size=(20, 4))
+    rng = np.random.default_rng(11)
+    assert block.tobytes() == np.array([rng.uniform() for _ in range(80)]).tobytes()
+
+
+def test_kernel_identity_yields_one_outcome_per_pair_in_draw_order():
+    p = GeneratorParams(instances=2, dims=(3,))
+    outcomes = list(checks._charfn_kernel_identity(np.random.default_rng(7), p, 1e-10))
+    rng = np.random.default_rng(7)
+    want = []
+    for _ in range(p.instances):
+        cf = checks._random_charfn(rng, p)
+        for _ in range(20):
+            pa = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            pb = 0.85 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            want.append(kernel_identity_residual_point(cf, pa, pb))
+    np.testing.assert_allclose([o.residual for o in outcomes], want, rtol=0, atol=1e-13)
+    # a tolerance every pair fails stops the fold at the first pair
+    first = REGISTRY["charfn-kernel-identity"].run(np.random.default_rng(7), p, 1e-300)
+    assert not first.passed and first.residual == outcomes[0].residual

@@ -14,6 +14,7 @@ from hardymodel.linops import (
     DEFECT_FLOOR,
     Subspace,
     adjoint,
+    apply_shifted_inverse,
     certified_norm,
     defect_range,
     hermitian_sqrt,
@@ -119,6 +120,46 @@ class TestSolveShifted:
         inv = solve_shifted(t, z)
         resid = (np.eye(3) - z * t) @ inv - np.eye(3)
         assert operator_norm(resid) <= 1e-10
+
+
+class TestApplyShiftedInverse:
+    """An array of points solves the stacked systems I - z_k T at once."""
+
+    def _case(self, seed, m=3, count=6):
+        rng = np.random.default_rng(seed)
+        t = random_complex(rng, m, m)
+        t = 0.8 * t / operator_norm(t)
+        z = 0.9 * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
+        return rng, t, z
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_right_hand_side(self, seed):
+        rng, t, z = self._case(seed)
+        rhs = random_complex(rng, 3, 2)
+        got = apply_shifted_inverse(t, z, rhs)
+        assert got.shape == (len(z), 3, 2)
+        for zk, x in zip(z, got):
+            np.testing.assert_allclose((np.eye(3) - zk * t) @ x, rhs, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_right_hand_side_per_point(self, seed):
+        rng, t, z = self._case(seed)
+        rhs = random_complex(rng, len(z), 3, 3)
+        got = apply_shifted_inverse(t, z, rhs)
+        for zk, b, x in zip(z, rhs, got):
+            np.testing.assert_allclose(x, apply_shifted_inverse(t, zk, b), rtol=0, atol=1e-14)
+
+    def test_scalar_point_gives_one_solution(self):
+        _, t, _ = self._case(4)
+        assert apply_shifted_inverse(t, 0.5j, np.eye(3)).shape == (3, 3)
+
+
+def test_adjoint_of_a_stack_is_each_adjoint():
+    a = random_complex(np.random.default_rng(9), 4, 2, 3)
+    got = adjoint(a)
+    assert got.shape == (4, 3, 2)
+    for x, y in zip(a, got):
+        np.testing.assert_array_equal(y, x.conj().T)
 
 
 class TestOrthonormalize:
@@ -286,6 +327,18 @@ class TestOperatorNorm:
         for a in (np.array([[-2.5 + 0.5j]]), np.zeros((0, 3)), np.zeros((4, 0), dtype=complex)):
             assert operator_norm(a) == float(np.linalg.norm(a, 2))
         assert operator_norm(sp.csr_matrix((4, 0))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(5, 1, 1), (6, 3, 3), (4, 2, 5), (2, 3, 4, 4)])
+    def test_stack_gives_each_matrix_its_norm(self, shape):
+        a = random_complex(np.random.default_rng(sum(shape)), *shape)
+        got = operator_norm(a)
+        assert got.shape == shape[:-2]
+        for idx in np.ndindex(*shape[:-2]):
+            assert got[idx] == pytest.approx(operator_norm(a[idx]), rel=1e-15)
+
+    def test_empty_stack(self):
+        np.testing.assert_array_equal(operator_norm(np.zeros((4, 0, 0))), np.zeros(4))
+        assert operator_norm(np.zeros((0, 3, 3))).shape == (0,)
 
     def test_all_zero_sparse_is_not_densified(self):
         class NoDense(sp.csr_matrix):

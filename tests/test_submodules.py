@@ -4,12 +4,25 @@ import types
 import numpy as np
 import pytest
 
-from _references import column_degrees, mobius_scalar, projector, subspace_distance, var_caps
+from _references import (
+    column_degrees,
+    mobius_scalar,
+    projector,
+    subspace_distance,
+    var_caps,
+    wandering_generator_extract_rows,
+)
 
 from hardymodel import submodules
 from hardymodel.checks import REGISTRY, GeneratorParams
 from hardymodel.contraction import BlaschkeProduct, mobius
-from hardymodel.errors import AmbiguousWandering, DegreeOverflow, DimensionMismatch, NotInner
+from hardymodel.errors import (
+    AmbiguousWandering,
+    DegreeOverflow,
+    DimensionMismatch,
+    NotInner,
+    UnsafeDegree,
+)
 from hardymodel.hardy import (
     HardyVector,
     enumerate_basis,
@@ -21,7 +34,10 @@ from hardymodel.hardy import (
 )
 from hardymodel.linops import adjoint, operator_norm, orthonormalize
 from hardymodel.submodules import (
+    _EXTRACTION_SLACK,
     QuotientHandle,
+    _low_section,
+    _restricted_shifts,
     _tensor_columns,
     compression_double_commutation,
     expected_tensor_compression,
@@ -213,6 +229,77 @@ class TestWanderingExtraction:
         regen = submodule_from_generators([res.generator], b, cutoff=cutoff)
         assert regen.space.dim == handle.space.dim
         assert subspace_distance(handle.space, regen.space) <= 1e-6
+
+
+#: (hint, variables, degree, input cutoff, leak bound): the three
+#: beurling-extraction fixtures, then a three-variable product at d = 24
+EXTRACTION_CASES = [
+    ({1: phi(0.45)}, 2, 30, 9, 1e-14),
+    ({1: BlaschkeProduct(np.exp(0.7j), (0.4, -0.25, 0.3j))}, 2, 30, 9, 1e-14),
+    ({1: phi(0.45), 2: phi(-0.35)}, 2, 30, 9, 1e-14),
+    ({1: phi(0.45), 2: phi(-0.35), 3: phi(0.25 + 0.2j)}, 3, 24, 6, 2e-12),
+]
+EXTRACTION_IDS = ["one-zero", "three-zeros", "two-variable", "three-variable"]
+
+
+def _extraction_handle(hint, n, d, cutoff):
+    op = inner_symbol_operator(hint, enumerate_basis(n, d, 1))
+    return submodule_from_inner(op, 1e-6, hint=hint, input_cutoff=cutoff)
+
+
+class TestExtractionInSectionCoordinates:
+    """The s-row extraction against the N-row one it replaces."""
+
+    @pytest.mark.parametrize("hint, n, d, cutoff, leak", EXTRACTION_CASES, ids=EXTRACTION_IDS)
+    def test_matches_the_row_extraction(self, hint, n, d, cutoff, leak):
+        handle = _extraction_handle(hint, n, d, cutoff)
+        got = wandering_generator_extract(handle)
+        want = wandering_generator_extract_rows(handle)
+        np.testing.assert_allclose(
+            got.generator.coefficients, want.generator.coefficients, rtol=0, atol=1e-13
+        )
+        assert abs(got.unimodular - want.unimodular) <= 1e-13
+        assert abs(got.max_deviation - want.max_deviation) <= 1e-13
+
+    @pytest.mark.parametrize("hint, n, d, cutoff, leak", EXTRACTION_CASES, ids=EXTRACTION_IDS)
+    def test_shifts_keep_the_low_part_in_the_section(self, hint, n, d, cutoff, leak):
+        # S_k Q L = Q R_k L up to round-off: the invariant that makes the
+        # s-row problems exact
+        handle = _extraction_handle(hint, n, d, cutoff)
+        q = handle.space.basis
+        low = _low_section(handle, _EXTRACTION_SLACK)
+        for k, r in enumerate(_restricted_shifts(handle), start=1):
+            gap = shift(k, handle.basis).matrix @ (q @ low) - q @ (r @ low)
+            assert operator_norm(gap) <= leak
+
+    @pytest.mark.parametrize("hint, n, d, cutoff, leak", EXTRACTION_CASES, ids=EXTRACTION_IDS)
+    def test_no_qr_sees_more_than_the_section_rows(self, monkeypatch, hint, n, d, cutoff, leak):
+        handle = _extraction_handle(hint, n, d, cutoff)
+        rows = []
+
+        def guarded(vectors, rank_tol=1e-10):
+            rows.append(np.shape(vectors)[0])
+            return orthonormalize(vectors, rank_tol)
+
+        monkeypatch.setattr(submodules, "orthonormalize", guarded)
+        wandering_generator_extract(handle)
+        assert len(rows) == 3 and max(rows) <= handle.space.dim
+
+    def test_sign_of_a_generator_with_imaginary_constant_term(self):
+        # g(0) = 0.45 * 0.35 * 0.3j has no real part, so Re g[0] is round-off
+        # of either sign; the first real part clear of it, g[3], decides
+        hint = {1: phi(0.45), 2: phi(-0.35), 3: phi(0.3j)}
+        g = wandering_generator_extract(_extraction_handle(hint, 3, 24, 6)).generator.coefficients
+        assert abs(g[0].real) <= 1e-15 and np.abs(g[:3].real).max() <= 1e-10
+        assert g[3].real < -0.1
+
+    def test_shallow_section_is_unsafe(self):
+        # safe degree 0 leaves no low part below the extraction slack
+        hint = {1: phi(0.5)}
+        handle = _extraction_handle(hint, 1, 10, 0)
+        assert handle.safe_degree == 0
+        with pytest.raises(UnsafeDegree):
+            wandering_generator_extract(handle)
 
 
 class TestModelSpaceSection:
