@@ -14,19 +14,21 @@ The model space of a doubly commuting tuple is the joint range
 complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
 (the multivariable Beurling-Lax form of the Sz.-Nagy-Foias model).  One
 routine, _model_distance, verifies it for quotient_model_check and, as
-the one-component case, for projection_identity_residual.  Each sparse
-symbol W_k is built directly in the model's adjoint-defect coordinates
-(_component_symbol).  The factors are Hermitian, so the safe block of
-the product is Y* X for two sparse halves, each applied to the unit
-columns of the safe rows S (_half_product): no N x N or N x |S| dense
-matrix and no QR is formed.  The distance is linops.certified_norm of
-the |S| x |S| difference, an upper bound within round-off of its
-spectral norm (Lanczos and two Cholesky factorizations, plus the
-Frobenius norm of the skew part), not a dense SVD.
+the one-component case, for projection_identity_residual.  A symbol is
+its coefficient stack in the model's adjoint-defect coordinates; one
+component reads only its safe rows S, one gather from the stack.  For
+more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
+are Hermitian, and the safe block of their product is Y* X for two sparse
+halves applied to the unit columns of S (_half_product): no N x N or
+N x |S| dense matrix and no QR is formed.  The distance is
+linops.certified_norm of the |S| x |S| difference, an upper bound within
+round-off of its spectral norm (one numpy Lanczos run and two Cholesky
+factorizations, plus the Frobenius norm of the skew part), not an SVD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharFn:
-    """Characteristic function data of a single contraction: the defects
-    d_in = D_T and d_out = D_T* and their orthonormal ranges."""
+    """Characteristic function data of a single contraction: its norm, the
+    defects d_in = D_T and d_out = D_T* and their orthonormal ranges."""
 
     t: np.ndarray
+    norm: float
     d_in: np.ndarray
     d_out: np.ndarray
     defect_in: Subspace
@@ -84,22 +87,23 @@ def charfn_build(t: np.ndarray) -> CharFn:
     needing the stability certificate; any other spectral radius at 1 is
     rejected since boundary evaluation would be undefined.
     """
-    cf = _charfn(np.asarray(t, dtype=complex))
+    t = np.asarray(t, dtype=complex)
+    cf = _charfn(t, operator_norm(t))
     radius = spectral_radius_bound(cf.t)
     if radius >= 1.0 and (cf.dim_in or cf.dim_out):
         raise NotInClass(f"spectral radius estimate {radius:.6f} is not below 1")
     return cf
 
 
-def _charfn(t: np.ndarray, model: DilationModel | None = None) -> CharFn:
-    """charfn_build without the stability certificate; model, when given,
-    is a model of t alone, whose D_* = D_T* and its range are taken as
-    they are."""
+def _charfn(t: np.ndarray, norm: float, model: DilationModel | None = None) -> CharFn:
+    """charfn_build of t, ||t|| = norm, without the stability certificate;
+    model, when given, is a model of t alone, whose D_* = D_T* and its
+    range are taken as they are."""
     d_in = defect(t)  # DimensionMismatch unless a contraction
     if model is None:
         d_out = defect(adjoint(t))
-        return CharFn(t, d_in, d_out, defect_range(d_in), defect_range(d_out))
-    return CharFn(t, d_in, model.adjoint_defect, defect_range(d_in), model.defect_basis)
+        return CharFn(t, norm, d_in, d_out, defect_range(d_in), defect_range(d_out))
+    return CharFn(t, norm, d_in, model.adjoint_defect, defect_range(d_in), model.defect_basis)
 
 
 def charfn_eval(cf: CharFn, z) -> np.ndarray:
@@ -159,20 +163,19 @@ def boundary_unitarity(cf: CharFn) -> float:
     return float(np.max(operator_norm(gaps), initial=0.0))
 
 
-def _power_norm_envelope(t: np.ndarray):
-    """(p, q, m): ||T^k|| <= m * q^(k // p) with q < 1, by probing powers."""
-    p = 1
-    tp = np.asarray(t, dtype=complex)
+def _power_norm_envelope(cf: CharFn):
+    """(p, q, m): ||T^k|| <= m * q^(k // p) with q < 1, by probing powers;
+    the first probe is cf.norm."""
+    p, tp, q = 1, cf.t, cf.norm
     norms = [1.0]
-    while True:
-        q = operator_norm(tp)
-        if q < 0.95:
-            return p, max(q, 1e-300), max(norms)
+    while q >= 0.95:
         if p >= _MAX_PROBE:
             raise UnsafeDegree("no power of the matrix has norm below 0.95")
         norms.append(q)
         tp = tp @ tp
         p *= 2
+        q = operator_norm(tp)
+    return p, max(q, 1e-300), max(norms)
 
 
 def poly_truncate(cf: CharFn, tol: float):
@@ -180,8 +183,8 @@ def poly_truncate(cf: CharFn, tol: float):
 
     Coefficients are compress(-T) and compress(D_out T*^(k-1) D_in); the
     returned tail bounds the operator-norm sum of all dropped ones.  The
-    tail envelope depends on k alone, so the number of terms is counted
-    before any product; a count that reaches _MAX_TERMS is refused before
+    tail envelope depends on k alone, so the number of terms is solved from
+    it before any product; a count that reaches _MAX_TERMS is refused before
     any power is formed.  The powers T*^j = T* @ T*^(j-1) are filled into
     a stack of at most _POWER_BLOCK_BYTES, and each block's coefficients
     come from one batched ((Q_out* D_out) @ T*^j @ D_in) @ Q_in.  A power
@@ -190,7 +193,7 @@ def poly_truncate(cf: CharFn, tol: float):
     t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
     coeffs = [adjoint(qo) @ (-t) @ qi]
-    p, q, m = _power_norm_envelope(t)
+    p, q, m = _power_norm_envelope(cf)
     scale = operator_norm(d_out) * operator_norm(d_in)
 
     def tail_from(k):
@@ -198,9 +201,15 @@ def poly_truncate(cf: CharFn, tol: float):
         base = (k - 1) // p
         return scale * m * p * q**base / (1.0 - q)
 
-    terms = 0  # the terms k = 1 .. terms are kept, T*^0 .. T*^(terms - 1)
-    while terms < _MAX_TERMS and tail_from(terms + 1) >= tol:
-        terms += 1
+    # the terms k = 1 .. terms, T*^0 .. T*^(terms - 1), are kept: terms = b p
+    # for the least b with tail_from(b p + 1) < tol, solved, then confirmed
+    ratio = tol * (1.0 - q) / (scale * m * p) if scale > 0.0 else math.inf
+    b = math.ceil(math.log(ratio) / math.log(q)) if 0.0 < ratio < 1.0 else 0
+    while b > 0 and tail_from((b - 1) * p + 1) < tol:
+        b -= 1
+    while b * p < _MAX_TERMS and tail_from(b * p + 1) >= tol:
+        b += 1
+    terms = min(b * p, _MAX_TERMS)
     if terms == _MAX_TERMS:
         raise UnsafeDegree("characteristic-function tail does not certify")
     left, t_star = adjoint(qo) @ d_out, adjoint(t)
@@ -222,14 +231,11 @@ def poly_truncate(cf: CharFn, tol: float):
     return coeffs, float(tail_from(terms + 1))
 
 
-def _component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
-    """Truncated M_theta~ of one component with output basis model.basis,
-    as a CSR matrix: its coefficients are incl* theta_j, incl the
-    inclusion of the joint adjoint defect space into this component's,
-    applied to all coefficients in one batched product."""
-    basis_in = enumerate_basis(model.tuple_.num_components, model.truncation_degree, cf.dim_in)
-    incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
-    return one_variable_symbol(k, adjoint(incl) @ np.stack(coeffs), basis_in, model.basis).matrix
+def _component_symbol(k: int, stack: np.ndarray, model: DilationModel):
+    """Truncated M_theta~ of component k, from its coefficient stack, with
+    output basis model.basis, as a CSR matrix."""
+    basis_in = enumerate_basis(model.basis.num_vars, model.truncation_degree, stack.shape[2])
+    return one_variable_symbol(k, stack, basis_in, model.basis).matrix
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,7 @@ class QuotientModelReport:
 
 
 def _symbol_model(t: ContractionTuple, d: int, tol: float):
-    """The degree-d embedding of t and the truncated symbols of its
+    """The degree-d embedding of t and the coefficient stacks of its
     components with a nontrivial defect, in the model's coordinates.
 
     The components' CharFns come from the model just built: its class
@@ -254,26 +260,28 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     range are the component's.  Each symbol keeps the terms poly_truncate
     certifies to tol / 10.  For K such symbols of degree <= D the safe cutoff is
     d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
-    UnsafeDegree.  Returns (model, cutoff, symbol matrices, symbol degrees,
-    tails).
+    UnsafeDegree.  A symbol is its coefficient stack incl* theta_j, incl the
+    inclusion of the joint adjoint defect space into its component's,
+    applied to all coefficients in one batched product.  Returns (model,
+    cutoff, [(component index, stack)], symbol degrees, tails).
     """
     model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
     own = model if t.num_components == 1 else None
-    prepared, degrees, tails = [], [], []  # prepared: (component index, charfn, coefficients)
+    stacks, degrees, tails = [], [], []
     for k, comp in enumerate(t.components, start=1):
-        cf = _charfn(comp, own)
+        cf = _charfn(comp, model.norms[k - 1], own)
         if cf.dim_in == 0:
             continue  # isometric component contributes no complement range
         coeffs, tail = poly_truncate(cf, tol / 10.0)
-        prepared.append((k, cf, coeffs))
+        incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
+        stacks.append((k, adjoint(incl) @ np.stack(coeffs)))
         degrees.append(len(coeffs) - 1)
         tails.append(tail)
     max_deg = max(degrees, default=0)
     cutoff = d - max(len(degrees) // 2, 1) * max_deg - 1
     if cutoff < 0:
         raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max_deg}")
-    symbols = [_component_symbol(cf, coeffs, k, model) for k, cf, coeffs in prepared]
-    return model, cutoff, symbols, tuple(degrees), tuple(tails)
+    return model, cutoff, stacks, tuple(degrees), tuple(tails)
 
 
 def _half_product(symbols, sel: np.ndarray, size: int):
@@ -295,8 +303,8 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     the safe block is P_SS = E_S* F_1 ... F_K E_S = Y* X for the halves
     Y = F_j ... F_1 E_S and X = F_(j+1) ... F_K E_S (_half_product).  Both
     halves and Y* X stay sparse; no N x |S| dense array is formed.  One
-    symbol gives P_SS = I - W_S W_S* from the dense |S| x N_in row block
-    W_S = W[S, :].
+    component gives P_SS = I - W_S W_S* from its safe rows W_S, gathered
+    from its coefficient stack; no sparse symbol is built.
 
     On S this is exact for the truncated symbols.  A factor moves only the
     degree in its own variable, by at most the symbol degree D either way.
@@ -315,13 +323,18 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     (the factors commute on S), and the bound adds the Frobenius norm of
     its skew part, which is at round-off here.
     """
-    model, cutoff, symbols, _, tails = _symbol_model(t, d, tol)
+    model, cutoff, stacks, _, tails = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
-    if len(symbols) == 1:
-        w_s = symbols[0][sel].toarray()
+    if t.num_components == 1:
+        # W_S: block (i, j), input degree j <= d, is stack[i - j], zero off the band
+        stack = np.concatenate([stacks[0][1], np.zeros_like(stacks[0][1][:1])])
+        lag = np.subtract.outer(np.arange(cutoff + 1), np.arange(d + 1))
+        lag[(lag < 0) | (lag >= len(stack) - 1)] = -1  # the appended zero block
+        w_s = stack[lag].transpose(0, 2, 1, 3).reshape(sel.size, -1)
         diff = -(w_s @ adjoint(w_s))
         diff.flat[:: sel.size + 1] += 1.0
     else:
+        symbols = [_component_symbol(k, stack, model) for k, stack in stacks]
         j = len(symbols) // 2
         y = _half_product(symbols[:j], sel, model.basis.size)
         x = _half_product(symbols[j:][::-1], sel, model.basis.size)

@@ -168,9 +168,9 @@ def mobius_series(a: complex, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-component residuals of the class membership checks."""
+    """Per-component norms and residuals of the class membership checks."""
 
-    contraction_margins: tuple
+    norms: tuple
     radius_estimates: tuple
     max_commutator: float
     max_cross_commutator: float
@@ -179,7 +179,7 @@ class ValidationReport:
 
     def summary(self) -> str:
         return (
-            f"pass={self.passed} min_margin={min(self.contraction_margins):.3e} "
+            f"pass={self.passed} min_margin={1.0 - max(self.norms):.3e} "
             f"max_radius={max(self.radius_estimates):.6f} "
             f"comm={self.max_commutator:.3e} cross={self.max_cross_commutator:.3e}"
         )
@@ -212,16 +212,16 @@ def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
     cross-commutators [T_i*, T_j] (i != j) have norm <= tol.
     """
     comps = t.components
-    margins = tuple(1.0 - operator_norm(c) for c in comps)
+    norms = tuple(operator_norm(c) for c in comps)
     radii = tuple(spectral_radius_bound(c) for c in comps)
     max_comm, max_cross = _commutator_norms(comps)
     passed = (
-        all(m >= -tol for m in margins)
+        all(1.0 - x >= -tol for x in norms)
         and all(r <= 1.0 - C00_MARGIN for r in radii)
         and max_comm <= tol
         and max_cross <= tol
     )
-    return ValidationReport(margins, radii, max_comm, max_cross, tol, passed)
+    return ValidationReport(norms, radii, max_comm, max_cross, tol, passed)
 
 
 def defect(a: np.ndarray) -> np.ndarray:

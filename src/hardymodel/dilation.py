@@ -118,6 +118,7 @@ def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
 class DilationModel:
     """Truncated analytic model of a contraction tuple, built once.
 
+    norms are the components' spectral norms from validate_tuple;
     adjoint_defect is the joint adjoint defect D_* and defect_basis its
     range; embedding holds the raw coefficient map (rows monomial-major in
     graded-lex order, defect slot minor, so the rows of degree <= c come first);
@@ -126,6 +127,7 @@ class DilationModel:
     arithmetic (the computed Gram carries its own round-off, about 1e-15)."""
 
     tuple_: ContractionTuple
+    norms: tuple
     basis: HardyBasis
     adjoint_defect: np.ndarray = field(repr=False)
     defect_basis: Subspace
@@ -199,11 +201,11 @@ def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0)
     """
     if order_cap < 0:
         raise DimensionMismatch(f"order cap {order_cap} is negative")
-    radius = max(_class_report(t).radius_estimates)
-    d = choose_truncation_degree(radius, t.space_dim, tol) + order_cap
+    report = _class_report(t)
+    d = choose_truncation_degree(max(report.radius_estimates), t.space_dim, tol) + order_cap
     d_star, q = _adjoint_defect(t)
     while True:
-        model = _embedding(t, d, d_star, q)
+        model = _embedding(t, d, d_star, q, report.norms)
         tails = np.linalg.eigvalsh(np.stack(model.level_sums[1 : d - order_cap + 2]))[:, -1]
         certified = np.flatnonzero(tails <= tol)
         if certified.size:
@@ -238,12 +240,11 @@ def canonical_embedding(t: ContractionTuple, d: int) -> DilationModel:
     coisometric tuple) raises ZeroDefect.
     """
     d_star, q = _adjoint_defect(t)
-    _class_report(t)
-    return _embedding(t, d, d_star, q)
+    return _embedding(t, d, d_star, q, _class_report(t).norms)
 
 
-def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
-    """canonical_embedding of a validated tuple with its adjoint defect given."""
+def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
+    """canonical_embedding of a validated tuple, its adjoint defect and norms given."""
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
     # p[alpha] = (T*^alpha)^T, p[alpha][c, :] = (T*^alpha)[:, c], |alpha| <= d + 1
@@ -261,7 +262,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q) -> DilationModel:
     gram_levels = list(np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0))
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
-    return DilationModel(t, basis, d_star, q, u, gram_levels, level_sums, d)
+    return DilationModel(t, norms, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
 def _disjoint_power_pairs(n: int, cap: int):

@@ -1,14 +1,14 @@
 """Dense complex linear algebra kernel.
 
 Adjoints, spectral norms, Hermitian PSD square roots, resolvent solves and
-deterministic orthonormalization.  All functions are pure; inputs are
-never mutated.  Every defect range in the package is ranked by
-defect_range.
+deterministic orthonormalization (LAPACK's pivoted QR, called directly).
+All functions are pure; inputs are never mutated.  Every defect range in
+the package is ranked by defect_range.
 
 operator_norm is the exact largest singular value (one LAPACK SVD); a
 sparse input with no nonzero value is 0.0 without being densified.
 certified_norm is an upper bound on the spectral norm of a large, nearly
-Hermitian matrix, within round-off of it: one Lanczos estimate of the
+Hermitian matrix, within round-off of it: one numpy Lanczos run for the
 Hermitian part's extreme eigenvalue, certified by two Cholesky
 factorizations, plus the Frobenius norm of the skew part.  It falls back
 to operator_norm whenever the certificate cannot be had.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 
@@ -62,10 +61,14 @@ def operator_norm(a):
 
 
 #: smallest order certified_norm certifies.  Below it the SVD is cheaper
-#: than ARPACK's set-up and the two factorizations: on the quotient-model
-#: differences (BLAS on 1 thread) the certificate took 1.7x the SVD's time
-#: at n = 91 and 105, and 0.73x at n = 120
+#: than the Krylov run and the two factorizations: on the quotient-model
+#: differences (BLAS on 1 thread, ARPACK's run) the certificate took 1.7x
+#: the SVD's time at n = 91 and 105, and 0.73x at n = 120
 _CERTIFY_MIN = 112
+
+#: most Lanczos steps before the SVD decides (quotient-model differences
+#: settle within 40); below _CERTIFY_MIN, so the Krylov basis is never n x n
+_LANCZOS_STEPS = 96
 
 
 def _lanczos_start(n: int) -> np.ndarray:
@@ -73,15 +76,44 @@ def _lanczos_start(n: int) -> np.ndarray:
     return np.cos(np.arange(1, n + 1, dtype=float))
 
 
+def _top_ritz_value(h: np.ndarray):
+    """Largest |Ritz value| of the Hermitian h: Lanczos from _lanczos_start,
+    fully reorthogonalized (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13).  Every 4 steps it reads the tridiagonal's eigenvalues; it stops
+    when their largest modulus moves by at most 1e-15 relative or the Krylov
+    space closes, and gives None after _LANCZOS_STEPS steps."""
+    n = h.shape[0]
+    basis = np.empty((_LANCZOS_STEPS + 1, n), complex)  # rows: the Lanczos vectors
+    basis[0] = _lanczos_start(n) / np.linalg.norm(_lanczos_start(n))
+    alpha, beta = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
+    last = scale = 0.0
+    for j in range(_LANCZOS_STEPS):
+        w = h @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w -= (basis[: j + 1].conj() @ w) @ basis[: j + 1]
+        beta[j] = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[j]), beta[j])
+        closed = beta[j] <= n * np.finfo(float).eps * scale
+        if closed or j % 4 == 3:
+            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            top = float(np.abs(np.linalg.eigvalsh(tri)[[0, -1]]).max())
+            if closed or abs(top - last) <= 1e-15 * top:
+                return top
+            last = top
+        basis[j + 1] = w / beta[j]
+    return None
+
+
 def certified_norm(a: np.ndarray) -> float:
     """Upper bound on ||a||_2 of a square dense matrix, within round-off of
     it when a is nearly Hermitian.
 
     a = H + K with H = (a + a*)/2 Hermitian and K = (a - a*)/2 skew, so
-    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One ARPACK Lanczos
-    run (eigsh, fixed start vector, so the result is deterministic) gives
-    the largest-magnitude eigenvalue lambda of H, and two Cholesky
-    factorizations certify ||H|| <= mu:
+    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One Lanczos run
+    in numpy (_top_ritz_value, fixed start vector, so the result and its
+    step count are deterministic) gives the largest-magnitude eigenvalue
+    lambda of H, and two Cholesky factorizations certify ||H|| <= mu:
 
     - They factor s I - H and s I + H with s = |lambda| (1 + 4 n eps).
       Both are positive definite once s exceeds ||H||; the Ritz value is
@@ -101,7 +133,7 @@ def certified_norm(a: np.ndarray) -> float:
       is at most 4e-10 relative at n = 666.
 
     The result is mu + ||K||_F (1 + n eps); a zero H needs no certificate.
-    Below order _CERTIFY_MIN, when ARPACK does not converge, or when a
+    Below order _CERTIFY_MIN, when the Lanczos run does not settle, or when a
     factorization fails (the Ritz value missed the extreme eigenvalue),
     it is the exact operator_norm, so it never under-reports.  One n x n
     buffer serves both factorizations.
@@ -116,13 +148,10 @@ def certified_norm(a: np.ndarray) -> float:
     h *= 0.5
     if not h.any():
         return skew
-    try:
-        lam = scipy.sparse.linalg.eigsh(
-            h, k=1, which="LM", v0=_lanczos_start(n), return_eigenvectors=False
-        )[0]
-    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+    lam = _top_ritz_value(h)
+    if lam is None:
         return operator_norm(a)
-    s = abs(float(lam)) * (1.0 + 4 * n * eps)
+    s = lam * (1.0 + 4 * n * eps)
     potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
     buf = np.empty_like(h)
     for sign in (-1.0, 1.0):
@@ -168,7 +197,7 @@ class Subspace:
 #: up to this size are forgiven
 _SQRT_TOL = 1e-9
 
-#: largest condition number solve_shifted accepts for I - z*T
+#: largest condition number bound solve_shifted accepts for I - z*T
 _COND_CAP = 1e12
 
 
@@ -196,15 +225,16 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def solve_shifted(t: np.ndarray, z: complex) -> np.ndarray:
-    """(I - z*T)^{-1} by direct linear solve, no series truncation."""
+    """(I - z*T)^{-1} of a contraction T (mobius checks ||T|| <= 1) by one
+    direct solve; its condition gate is cond(I - z T) <= (1 + |z|) / (1 - |z|),
+    which has no bound for |z| >= 1."""
     t = np.asarray(t, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch("solve_shifted expects a square matrix")
-    m = np.eye(t.shape[0], dtype=complex) - z * t
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > _COND_CAP:
-        raise SingularShift(f"I - z*T has condition number {cond:.3e}")
-    return scipy.linalg.solve(m, np.eye(t.shape[0], dtype=complex))
+    cond = (1.0 + abs(z)) / (1.0 - abs(z)) if abs(z) < 1.0 else np.inf
+    if cond > _COND_CAP:
+        raise SingularShift(f"I - z*T has condition number bound {cond:.3e}")
+    return apply_shifted_inverse(t, z, np.eye(t.shape[0], dtype=complex))
 
 
 def apply_shifted_inverse(t: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
@@ -217,6 +247,19 @@ def apply_shifted_inverse(t: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SingularShift(str(exc)) from exc
+
+
+#: complex pivoted QR and its Q, called as scipy.linalg.qr calls them
+_GEQP3, _UNGQR = scipy.linalg.get_lapack_funcs(("geqp3", "ungqr"), (np.empty(0, complex),))
+
+
+def _lapack(routine, *args):
+    """The routine's outputs after its workspace query, in place."""
+    lwork = int(routine(*args, lwork=-1, overwrite_a=1)[-2][0].real)
+    *out, _, info = routine(*args, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
 
 
 def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
@@ -233,10 +276,13 @@ def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
         v = v[:, None]
     ambient = v.shape[0]
     scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
+    if not np.isfinite(scale) and not np.isfinite(v).all():
+        raise ValueError("array must not contain infs or NaNs")
     if scale == 0.0:  # also no rows or no columns
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    q, r, _ = scipy.linalg.qr(v, mode="economic", pivoting=True, overwrite_a=True)
-    rank = int(np.sum(np.abs(np.diag(r)) > rank_tol * scale))
+    qr, _, tau = _lapack(_GEQP3, v)
+    rank = np.count_nonzero(np.abs(qr.diagonal()) > rank_tol * scale)
+    (q,) = _lapack(_UNGQR, qr[:, :ambient], tau)  # all of qr unless it is wide
     return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
 
 

@@ -11,8 +11,10 @@ parent, from a cached plan of sources), the per-level Gram products and
 the whole embedding by that walk, the term-by-term
 characteristic-function series, the characteristic function, its kernel
 identity and its boundary unitarity one sample point at a time (one
-resolvent solve and one SVD per point), and the Beurling extraction on
-the N rows of the ambient basis.
+resolvent solve and one SVD per point), the Beurling extraction on
+the N rows of the ambient basis, the ARPACK certified norm, the
+orthonormalization through scipy.linalg.qr and the sparse symbol of a
+component with the one-component distance it gave.
 """
 
 from __future__ import annotations
@@ -23,10 +25,17 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from hardymodel.charfn import _BOUNDARY_SAMPLES, CharFn, _power_norm_envelope
-from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect
-from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd
+from hardymodel.charfn import (
+    _BOUNDARY_SAMPLES,
+    CharFn,
+    _power_norm_envelope,
+    charfn_build,
+    poly_truncate,
+)
+from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, validate_tuple
+from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd, canonical_embedding
 from hardymodel.errors import AmbiguousWandering, DimensionMismatch, SingularShift, UnsafeDegree
 from hardymodel.hardy import (
     HardyBasis,
@@ -36,9 +45,17 @@ from hardymodel.hardy import (
     _graded_lex_rank,
     enumerate_basis,
     evaluate,
+    one_variable_symbol,
     shift,
 )
-from hardymodel.linops import Subspace, adjoint, operator_norm, orthonormalize
+from hardymodel.linops import (
+    _CERTIFY_MIN,
+    Subspace,
+    _lanczos_start,
+    adjoint,
+    operator_norm,
+    orthonormalize,
+)
 from hardymodel.submodules import _EXTRACTION_SLACK, ExtractionResult, QuotientHandle, SubmoduleHandle
 
 
@@ -181,7 +198,8 @@ def embedding_by_plan_walk(t: ContractionTuple, d: int) -> DilationModel:
     rows = np.einsum("cak,bak->acb", y.conj(), y)
     gram_levels = list(np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0))
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
-    return DilationModel(t, basis, d_star, q, u, gram_levels, level_sums, d)
+    norms = validate_tuple(t).norms
+    return DilationModel(t, norms, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
 def disjoint_exponent_pairs(n: int, cap: int):
@@ -257,7 +275,7 @@ def poly_truncate_loop(cf: CharFn, tol: float):
     t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
     coeffs = [adjoint(qo) @ (-t) @ qi]
-    p, q, m = _power_norm_envelope(t)
+    p, q, m = _power_norm_envelope(cf)
     scale = operator_norm(d_out) * operator_norm(d_in)
 
     def tail_from(k):
@@ -388,3 +406,122 @@ def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResul
         want = unimodular * _hint_value(handle.generator_hint, pt)
         worst = max(worst, abs(got - want))
     return ExtractionResult(1, gen, complex(unimodular), float(worst))
+
+
+def certified_norm_arpack(a: np.ndarray) -> float:
+    """linops.certified_norm with ARPACK's eigsh (Arnoldi for complex
+    input) for the Ritz value.  Upper bound on ||a||_2 of a square dense
+    matrix, within round-off of it when a is nearly Hermitian.
+
+    a = H + K with H = (a + a*)/2 Hermitian and K = (a - a*)/2 skew, so
+    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One ARPACK Lanczos
+    run (eigsh, fixed start vector, so the result is deterministic) gives
+    the largest-magnitude eigenvalue lambda of H, and two Cholesky
+    factorizations certify ||H|| <= mu:
+
+    - They factor s I - H and s I + H with s = |lambda| (1 + 4 n eps).
+      Both are positive definite once s exceeds ||H||; the Ritz value is
+      exact to a few eps, and 4 n eps leaves the factorizations room to
+      succeed.
+    - If floating-point Cholesky of a Hermitian B of order n runs to
+      completion, then lambda_min(B) >= -g tr(B) with
+      g = gamma_{n+1} / (1 - gamma_{n+1}), gamma_k = k u / (1 - k u)
+      (Rump, BIT 46 (2006), after Demmel; Higham, Accuracy and Stability
+      of Numerical Algorithms, Thm 10.5).  g = 2 (n + 3) eps is at least
+      four times that, enough for complex arithmetic, and also covers the
+      rounding in forming H, K and s I -+ H.
+    - So both factorizations succeeding give ||H|| <= mu = s + g tr_max
+      with tr_max = n s + |tr H| >= tr(s I -+ H).  As |tr H| <= n ||H||,
+      mu <= |lambda| (1 + c n eps) with c about 4 (n + 4): the margin
+      grows like n^2 eps, the order of the worst-case Cholesky error, and
+      is at most 4e-10 relative at n = 666.
+
+    The result is mu + ||K||_F (1 + n eps); a zero H needs no certificate.
+    Below order _CERTIFY_MIN, when ARPACK does not converge, or when a
+    factorization fails (the Ritz value missed the extreme eigenvalue),
+    it is the exact operator_norm, so it never under-reports.  One n x n
+    buffer serves both factorizations.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if n < _CERTIFY_MIN:
+        return operator_norm(a)
+    eps = np.finfo(float).eps
+    skew = 0.5 * np.linalg.norm(a - adjoint(a)) * (1.0 + n * eps)
+    h = a + adjoint(a)
+    h *= 0.5
+    if not h.any():
+        return skew
+    try:
+        lam = scipy.sparse.linalg.eigsh(
+            h, k=1, which="LM", v0=_lanczos_start(n), return_eigenvectors=False
+        )[0]
+    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+        return operator_norm(a)
+    s = abs(float(lam)) * (1.0 + 4 * n * eps)
+    potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
+    buf = np.empty_like(h)
+    for sign in (-1.0, 1.0):
+        np.multiply(h, sign, out=buf)
+        buf.flat[:: n + 1] += s
+        # buf.T is Fortran-ordered and equals conj(s I -+ H): positive
+        # definite exactly when s I -+ H is; a zero or NaN pivot fails
+        if potrf(buf.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
+            return operator_norm(a)
+    g = 2 * (n + 3) * eps
+    mu = s + g * (n * s + abs(float(h.diagonal().real.sum())))
+    return mu + skew
+
+
+def orthonormalize_by_scipy_qr(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
+    """linops.orthonormalize through the scipy.linalg.qr wrapper.
+
+    Deterministic pivoted span of the given columns.
+
+    Column-pivoted QR (LAPACK geqp3) greedily picks the largest remaining
+    column norm (ties resolved by lowest index inside LAPACK,
+    deterministically); a pivot is accepted while its residual norm
+    exceeds rank_tol times the largest original column norm.  Zero input
+    yields the zero-dimensional subspace.
+    """
+    v = np.array(vectors, dtype=complex, order="F")
+    if v.ndim == 1:
+        v = v[:, None]
+    ambient = v.shape[0]
+    scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
+    if scale == 0.0:  # also no rows or no columns
+        return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
+    q, r, _ = scipy.linalg.qr(v, mode="economic", pivoting=True, overwrite_a=True)
+    rank = int(np.sum(np.abs(np.diag(r)) > rank_tol * scale))
+    return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
+
+
+def component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
+    """charfn's sparse symbol of one component from its CharFn, the
+    route of every component before the one-component safe rows were
+    gathered from the coefficient stack.  Truncated M_theta~ of one
+    component with output basis model.basis, as a CSR matrix: its
+    coefficients are incl* theta_j, incl the inclusion of the joint
+    adjoint defect space into this component's, applied to all
+    coefficients in one batched product."""
+    basis_in = enumerate_basis(model.tuple_.num_components, model.truncation_degree, cf.dim_in)
+    incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
+    return one_variable_symbol(k, adjoint(incl) @ np.stack(coeffs), basis_in, model.basis).matrix
+
+
+def one_component_difference(a: np.ndarray, d: int, tol: float):
+    """(difference, cutoff) of charfn._model_distance for one component by
+    the sparse route: the N x N_in CSR symbol (component_symbol), whose
+    safe rows are densified, then I - W_S W_S* - U_S U_S*."""
+    t = ContractionTuple((np.asarray(a, dtype=complex),))
+    model = canonical_embedding(t, d)
+    cf = charfn_build(t.components[0])
+    coeffs, _ = poly_truncate(cf, tol / 10.0)
+    cutoff = d - (len(coeffs) - 1) - 1
+    sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+    w_s = component_symbol(cf, coeffs, 1, model)[sel].toarray()
+    diff = -(w_s @ adjoint(w_s))
+    diff.flat[:: sel.size + 1] += 1.0
+    u_s = model.normalized_embedding()[sel]
+    diff -= u_s @ adjoint(u_s)
+    return diff, cutoff

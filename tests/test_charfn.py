@@ -19,12 +19,14 @@ from hardymodel.charfn import (
 from _references import (
     boundary_unitarity_points,
     charfn_eval_point,
+    component_symbol,
+    one_component_difference,
     kernel_identity_residual_point,
     mobius_scalar,
     poly_truncate_loop,
 )
 
-from hardymodel import contraction, dilation, linops
+from hardymodel import contraction, dilation, hardy, linops
 from hardymodel.contraction import ContractionTuple, defect, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
 from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
@@ -312,6 +314,28 @@ class TestPolyTruncateEdgePaths:
             tracemalloc.stop()
         assert peak < 0.5 * 2**20
 
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[0.5]]), np.array([[0.3, 0.7], [0.0, 0.6]]), np.diag([0.5, 0.4], 1)],
+        ids=["scalar", "envelope-p2", "nilpotent"],  # p = 1, 2, 1
+    )
+    def test_solved_count_is_the_loops_over_tolerances(self, a):
+        # the count solved from the envelope and confirmed by tail_from, over
+        # the decades down to the refusals; tol <= 0 never certifies
+        cf = charfn_build(a)
+        for tol in [10.0**-k for k in range(0, 40, 3)] + [1e-200]:
+            try:
+                want = poly_truncate_loop(cf, tol)
+            except UnsafeDegree:
+                with pytest.raises(UnsafeDegree):
+                    poly_truncate(cf, tol)
+                continue
+            got = poly_truncate(cf, tol)
+            assert len(got[0]) == len(want[0]) and got[1] == want[1]
+        for tol in (0.0, -1.0):
+            with pytest.raises(UnsafeDegree):
+                poly_truncate(cf, tol)
+
     @pytest.mark.parametrize("seed", [2, 7])
     @pytest.mark.parametrize("dim", [1, 3, 5])
     def test_random_contractions(self, seed, dim):
@@ -381,11 +405,12 @@ class TestOneDefectBuildPerComponent:
         # a tensor pair's joint adjoint defect range is not a component's
         rng = np.random.default_rng(8)
         t = tensor_tuple([controlled_contraction(rng, 2, 0.55, 0.75) for _ in range(components)])
-        model, _, symbols, _, _ = _symbol_model(t, 40, 1e-6)
-        assert len(symbols) == components
-        for k, (comp, w) in enumerate(zip(t.components, symbols), start=1):
+        model, _, stacks, _, _ = _symbol_model(t, 40, 1e-6)
+        assert [k for k, _ in stacks] == list(range(1, components + 1))
+        for (k, stack), comp in zip(stacks, t.components):
             cf = charfn_build(comp)
-            want = _component_symbol(cf, poly_truncate(cf, 1e-7)[0], k, model)
+            w = _component_symbol(k, stack, model)
+            want = component_symbol(cf, poly_truncate(cf, 1e-7)[0], k, model)
             assert w.shape == want.shape and (w != want).nnz == 0
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -401,6 +426,55 @@ class TestOneDefectBuildPerComponent:
         a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
         projection_identity_residual(a, 40, 1e-6)
         assert len(sqrts) == 2
+
+
+class TestOneComponentRows:
+    """One component's safe rows come from one gather of its coefficient
+    stack, with the entries and places of the sparse symbol's rows."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.3]]),
+            np.array([[0.0, 1.0], [0.0, 0.0]]),  # dim D_T = 1 < 2
+            controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75),
+            controlled_contraction(np.random.default_rng(5), 3, 0.3, 0.5),
+            np.diag([0.0, 0.0, 0.0]) + np.diag([1.0, 1.0], 1),  # dim D_T = 1 < 3
+        ],
+        ids=["1x1", "jordan-2", "2x2", "3x3", "jordan-3"],
+    )
+    @pytest.mark.parametrize("d", [32, 64])  # orders 18-54 and 50-150
+    def test_difference_is_the_sparse_routes_bit_for_bit(self, monkeypatch, a, d):
+        diffs = []
+        norm = linops.certified_norm
+        monkeypatch.setattr(charfn, "certified_norm", lambda x: diffs.append(x) or norm(x))
+        residual, cutoff = projection_identity_residual(a, d, 1e-6)
+        want, want_cutoff = one_component_difference(a, d, 1e-6)
+        assert cutoff == want_cutoff
+        assert diffs[0].shape == want.shape and diffs[0].tobytes() == want.tobytes()
+        assert residual == linops.certified_norm(want)
+
+    def test_builds_no_multiplication_operator(self, monkeypatch):
+        ops = counted(monkeypatch, (hardy,), "mult_operator")
+        a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
+        projection_identity_residual(a, 40, 1e-6)
+        assert ops == []
+        quotient_model_check(tensor_tuple([a, a]), 24, 1e-6)  # K = 2 keeps its sparse symbols
+        assert len(ops) == 2
+
+    def test_takes_the_norm_of_t_once(self, monkeypatch):
+        # validate_tuple's norm is the power envelope's first probe
+        a = controlled_contraction(np.random.default_rng(5), 2, 0.55, 0.75)
+        seen = []
+        for module in (contraction, charfn):
+
+            def norm(x, _inner=module.operator_norm):
+                seen.append(np.array_equal(x, a))
+                return _inner(x)
+
+            monkeypatch.setattr(module, "operator_norm", norm)
+        projection_identity_residual(a, 40, 1e-6)
+        assert sum(seen) == 1
 
 
 class TestProjectionIdentity:
@@ -465,7 +539,7 @@ def dense_quotient_distance(t, d, tol):
         cf = charfn_build(comp)
         coeffs, _ = poly_truncate(cf, tol / 10.0)
         degrees.append(len(coeffs) - 1)
-        cols.append(_component_symbol(cf, coeffs, k, model).toarray())
+        cols.append(component_symbol(cf, coeffs, k, model).toarray())
     cutoff = d - max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     u = model.normalized_embedding()
@@ -498,7 +572,7 @@ def dense_product_distance(t, d, tol):
         cf = charfn_build(comp)
         coeffs, _ = poly_truncate(cf, tol / 10.0)
         degrees.append(len(coeffs) - 1)
-        w = _component_symbol(cf, coeffs, k, model).toarray()
+        w = component_symbol(cf, coeffs, k, model).toarray()
         prod = prod @ (np.eye(model.basis.size) - w @ adjoint(w))
     cutoff = d - max(len(degrees) // 2, 1) * max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
@@ -559,10 +633,10 @@ class TestModelProduct:
         t = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(components)])
 
         def product_rows(d, cutoff):
-            model, _, symbols, *_ = _symbol_model(t, d, 0.3)
+            model, _, stacks, *_ = _symbol_model(t, d, 0.3)
             sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
             cols = np.eye(model.basis.size, dtype=complex)[:, sel]
-            for w in symbols:
+            for w in (_component_symbol(k, stack, model) for k, stack in stacks):
                 cols = cols - w @ (adjoint(w) @ cols)
             return cols[sel]
 
@@ -592,11 +666,11 @@ class TestSymbolInModelCoordinates:
         ids=["1x1", "2x2", "tensor-pair"],
     )
     def test_matches_the_kronecker_inclusion(self, t):
-        model = canonical_embedding(t, 20)
-        for k, comp in enumerate(t.components, start=1):
+        model, _, stacks, _, _ = _symbol_model(t, 20, 1e-2)
+        for (k, stack), comp in zip(stacks, t.components):
             cf = charfn_build(comp)
             coeffs, _ = poly_truncate(cf, 1e-3)
-            mat = _component_symbol(cf, coeffs, k, model)
+            mat = _component_symbol(k, stack, model)
             want = symbol_through_component_basis(cf, coeffs, k, model)
             assert mat.shape == want.shape == (model.basis.size, model.basis.size // model.defect_dim * cf.dim_in)
             assert abs(mat - want).max() <= 1e-15
@@ -606,13 +680,13 @@ class TestSymbolInModelCoordinates:
         # one product over the stacked coefficients takes each one's
         # operands in the same order, so no entry may move
         t = tensor_tuple([controlled_contraction(np.random.default_rng(len(dims)), m, 0.55, 0.75) for m in dims])
-        model = canonical_embedding(t, 30)
-        for k, comp in enumerate(t.components, start=1):
+        model, _, stacks, _, _ = _symbol_model(t, 30, 1e-2)
+        for (k, stack), comp in zip(stacks, t.components):
             cf = charfn_build(comp)
             coeffs, _ = poly_truncate(cf, 1e-3)
             incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
             basis_in = enumerate_basis(t.num_components, 30, cf.dim_in)
             want = one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis).matrix
-            got = _component_symbol(cf, coeffs, k, model)
+            got = _component_symbol(k, stack, model)
             assert got.data.tobytes() == want.data.tobytes()
             assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)

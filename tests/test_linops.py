@@ -4,11 +4,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import projector, subspace_distance
+from _references import (
+    certified_norm_arpack,
+    orthonormalize_by_scipy_qr,
+    projector,
+    subspace_distance,
+)
 
-from hardymodel import linops
-from hardymodel.contraction import defect
+from hardymodel import charfn, linops
+from hardymodel.charfn import quotient_model_check
+from hardymodel.contraction import defect, tensor_tuple
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
+from hardymodel.generators import controlled_contraction
 from hardymodel.linops import (
     _CERTIFY_MIN,
     DEFECT_FLOOR,
@@ -110,6 +117,18 @@ class TestSolveShifted:
         with pytest.raises(SingularShift):
             solve_shifted(np.eye(2), 1.0)
 
+    def test_gate_is_the_closed_form_bound(self, monkeypatch):
+        # cond(I - z T) <= (1 + |z|) / (1 - |z|) for a contraction: no SVD
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        t = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        np.testing.assert_allclose(solve_shifted(t, 0.9j), np.eye(2) + 0.9j * t, atol=1e-14)
+        with pytest.raises(SingularShift, match="bound"):
+            solve_shifted(t, 1.0 - 1e-13)
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_residual_property(self, seed):
@@ -189,6 +208,30 @@ class TestOrthonormalize:
         a = orthonormalize(v).basis
         b = orthonormalize(v.copy()).basis
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [(5, 0, 0), (5, 1, 1), (3, 8, 3), (8, 200, 8), (40, 6, 6), (496, 55, 55),
+         (7, 2, 1), (6, 9, 4), (45, 55, 30), (120, 120, 60)],
+        ids=["no-columns", "one-column", "wide", "wide-200", "tall", "tall-496", "rank-1",
+             "wide-deficient", "deficient-45x55", "deficient-square"],
+    )
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    def test_bit_identical_to_the_scipy_qr_wrapper(self, rows, cols, rank, rank_tol):
+        # the same geqp3 and ungqr calls with the same workspace queries
+        rng = np.random.default_rng(rows * cols + rank)
+        v = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+        got, want = orthonormalize(v, rank_tol).basis, orthonormalize_by_scipy_qr(v, rank_tol).basis
+        assert got.shape == want.shape == (rows, min(rank, rows, cols))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        v = np.eye(3, dtype=complex)
+        v[1, 2] = bad
+        # an infinite entry's column norm is nan, with numpy's warning
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            orthonormalize(v)
 
 
 def _unitary(rng, m):
@@ -429,3 +472,46 @@ class TestCertifiedNorm:
         got = certified_norm(a)
         # the certificate's margin is above the SVD's last bit, below n^2 eps
         assert exact < got <= exact * (1 + 8 * n * (n + 4) * np.finfo(float).eps)
+
+
+class TestLanczosCertificate:
+    """certified_norm's numpy Lanczos run on the differences it serves,
+    and its step count."""
+
+    @pytest.mark.parametrize("seed", [3, 25])
+    def test_brackets_the_svd_on_a_quotient_model_difference(self, monkeypatch, seed):
+        # the |S| x |S| difference of a tensor pair's quotient-model check
+        # (order 153 and 136), certified by the Lanczos run, not the SVD
+        caps = []
+        monkeypatch.setattr(charfn, "certified_norm", lambda a: caps.append(a) or certified_norm(a))
+        rng = np.random.default_rng(seed)
+        pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
+        quotient_model_check(pair, 28, 1e-6)
+        (a,) = caps
+        n, exact = a.shape[0], operator_norm(a)
+        skew_f = np.linalg.norm(a - adjoint(a)) / 2
+        margin = 8 * n * (n + 4) * np.finfo(float).eps * exact + n * np.finfo(float).eps * skew_f
+        got = certified_norm(a)
+        assert n >= _CERTIFY_MIN and got != exact
+        assert exact <= got <= exact + skew_f + margin
+        assert abs(got - certified_norm_arpack(a)) <= margin
+
+    def test_exact_low_rank_repeats_its_steps(self, monkeypatch):
+        # rank 3 at n = 200: the Krylov space closes after a few steps, and
+        # an identical second call takes exactly as many (ARPACK restarted
+        # from process-global random vectors there)
+        rng = np.random.default_rng(28)
+        u = random_complex(rng, 200, 3)
+        a = u @ adjoint(u) / 200
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: sizes.append(len(x)) or eigvalsh(x))
+        runs = []
+        for _ in range(2):
+            sizes.clear()
+            runs.append((certified_norm(a), sizes[-1]))
+        assert runs[0] == runs[1]
+        # the space closes at dimension 4: rank 3 and the start's kernel part
+        assert runs[0][1] <= 8
+        exact = operator_norm(a)
+        assert exact <= runs[0][0] <= exact * (1 + 8 * 200 * 204 * np.finfo(float).eps)
