@@ -19,8 +19,8 @@ its coefficient stack in the model's adjoint-defect coordinates; one
 component reads only its safe rows S, one gather from the stack.  For
 more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
 are Hermitian, and the safe block of their product is Y* X for two sparse
-halves applied to the unit columns of S (_half_product): no N x N or
-N x |S| dense matrix and no QR is formed.  The distance is
+halves, hardy.defect_product applied to the unit columns of S: no N x N
+or N x |S| dense matrix and no QR is formed.  The distance is
 linops.certified_norm of the |S| x |S| difference, an upper bound within
 round-off of its spectral norm (one numpy Lanczos run and two Cholesky
 factorizations, plus the Frobenius norm of the skew part), not an SVD.
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree
-from .hardy import enumerate_basis, one_variable_symbol
+from .hardy import defect_product, enumerate_basis, one_variable_symbol
 from .linops import (
     Subspace,
     adjoint,
@@ -284,27 +284,17 @@ def _symbol_model(t: ContractionTuple, d: int, tol: float):
     return model, cutoff, stacks, tuple(degrees), tuple(tails)
 
 
-def _half_product(symbols, sel: np.ndarray, size: int):
-    """F_j ... F_1 E_S as a sparse size x |S| matrix, for the symbols
-    W_1, ..., W_j (in that order) and F_k = I - W_k W_k*.  E_S only picks
-    columns, so F_1 E_S = E_S - W_1 W_1[S, :]*; each later factor
-    subtracts W (W* Y)."""
-    y = sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))), shape=(size, sel.size))
-    for i, w in enumerate(symbols):
-        y = y - w @ (w[sel].conj().T if i == 0 else w.conj().T @ y)
-    return y
-
-
 def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
     """||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols W_k
     and the normalized embedding U, on the safe rows S.
 
     The factors F_k = I - W_k W_k* are Hermitian, so with j = K // 2
     the safe block is P_SS = E_S* F_1 ... F_K E_S = Y* X for the halves
-    Y = F_j ... F_1 E_S and X = F_(j+1) ... F_K E_S (_half_product).  Both
-    halves and Y* X stay sparse; no N x |S| dense array is formed.  One
-    component gives P_SS = I - W_S W_S* from its safe rows W_S, gathered
-    from its coefficient stack; no sparse symbol is built.
+    Y = F_j ... F_1 E_S and X = F_(j+1) ... F_K E_S, each from the sparse
+    E_S by hardy.defect_product.  Both halves and Y* X stay sparse; no
+    N x |S| dense array is formed.  One component gives P_SS = I - W_S W_S*
+    from its safe rows W_S, gathered from its coefficient stack; no sparse
+    symbol is built.
 
     On S this is exact for the truncated symbols.  A factor moves only the
     degree in its own variable, by at most the symbol degree D either way.
@@ -336,8 +326,9 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     else:
         symbols = [_component_symbol(k, stack, model) for k, stack in stacks]
         j = len(symbols) // 2
-        y = _half_product(symbols[:j], sel, model.basis.size)
-        x = _half_product(symbols[j:][::-1], sel, model.basis.size)
+        e_s = sp.identity(model.basis.size, format="csc")[:, sel]
+        y = defect_product(symbols[:j], e_s)
+        x = defect_product(symbols[j:][::-1], e_s)
         diff = (y.conj().T @ x).toarray()
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)

@@ -303,12 +303,10 @@ def _parity_family(rng, p: GeneratorParams, tol: float):
         yield _within(operator_norm(diff), tol, 0.0, d - 3)
         rep = hardy.is_inner_on_truncation(v, tol)
         yield CheckOutcome(rep.passed, rep.residual, 0.0, d - 3)
-    # joint defect kills every monomial of degree below n
-    for alpha in b.exponents[b.degrees < min(n, d)]:
-        vvec = monomial_vector(b, alpha).coefficients
-        for op in ops:
-            vvec = vvec - op.matrix @ (op.matrix.conj().T @ vvec)
-        yield _within(float(np.linalg.norm(vvec)), tol, 0.0, d - 3)
+    # joint defect kills every monomial of degree below n, all in one block
+    units = (np.arange(b.size)[:, None] == np.flatnonzero(b.degrees < min(n, d))).astype(complex)
+    for image in np.ascontiguousarray(hardy.defect_product([op.matrix for op in ops], units).T):
+        yield _within(float(np.linalg.norm(image)), tol, 0.0, d - 3)
 
 
 @_check("power-search", "hardy", 1e-12,

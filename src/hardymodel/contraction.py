@@ -87,14 +87,6 @@ class ContractionTuple:
     def adjoint(self) -> "ContractionTuple":
         return ContractionTuple(tuple(adjoint(c) for c in self.components))
 
-    def power(self, alpha) -> np.ndarray:
-        """T^alpha = T_1^a_1 ... T_n^a_n (commuting components)."""
-        out = np.eye(self.space_dim, dtype=complex)
-        for c, a in zip(self.components, alpha):
-            for _ in range(int(a)):
-                out = out @ c
-        return out
-
 
 @dataclass(frozen=True)
 class MoebiusPoint:

@@ -47,10 +47,12 @@ from .hardy import (
     HardyBasis,
     HardyVector,
     _graded_lex_exponents,
+    defect_product,
     enumerate_basis,
     one_variable_symbol,
 )
-from .linops import Subspace, adjoint, defect_range, operator_norm, orthonormalize
+from .linops import Subspace, adjoint, defect_range, operator_norm
+from .submodules import submodule_from_generators
 
 __all__ = [
     "DilationModel",
@@ -132,13 +134,9 @@ class DilationModel:
     adjoint_defect: np.ndarray = field(repr=False)
     defect_basis: Subspace
     embedding: np.ndarray
-    gram_levels: list = field(repr=False)
-    level_sums: list = field(repr=False)
+    gram_levels: np.ndarray = field(repr=False)
+    level_sums: np.ndarray = field(repr=False)
     truncation_degree: int
-
-    @property
-    def space_dim(self) -> int:
-        return self.tuple_.space_dim
 
     @property
     def defect_dim(self) -> int:
@@ -206,7 +204,7 @@ def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0)
     d_star, q = _adjoint_defect(t)
     while True:
         model = _embedding(t, d, d_star, q, report.norms)
-        tails = np.linalg.eigvalsh(np.stack(model.level_sums[1 : d - order_cap + 2]))[:, -1]
+        tails = np.linalg.eigvalsh(model.level_sums[1 : d - order_cap + 2])[:, -1]
         certified = np.flatnonzero(tails <= tol)
         if certified.size:
             return model.prefix(int(certified[0]) + order_cap)
@@ -253,27 +251,27 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
     p = _adjoint_power_rows([adjoint(c) for c in t.components], d + 1)(exps)
     # L_k = sum_{|beta| = k} T^beta T*^beta, one batched per-row product
     # summed over each level's rows
-    level_sums = list(np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0))
+    level_sums = np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0)
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
     y = (p[: basis.num_monomials].transpose(1, 0, 2).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
     # summed over each level's rows, then over the levels up to k
     rows = np.einsum("cak,bak->acb", y.conj(), y)
-    gram_levels = list(np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0))
+    gram_levels = np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0)
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
     return DilationModel(t, norms, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
 def _disjoint_power_pairs(n: int, cap: int):
-    """Index pairs (i, j) into _graded_lex_exponents(n, cap) of the
-    exponents alpha_i, beta_j with disjoint supports and
+    """Index arrays (i, j) into _graded_lex_exponents(n, cap) of the pairs
+    of exponents alpha_i, beta_j with disjoint supports and
     |alpha_i| + |beta_j| <= cap, (0, 0) included."""
     exps = _graded_lex_exponents(n, cap)
     deg = exps.sum(axis=1)
     support = exps > 0
     ok = (deg[:, None] + deg[None, :] <= cap) & ~(support @ support.T)
-    return zip(*np.nonzero(ok))
+    return np.nonzero(ok)
 
 
 @dataclass(frozen=True)
@@ -304,8 +302,10 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
 
     Compressions are evaluated as S T^beta G_l T*^alpha S with S the
     polar normalizer and G_l the cumulative Gram sums, which equals the
-    pullback of the truncated shift action through the embedding; the tail
-    reported is lambda_max(L_(d-order_cap+1)).
+    pullback of the truncated shift action through the embedding.  T^gamma
+    is an orbit row conjugated; all pairs share one stacked product and one
+    batched norm.  Minimality ranks the normalized embedding's generator
+    orbit; the tail reported is lambda_max(L_(d-order_cap+1)).
     """
     d = model.truncation_degree
     if order_cap < 0:
@@ -315,19 +315,17 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     t = model.tuple_
     exps = _graded_lex_exponents(t.num_components, order_cap)
     degrees = exps.sum(axis=1)
-    powers = [t.power(gamma) for gamma in exps]
+    # T^gamma = conj((T*^gamma)^T), from the orbit's rows
+    powers = _adjoint_power_rows([adjoint(c) for c in t.components], order_cap)(exps).conj()
     s = _inv_sqrt_psd(model.gram_levels[-1])
-    # one pass over the disjoint pairs: those with alpha = 0 are the
-    # dilation property, and regularity takes every pair but (0, 0)
-    res_dil = res_reg = 0.0
-    for i, j in _disjoint_power_pairs(t.num_components, order_cap):
-        g = model.gram_levels[d - degrees[i] - degrees[j]]
-        val = s @ (powers[j] @ g @ adjoint(powers[i])) @ s
-        res = operator_norm(val - adjoint(powers[i]) @ powers[j])
-        if i == 0:
-            res_dil = max(res_dil, res)
-        if i or j:
-            res_reg = max(res_reg, res)
+    # every disjoint pair in one stacked product: those with alpha = 0 are
+    # the dilation property, and regularity takes every pair but (0, 0)
+    i, j = _disjoint_power_pairs(t.num_components, order_cap)
+    g = model.gram_levels[d - degrees[i] - degrees[j]]
+    val = s @ (powers[j] @ g @ adjoint(powers[i])) @ s
+    res = operator_norm(val - adjoint(powers[i]) @ powers[j])
+    res_dil = float(np.max(res[i == 0], initial=0.0))
+    res_reg = float(np.max(res[(i > 0) | (j > 0)], initial=0.0))
     # minimality proxy: shifted embeddings span the whole safe section
     rank, expected = _minimality_rank(model, order_cap, s)
     tail = float(np.linalg.eigvalsh(model.level_sums[d - order_cap + 1])[-1])
@@ -335,17 +333,11 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
 
 
 def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
-    small = model.prefix(c)
-    e, m, basis_c = small.defect_dim, small.space_dim, small.basis
-    # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
-    u = small.embedding @ s
-    exps = basis_c.exponents
-    gamma = exps[:, None, :] - exps[None, :, :]
-    ok = (gamma >= 0).all(axis=-1)
-    blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
-    blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
-    stacked = blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1)
-    return orthonormalize(stacked, rank_tol=1e-7).dim, basis_c.size
+    """Rank of the shift orbit, |beta| <= c, of the columns of the normalized
+    embedding model.embedding @ s cut to degree c, and that section's size."""
+    basis = enumerate_basis(model.basis.num_vars, c, model.defect_dim)
+    gens = [HardyVector(basis, col) for col in (model.embedding[: basis.size] @ s).T]
+    return submodule_from_generators(gens, basis, c).space.dim, basis.size
 
 
 def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
@@ -473,13 +465,11 @@ def defect_transfer_check(model: DilationModel, lam: MoebiusPoint, x: np.ndarray
     xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
     direct = np.linalg.norm(joint_defect(mobius_tuple(t, lam).adjoint()) @ xs, axis=0)
     y = model.normalized_embedding() @ xs
-    v = y.copy()
     d = model.truncation_degree
     eye = np.eye(model.defect_dim)
-    for k in range(1, t.num_components + 1):
-        series = mobius_series(lam.coord(k - 1), d)
-        w = one_variable_symbol(k, [c * eye for c in series], model.basis).matrix
-        v = v - w @ (w.conj().T @ v)
+    symbols = [one_variable_symbol(k, [c * eye for c in mobius_series(lam.coord(k - 1), d)],
+                                   model.basis).matrix for k in range(1, t.num_components + 1)]
+    v = defect_product(symbols, y)
     via_model = np.sqrt(np.maximum(np.sum(v.conj() * y, axis=0).real, 0.0))
     xnorm = np.linalg.norm(xs, axis=0)
     best = np.full(xs.shape[1], np.inf)

@@ -21,7 +21,9 @@ one routine from a cached, read-only plan: the CSR indptr and indices
 and a gather index into the stacked coefficient blocks, keyed by the
 sizes, the terms' exponent shifts (or the parity rule) and the blocks'
 nonzero pattern, never their values.  Building an operator is then one
-gather of the block entries and the CSR constructor.
+gather of the block entries and the CSR constructor.  The joint defect
+product prod_k (I - W_k W_k*) x of a list of operators is one routine,
+defect_product, which every module applies.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "HardyOperator",
     "HardyVector",
     "InnerReport",
+    "defect_product",
     "enumerate_basis",
     "evaluate",
     "is_inner_on_truncation",
@@ -474,15 +477,19 @@ def wandering_subspace(ops, basis: HardyBasis, cutoff: int | None = None) -> Sub
         cutoff = basis.max_degree - growth
     if cutoff < 0:
         raise DegreeOverflow("no safe degrees left for the wandering computation")
-    sel = np.nonzero(basis.degree_selector(cutoff))[0]
-    cols = np.zeros((basis.size, sel.size), dtype=complex)
-    cols[sel, np.arange(sel.size)] = 1.0
-    for op in ops:
-        m = op.matrix
-        cols = cols - m @ (m.conj().T @ cols)
     keep = basis.degree_selector(cutoff)
-    cols = cols * keep[:, None]
-    return orthonormalize(cols, rank_tol=1e-8)
+    cols = (np.arange(basis.size)[:, None] == np.flatnonzero(keep)).astype(complex)
+    cols = defect_product([op.matrix for op in ops], cols)
+    return orthonormalize(cols * keep[:, None], rank_tol=1e-8)
+
+
+def defect_product(mats, x):
+    """prod_k (I - W_k W_k*) x for the matrices W_k of mats, the first
+    one's factor applied first: each factor subtracts W (W* y), so no
+    W W* is formed.  x may be a dense or sparse vector or block."""
+    for w in mats:
+        x = x - w @ (w.conj().T @ x)
+    return x
 
 
 def parity_shift(k: int, basis: HardyBasis) -> HardyOperator:

@@ -269,15 +269,15 @@ def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
     column norm (ties resolved by lowest index inside LAPACK,
     deterministically); a pivot is accepted while its residual norm
     exceeds rank_tol times the largest original column norm.  Zero input
-    yields the zero-dimensional subspace.
+    yields the zero-dimensional subspace, an inf or NaN entry ValueError.
     """
     v = np.array(vectors, dtype=complex, order="F")
     if v.ndim == 1:
         v = v[:, None]
     ambient = v.shape[0]
-    scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
-    if not np.isfinite(scale) and not np.isfinite(v).all():
+    if not np.isfinite(v).all():  # before the column norms, which warn on an inf
         raise ValueError("array must not contain infs or NaNs")
+    scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
     if scale == 0.0:  # also no rows or no columns
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
     qr, _, tau = _lapack(_GEQP3, v)
@@ -299,9 +299,11 @@ def defect_range(d: np.ndarray) -> Subspace:
     The pivoted QR of orthonormalize accepts a pivot while |R_ii| exceeds
     DEFECT_FLOOR.  The scale is 1, as ||D|| <= 1 for a contraction; a rank
     relative to ||D|| would count round-off as rank when D is numerically
-    zero.
+    zero.  An inf or NaN entry raises ValueError.
     """
     d = np.asarray(d, dtype=complex)
+    if not np.isfinite(d).all():
+        raise ValueError("array must not contain infs or NaNs")
     scale = float(np.max(np.linalg.norm(d, axis=0), initial=0.0))
     if scale <= DEFECT_FLOOR:
         return Subspace(d.shape[0], np.zeros((d.shape[0], 0), dtype=complex))

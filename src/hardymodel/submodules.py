@@ -3,11 +3,12 @@
 Submodules are represented by safe-degree sections (orthonormal column
 spans of truncated generator images); quotient modules of tensor type are
 built from one-variable model-space sections so that compressions carry
-exact Kronecker structure.  Generator orbits and tensor columns are
-placed into the basis by one HardyBasis.rank scatter each.  All set
-operations happen at the section level and every report names the cutoff
-it used; the Beurling extraction runs in the section's own coordinates,
-so its QRs have the section's s rows, not the basis's N.
+exact Kronecker structure, from the one compression routine
+_restricted_shifts.  Generator orbits and tensor columns are placed into
+the basis by one HardyBasis.rank scatter each.  All set operations happen
+at the section level and every report names the cutoff it used; the
+Beurling extraction runs in the section's own coordinates, so its QRs
+have the section's s rows, not the basis's N.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .hardy import (
     HardyOperator,
     HardyVector,
     _graded_lex_exponents,
+    defect_product,
     enumerate_basis,
     is_inner_on_truncation,
     kernel_vector,
@@ -152,10 +154,9 @@ def _low_section(handle: SubmoduleHandle, slack: int) -> np.ndarray:
     return adjoint(kept) @ orthonormalize(kept, rank_tol=1e-6).basis
 
 
-def _restricted_shifts(handle: SubmoduleHandle) -> list:
-    """R_k = Q* S_k Q, the s x s restricted shifts on the handle's N x s
-    section basis Q."""
-    b, basis = handle.space.basis, handle.basis
+def _restricted_shifts(b: np.ndarray, basis: HardyBasis) -> list:
+    """R_k = Q* S_k Q, the s x s compressions of the shifts of basis to the
+    N x s section basis Q = b."""
     return [adjoint(b) @ (shift(k, basis).matrix @ b) for k in range(1, basis.num_vars + 1)]
 
 
@@ -186,7 +187,7 @@ def restriction_double_commutation(handle: SubmoduleHandle, tol: float) -> Commu
     the verdict.
     """
     probes = _low_section(handle, _RESTRICTION_SLACK)
-    norms = _commutator_norms(_restricted_shifts(handle), probes)
+    norms = _commutator_norms(_restricted_shifts(handle.space.basis, handle.basis), probes)
     return CommutationReport(*norms, handle.safe_degree - _RESTRICTION_SLACK, tol)
 
 
@@ -224,7 +225,7 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
     low = _low_section(handle, _EXTRACTION_SLACK)
-    shifted = [r @ low for r in _restricted_shifts(handle)]
+    shifted = [r @ low for r in _restricted_shifts(handle.space.basis, handle.basis)]
     shifted_space = orthonormalize(np.concatenate(shifted, axis=1), rank_tol=1e-8)
     residual = low - shifted_space.basis @ (adjoint(shifted_space.basis) @ low)
     wandering = orthonormalize(residual, rank_tol=1e-6)
@@ -327,8 +328,7 @@ def quotient_tensor_build(inner_list, basis: HardyBasis) -> QuotientHandle:
         else np.zeros((1, 0), dtype=np.int64)
     )
     space = Subspace(basis.size, _tensor_columns(basis, sections, free_exps))
-    bmat = space.basis
-    compressions = tuple(adjoint(bmat) @ (shift(k, basis).matrix @ bmat) for k in range(1, n + 1))
+    compressions = tuple(_restricted_shifts(space.basis, basis))
     return QuotientHandle(basis, space, compressions, sum(caps) + free_cap, sections, free_cap)
 
 
@@ -408,7 +408,7 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
         raise DimensionMismatch("more symbols than basis variables")
     coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
     kv = kernel_vector(lam, basis).coefficients
-    v = kv.copy()
+    factors = []
     tail = 0.0
     d = basis.max_degree
     for k, eta in enumerate(symbols, start=1):
@@ -421,10 +421,9 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
         # the series division is a lower-triangular Toeplitz solve
         den = eye - np.conj(mu) * scipy.linalg.toeplitz(f, np.zeros(d + 1))
         series = scipy.linalg.solve_triangular(den, mu * eye[0] - f, lower=True)
-        w = one_variable_symbol(k, series, basis).matrix
-        v = v - w @ (w.conj().T @ v)
+        factors.append(one_variable_symbol(k, series, basis).matrix)
         tail = max(tail, abs(lam_k) ** max(d - eta.degree, 0))
-    residual = float(np.linalg.norm(v - kv))
+    residual = float(np.linalg.norm(defect_product(factors, kv) - kv))
     return residual, float(tail)
 
 

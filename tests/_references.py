@@ -13,8 +13,11 @@ characteristic-function series, the characteristic function, its kernel
 identity and its boundary unitarity one sample point at a time (one
 resolvent solve and one SVD per point), the Beurling extraction on
 the N rows of the ambient basis, the ARPACK certified norm, the
-orthonormalization through scipy.linalg.qr and the sparse symbol of a
-component with the one-component distance it gave.
+orthonormalization through scipy.linalg.qr, the sparse symbol of a
+component with the one-component distance it gave, the product loop of a
+tuple power, the minimality stack's block scatter, and each call site's
+own loop over the joint defect factors I - W W* (the quotient model's
+sparse halves among them).
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from hardymodel.charfn import (
     charfn_build,
     poly_truncate,
 )
-from hardymodel.contraction import ContractionTuple, MoebiusPoint, joint_defect, validate_tuple
+from hardymodel.contraction import (
+    ContractionTuple,
+    MoebiusPoint,
+    joint_defect,
+    mobius_series,
+    validate_tuple,
+)
 from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd, canonical_embedding
 from hardymodel.errors import AmbiguousWandering, DimensionMismatch, SingularShift, UnsafeDegree
 from hardymodel.hardy import (
@@ -45,6 +54,8 @@ from hardymodel.hardy import (
     _graded_lex_rank,
     enumerate_basis,
     evaluate,
+    kernel_vector,
+    monomial_vector,
     one_variable_symbol,
     shift,
 )
@@ -202,6 +213,15 @@ def embedding_by_plan_walk(t: ContractionTuple, d: int) -> DilationModel:
     return DilationModel(t, norms, basis, d_star, q, u, gram_levels, level_sums, d)
 
 
+def tuple_power(t: ContractionTuple, alpha) -> np.ndarray:
+    """T^alpha = T_1^a_1 ... T_n^a_n (commuting components)."""
+    out = np.eye(t.space_dim, dtype=complex)
+    for c, a in zip(t.components, alpha):
+        for _ in range(int(a)):
+            out = out @ c
+    return out
+
+
 def disjoint_exponent_pairs(n: int, cap: int):
     """All (alpha, beta) with disjoint supports and 0 < |alpha|+|beta| <= cap."""
     exps = _graded_lex_exponents(n, cap)
@@ -224,7 +244,7 @@ def dilation_residuals(model: DilationModel, order_cap: int) -> tuple[float, flo
     res_dil = 0.0
     # dilation property over all |alpha| <= order_cap
     for alpha in _graded_lex_exponents(n, order_cap):
-        ta = t.power(alpha)
+        ta = tuple_power(t, alpha)
         g = model.gram_levels[d - int(alpha.sum())]
         val = s @ (ta @ g) @ s
         res_dil = max(res_dil, operator_norm(val - ta))
@@ -233,8 +253,8 @@ def dilation_residuals(model: DilationModel, order_cap: int) -> tuple[float, flo
     for alpha, beta in disjoint_exponent_pairs(n, order_cap):
         level = d - int(alpha.sum()) - int(beta.sum())
         g = model.gram_levels[level]
-        val = s @ (t.power(beta) @ g @ adjoint(t.power(alpha))) @ s
-        want = adjoint(t.power(alpha)) @ t.power(beta)
+        val = s @ (tuple_power(t, beta) @ g @ adjoint(tuple_power(t, alpha))) @ s
+        want = adjoint(tuple_power(t, alpha)) @ tuple_power(t, beta)
         res_reg = max(res_reg, operator_norm(val - want))
     return res_dil, res_reg
 
@@ -243,7 +263,7 @@ def minimality_rank_svd(model: DilationModel, c: int) -> int:
     """Rank of verify_dilation's minimality stack at order c, counted as
     the singular values above 1e-7 times the largest one."""
     s = _inv_sqrt_psd(model.gram_levels[-1])
-    e, m = model.defect_dim, model.space_dim
+    e, m = model.defect_dim, model.tuple_.space_dim
     basis_c = enumerate_basis(model.tuple_.num_components, c, e)
     u = model.embedding[: basis_c.size] @ s
     exps = basis_c.exponents
@@ -253,6 +273,23 @@ def minimality_rank_svd(model: DilationModel, c: int) -> int:
     blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
     sv = np.linalg.svd(blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1), compute_uv=False)
     return int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
+
+
+def minimality_rank_block_scatter(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
+    """verify_dilation's minimality rank by the block scatter: block
+    (beta, alpha) of the stack holds the embedding block of
+    zeta^(beta - alpha), and the pivoted QR counts pivots above 1e-7."""
+    small = model.prefix(c)
+    e, m, basis_c = small.defect_dim, small.tuple_.space_dim, small.basis
+    # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
+    u = small.embedding @ s
+    exps = basis_c.exponents
+    gamma = exps[:, None, :] - exps[None, :, :]
+    ok = (gamma >= 0).all(axis=-1)
+    blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
+    blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
+    stacked = blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1)
+    return orthonormalize(stacked, rank_tol=1e-7).dim, basis_c.size
 
 
 def moebius_grid(n_components: int) -> list:
@@ -525,3 +562,73 @@ def one_component_difference(a: np.ndarray, d: int, tol: float):
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)
     return diff, cutoff
+
+
+def half_product(symbols, sel: np.ndarray, size: int):
+    """F_j ... F_1 E_S as a sparse size x |S| matrix, for the symbols
+    W_1, ..., W_j (in that order) and F_k = I - W_k W_k*.  E_S only picks
+    columns, so F_1 E_S = E_S - W_1 W_1[S, :]*; each later factor
+    subtracts W (W* Y)."""
+    y = sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))), shape=(size, sel.size))
+    for i, w in enumerate(symbols):
+        y = y - w @ (w[sel].conj().T if i == 0 else w.conj().T @ y)
+    return y
+
+
+def wandering_defect_loop(ops, cols: np.ndarray) -> np.ndarray:
+    """hardy.wandering_subspace's factor loop over the operators' matrices."""
+    for op in ops:
+        m = op.matrix
+        cols = cols - m @ (m.conj().T @ cols)
+    return cols
+
+
+def defect_transfer_loop(model: DilationModel, lam: MoebiusPoint, y: np.ndarray) -> np.ndarray:
+    """dilation.defect_transfer_check's model side before its last square
+    root: each Moebius multiplier built and applied in turn."""
+    v = y.copy()
+    d = model.truncation_degree
+    eye = np.eye(model.defect_dim)
+    for k in range(1, model.tuple_.num_components + 1):
+        series = mobius_series(lam.coord(k - 1), d)
+        w = one_variable_symbol(k, [c * eye for c in series], model.basis).matrix
+        v = v - w @ (w.conj().T @ v)
+    return v
+
+
+def kernel_fixed_point_loop(symbols, lam, basis: HardyBasis):
+    """submodules.kernel_fixed_point_residual with each factor applied as
+    it is built."""
+    coords = np.asarray(getattr(lam, "coords", lam), dtype=complex).reshape(-1)
+    kv = kernel_vector(lam, basis).coefficients
+    v = kv.copy()
+    tail = 0.0
+    d = basis.max_degree
+    for k, eta in enumerate(symbols, start=1):
+        lam_k = coords[k - 1] if k - 1 < coords.size else 0.0j
+        mu = complex(eta(lam_k))
+        if abs(mu) >= 1.0:
+            raise DimensionMismatch("symbol value lies on the boundary")
+        f = eta.coefficients(d)
+        eye = np.eye(d + 1)
+        # the series division is a lower-triangular Toeplitz solve
+        den = eye - np.conj(mu) * scipy.linalg.toeplitz(f, np.zeros(d + 1))
+        series = scipy.linalg.solve_triangular(den, mu * eye[0] - f, lower=True)
+        w = one_variable_symbol(k, series, basis).matrix
+        v = v - w @ (w.conj().T @ v)
+        tail = max(tail, abs(lam_k) ** max(d - eta.degree, 0))
+    residual = float(np.linalg.norm(v - kv))
+    return residual, float(tail)
+
+
+def parity_defect_norms_loop(b: HardyBasis, ops) -> list:
+    """checks._parity_family's joint-defect norms, one monomial vector of
+    degree below n = b.num_vars at a time."""
+    n, d = b.num_vars, b.max_degree
+    out = []
+    for alpha in b.exponents[b.degrees < min(n, d)]:
+        vvec = monomial_vector(b, alpha).coefficients
+        for op in ops:
+            vvec = vvec - op.matrix @ (op.matrix.conj().T @ vvec)
+        out.append(float(np.linalg.norm(vvec)))
+    return out

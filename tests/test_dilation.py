@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -13,8 +14,10 @@ from _references import (
     dilation_residuals,
     embedding_by_plan_walk,
     gram_levels_per_level,
+    minimality_rank_block_scatter,
     minimality_rank_svd,
     moebius_grid,
+    tuple_power,
 )
 
 from hardymodel import dilation
@@ -30,6 +33,8 @@ from hardymodel.contraction import (
 from hardymodel.dilation import (
     _adjoint_power_rows,
     _disjoint_power_pairs,
+    _inv_sqrt_psd,
+    _minimality_rank,
     canonical_embedding,
     choose_truncation_degree,
     default_moebius_grid,
@@ -105,7 +110,7 @@ class TestCanonicalEmbedding:
             explicit = adjoint(u_hat) @ mk @ u_hat
             g = model.gram_levels[d - 1]
             s = np.linalg.inv(scipy.linalg.sqrtm(model.gram_levels[-1]).astype(complex))
-            gram_route = s @ (t.power(alpha) @ g) @ s
+            gram_route = s @ (tuple_power(t, alpha) @ g) @ s
             np.testing.assert_allclose(explicit, gram_route, atol=1e-10)
 
     def test_regularity_route_matches_explicit(self):
@@ -199,7 +204,7 @@ class TestOrbitLevels:
         rows = _adjoint_power_rows([adjoint(c) for c in t.components], d)(exps)
         assert rows.shape == (len(exps), t.space_dim, t.space_dim)
         for alpha, row in zip(exps, rows):
-            np.testing.assert_allclose(row, adjoint(t.power(alpha)).T, atol=1e-12)
+            np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
 
     def test_any_order_of_any_exponent_set(self):
         # a shuffled set that is not a graded block, {alpha : a_1 + 2 a_2 <= 8}:
@@ -211,7 +216,17 @@ class TestOrbitLevels:
         rows = _adjoint_power_rows([adjoint(c) for c in t.components], 8)(exps)
         assert len(rows) == len(exps) == 25
         for alpha, row in zip(exps, rows):
-            np.testing.assert_allclose(row, adjoint(t.power(alpha)).T, atol=1e-12)
+            np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
+
+
+@functools.cache
+def criterion_two_models() -> tuple:
+    """The criterion-2 ensemble's models, built once for the tests that
+    share them: 50 tuples (rng 101, radius cap 0.75, norm cap 0.8), each
+    at tolerance 1e-9 and order cap 4."""
+    rng = np.random.default_rng(101)
+    ensemble = tuple_ensemble(rng, 50, radius_cap=0.75, norm_cap=0.8)
+    return tuple(embedding_for_tolerance(t, 1e-9, order_cap=4) for t in ensemble)
 
 
 class TestOneModelPerVerdict:
@@ -242,7 +257,7 @@ class TestOneModelPerVerdict:
         # model; the rank from the model's own first rows is the same
         def rebuilt_rank(t, c):
             small = canonical_embedding(t, c)
-            u, e, m = small.embedding, small.defect_dim, small.space_dim
+            u, e, m = small.embedding, small.defect_dim, small.tuple_.space_dim
             basis_c = enumerate_basis(t.num_components, c, e)
             exps = basis_c.exponents
             gamma = exps[:, None, :] - exps[None, :, :]
@@ -252,17 +267,41 @@ class TestOneModelPerVerdict:
             sv = np.linalg.svd(blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1), compute_uv=False)
             return int(np.sum(sv > 1e-7 * max(sv[0], 1e-30)))
 
-        rng = np.random.default_rng(101)  # the criterion-2 ensemble
-        for t in tuple_ensemble(rng, 50, radius_cap=0.75, norm_cap=0.8):
-            rep = verify_dilation(embedding_for_tolerance(t, 1e-9, order_cap=4), order_cap=4, tol=1e-8)
-            assert rep.minimality_rank == rebuilt_rank(t, 4)
+        for model in criterion_two_models():
+            rep = verify_dilation(model, order_cap=4, tol=1e-8)
+            assert rep.minimality_rank == rebuilt_rank(model.tuple_, 4)
+
+
+    def test_minimality_rank_matches_the_block_scatter(self):
+        # the generator orbit of submodule_from_generators (pivots above
+        # 1e-8 relative) ranks the former block-scattered stack (pivots
+        # above 1e-7) the same at every order cap
+        for model in criterion_two_models():
+            s = _inv_sqrt_psd(model.gram_levels[-1])
+            for c in range(5):
+                assert _minimality_rank(model, c, s) == minimality_rank_block_scatter(model, c, s)
+
+    def test_one_batched_norm_and_no_tuple_power_loop(self, monkeypatch):
+        # every disjoint pair is one entry of one stacked product, and the
+        # powers are the orbit's rows: one operator_norm call per report
+        calls = []
+        norm = dilation.operator_norm
+        monkeypatch.setattr(dilation, "operator_norm", lambda a: calls.append(a.shape) or norm(a))
+        rng = np.random.default_rng(3)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(2)])
+        model = embedding_for_tolerance(t, 1e-9, order_cap=3)
+        for order_cap in range(4):
+            calls.clear()
+            rep = verify_dilation(model, order_cap, 1e-8)
+            pairs = len(_disjoint_power_pairs(2, order_cap)[0])
+            assert calls == [(pairs, 4, 4)] and rep.passed
 
 
 def explicit_orbit(t, d):
-    """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one adjoint(t.power(alpha)) each."""
+    """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one adjoint(tuple_power(t, alpha)) each."""
     d_star = joint_defect(t.adjoint())
     exps = enumerate_basis(t.num_components, d, 1).exponents
-    return [(alpha, d_star @ adjoint(t.power(alpha))) for alpha in exps]
+    return [(alpha, d_star @ adjoint(tuple_power(t, alpha))) for alpha in exps]
 
 
 class TestOrbitAgainstExplicitPowers:
@@ -496,7 +535,7 @@ def test_disjoint_power_pairs_match_double_loop():
             for j, b in enumerate(exps)
             if a.sum() + b.sum() <= cap and not np.any((a > 0) & (b > 0))
         }
-        got = [(int(i), int(j)) for i, j in _disjoint_power_pairs(n, cap)]
+        got = [(int(i), int(j)) for i, j in zip(*_disjoint_power_pairs(n, cap))]
         assert len(got) == len(set(got)) and set(got) == want
         assert (0, 0) in got
 
@@ -741,5 +780,5 @@ def test_embedding_respects_basis_ordering():
     d_star = joint_defect(t.adjoint())
     qd = adjoint(model.defect_basis.basis) @ d_star
     for alpha in [(0, 0), (1, 0), (2, 3), (0, 4)]:
-        want = qd @ adjoint(t.power(alpha)) @ x
+        want = qd @ adjoint(tuple_power(t, alpha)) @ x
         np.testing.assert_allclose(block(emb, alpha), want, atol=1e-12)

@@ -6,10 +6,22 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import assemble_per_term, check_window, operator_adjoint, projector
+from _references import (
+    assemble_per_term,
+    check_window,
+    defect_transfer_loop,
+    half_product,
+    kernel_fixed_point_loop,
+    operator_adjoint,
+    parity_defect_norms_loop,
+    projector,
+    wandering_defect_loop,
+)
 
-from hardymodel import hardy
-from hardymodel.contraction import mobius_series
+from hardymodel import charfn, checks, hardy
+from hardymodel.checks import GeneratorParams
+from hardymodel.contraction import BlaschkeProduct, MoebiusPoint, mobius_series, tensor_tuple
+from hardymodel.dilation import canonical_embedding, defect_transfer_check
 from hardymodel.errors import DegreeOverflow, DimensionMismatch, SizeOverflow
 from hardymodel.hardy import (
     HardyBasis,
@@ -28,7 +40,8 @@ from hardymodel.hardy import (
     shift,
     wandering_subspace,
 )
-from hardymodel.linops import adjoint, operator_norm
+from hardymodel.linops import adjoint, operator_norm, orthonormalize
+from hardymodel.submodules import kernel_fixed_point_residual
 
 
 class TestEnumerateBasis:
@@ -460,6 +473,83 @@ class TestWandering:
                 for _ in range(reps):
                     shifted = ops[k - 1].matrix @ shifted
             assert operator_norm(adjoint(wb) @ shifted) <= 1e-10
+
+
+class TestDefectProduct:
+    """hardy.defect_product against the loop each call site ran before
+    (tests/_references.py keeps them), bit for bit."""
+
+    @staticmethod
+    def _parity_ops():
+        b = enumerate_basis(3, 7, 1)
+        return b, [parity_shift(1, b), shift(2, b), parity_shift(3, b)]
+
+    def test_dense_vector_and_block(self):
+        b, ops = self._parity_ops()
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((b.size, 9)) + 1j * rng.standard_normal((b.size, 9))
+        mats = [op.matrix for op in ops]
+        for block in (x, x[:, 0].copy()):
+            got = hardy.defect_product(mats, block)
+            assert got.tobytes() == wandering_defect_loop(ops, block).tobytes()
+        # the first matrix's factor is applied first
+        assert hardy.defect_product(mats[::-1], x).tobytes() == wandering_defect_loop(ops[::-1], x).tobytes()
+
+    def test_wandering_subspace(self):
+        b, ops = self._parity_ops()
+        keep = b.degree_selector(b.max_degree - 2)
+        units = np.eye(b.size, dtype=complex)[:, keep]
+        want = orthonormalize(wandering_defect_loop(ops, units) * keep[:, None], rank_tol=1e-8)
+        got = wandering_subspace(ops, b, cutoff=b.max_degree - 2)
+        assert got.basis.tobytes() == want.basis.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_parity_family_norms(self, n):
+        p = GeneratorParams(num_vars=n, truncation_degree=8)
+        outcomes = list(checks._parity_family(np.random.default_rng(0), p, 1e-12))
+        b = enumerate_basis(n, 8, 1)
+        want = parity_defect_norms_loop(b, [parity_shift(k, b) for k in range(1, n + 1)])
+        assert len(want) == math.comb(2 * n - 1, n)  # the monomials of degree < n
+        assert [o.residual for o in outcomes[-len(want):]] == want
+
+    @pytest.mark.parametrize("lam", [(0.5,), (0.3, -0.4j)])
+    def test_kernel_fixed_point(self, lam):
+        b = enumerate_basis(2, 20, 1)
+        etas = [BlaschkeProduct(1.0, (0.3,)), BlaschkeProduct(1.0, (0.0, 0.2j))]
+        for symbols in (etas[:1], etas):
+            got = kernel_fixed_point_residual(symbols, lam, b)
+            assert got == kernel_fixed_point_loop(symbols, lam, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_defect_transfer(self, seed):
+        rng = np.random.default_rng(seed)
+        t = tensor_tuple([checks._model_scalar(rng, GeneratorParams(), 2) for _ in range(2)])
+        model = canonical_embedding(t, 20)
+        lam = MoebiusPoint((0.3 - 0.2j, 0.45j))
+        x = rng.standard_normal((t.space_dim, 3)) + 1j * rng.standard_normal((t.space_dim, 3))
+        y = model.normalized_embedding() @ x
+        v = defect_transfer_loop(model, lam, y)
+        want = np.sqrt(np.maximum(np.sum(v.conj() * y, axis=0).real, 0.0))
+        assert defect_transfer_check(model, lam, x)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [32, 40, 48])
+    def test_sparse_halves_of_the_quotient_model(self, d):
+        # the K = 2 halves as charfn._model_distance forms them, from the
+        # sparse unit columns of the safe rows, against the former
+        # first-factor row-slice route
+        p = GeneratorParams(truncation_degree=d, radius_cap=0.55)
+        for seed in range(1, 13):
+            rng = np.random.default_rng([seed, d])
+            t = tensor_tuple([checks._model_scalar(rng, p) for _ in range(2)])
+            model, cutoff, stacks, _, _ = charfn._symbol_model(t, d, 1e-6)
+            symbols = [charfn._component_symbol(k, stack, model) for k, stack in stacks]
+            assert len(symbols) == 2
+            sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
+            size = model.basis.size
+            e_s = sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))), shape=(size, sel.size))
+            for half in (symbols[:1], symbols[1:]):
+                got = hardy.defect_product(half, e_s).toarray()
+                assert got.tobytes() == half_product(half, sel, size).toarray().tobytes()
 
 
 class TestCrossVariableCommutation:

@@ -268,7 +268,7 @@ class TestExtractionInSectionCoordinates:
         handle = _extraction_handle(hint, n, d, cutoff)
         q = handle.space.basis
         low = _low_section(handle, _EXTRACTION_SLACK)
-        for k, r in enumerate(_restricted_shifts(handle), start=1):
+        for k, r in enumerate(_restricted_shifts(q, handle.basis), start=1):
             gap = shift(k, handle.basis).matrix @ (q @ low) - q @ (r @ low)
             assert operator_norm(gap) <= leak
 
@@ -351,6 +351,20 @@ class TestQuotientTensor:
         # variable 1 compression is (2x2 nilpotent) tensor identity
         c1 = handle.compressions[0]
         assert operator_norm(c1 @ c1) <= 1e-12
+
+    def test_compressions_are_the_restricted_shifts(self):
+        # Q* S_k Q of the quotient section, the restricted shifts' routine;
+        # the prediction's Jordan factor is the one-variable shift densified
+        b = enumerate_basis(2, 12, 1)
+        handle = quotient_tensor_build([Z2, phi(0.5)], b)
+        q = handle.space.basis
+        for k, comp in enumerate(handle.compressions, start=1):
+            assert comp.tobytes() == (adjoint(q) @ (shift(k, b).matrix @ q)).tobytes()
+        sec = handle.sections[1]
+        embedded = np.vstack([sec, np.zeros((1, sec.shape[1]))])
+        jordan = adjoint(embedded) @ (shift(1, enumerate_basis(1, len(sec), 1)).dense() @ embedded)
+        want = np.kron(np.eye(handle.sections[0].shape[1]), jordan)
+        assert expected_tensor_compression(handle, 2).tobytes() == want.tobytes()
 
     def test_free_variable_block(self):
         b = enumerate_basis(2, 10, 1)
