@@ -271,7 +271,6 @@ class TestOneModelPerVerdict:
             rep = verify_dilation(model, order_cap=4, tol=1e-8)
             assert rep.minimality_rank == rebuilt_rank(model.tuple_, 4)
 
-
     def test_minimality_rank_matches_the_block_scatter(self):
         # the generator orbit of submodule_from_generators (pivots above
         # 1e-8 relative) ranks the former block-scattered stack (pivots
@@ -281,7 +280,7 @@ class TestOneModelPerVerdict:
             for c in range(5):
                 assert _minimality_rank(model, c, s) == minimality_rank_block_scatter(model, c, s)
 
-    def test_one_batched_norm_and_no_tuple_power_loop(self, monkeypatch):
+    def test_one_batched_norm_per_report(self, monkeypatch):
         # every disjoint pair is one entry of one stacked product, and the
         # powers are the orbit's rows: one operator_norm call per report
         calls = []
@@ -298,7 +297,7 @@ class TestOneModelPerVerdict:
 
 
 def explicit_orbit(t, d):
-    """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one adjoint(tuple_power(t, alpha)) each."""
+    """(alpha, D_* T*^alpha) for |alpha| <= d in basis order, one tuple_power each."""
     d_star = joint_defect(t.adjoint())
     exps = enumerate_basis(t.num_components, d, 1).exponents
     return [(alpha, d_star @ adjoint(tuple_power(t, alpha))) for alpha in exps]
