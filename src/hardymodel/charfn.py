@@ -150,9 +150,6 @@ _MAX_PROBE = 256
 #: most series terms poly_truncate keeps before it refuses
 _MAX_TERMS = 4096
 
-#: size of the stack of adjoint powers poly_truncate fills at a time
-_POWER_BLOCK_BYTES = 1 << 20
-
 
 def boundary_unitarity(cf: CharFn) -> float:
     """Max of ||theta(z)* theta(z) - I|| over _BOUNDARY_SAMPLES equispaced
@@ -185,10 +182,12 @@ def poly_truncate(cf: CharFn, tol: float):
     returned tail bounds the operator-norm sum of all dropped ones.  The
     tail envelope depends on k alone, so the number of terms is solved from
     it before any product; a count that reaches _MAX_TERMS is refused before
-    any power is formed.  The powers T*^j = T* @ T*^(j-1) are filled into
-    a stack of at most _POWER_BLOCK_BYTES, and each block's coefficients
-    come from one batched ((Q_out* D_out) @ T*^j @ D_in) @ Q_in.  A power
-    that is exactly zero ends the series with a tail of 0.0 (nilpotent).
+    any block is formed.  No power of T* is formed: the thin blocks
+    B_j = T*^j D_in Q_in (m x dim_in) are filled one product T* @ B_(j-1)
+    each, and every coefficient after the first is (Q_out* D_out) @ B_j,
+    all in one batched product.  A block that is exactly zero ends the
+    series with a tail of 0.0: every later block is zero too (for an
+    invertible D_in, exactly when T is nilpotent).
     """
     t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
@@ -213,21 +212,14 @@ def poly_truncate(cf: CharFn, tol: float):
     if terms == _MAX_TERMS:
         raise UnsafeDegree("characteristic-function tail does not certify")
     left, t_star = adjoint(qo) @ d_out, adjoint(t)
-    size = t.shape[0]
-    block_len = max(1, min(terms, _POWER_BLOCK_BYTES // max(16 * size * size, 1)))
-    stack = np.empty((block_len, size, size), complex)
-    power = np.eye(size, dtype=complex)  # T*^start
-    for start in range(0, terms, len(stack)):
-        block = stack[: min(len(stack), terms - start)]
-        block[0] = power
-        for j in range(1, len(block)):
-            np.matmul(t_star, block[j - 1], out=block[j])
-        power = t_star @ block[-1]
-        zero = np.flatnonzero(~block.reshape(len(block), -1).any(axis=1))
-        block = block[: zero[0]] if zero.size else block
-        coeffs.extend(left @ block @ d_in @ qi)
-        if zero.size:
-            return coeffs, 0.0  # nilpotent: series terminates exactly
+    blocks = np.empty((terms, *qi.shape), complex)
+    blocks[:1] = d_in @ qi
+    for j in range(terms):
+        if not blocks[j].any():
+            return coeffs + list(left @ blocks[:j]), 0.0  # series terminates exactly
+        if j + 1 < terms:
+            np.matmul(t_star, blocks[j], out=blocks[j + 1])
+    coeffs.extend(left @ blocks)
     return coeffs, float(tail_from(terms + 1))
 
 

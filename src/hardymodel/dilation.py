@@ -19,9 +19,9 @@ x* (I - G_c) x lies between the max and the sum of ||T*^beta x||^2 over
 |beta| = c + 1 (equal for n = 1), so L_(c+1), a sum of nonnegative
 terms, is the one truncation measure: the tail in exact arithmetic, with
 the computed Gram's own round-off, about 1e-15, on top of it.  A model of
-lower degree is a prefix of a built one.  norm_identity asks the routine
-for one degree level at a time, with its probes x^T at the head of the
-rows, so it holds one level of q x m rows x^T (T*^alpha)^T.
+lower degree is a prefix of a built one.  norm_identity and power_search
+apply powers to a few probe vectors only, so they carry the vectors, one
+product per power, and form no power of an operator.
 Shift-power compressions through the embedding reduce to Gram sums, and a
 Moebius map phi_a(S_k) is, exactly, the multiplier of the degree-d series
 of phi_a(zeta_k).
@@ -74,16 +74,16 @@ __all__ = [
 _DEGREE_CAP = 512
 
 
-def _adjoint_power_rows(adjoints, top: int, head: np.ndarray | None = None):
+def _adjoint_power_rows(adjoints, top: int):
     """rows(exps): (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each
     row alpha of exps, in the given order, for exponents at most top.
 
     Each component's powers (T*_v^j)^T, j <= top, fill one stack, one
     product per power; a batch of rows is then n - 1 batched products of
     the stack entries its exponents pick.  Rows do not depend on each
-    other, so any subset or order of exponents can be asked for.  A head
-    (q x m) multiplies the first stack once, before any row is formed, so
-    the rows are the q x m products head (T*^alpha)^T."""
+    other, so any subset or order of exponents can be asked for.  The
+    model and verify_dilation need whole m x m powers; a caller that
+    applies powers to a few vectors carries the vectors instead."""
     m = len(adjoints[0])
     stacks = []
     for a in adjoints:
@@ -92,8 +92,6 @@ def _adjoint_power_rows(adjoints, top: int, head: np.ndarray | None = None):
         for k in range(1, top + 1):
             np.matmul(stack[k - 1], a.T, out=stack[k])
         stacks.append(stack)
-    if head is not None:
-        stacks[0] = head @ stacks[0]
 
     def rows(exps: np.ndarray) -> np.ndarray:
         out = stacks[0][exps[:, 0]]
@@ -102,12 +100,6 @@ def _adjoint_power_rows(adjoints, top: int, head: np.ndarray | None = None):
         return out
 
     return rows
-
-
-def _level_bounds(exps: np.ndarray, top: int) -> np.ndarray:
-    """Start of each degree 0..top among degree-sorted exponent rows, then
-    the end of degree top."""
-    return np.searchsorted(exps.sum(axis=1), np.arange(top + 2))
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -247,7 +239,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
     basis = enumerate_basis(t.num_components, d, q.dim)
     # p[alpha] = (T*^alpha)^T, p[alpha][c, :] = (T*^alpha)[:, c], |alpha| <= d + 1
     exps = enumerate_basis(t.num_components, d + 1).exponents
-    starts = _level_bounds(exps, d + 1)[:-1]
+    starts = np.searchsorted(exps.sum(axis=1), np.arange(d + 2))  # level starts
     p = _adjoint_power_rows([adjoint(c) for c in t.components], d + 1)(exps)
     # L_k = sum_{|beta| = k} T^beta T*^beta, one batched per-row product
     # summed over each level's rows
@@ -341,22 +333,41 @@ def _minimality_rank(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, 
 
 
 def norm_identity(t: ContractionTuple, x: np.ndarray, d: int):
-    """Partial defect-orbit sum and its residual against ||x||^2.
+    """Partial defect-orbit sum sum_{|alpha| <= d} ||D_* T*^alpha x||^2 and
+    its residual against ||x||^2.
 
+    T*^alpha x = T_n*^(a_n) ... T_1*^(a_1) x: the first variable acts
+    first (the order matters only for a tuple that does not commute).  The
+    probes are carried one variable at a time as one m x (q blocks) matrix
+    of blocks T*^alpha x sorted by degree, so each power of a variable is
+    one product with the prefix of blocks it still fits on.  The last
+    variable's powers are summed as they come: only the orbit of the first
+    n - 1 variables is held, and no power of an operator is formed.
     x may hold several probe columns; returns (partial, residual) arrays
     of matching width (scalars for a single vector).
     """
     single = np.ndim(x) == 1
     xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
+    m, q = xs.shape
+    enumerate_basis(t.num_components, d)  # SizeOverflow past the basis cap
     d_star = joint_defect(t.adjoint())
-    exps = enumerate_basis(t.num_components, d).exponents
-    bounds = _level_bounds(exps, d)
-    rows = _adjoint_power_rows([adjoint(c) for c in t.components], d, xs.T)
-    partial = np.zeros(xs.shape[1])
-    # one level at a time, so only one level of rows is held:
-    # x^T (T*^alpha)^T D_*^T = (D_* T*^alpha x)^T
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        partial += np.sum(np.abs(rows(exps[a:b]) @ d_star.T) ** 2, axis=(0, 2))
+    *heads, last = [adjoint(c) for c in t.components]
+    w, deg = xs, np.zeros(1, dtype=int)  # the blocks and their degrees
+    for a in heads:
+        blocks, degs = [w], [deg]
+        for k in range(1, d + 1):
+            fit = np.searchsorted(deg, d - k, side="right")
+            blocks.append(a @ blocks[-1][:, : q * fit])
+            degs.append(deg[:fit] + k)
+        deg = np.concatenate(degs)
+        order = np.argsort(deg, kind="stable")
+        w = np.concatenate(blocks, axis=1).reshape(m, -1, q)[:, order].reshape(m, -1)
+        deg = deg[order]
+    partial = np.zeros(q)
+    for k in range(d + 1):
+        if k:
+            w = last @ w[:, : q * np.searchsorted(deg, d - k, side="right")]
+        partial += np.sum(np.abs(d_star @ w) ** 2, axis=0).reshape(-1, q).sum(axis=0)
     residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
     if single:
         return float(partial[0]), float(residual[0])
@@ -403,49 +414,41 @@ def power_search(ops, probes, eps: float) -> PowerSearchResult:
 
     For the n-th operator (1-based) finds the smallest k with
     ||V_n*^k x|| < eps/2^n for every probe, then verifies
-    ||prod_n (I - V_n^{k_n} V_n*^{k_n}) x|| >= (1 - eps) ||x||.
+    ||prod_n (I - V_n^{k_n} V_n*^{k_n}) x|| >= (1 - eps) ||x||.  All
+    probes are walked together as the columns of one coefficient block;
+    a probe leaves the walk once its orbit is below the threshold.
     """
     if eps <= 0:
         raise DimensionMismatch("eps must be positive")
+    if any(v.basis != op.basis_in or v.basis != op.basis_out for v in probes for op in ops):
+        raise DimensionMismatch("probe basis does not match the operators")
+    if not probes:
+        return PowerSearchResult((1,) * len(ops), (), True)
+    x = np.array([v.coefficients for v in probes]).T
+    # highest degree of each probe's entries above 1e-14 (0 for none)
+    top = np.where(np.abs(x) > 1e-14, probes[0].basis.flat_degrees()[:, None], 0).max(axis=0)
     exponents = []
     for n, op in enumerate(ops, start=1):
         threshold = eps / 2.0**n
         adj_raise = max(-op.shift_lo, 0)
-        k_needed = 0
-        for v in probes:
-            deg = _max_degree(v)
-            k = 0
-            w = v
-            while w.norm >= threshold:
-                k += 1
-                if adj_raise and deg + k * adj_raise > op.basis_in.max_degree:
-                    raise UnsafeDegree(
-                        f"no safe exponent for operator {n} at this truncation"
-                    )
-                w = op.apply_adjoint(w)
-            k_needed = max(k_needed, k)
-        exponents.append(max(k_needed, 1))
-    bounds = []
-    ok = True
-    for v in probes:
-        w = v
-        for op, k in zip(ops, exponents):
-            y = w
-            for _ in range(k):
-                y = op.apply_adjoint(y)
-            for _ in range(k):
-                y = op.apply(y)
-            w = HardyVector(w.basis, w.coefficients - y.coefficients)
-        bounds.append(w.norm)
-        ok = ok and w.norm >= (1.0 - eps) * v.norm - 1e-12
-    return PowerSearchResult(tuple(exponents), tuple(bounds), ok)
-
-
-def _max_degree(v: HardyVector) -> int:
-    nz = np.abs(v.coefficients) > 1e-14
-    if not nz.any():
-        return 0
-    return int(v.basis.flat_degrees()[nz].max())
+        w, deg, k = x, top, 0
+        while (live := np.linalg.norm(w, axis=0) >= threshold).any():
+            w, deg, k = w[:, live], deg[live], k + 1
+            if adj_raise and (deg + k * adj_raise > op.basis_in.max_degree).any():
+                raise UnsafeDegree(f"no safe exponent for operator {n} at this truncation")
+            w = op.matrix.conj().T @ w
+        exponents.append(max(k, 1))
+    w = x
+    for op, k in zip(ops, exponents):
+        y = w
+        for _ in range(k):
+            y = op.matrix.conj().T @ y
+        for _ in range(k):
+            y = op.matrix @ y
+        w = w - y
+    bounds = np.linalg.norm(w, axis=0)
+    ok = bool(np.all(bounds >= (1.0 - eps) * np.linalg.norm(x, axis=0) - 1e-12))
+    return PowerSearchResult(tuple(exponents), tuple(map(float, bounds)), ok)
 
 
 def defect_transfer_check(model: DilationModel, lam: MoebiusPoint, x: np.ndarray):

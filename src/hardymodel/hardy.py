@@ -172,7 +172,8 @@ def enumerate_basis(n: int, d: int, e: int = 1) -> HardyBasis:
 
 @dataclass(frozen=True)
 class HardyVector:
-    """Coefficient vector over a HardyBasis; norm is the Parseval sum."""
+    """Coefficient vector over a HardyBasis (its norm is the Parseval sum,
+    np.linalg.norm of the coefficients)."""
 
     basis: HardyBasis
     coefficients: np.ndarray
@@ -184,10 +185,6 @@ class HardyVector:
                 f"expected {self.basis.size} coefficients, got {c.shape[0]}"
             )
         object.__setattr__(self, "coefficients", c)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
 
 
 def monomial_vector(basis: HardyBasis, alpha, slot: int = 0) -> HardyVector:

@@ -17,7 +17,9 @@ orthonormalization through scipy.linalg.qr, the sparse symbol of a
 component with the one-component distance it gave, the product loop of a
 tuple power, the minimality stack's block scatter, and each call site's
 own loop over the joint defect factors I - W W* (the quotient model's
-sparse halves among them).
+sparse halves among them), the row route of the norm identity (one
+degree level of q x m rows x^T (T*^alpha)^T at a time) and the
+probe-by-probe power search.
 """
 
 from __future__ import annotations
@@ -44,7 +46,13 @@ from hardymodel.contraction import (
     mobius_series,
     validate_tuple,
 )
-from hardymodel.dilation import DilationModel, _adjoint_defect, _inv_sqrt_psd, canonical_embedding
+from hardymodel.dilation import (
+    DilationModel,
+    PowerSearchResult,
+    _adjoint_defect,
+    _inv_sqrt_psd,
+    canonical_embedding,
+)
 from hardymodel.errors import AmbiguousWandering, DimensionMismatch, SingularShift, UnsafeDegree
 from hardymodel.hardy import (
     HardyBasis,
@@ -308,7 +316,8 @@ def moebius_grid(n_components: int) -> list:
 
 def poly_truncate_loop(cf: CharFn, tol: float):
     """charfn.poly_truncate term by term: the tail envelope tested before
-    each term, one adjoint power and one coefficient product per term."""
+    each term, one thin block T*^(k-1) D_in Q_in and one coefficient
+    product (Q_out* D_out) @ block per term."""
     t, d_in, d_out = cf.t, cf.d_in, cf.d_out
     qi, qo = cf.defect_in.basis, cf.defect_out.basis
     coeffs = [adjoint(qo) @ (-t) @ qi]
@@ -319,14 +328,14 @@ def poly_truncate_loop(cf: CharFn, tol: float):
         base = (k - 1) // p
         return scale * m * p * q**base / (1.0 - q)
 
-    power = np.eye(t.shape[0], dtype=complex)  # T*^(k-1)
+    block = d_in @ qi  # T*^(k-1) D_in Q_in
     left, t_star = adjoint(qo) @ d_out, adjoint(t)
     k = 1
     while tail_from(k) >= tol:
-        if not power.any():
-            return coeffs, 0.0  # nilpotent: series terminates exactly
-        coeffs.append(left @ power @ d_in @ qi)
-        power = t_star @ power
+        if not block.any():
+            return coeffs, 0.0  # series terminates exactly
+        coeffs.append(left @ block)
+        block = t_star @ block
         k += 1
         if k > 4096:
             raise UnsafeDegree("characteristic-function tail does not certify")
@@ -632,3 +641,84 @@ def parity_defect_norms_loop(b: HardyBasis, ops) -> list:
             vvec = vvec - op.matrix @ (op.matrix.conj().T @ vvec)
         out.append(float(np.linalg.norm(vvec)))
     return out
+
+
+def norm_identity_rows(t: ContractionTuple, x: np.ndarray, d: int):
+    """dilation.norm_identity by the row route: each component's powers
+    (T*_v^j)^T, j <= d, fill one stack, the probes x^T multiply the first
+    stack once, and one degree level of q x m rows
+    x^T (T*^alpha)^T = x^T (T*_1^a_1)^T ... (T*_n^a_n)^T is formed at a
+    time, n - 1 batched products of the stack entries its exponents pick."""
+    single = np.ndim(x) == 1
+    xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
+    m = xs.shape[0]
+    d_star = joint_defect(t.adjoint())
+    exps = enumerate_basis(t.num_components, d).exponents
+    bounds = np.searchsorted(exps.sum(axis=1), np.arange(d + 2))
+    stacks = []
+    for a in (adjoint(c) for c in t.components):
+        stack = np.empty((d + 1, m, m), complex)
+        stack[0] = np.identity(m)
+        for k in range(1, d + 1):
+            np.matmul(stack[k - 1], a.T, out=stack[k])
+        stacks.append(stack)
+    stacks[0] = xs.T @ stacks[0]
+    partial = np.zeros(xs.shape[1])
+    # x^T (T*^alpha)^T D_*^T = (D_* T*^alpha x)^T
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rows = stacks[0][exps[a:b, 0]]
+        for stack, col in zip(stacks[1:], exps[a:b].T[1:]):
+            rows = rows @ stack[col]
+        partial += np.sum(np.abs(rows @ d_star.T) ** 2, axis=(0, 2))
+    residual = np.sum(np.abs(xs) ** 2, axis=0) - partial
+    if single:
+        return float(partial[0]), float(residual[0])
+    return partial, residual
+
+
+def _max_degree(v: HardyVector) -> int:
+    nz = np.abs(v.coefficients) > 1e-14
+    if not nz.any():
+        return 0
+    return int(v.basis.flat_degrees()[nz].max())
+
+
+def power_search_per_probe(ops, probes, eps: float) -> PowerSearchResult:
+    """dilation.power_search one probe at a time: each probe's adjoint
+    orbit walked by HardyOperator.apply_adjoint until it is below the
+    threshold, then each probe's defect product applied on its own."""
+    if eps <= 0:
+        raise DimensionMismatch("eps must be positive")
+    exponents = []
+    for n, op in enumerate(ops, start=1):
+        threshold = eps / 2.0**n
+        adj_raise = max(-op.shift_lo, 0)
+        k_needed = 0
+        for v in probes:
+            deg = _max_degree(v)
+            k = 0
+            w = v
+            while np.linalg.norm(w.coefficients) >= threshold:
+                k += 1
+                if adj_raise and deg + k * adj_raise > op.basis_in.max_degree:
+                    raise UnsafeDegree(
+                        f"no safe exponent for operator {n} at this truncation"
+                    )
+                w = op.apply_adjoint(w)
+            k_needed = max(k_needed, k)
+        exponents.append(max(k_needed, 1))
+    bounds = []
+    ok = True
+    for v in probes:
+        w = v
+        for op, k in zip(ops, exponents):
+            y = w
+            for _ in range(k):
+                y = op.apply_adjoint(y)
+            for _ in range(k):
+                y = op.apply(y)
+            w = HardyVector(w.basis, w.coefficients - y.coefficients)
+        norm = float(np.linalg.norm(w.coefficients))
+        bounds.append(norm)
+        ok = ok and norm >= (1.0 - eps) * np.linalg.norm(v.coefficients) - 1e-12
+    return PowerSearchResult(tuple(exponents), tuple(bounds), ok)

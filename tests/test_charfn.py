@@ -267,10 +267,10 @@ class TestPolyTruncate:
         coeffs, _ = poly_truncate(cf, 1e-10)
         t, qi, qo = cf.t, cf.defect_in.basis, cf.defect_out.basis
         want = [adjoint(qo) @ (-t) @ qi]
-        power = np.eye(dim, dtype=complex)
+        block = cf.d_in @ qi  # T*^j D_in Q_in
         while len(want) < len(coeffs):
-            want.append(adjoint(qo) @ cf.d_out @ power @ cf.d_in @ qi)
-            power = adjoint(t) @ power
+            want.append((adjoint(qo) @ cf.d_out) @ block)
+            block = adjoint(t) @ block
         assert [c.tobytes() for c in coeffs] == [w.tobytes() for w in want]
 
 
@@ -359,6 +359,23 @@ class TestPolyTruncateEdgePaths:
         powers_bytes = (len(coeffs) - 1) * size * size * 16
         assert len(coeffs) > 300 and peak < powers_bytes / 8
         assert_same_series(cf, 1e-10)
+
+    def test_only_thin_blocks_are_held(self):
+        # the same shift with corner 0.01: its 384 blocks T*^j D_in Q_in are
+        # 64 x 1 (rank-one defects), 384 KiB together, and no 64 x 64 power
+        # of T* is formed
+        size = 64
+        a = np.roll(np.eye(size), 1, axis=0)
+        a[0, -1] = 0.01
+        cf = charfn_build(a)
+        tracemalloc.start()
+        try:
+            coeffs, _ = poly_truncate(cf, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks_bytes = (len(coeffs) - 1) * size * cf.dim_in * 16
+        assert len(coeffs) == 385 and cf.dim_in == 1 and peak < 2 * blocks_bytes
 
 
 def counted(monkeypatch, module_names, name):

@@ -17,6 +17,8 @@ from _references import (
     minimality_rank_block_scatter,
     minimality_rank_svd,
     moebius_grid,
+    norm_identity_rows,
+    power_search_per_probe,
     tuple_power,
 )
 
@@ -401,6 +403,26 @@ class TestOrbitAgainstExplicitPowers:
         with pytest.raises(SizeOverflow):
             norm_identity(t, np.ones(4), 37)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norm_identity_carries_the_probes(self, monkeypatch, n):
+        # the non-commuting cases of the orbit-sum test against the row
+        # route; the probes are carried through the powers, so no orbit row
+        # (T*^alpha)^T is formed
+        rng = np.random.default_rng(40 + n)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3, 0.5) for _ in range(n)))
+        x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        cases = [(x, d) for d in (0, 1, 7)] + [(x[:, 0], 7)]
+        want = [norm_identity_rows(t, xs, d) for xs, d in cases]
+
+        def no_rows(*args):
+            raise AssertionError("an orbit row was formed")
+
+        monkeypatch.setattr(dilation, "_adjoint_power_rows", no_rows)
+        for (xs, d), (partial, residual) in zip(cases, want):
+            got = norm_identity(t, xs, d)
+            np.testing.assert_allclose(got[0], partial, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got[1], residual, rtol=0, atol=1e-13)
+
 
 def _adjoint_powers(a, count):
     """[A*^0, ..., A*^(count - 1)], each from the one before."""
@@ -677,7 +699,54 @@ class TestPseudometric:
         assert abs(equivalence_pseudometric(lam, MoebiusPoint(())) - 0.5) <= 1e-15
 
 
+def power_search_cases() -> dict:
+    """(ops, probes) by name: the check's single probes and several random
+    unit probes of growing degree (rng 70), on the shift and the parity
+    family."""
+    rng = np.random.default_rng(70)
+    b1, b3 = enumerate_basis(1, 10, 1), enumerate_basis(3, 10, 1)
+
+    def probes(b, top):
+        out = []
+        for deg in range(top + 1):
+            c = (rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)) * (b.flat_degrees() <= deg)
+            out.append(HardyVector(b, c / np.linalg.norm(c)))
+        return out
+
+    parity = [parity_shift(k, b3) for k in (1, 2, 3)]
+    return {
+        "shift": ([shift(1, b1)], [monomial_vector(b1, (0,))]),
+        "shift-probes": ([shift(1, b1)], probes(b1, 6)),
+        "parity": (parity, [monomial_vector(b3, (0, 0, 0))]),
+        "parity-probes": (parity, probes(b3, 3) + [monomial_vector(b3, (2, 0, 1))]),
+    }
+
+
 class TestPowerSearch:
+    @pytest.mark.parametrize("case", ["shift", "shift-probes", "parity", "parity-probes"])
+    def test_matches_the_per_probe_search(self, case):
+        ops, probes = power_search_cases()[case]
+        for eps in (0.5, 0.1, 0.01):
+            got, want = power_search(ops, probes, eps), power_search_per_probe(ops, probes, eps)
+            assert got.exponents == want.exponents and got.passed == want.passed
+            np.testing.assert_allclose(got.lower_bounds, want.lower_bounds, rtol=0, atol=1e-15)
+        assert power_search(ops, [], 0.1) == power_search_per_probe(ops, [], 0.1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_refuses_as_the_per_probe_search(self, k):
+        # operator k's adjoint would raise a probe past the truncation; for
+        # k = 1 only the second probe does, for k = 2 the first operator
+        # (a shift, whose adjoint lowers degrees) passes
+        if k == 1:
+            b = enumerate_basis(1, 4, 1)
+            ops, probes = [parity_shift(1, b)], [monomial_vector(b, (0,)), monomial_vector(b, (4,))]
+        else:
+            b = enumerate_basis(2, 3, 1)
+            ops, probes = [shift(1, b), parity_shift(2, b)], [monomial_vector(b, (0, 3))]
+        for search in (power_search, power_search_per_probe):
+            with pytest.raises(UnsafeDegree, match=f"^no safe exponent for operator {k} at this truncation$"):
+                search(ops, probes, 1e-6)
+
     def test_single_shift_constant_probe(self):
         b = enumerate_basis(1, 10, 1)
         res = power_search([shift(1, b)], [monomial_vector(b, (0,))], eps=0.5)
@@ -687,7 +756,7 @@ class TestPowerSearch:
     def test_shift_two_term_probe(self):
         b = enumerate_basis(1, 10, 1)
         v = HardyVector(b, monomial_vector(b, (0,)).coefficients + monomial_vector(b, (1,)).coefficients)
-        v = HardyVector(b, v.coefficients / v.norm)
+        v = HardyVector(b, v.coefficients / np.linalg.norm(v.coefficients))
         res = power_search([shift(1, b)], [v], eps=0.3)
         assert res.exponents == (2,)
         assert res.passed
