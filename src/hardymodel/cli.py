@@ -103,39 +103,40 @@ def load_scenario(path) -> Scenario:
     return Scenario(name, seed, regime, generator, tuple(checks), default_tol)
 
 
+def run_check(name: str, rng, params: GeneratorParams, tol: float | None) -> dict:
+    """One check's report entry at tol (None: the registry default), its
+    status and reason by the rule in the module docstring."""
+    spec = REGISTRY[name]
+    started = time.perf_counter()
+    try:
+        outcome = spec.run(rng, params, spec.default_tol if tol is None else tol)
+        status = "pass" if outcome.passed else "fail"
+        residual, tail, cutoff = outcome.residual, outcome.tail_bound, outcome.safe_cutoff
+        reason = None
+    except HardyModelError as exc:
+        status = "skipped" if isinstance(exc, (SizeOverflow, UnsafeDegree)) else "fail"
+        residual, tail, cutoff = float("nan"), 0.0, -1
+        reason = f"{type(exc).__name__}: {exc}"
+    elapsed_ms = int(round(1000.0 * (time.perf_counter() - started)))
+    return {
+        "name": name,
+        "status": status,
+        "residual": residual,
+        "tail_bound": tail,
+        "safe_cutoff": cutoff,
+        "elapsed_ms": elapsed_ms,
+        "reason": reason,
+    }
+
+
 def run_scenario(path) -> dict:
     """Load the scenario file at path and execute its checks in declared
     order; deterministic report."""
     scenario = load_scenario(path)
-    results = []
-    for idx, item in enumerate(scenario.checks):
-        spec = REGISTRY[item.name]
-        rng = np.random.default_rng([scenario.seed, idx])
-        started = time.perf_counter()
-        try:
-            tol = spec.default_tol if item.tol is None else item.tol
-            outcome = spec.run(rng, scenario.generator, tol)
-            status = "pass" if outcome.passed else "fail"
-            residual = outcome.residual
-            tail = outcome.tail_bound
-            cutoff = outcome.safe_cutoff
-            reason = None
-        except HardyModelError as exc:
-            status = "skipped" if isinstance(exc, (SizeOverflow, UnsafeDegree)) else "fail"
-            residual, tail, cutoff = float("nan"), 0.0, -1
-            reason = f"{type(exc).__name__}: {exc}"
-        elapsed_ms = int(round(1000.0 * (time.perf_counter() - started)))
-        results.append(
-            {
-                "name": item.name,
-                "status": status,
-                "residual": residual,
-                "tail_bound": tail,
-                "safe_cutoff": cutoff,
-                "elapsed_ms": elapsed_ms,
-                "reason": reason,
-            }
-        )
+    results = [
+        run_check(item.name, np.random.default_rng([scenario.seed, idx]), scenario.generator, item.tol)
+        for idx, item in enumerate(scenario.checks)
+    ]
     statuses = {c["status"] for c in results}
     overall = "fail" if "fail" in statuses else "pass" if "pass" in statuses else "skipped"
     return {

@@ -46,7 +46,6 @@ from .errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
 from .hardy import (
     HardyBasis,
     HardyVector,
-    _graded_lex_exponents,
     defect_product,
     enumerate_basis,
     one_variable_symbol,
@@ -74,17 +73,17 @@ __all__ = [
 _DEGREE_CAP = 512
 
 
-def _adjoint_power_rows(adjoints, top: int):
-    """rows(exps): (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each
-    row alpha of exps, in the given order, for exponents at most top.
+def _adjoint_power_rows(adjoints, exps: np.ndarray) -> np.ndarray:
+    """(T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each row alpha of
+    exps, in the given order.
 
-    Each component's powers (T*_v^j)^T, j <= top, fill one stack, one
-    product per power; a batch of rows is then n - 1 batched products of
-    the stack entries its exponents pick.  Rows do not depend on each
-    other, so any subset or order of exponents can be asked for.  The
-    model and verify_dilation need whole m x m powers; a caller that
+    Each component's powers (T*_v^j)^T, j <= the largest exponent, fill
+    one stack, one product per power; the rows are then n - 1 batched
+    products of the stack entries the exponents pick.  Rows do not depend
+    on each other, so any subset or order of exponents can be asked for.
+    The model and verify_dilation need whole m x m powers; a caller that
     applies powers to a few vectors carries the vectors instead."""
-    m = len(adjoints[0])
+    m, top = len(adjoints[0]), int(exps.max())
     stacks = []
     for a in adjoints:
         stack = np.empty((top + 1, m, m), complex)
@@ -92,14 +91,10 @@ def _adjoint_power_rows(adjoints, top: int):
         for k in range(1, top + 1):
             np.matmul(stack[k - 1], a.T, out=stack[k])
         stacks.append(stack)
-
-    def rows(exps: np.ndarray) -> np.ndarray:
-        out = stacks[0][exps[:, 0]]
-        for stack, col in zip(stacks[1:], exps.T[1:]):
-            out = out @ stack[col]
-        return out
-
-    return rows
+    out = stacks[0][exps[:, 0]]
+    for stack, col in zip(stacks[1:], exps.T[1:]):
+        out = out @ stack[col]
+    return out
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
@@ -240,7 +235,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
     # p[alpha] = (T*^alpha)^T, p[alpha][c, :] = (T*^alpha)[:, c], |alpha| <= d + 1
     exps = enumerate_basis(t.num_components, d + 1).exponents
     starts = np.searchsorted(exps.sum(axis=1), np.arange(d + 2))  # level starts
-    p = _adjoint_power_rows([adjoint(c) for c in t.components], d + 1)(exps)
+    p = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
     # L_k = sum_{|beta| = k} T^beta T*^beta, one batched per-row product
     # summed over each level's rows
     level_sums = np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0)
@@ -256,10 +251,10 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
 
 
 def _disjoint_power_pairs(n: int, cap: int):
-    """Index arrays (i, j) into _graded_lex_exponents(n, cap) of the pairs
+    """Index arrays (i, j) into enumerate_basis(n, cap).exponents of the pairs
     of exponents alpha_i, beta_j with disjoint supports and
     |alpha_i| + |beta_j| <= cap, (0, 0) included."""
-    exps = _graded_lex_exponents(n, cap)
+    exps = enumerate_basis(n, cap).exponents
     deg = exps.sum(axis=1)
     support = exps > 0
     ok = (deg[:, None] + deg[None, :] <= cap) & ~(support @ support.T)
@@ -305,10 +300,10 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     if order_cap > d:
         raise UnsafeDegree(f"order cap {order_cap} exceeds truncation degree {d}")
     t = model.tuple_
-    exps = _graded_lex_exponents(t.num_components, order_cap)
+    exps = enumerate_basis(t.num_components, order_cap).exponents
     degrees = exps.sum(axis=1)
     # T^gamma = conj((T*^gamma)^T), from the orbit's rows
-    powers = _adjoint_power_rows([adjoint(c) for c in t.components], order_cap)(exps).conj()
+    powers = _adjoint_power_rows([adjoint(c) for c in t.components], exps).conj()
     s = _inv_sqrt_psd(model.gram_levels[-1])
     # every disjoint pair in one stacked product: those with alpha = 0 are
     # the dilation property, and regularity takes every pair but (0, 0)

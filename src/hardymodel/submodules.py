@@ -31,7 +31,6 @@ from .hardy import (
     HardyBasis,
     HardyOperator,
     HardyVector,
-    _graded_lex_exponents,
     defect_product,
     enumerate_basis,
     is_inner_on_truncation,
@@ -117,7 +116,7 @@ def submodule_from_generators(gens, basis: HardyBasis, cutoff: int) -> Submodule
     e = basis.coeff_dim
     blocks = np.stack([np.asarray(g.coefficients, dtype=complex) for g in gens], axis=-1)
     blocks = blocks.reshape(basis.num_monomials, e, -1)
-    betas = _graded_lex_exponents(basis.num_vars, min(cutoff, basis.max_degree))
+    betas = enumerate_basis(basis.num_vars, min(cutoff, basis.max_degree)).exponents
     target = basis.exponents[None, :, :] + betas[:, None, :]
     beta, src = np.nonzero(target.sum(axis=-1) <= basis.max_degree)
     orbit = np.zeros((basis.num_monomials, e, len(betas), blocks.shape[-1]), dtype=complex)

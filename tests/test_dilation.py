@@ -203,7 +203,7 @@ class TestOrbitLevels:
         rng = np.random.default_rng(seed)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(n)))
         exps = enumerate_basis(n, d, 1).exponents
-        rows = _adjoint_power_rows([adjoint(c) for c in t.components], d)(exps)
+        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
         assert rows.shape == (len(exps), t.space_dim, t.space_dim)
         for alpha, row in zip(exps, rows):
             np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
@@ -215,7 +215,7 @@ class TestOrbitLevels:
         t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(2)))
         exps = np.array([(a, b) for a in range(9) for b in range(5) if a + 2 * b <= 8])
         exps = exps[rng.permutation(len(exps))]
-        rows = _adjoint_power_rows([adjoint(c) for c in t.components], 8)(exps)
+        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
         assert len(rows) == len(exps) == 25
         for alpha, row in zip(exps, rows):
             np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
