@@ -3,7 +3,7 @@ verifier built from them.
 
 theta(z) maps the defect space of T into the defect space of T*.
 charfn_build forms the defects D_T and D_T* once (contraction.defect) and
-their orthonormal ranges (linops.defect_range, absolute DEFECT_FLOOR) and
+their orthonormal ranges (linops.orthonormalize, absolute RANK_FLOOR) and
 keeps all four on the CharFn; evaluation, the kernel identity and the
 power series read them from there.  theta is evaluated by direct resolvent
 solves, exact for |z| <= 1 under the strict spectral-radius certificate;
@@ -43,8 +43,8 @@ from .linops import (
     adjoint,
     apply_shifted_inverse,
     certified_norm,
-    defect_range,
     operator_norm,
+    orthonormalize,
 )
 
 __all__ = [
@@ -102,8 +102,8 @@ def _charfn(t: np.ndarray, norm: float, model: DilationModel | None = None) -> C
     d_in = defect(t)  # DimensionMismatch unless a contraction
     if model is None:
         d_out = defect(adjoint(t))
-        return CharFn(t, norm, d_in, d_out, defect_range(d_in), defect_range(d_out))
-    return CharFn(t, norm, d_in, model.adjoint_defect, defect_range(d_in), model.defect_basis)
+        return CharFn(t, norm, d_in, d_out, orthonormalize(d_in), orthonormalize(d_out))
+    return CharFn(t, norm, d_in, model.adjoint_defect, orthonormalize(d_in), model.defect_basis)
 
 
 def charfn_eval(cf: CharFn, z) -> np.ndarray:

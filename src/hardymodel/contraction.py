@@ -217,7 +217,8 @@ def validate_tuple(t: ContractionTuple, tol: float = 1e-10) -> ValidationReport:
 
 
 def defect(a: np.ndarray) -> np.ndarray:
-    """Defect operator (I - A*A)^(1/2) of a contraction; its range is linops.defect_range."""
+    """Defect operator (I - A*A)^(1/2) of a contraction; ||D|| <= 1, so its
+    range is ranked by linops.orthonormalize on the absolute RANK_FLOOR."""
     a = np.asarray(a, dtype=complex)
     # ||A||_2 <= ||A||_F: the cheap norm accepts, the SVD decides
     if np.linalg.norm(a) > 1.0 + _NORM_SLACK and operator_norm(a) > 1.0 + _NORM_SLACK:

@@ -50,7 +50,7 @@ from .hardy import (
     enumerate_basis,
     one_variable_symbol,
 )
-from .linops import Subspace, adjoint, defect_range, operator_norm
+from .linops import Subspace, adjoint, operator_norm, orthonormalize
 from .submodules import submodule_from_generators
 
 __all__ = [
@@ -211,7 +211,7 @@ def _class_report(t: ContractionTuple):
 def _adjoint_defect(t: ContractionTuple):
     """D_* and its range; ZeroDefect when that range is trivial."""
     d_star = joint_defect(t.adjoint())
-    q = defect_range(d_star)
+    q = orthonormalize(d_star)
     if q.dim == 0:
         raise ZeroDefect("adjoint defect space is trivial")
     return d_star, q
@@ -221,8 +221,8 @@ def canonical_embedding(t: ContractionTuple, d: int) -> DilationModel:
     """Defect-orbit embedding of the space into the truncated Hardy space.
 
     The coefficient dimension e is the rank of the joint adjoint defect,
-    judged by linops.defect_range; a numerically zero defect (a
-    coisometric tuple) raises ZeroDefect.
+    judged by linops.orthonormalize against the absolute RANK_FLOOR; a
+    numerically zero defect (a coisometric tuple) raises ZeroDefect.
     """
     d_star, q = _adjoint_defect(t)
     return _embedding(t, d, d_star, q, _class_report(t).norms)
@@ -393,7 +393,7 @@ def defect_span_completeness(t: ContractionTuple, grid) -> tuple[int, bool]:
         s = mobius_tuple(t, lam)
         cols.append(joint_defect(s.adjoint()))
     stacked = np.concatenate(cols, axis=1)
-    rank = defect_range(stacked).dim
+    rank = orthonormalize(stacked).dim
     return rank, rank == t.space_dim
 
 
@@ -420,8 +420,7 @@ def power_search(ops, probes, eps: float) -> PowerSearchResult:
     if not probes:
         return PowerSearchResult((1,) * len(ops), (), True)
     x = np.array([v.coefficients for v in probes]).T
-    # highest degree of each probe's entries above 1e-14 (0 for none)
-    top = np.where(np.abs(x) > 1e-14, probes[0].basis.flat_degrees()[:, None], 0).max(axis=0)
+    top = probes[0].basis.column_degrees(x)
     exponents = []
     for n, op in enumerate(ops, start=1):
         threshold = eps / 2.0**n

@@ -145,6 +145,12 @@ class HardyBasis:
     def flat_degrees(self) -> np.ndarray:
         return np.repeat(self.degrees, self.coeff_dim)
 
+    def column_degrees(self, cols: np.ndarray) -> np.ndarray:
+        """Highest degree each coefficient column reaches (entries above
+        1e-13); 0 for a zero column."""
+        nz = np.abs(cols) > 1e-13
+        return np.where(nz, self.flat_degrees()[:, None], 0).max(axis=0, initial=0)
+
     def degree_selector(self, cutoff: int) -> np.ndarray:
         """Boolean mask over flat indices for total degree <= cutoff."""
         return self.flat_degrees() <= cutoff
@@ -477,7 +483,7 @@ def wandering_subspace(ops, basis: HardyBasis, cutoff: int | None = None) -> Sub
     keep = basis.degree_selector(cutoff)
     cols = (np.arange(basis.size)[:, None] == np.flatnonzero(keep)).astype(complex)
     cols = defect_product([op.matrix for op in ops], cols)
-    return orthonormalize(cols * keep[:, None], rank_tol=1e-8)
+    return orthonormalize(cols * keep[:, None])
 
 
 def defect_product(mats, x):

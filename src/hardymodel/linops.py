@@ -2,8 +2,8 @@
 
 Adjoints, spectral norms, Hermitian PSD square roots, resolvent solves and
 deterministic orthonormalization (LAPACK's pivoted QR, called directly).
-All functions are pure; inputs are never mutated.  Every defect range in
-the package is ranked by defect_range.
+All functions are pure; inputs are never mutated.  Every rank in the
+package is decided by orthonormalize on the one absolute RANK_FLOOR.
 
 operator_norm is the exact largest singular value (one LAPACK SVD); a
 sparse input with no nonzero value is 0.0 without being densified.
@@ -24,12 +24,11 @@ import scipy.linalg
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 
 __all__ = [
-    "DEFECT_FLOOR",
+    "RANK_FLOOR",
     "Subspace",
     "adjoint",
     "apply_shifted_inverse",
     "certified_norm",
-    "defect_range",
     "hermitian_sqrt",
     "operator_norm",
     "orthonormalize",
@@ -262,51 +261,37 @@ def _lapack(routine, *args):
     return out
 
 
-def orthonormalize(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
+#: absolute rank floor of orthonormalize: a pivot of the column-pivoted QR
+#: counts while |R_ii| > RANK_FLOOR.  For a defect D = (I - T*T)^(1/2) that is
+#: an eigenvalue of I - T*T above RANK_FLOOR**2 = 1e-12; the square root of a
+#: round-off eigenvalue is about sqrt(m * eps), measured up to 3.3e-8, a 30x
+#: margin.  Every caller's columns have norm O(1) (0.73 to 1.12 over the
+#: verdict sweep), so the floor is as sharp as a relative one, and a
+#: numerically zero input has rank 0.
+RANK_FLOOR = 1e-6
+
+
+def orthonormalize(vectors: np.ndarray) -> Subspace:
     """Deterministic pivoted span of the given columns.
 
     Column-pivoted QR (LAPACK geqp3) greedily picks the largest remaining
     column norm (ties resolved by lowest index inside LAPACK,
     deterministically); a pivot is accepted while its residual norm
-    exceeds rank_tol times the largest original column norm.  Zero input
-    yields the zero-dimensional subspace, an inf or NaN entry ValueError.
+    exceeds RANK_FLOOR.  The floor is absolute, so the columns must have
+    norm O(1): isometry columns, rows of an orthonormal basis, contraction
+    defects, unit monomials, normalized embedding and kernel columns.
+    Zero input yields the zero-dimensional subspace, an inf or NaN entry
+    ValueError.
     """
     v = np.array(vectors, dtype=complex, order="F")
     if v.ndim == 1:
         v = v[:, None]
     ambient = v.shape[0]
-    if not np.isfinite(v).all():  # before the column norms, which warn on an inf
+    if not np.isfinite(v).all():
         raise ValueError("array must not contain infs or NaNs")
-    scale = float(np.max(np.linalg.norm(v, axis=0), initial=0.0))
-    if scale == 0.0:  # also no rows or no columns
+    if not v.any():  # also no rows or no columns
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
     qr, _, tau = _lapack(_GEQP3, v)
-    rank = np.count_nonzero(np.abs(qr.diagonal()) > rank_tol * scale)
+    rank = np.count_nonzero(np.abs(qr.diagonal()) > RANK_FLOOR)
     (q,) = _lapack(_UNGQR, qr[:, :ambient], tau)  # all of qr unless it is wide
     return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
-
-
-#: absolute rank floor of a defect operator D = (I - T*T)^(1/2): a pivot of
-#: its QR counts while |R_ii| > DEFECT_FLOOR, which is an eigenvalue of
-#: I - T*T above DEFECT_FLOOR**2 = 1e-12.  The square root of a round-off
-#: eigenvalue is about sqrt(m * eps), measured up to 3.3e-8, a 30x margin.
-DEFECT_FLOOR = 1e-6
-
-
-def defect_range(d: np.ndarray) -> Subspace:
-    """Orthonormal range of a defect operator (or of side-by-side defects).
-
-    The pivoted QR of orthonormalize accepts a pivot while |R_ii| exceeds
-    DEFECT_FLOOR.  The scale is 1, as ||D|| <= 1 for a contraction; a rank
-    relative to ||D|| would count round-off as rank when D is numerically
-    zero.  An inf or NaN entry raises ValueError.
-    """
-    d = np.asarray(d, dtype=complex)
-    if not np.isfinite(d).all():
-        raise ValueError("array must not contain infs or NaNs")
-    scale = float(np.max(np.linalg.norm(d, axis=0), initial=0.0))
-    if scale <= DEFECT_FLOOR:
-        return Subspace(d.shape[0], np.zeros((d.shape[0], 0), dtype=complex))
-    # orthonormalize scales rank_tol by the largest column norm
-    return orthonormalize(d, rank_tol=DEFECT_FLOOR / scale)
-

@@ -101,7 +101,7 @@ def submodule_from_inner(
     basis = op.basis_in
     sel = np.nonzero(basis.degree_selector(cutoff))[0]
     cols = op.matrix[:, sel].toarray()
-    space = orthonormalize(cols, rank_tol=1e-8)
+    space = orthonormalize(cols)
     column = None if hint is None else op.matrix[:, 0].toarray().ravel()
     return SubmoduleHandle(op.basis_out, space, cutoff, hint, column)
 
@@ -111,7 +111,9 @@ def submodule_from_generators(gens, basis: HardyBasis, cutoff: int) -> Submodule
     vectors; the cutoff bounds the orbit depth, not the coefficient support.
 
     The columns are placed by one rank scatter: coefficient block alpha of
-    g lands at alpha + beta, and terms beyond the truncation drop.
+    g lands at alpha + beta, and terms beyond the truncation drop.  The
+    absolute RANK_FLOOR needs generators of norm O(1), as unit monomials
+    and normalized embedding columns have.
     """
     e = basis.coeff_dim
     blocks = np.stack([np.asarray(g.coefficients, dtype=complex) for g in gens], axis=-1)
@@ -122,7 +124,7 @@ def submodule_from_generators(gens, basis: HardyBasis, cutoff: int) -> Submodule
     orbit = np.zeros((basis.num_monomials, e, len(betas), blocks.shape[-1]), dtype=complex)
     orbit[basis.rank(target[beta, src]), :, beta] = blocks[src]
     cols = orbit.reshape(basis.size, -1)  # column beta * len(gens) + generator
-    space = orthonormalize(cols[:, np.any(cols, axis=0)], rank_tol=1e-8)
+    space = orthonormalize(cols[:, np.any(cols, axis=0)])
     return SubmoduleHandle(basis, space, cutoff, None)
 
 
@@ -150,7 +152,7 @@ def _low_section(handle: SubmoduleHandle, slack: int) -> np.ndarray:
     if cutoff < 0:
         raise UnsafeDegree("section too shallow for the requested slack")
     kept = handle.space.basis[handle.basis.degree_selector(cutoff)]
-    return adjoint(kept) @ orthonormalize(kept, rank_tol=1e-6).basis
+    return adjoint(kept) @ orthonormalize(kept).basis
 
 
 def _restricted_shifts(b: np.ndarray, basis: HardyBasis) -> list:
@@ -225,9 +227,9 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
     low = _low_section(handle, _EXTRACTION_SLACK)
     shifted = [r @ low for r in _restricted_shifts(handle.space.basis, handle.basis)]
-    shifted_space = orthonormalize(np.concatenate(shifted, axis=1), rank_tol=1e-8)
+    shifted_space = orthonormalize(np.concatenate(shifted, axis=1))
     residual = low - shifted_space.basis @ (adjoint(shifted_space.basis) @ low)
-    wandering = orthonormalize(residual, rank_tol=1e-6)
+    wandering = orthonormalize(residual)
     if wandering.dim != 1:
         raise AmbiguousWandering(
             f"wandering section has dimension {wandering.dim}, expected 1"
@@ -258,7 +260,8 @@ def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:
 
     Columns are projections of the rational kernel basis attached to the
     Blaschke zeros (derivative kernels for multiplicities); exact
-    polynomials when all zeros sit at the origin.
+    polynomials when all zeros sit at the origin.  The columns have norm
+    O(1), at least 1 (entry j is j!), as the absolute RANK_FLOOR needs.
     """
     p = eta.degree
     if p == 0:
@@ -278,7 +281,7 @@ def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:
             ff[mask] *= n[mask] - step
         col[mask] = ff[mask] * np.conj(a) ** (n[mask] - j)
         cols.append(col)
-    return orthonormalize(np.column_stack(cols), rank_tol=1e-10).basis
+    return orthonormalize(np.column_stack(cols)).basis
 
 
 def _default_caps(inner_list, num_vars: int, d: int):
@@ -380,15 +383,9 @@ def compression_double_commutation(handle: QuotientHandle, tol: float) -> Commut
     """(Cross-)commutator residuals of the stored compressions, measured on
     handle columns of total degree <= safe_degree - _COMPRESSION_SLACK."""
     cutoff = handle.safe_degree - _COMPRESSION_SLACK
-    probes = np.eye(handle.dim, dtype=complex)[:, _column_degrees(handle) <= cutoff]
+    degrees = handle.basis.column_degrees(handle.space.basis)
+    probes = np.eye(handle.dim, dtype=complex)[:, degrees <= cutoff]
     return CommutationReport(*_commutator_norms(handle.compressions, probes), cutoff, tol)
-
-
-def _column_degrees(handle: QuotientHandle) -> np.ndarray:
-    """Highest degree each handle column reaches (entries above 1e-13); 0
-    for a zero column."""
-    nz = np.abs(handle.space.basis) > 1e-13
-    return np.where(nz, handle.basis.flat_degrees()[:, None], 0).max(axis=0, initial=0)
 
 
 def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):

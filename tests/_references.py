@@ -286,7 +286,7 @@ def minimality_rank_svd(model: DilationModel, c: int) -> int:
 def minimality_rank_block_scatter(model: DilationModel, c: int, s: np.ndarray) -> tuple[int, int]:
     """verify_dilation's minimality rank by the block scatter: block
     (beta, alpha) of the stack holds the embedding block of
-    zeta^(beta - alpha), and the pivoted QR counts pivots above 1e-7."""
+    zeta^(beta - alpha), and the pivoted QR counts pivots above RANK_FLOOR."""
     small = model.prefix(c)
     e, m, basis_c = small.defect_dim, small.tuple_.space_dim, small.basis
     # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
@@ -297,7 +297,7 @@ def minimality_rank_block_scatter(model: DilationModel, c: int, s: np.ndarray) -
     blocks = np.zeros((len(exps), len(exps), e, m), dtype=complex)
     blocks[ok] = u.reshape(-1, e, m)[basis_c.rank(gamma[ok])]
     stacked = blocks.transpose(0, 2, 1, 3).reshape(basis_c.size, -1)
-    return orthonormalize(stacked, rank_tol=1e-7).dim, basis_c.size
+    return orthonormalize(stacked).dim, basis_c.size
 
 
 def moebius_grid(n_components: int) -> list:
@@ -398,7 +398,7 @@ def low_section_rows(handle: SubmoduleHandle, slack: int) -> np.ndarray:
     b = handle.space.basis
     cutoff = handle.safe_degree - slack
     keep = handle.basis.degree_selector(cutoff)
-    low = orthonormalize(b * keep[:, None], rank_tol=1e-6)
+    low = orthonormalize(b * keep[:, None])
     return adjoint(b) @ low.basis
 
 
@@ -430,9 +430,9 @@ def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResul
     shifted = []
     for k in range(1, handle.basis.num_vars + 1):
         shifted.append(shift(k, handle.basis).matrix @ low_cols)
-    shifted_space = orthonormalize(np.concatenate(shifted, axis=1), rank_tol=1e-8)
+    shifted_space = orthonormalize(np.concatenate(shifted, axis=1))
     residual_cols = low_cols - shifted_space.basis @ (adjoint(shifted_space.basis) @ low_cols)
-    wandering = orthonormalize(residual_cols, rank_tol=1e-6)
+    wandering = orthonormalize(residual_cols)
     if wandering.dim != 1:
         raise AmbiguousWandering(
             f"wandering section has dimension {wandering.dim}, expected 1"

@@ -398,7 +398,7 @@ class TestOneDefectBuildPerComponent:
 
     def test_single_contraction(self, monkeypatch):
         radii = counted(monkeypatch, (contraction, charfn), "spectral_radius_bound")
-        ranges = counted(monkeypatch, (dilation, charfn), "defect_range")
+        ranges = counted(monkeypatch, (dilation, charfn), "orthonormalize")
         a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
         residual, _ = projection_identity_residual(a, 40, 1e-6)
         assert residual <= 1e-6
@@ -560,7 +560,7 @@ def dense_quotient_distance(t, d, tol):
     cutoff = d - max(degrees) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     u = model.normalized_embedding()
-    b = orthonormalize(np.concatenate(cols, axis=1), rank_tol=1e-8).basis
+    b = orthonormalize(np.concatenate(cols, axis=1)).basis
     diff = np.eye(model.basis.size) - u @ adjoint(u) - b @ adjoint(b)
     return operator_norm(diff[np.ix_(sel, sel)]), cutoff
 

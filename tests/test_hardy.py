@@ -500,7 +500,7 @@ class TestDefectProduct:
         b, ops = self._parity_ops()
         keep = b.degree_selector(b.max_degree - 2)
         units = np.eye(b.size, dtype=complex)[:, keep]
-        want = orthonormalize(wandering_defect_loop(ops, units) * keep[:, None], rank_tol=1e-8)
+        want = orthonormalize(wandering_defect_loop(ops, units) * keep[:, None])
         got = wandering_subspace(ops, b, cutoff=b.max_degree - 2)
         assert got.basis.tobytes() == want.basis.tobytes()
 

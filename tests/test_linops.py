@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +17,17 @@ from _references import (
 
 from hardymodel import charfn, linops
 from hardymodel.charfn import quotient_model_check
+from hardymodel.cli import run_scenario
 from hardymodel.contraction import defect, tensor_tuple
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 from hardymodel.generators import controlled_contraction
 from hardymodel.linops import (
     _CERTIFY_MIN,
-    DEFECT_FLOOR,
+    RANK_FLOOR,
     Subspace,
     adjoint,
     apply_shifted_inverse,
     certified_norm,
-    defect_range,
     hermitian_sqrt,
     operator_norm,
     orthonormalize,
@@ -216,24 +220,27 @@ class TestOrthonormalize:
         ids=["no-columns", "one-column", "wide", "wide-200", "tall", "tall-496", "rank-1",
              "wide-deficient", "deficient-45x55", "deficient-square"],
     )
-    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
-    def test_bit_identical_to_the_scipy_qr_wrapper(self, rows, cols, rank, rank_tol):
-        # the same geqp3 and ungqr calls with the same workspace queries
+    @pytest.mark.parametrize("rel_floor", [1e-10, 1e-6])
+    def test_bit_identical_to_the_scipy_qr_wrapper(self, rows, cols, rank, rel_floor):
+        # the same geqp3 and ungqr calls with the same workspace queries;
+        # the largest column norm is scaled so that RANK_FLOOR is rel_floor of it
         rng = np.random.default_rng(rows * cols + rank)
         v = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
-        got, want = orthonormalize(v, rank_tol).basis, orthonormalize_by_scipy_qr(v, rank_tol).basis
+        v *= RANK_FLOOR / rel_floor / np.max(np.linalg.norm(v, axis=0), initial=1.0)
+        scale = np.max(np.linalg.norm(v, axis=0), initial=1.0)
+        got = orthonormalize(v).basis
+        want = orthonormalize_by_scipy_qr(v, rank_tol=RANK_FLOOR / scale).basis
         assert got.shape == want.shape == (rows, min(rank, rows, cols))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
     def test_non_finite_input_raises_value_error(self, bad):
-        # the check comes before any arithmetic: an infinite entry's column
-        # norm would warn first, and RuntimeWarnings are errors here
+        # the check comes before any arithmetic: LAPACK would run on an
+        # infinite entry, and RuntimeWarnings are errors here
         v = np.eye(3, dtype=complex)
         v[1, 2] = bad
-        for routine in (orthonormalize, defect_range):
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                routine(v)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            orthonormalize(v)
 
 
 def _unitary(rng, m):
@@ -243,7 +250,7 @@ def _unitary(rng, m):
 def _contraction(kind, rng, m):
     """Contraction of the given kind.  Every eigenvalue of I - T*T and of
     I - TT* is zero up to round-off or at least about 2e-9, far from
-    DEFECT_FLOOR**2 = 1e-12 on either side."""
+    RANK_FLOOR**2 = 1e-12 on either side."""
     u, v = _unitary(rng, m), _unitary(rng, m)
     if kind == "near-unitary":
         gaps = np.where(rng.uniform(size=m) < 0.5, 0.0, 10.0 ** rng.uniform(-8, -3, m))
@@ -259,7 +266,7 @@ def _contraction(kind, rng, m):
     return scale * u
 
 
-class TestDefectRange:
+class TestRankFloor:
     @given(
         seed=st.integers(0, 2**31 - 1),
         kind=st.sampled_from(["near-unitary", "nilpotent", "rank-deficient", "scaled-unitary"]),
@@ -271,18 +278,68 @@ class TestDefectRange:
         for x in (t, adjoint(t)):
             eigs = np.linalg.eigvalsh(np.eye(m) - adjoint(x) @ x)
             d = defect(x)
-            s = defect_range(d)
-            assert s.dim == int(np.sum(eigs > DEFECT_FLOOR**2))
-            assert operator_norm(d - projector(s) @ d) <= m * DEFECT_FLOOR
+            s = orthonormalize(d)
+            assert s.dim == int(np.sum(eigs > RANK_FLOOR**2))
+            assert operator_norm(d - projector(s) @ d) <= m * RANK_FLOOR
 
     def test_zero_defect_has_empty_range(self):
-        s = defect_range(np.zeros((3, 3)))
+        s = orthonormalize(np.zeros((3, 3)))
         assert (s.ambient_dim, s.dim) == (3, 0)
 
     def test_floor_is_absolute(self):
         # relative to the norm 1e-3, the 1e-7 column would count as rank
-        assert defect_range(np.diag([1e-3, 1e-7])).dim == 1
-        assert defect_range(np.diag([1.0, 2e-6])).dim == 2
+        assert orthonormalize(np.diag([1e-3, 1e-7])).dim == 1
+        assert orthonormalize(np.diag([1.0, 2e-6])).dim == 2
+        # a relative rank_tol of 1e-6 counted the 5e-7 column as rank
+        assert orthonormalize(np.diag([1.0, 5e-7])).dim == 1
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_numerically_zero_unitary_has_empty_range(self, m):
+        # a relative rank counted every column of 1e-8 U
+        assert orthonormalize(1e-8 * _unitary(np.random.default_rng(m), m)).dim == 0
+
+    @pytest.mark.parametrize("rows, cols", [(7, 4), (4, 9), (12, 12), (30, 8)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_singular_values_either_side_of_the_floor(self, rows, cols, seed):
+        # non-Hermitian rectangular input whose singular values are O(1)
+        # or 10x above the floor (counted) and 10x below it or zero (not)
+        rng = np.random.default_rng(seed)
+        k = min(rows, cols)
+        above = rng.choice([1.0, 0.3, 10 * RANK_FLOOR], size=k)
+        sv = np.where(rng.uniform(size=k) < 0.5, above, rng.choice([0.0, RANK_FLOOR / 10], size=k))
+        u = np.linalg.qr(random_complex(rng, rows, k))[0]
+        w = np.linalg.qr(random_complex(rng, cols, k))[0]
+        v = (u * sv) @ adjoint(w)
+        s = orthonormalize(v)
+        assert s.dim == int(np.sum(sv > RANK_FLOOR))
+        assert operator_norm(v - projector(s) @ v) <= k * RANK_FLOOR
+
+    def test_bundled_scenarios_clear_the_floor(self, monkeypatch):
+        # every rank decision of the bundled scenarios, read off the same
+        # pivoted QR: accepted pivots at least 4x the floor, rejected ones at
+        # most 0.9x it (measured 4.32e-6 and 7.97e-7, both in the extraction)
+        pivots = []
+
+        def logged(vectors):
+            s = orthonormalize(vectors)
+            v = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
+            if v.any():
+                diag = np.abs(scipy.linalg.qr(v, mode="r", pivoting=True)[0].diagonal())
+                assert s.dim == np.count_nonzero(diag > RANK_FLOOR)
+                pivots.append(diag)
+            return s
+
+        callers = [m for name, m in sys.modules.items() if name.startswith("hardymodel.")
+                   and m is not linops and getattr(m, "orthonormalize", None) is orthonormalize]
+        assert {m.__name__ for m in callers} == {
+            "hardymodel.charfn", "hardymodel.dilation", "hardymodel.hardy", "hardymodel.submodules"}
+        for module in callers:
+            monkeypatch.setattr(module, "orthonormalize", logged)
+        for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")):
+            run_scenario(path)
+        diag = np.concatenate(pivots)
+        assert diag[diag > RANK_FLOOR].min() >= 4 * RANK_FLOOR
+        assert diag[diag <= RANK_FLOOR].max() <= 0.9 * RANK_FLOOR
 
 
 class TestProjector:
