@@ -136,12 +136,6 @@ class HardyBasis:
             raise DegreeOverflow(f"exponent outside the degree <= {self.max_degree} basis")
         return _graded_lex_rank(a)
 
-    def monomial_index(self, alpha) -> int:
-        return int(self.rank(alpha))
-
-    def flat_index(self, alpha, slot: int = 0) -> int:
-        return self.monomial_index(alpha) * self.coeff_dim + slot
-
     def flat_degrees(self) -> np.ndarray:
         return np.repeat(self.degrees, self.coeff_dim)
 
@@ -195,7 +189,7 @@ class HardyVector:
 
 def monomial_vector(basis: HardyBasis, alpha, slot: int = 0) -> HardyVector:
     c = np.zeros(basis.size, dtype=complex)
-    c[basis.flat_index(alpha, slot)] = 1.0
+    c[int(basis.rank(alpha)) * basis.coeff_dim + slot] = 1.0
     return HardyVector(basis, c)
 
 
@@ -325,19 +319,16 @@ def _coefficient_blocks(values: list, e_out: int, e_in: int) -> np.ndarray:
     """The values as one complex (terms, e_out, e_in) stack.
 
     Each value is read as np.atleast_2d reads it, so a scalar is a 1 x 1
-    block and a length-e_in vector a 1 x e_in block.
+    block and a length-e_in vector a 1 x e_in block.  Values of mixed
+    shapes, say a scalar beside a 1 x 1 array, do not stack.
     """
     try:
         stacked = np.asarray(values, dtype=complex)
-        shapes = {stacked.shape[1:]} if values else set()
-    except ValueError:  # values of mixed shapes, say scalars beside 1 x 1 arrays
-        stacked, shapes = None, {np.shape(c) for c in values}
-    for shape in shapes:
-        block = (1,) * (2 - len(shape)) + shape
-        if block != (e_out, e_in):
-            raise DimensionMismatch(f"coefficient block {block} does not match ({e_out}, {e_in})")
-    if stacked is None:
-        stacked = np.array([np.reshape(c, (e_out, e_in)) for c in values], dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch("coefficient blocks of mixed shapes") from exc
+    block = (1,) * (3 - stacked.ndim) + stacked.shape[1:]
+    if values and block != (e_out, e_in):
+        raise DimensionMismatch(f"coefficient block {block} does not match ({e_out}, {e_in})")
     return stacked.reshape(len(values), e_out, e_in)
 
 
@@ -346,11 +337,10 @@ def mult_operator(
 ) -> HardyOperator:
     """Multiplication by a matrix-valued polynomial.
 
-    symbol maps exponent tuples (length num_vars, or shorter with implied
-    zeros) to (e_out, e_in) coefficient arrays; scalars are accepted when
-    both coefficient dimensions are 1.  Exponents and blocks are checked
-    and stacked as whole arrays; all-zero blocks are dropped, and blocks
-    of keys naming one exponent, like (1,) and (1, 0), are summed.
+    symbol maps exponent tuples of length num_vars to (e_out, e_in)
+    coefficient arrays of one shape; scalars are accepted when both
+    coefficient dimensions are 1.  Exponents and blocks are checked and
+    stacked as whole arrays, and all-zero blocks are dropped.
     """
     if basis_out is None:
         basis_out = basis_in
@@ -358,13 +348,9 @@ def mult_operator(
         raise DimensionMismatch("bases must share variables and truncation degree")
     e_in, e_out = basis_in.coeff_dim, basis_out.coeff_dim
     n, d = basis_in.num_vars, basis_in.max_degree
-    keys = [tuple(beta) for beta in symbol]
-    width = max(n, *map(len, keys)) if keys else n
-    padded = [beta + (0,) * (width - len(beta)) for beta in keys]
-    betas = np.array(padded, dtype=np.int64).reshape(-1, width)
-    if betas[:, n:].any():
-        raise DegreeOverflow("symbol exponent uses a variable beyond the basis")
-    betas = betas[:, :n]
+    if any(len(beta) != n for beta in symbol):
+        raise DimensionMismatch(f"symbol exponents need {n} entries")
+    betas = np.array(list(symbol), dtype=np.int64).reshape(-1, n)
     if (betas < 0).any():
         raise DegreeOverflow(f"exponent outside the degree <= {d} basis")
     degrees = betas.sum(axis=1)
@@ -372,16 +358,11 @@ def mult_operator(
         raise DegreeOverflow(f"symbol degree {degrees[degrees > d][0]} exceeds truncation")
     blocks = _coefficient_blocks(list(symbol.values()), e_out, e_in)
     keep = blocks.any(axis=(1, 2))
-    support = list(map(tuple, betas[keep].tolist()))
+    support = tuple(map(tuple, betas[keep].tolist()))
     blocks, degrees = blocks[keep], degrees[keep]
-    if len(set(support)) < len(support):
-        merged = dict.fromkeys(support, 0)
-        for beta, c in zip(support, blocks):
-            merged[beta] = merged[beta] + c
-        support, blocks = list(merged), np.array(list(merged.values()))
     if not support:  # no terms: scipy's default (float) zero matrix
         blocks = np.zeros((0, e_out, e_in))
-    mat = _assemble(basis_in, basis_out, tuple(support), blocks)
+    mat = _assemble(basis_in, basis_out, support, blocks)
     lo, hi = (int(degrees.min()), int(degrees.max())) if degrees.size else (0, 0)
     return HardyOperator(basis_in, basis_out, mat, lo, hi)
 

@@ -60,9 +60,10 @@ def operator_norm(a):
 
 
 #: smallest order certified_norm certifies.  Below it the SVD is cheaper
-#: than the Krylov run and the two factorizations: on the quotient-model
-#: differences (BLAS on 1 thread, ARPACK's run) the certificate took 1.7x
-#: the SVD's time at n = 91 and 105, and 0.73x at n = 120
+#: than the Lanczos run and the two factorizations: over dense-verify's 498
+#: quotient-model differences (seeds 1-10, BLAS on 1 thread, best of 7) the
+#: certificate took, in the median, 12x the SVD's time below n = 16, 2.8x
+#: at n = 48-79, 1.13x at n = 96-111 and 0.42x at n >= 112
 _CERTIFY_MIN = 112
 
 #: most Lanczos steps before the SVD decides (quotient-model differences

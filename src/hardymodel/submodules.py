@@ -75,8 +75,7 @@ class QuotientHandle:
     space: Subspace
     compressions: tuple  # one square matrix per variable, in the handle basis
     safe_degree: int
-    sections: tuple = ()  # one model-space section per leading variable
-    free_cap: int = 0
+    sections: tuple = ()  # one model-space section per variable
 
     @property
     def dim(self) -> int:
@@ -284,99 +283,72 @@ def model_space_section(eta: BlaschkeProduct, c: int) -> np.ndarray:
     return orthonormalize(np.column_stack(cols)).basis
 
 
-def _default_caps(inner_list, num_vars: int, d: int):
+def _default_caps(inner_list, d: int) -> list:
     caps = [eta.degree - 1 for eta in inner_list]
-    free_vars = num_vars - len(inner_list)
-    free_cap = 0
     budget = d - 1 - sum(caps)
     if budget < 0:
         raise DegreeOverflow("truncation degree cannot hold the model sections")
-    if free_vars > 0:
-        free_cap = min(2, budget)
-        budget -= free_cap
     # distribute leftover degrees round-robin to sharpen the sections
     i = 0
-    while budget > 0 and caps and max(caps) < 12:
+    while budget > 0 and max(caps) < 12:
         caps[i % len(caps)] += 1
         budget -= 1
         i += 1
-    return caps, free_cap
+    return caps
 
 
 def quotient_tensor_build(inner_list, basis: HardyBasis) -> QuotientHandle:
-    """Tensor of one-variable model-space sections in the leading variables
-    and (truncated) full Hardy space in the rest, with compressions.
+    """Tensor of one-variable model-space sections, one inner factor per
+    variable, with compressions.
 
-    The section degrees and the free-block degree come from _default_caps;
-    the handle keeps the sections it was built from.
+    The section degrees come from _default_caps; the handle keeps the
+    sections it was built from.
     """
     if basis.coeff_dim != 1:
         raise DimensionMismatch("tensor quotients are built over scalar coefficients")
-    n = basis.num_vars
     el = list(inner_list)
-    if not el:
-        raise DimensionMismatch("need at least one inner factor")
-    if len(el) > n:
-        raise DimensionMismatch("more inner functions than variables")
+    if len(el) != basis.num_vars:
+        raise DimensionMismatch(
+            f"need one inner factor per variable: {basis.num_vars}, got {len(el)}"
+        )
     for eta in el:
         if eta.degree < 1:
             raise DimensionMismatch("each inner factor needs degree >= 1")
-    caps, free_cap = _default_caps(el, n, basis.max_degree)
+    caps = _default_caps(el, basis.max_degree)
     sections = tuple(model_space_section(eta, c) for eta, c in zip(el, caps))
-    free_vars = n - len(el)
-    free_exps = (
-        enumerate_basis(free_vars, free_cap, 1).exponents
-        if free_vars
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    space = Subspace(basis.size, _tensor_columns(basis, sections, free_exps))
+    space = Subspace(basis.size, _tensor_columns(basis, sections))
     compressions = tuple(_restricted_shifts(space.basis, basis))
-    return QuotientHandle(basis, space, compressions, sum(caps) + free_cap, sections, free_cap)
+    return QuotientHandle(basis, space, compressions, sum(caps), sections)
 
 
-def _tensor_columns(basis: HardyBasis, sections, gammas) -> np.ndarray:
-    """Columns prod_i sections[i][:, j_i](zeta_i) * zeta_free^gamma over a
-    scalar basis: gamma-major, then the section indices j lexicographic.
+def _tensor_columns(basis: HardyBasis, sections) -> np.ndarray:
+    """Columns prod_k sections[k][:, j_k](zeta_k) over a scalar basis, one
+    section per variable, the section indices j lexicographic.
 
     The outer product of the section columns is the Kronecker product of
-    the sections; its rows, extended by gamma, are placed by one rank
-    scatter, and terms beyond the truncation drop.
+    the sections; its rows are placed by one rank scatter, and terms
+    beyond the truncation drop.
     """
-    L = len(sections)
     values = reduce(np.kron, sections, np.ones((1, 1), dtype=complex))
-    lead = np.indices([s.shape[0] for s in sections]).reshape(L, -1).T
-    exps = np.zeros((len(gammas), len(lead), basis.num_vars), dtype=np.int64)
-    exps[:, :, :L] = lead
-    exps[:, :, L:] = np.asarray(gammas, dtype=np.int64)[:, None, :]
-    g, r = np.nonzero(exps.sum(axis=-1) <= basis.max_degree)
-    out = np.zeros((basis.size, len(gammas), values.shape[1]), dtype=complex)
-    out[basis.rank(exps[g, r]), g] = values[r]
-    return out.reshape(basis.size, -1)
+    exps = np.indices([s.shape[0] for s in sections]).reshape(len(sections), -1).T
+    keep = exps.sum(axis=1) <= basis.max_degree
+    out = np.zeros((basis.size, values.shape[1]), dtype=complex)
+    out[basis.rank(exps[keep])] = values[keep]
+    return out
 
 
 def expected_tensor_compression(handle: QuotientHandle, k: int):
     """Kronecker-structured compression of variable k predicted by the
-    tensor layout of the handle's sections."""
-    sections = handle.sections
-    free_vars = handle.basis.num_vars - len(sections)
-    free_basis = enumerate_basis(free_vars, handle.free_cap, 1) if free_vars else None
-    if k <= len(sections):
-        sec = sections[k - 1]
-        c = sec.shape[0] - 1
-        one_var = enumerate_basis(1, c + 1, 1)
-        embedded = np.zeros((c + 2, sec.shape[1]), dtype=complex)
-        embedded[: c + 1, :] = sec
-        jordan = adjoint(embedded) @ (shift(1, one_var).dense() @ embedded)
-        factors = []
-        if free_vars:
-            factors.append(np.eye(free_basis.size))
-        for i, s in enumerate(sections):
-            factors.append(jordan if i == k - 1 else np.eye(s.shape[1]))
-        return reduce(np.kron, factors)
-    # free-variable compression: truncated shift on the free block
-    free_k = k - len(sections)
-    free_shift = shift(free_k, free_basis).dense()
-    return reduce(np.kron, [free_shift] + [np.eye(s.shape[1]) for s in sections])
+    tensor layout of the handle's sections: the compressed Jordan block of
+    section k tensor the identity on the others."""
+    sec = handle.sections[k - 1]
+    c = sec.shape[0] - 1
+    one_var = enumerate_basis(1, c + 1, 1)
+    embedded = np.zeros((c + 2, sec.shape[1]), dtype=complex)
+    embedded[: c + 1, :] = sec
+    jordan = adjoint(embedded) @ (shift(1, one_var).dense() @ embedded)
+    factors = [jordan if i == k - 1 else np.eye(s.shape[1]) for i, s in enumerate(handle.sections)]
+    return reduce(np.kron, factors)
 
 
 def compression_double_commutation(handle: QuotientHandle, tol: float) -> CommutationReport:
@@ -434,10 +406,6 @@ def projector_product_check(handle: QuotientHandle, alpha):
     alpha = tuple(int(a) for a in alpha) + (0,) * (basis.num_vars - len(alpha))
     if len(alpha) > basis.num_vars:
         raise DegreeOverflow("exponent uses a variable beyond the basis")
-    L = len(handle.sections)
-    free_total = sum(alpha[L:])
-    if free_total > handle.free_cap:
-        raise DegreeOverflow(f"free exponent weight {free_total} exceeds {handle.free_cap}")
     per_var = []
     for i, sec in enumerate(handle.sections):
         if alpha[i] > sec.shape[0] - 1:
@@ -447,7 +415,7 @@ def projector_product_check(handle: QuotientHandle, alpha):
         mono = np.zeros(sec.shape[0], dtype=complex)
         mono[alpha[i]] = 1.0
         per_var.append(sec @ (adjoint(sec) @ mono))
-    formula = _tensor_columns(basis, [v[:, None] for v in per_var], [alpha[L:]])[:, 0]
+    formula = _tensor_columns(basis, [v[:, None] for v in per_var])[:, 0]
     target = monomial_vector(basis, alpha).coefficients
     b = handle.space.basis
     direct = b @ (adjoint(b) @ target)

@@ -112,7 +112,7 @@ def operator_adjoint(op: HardyOperator) -> HardyOperator:
 
 def block(v: HardyVector, alpha) -> np.ndarray:
     """Coefficient-slot block attached to the monomial alpha."""
-    i = v.basis.monomial_index(alpha)
+    i = int(v.basis.rank(alpha))
     e = v.basis.coeff_dim
     return v.coefficients[i * e : (i + 1) * e]
 
@@ -129,7 +129,7 @@ def column_degrees(handle: QuotientHandle) -> np.ndarray:
 
 
 def var_caps(handle: QuotientHandle) -> tuple:
-    """Section degree of each leading variable."""
+    """Section degree of each variable."""
     return tuple(sec.shape[0] - 1 for sec in handle.sections)
 
 
