@@ -403,9 +403,9 @@ def projector_product_check(handle: QuotientHandle, alpha):
     (formula, direct, distance).
     """
     basis = handle.basis
-    alpha = tuple(int(a) for a in alpha) + (0,) * (basis.num_vars - len(alpha))
-    if len(alpha) > basis.num_vars:
-        raise DegreeOverflow("exponent uses a variable beyond the basis")
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != basis.num_vars:
+        raise DimensionMismatch(f"exponent needs {basis.num_vars} entries, got {len(alpha)}")
     per_var = []
     for i, sec in enumerate(handle.sections):
         if alpha[i] > sec.shape[0] - 1:

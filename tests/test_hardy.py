@@ -76,6 +76,8 @@ class TestEnumerateBasis:
         np.testing.assert_array_equal(b.rank(b.exponents), np.arange(b.num_monomials))
         for i in range(0, b.num_monomials, max(1, b.num_monomials // 20)):
             assert b.rank(b.exponents[i]) == i
+            v = monomial_vector(b, b.exponents[i], 1)
+            assert np.flatnonzero(v.coefficients).tolist() == [2 * i + 1]
 
     @given(n=st.integers(1, 4), d=st.integers(0, 8))
     @settings(max_examples=30, deadline=None)

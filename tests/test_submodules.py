@@ -619,6 +619,12 @@ class TestProjectorProduct:
         with pytest.raises(DegreeOverflow):
             projector_product_check(handle, (6,))
 
+    @pytest.mark.parametrize("alpha", [(1,), (1, 0, 0)])
+    def test_exponent_needs_one_entry_per_variable(self, alpha):
+        handle = quotient_tensor_build([phi(0.4), Z2], enumerate_basis(2, 8, 1))
+        with pytest.raises(DimensionMismatch, match="needs 2 entries"):
+            projector_product_check(handle, alpha)
+
 
 class TestParityJointDefect:
     def test_low_degree_monomials_vanish(self):
