@@ -43,8 +43,10 @@ class GeneratorParams:
 
     @staticmethod
     def from_dict(raw: dict) -> "GeneratorParams":
-        """Parameters from a scenario record; ValueError on an unknown field
-        or a value out of range (bools and strings are not integers)."""
+        """Parameters from a scenario object; ValueError on any other record,
+        an unknown field or a value out of range (bools, strings: not ints)."""
+        if not isinstance(raw, dict):
+            raise ValueError("generator record must be an object")
         unknown = set(raw) - set(GeneratorParams.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown generator fields: {sorted(unknown)}")

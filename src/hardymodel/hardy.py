@@ -23,7 +23,8 @@ sizes, the terms' exponent shifts (or the parity rule) and the blocks'
 nonzero pattern, never their values.  Building an operator is then one
 gather of the block entries and the CSR constructor.  The joint defect
 product prod_k (I - W_k W_k*) x of a list of operators is one routine,
-defect_product, which every module applies.
+defect_product, which every module applies; its range on given probes,
+wandering_subspace, is the one wandering routine.
 """
 
 from __future__ import annotations
@@ -450,21 +451,10 @@ def is_inner_on_truncation(op: HardyOperator, tol: float, cutoff: int | None = N
     return InnerReport(residual <= tol, float(residual), c, tol)
 
 
-def wandering_subspace(ops, basis: HardyBasis, cutoff: int | None = None) -> Subspace:
-    """Range of prod_k (I - V_k V_k*) restricted to degrees <= cutoff.
-
-    The default cutoff subtracts each factor's window growth; callers with
-    sharper knowledge of an operator's transient degrees may widen it.
-    """
-    if cutoff is None:
-        growth = sum(max(op.shift_hi, 0) + max(-op.shift_lo, 0) for op in ops)
-        cutoff = basis.max_degree - growth
-    if cutoff < 0:
-        raise DegreeOverflow("no safe degrees left for the wandering computation")
-    keep = basis.degree_selector(cutoff)
-    cols = (np.arange(basis.size)[:, None] == np.flatnonzero(keep)).astype(complex)
-    cols = defect_product([op.matrix for op in ops], cols)
-    return orthonormalize(cols * keep[:, None])
+def wandering_subspace(mats, probes) -> Subspace:
+    """Range of prod_k (I - W_k W_k*) on the probe columns, the wandering
+    space of doubly commuting isometries W_k seen from the probes."""
+    return orthonormalize(defect_product(mats, probes))
 
 
 def defect_product(mats, x):

@@ -7,8 +7,8 @@ exact Kronecker structure, from the one compression routine
 _restricted_shifts.  Generator orbits and tensor columns are placed into
 the basis by one HardyBasis.rank scatter each.  All set operations happen
 at the section level and every report names the cutoff it used; the
-Beurling extraction runs in the section's own coordinates, so its QRs
-have the section's s rows, not the basis's N.
+Beurling extraction runs in the section's own coordinates, so its one QR
+has the section's s rows, not the basis's N.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .hardy import (
     monomial_vector,
     one_variable_symbol,
     shift,
+    wandering_subspace,
 )
 from .linops import Subspace, adjoint, orthonormalize
 
@@ -143,15 +144,14 @@ def inner_symbol_operator(hint: dict, basis: HardyBasis) -> HardyOperator:
     return op
 
 
-def _low_section(handle: SubmoduleHandle, slack: int) -> np.ndarray:
-    """Coordinates (in the handle basis) of the handle's low-degree part:
-    the basis cut to its rows of degree <= safe_degree - slack, ranked by a
-    QR of those kept rows alone.  UnsafeDegree when that degree is < 0."""
+def _low_rows(handle: SubmoduleHandle, slack: int) -> np.ndarray:
+    """The rows of the handle's section basis of degree <= safe_degree -
+    slack; their adjoint holds the section coordinates of the projected
+    low-degree unit vectors.  UnsafeDegree when that degree is < 0."""
     cutoff = handle.safe_degree - slack
     if cutoff < 0:
         raise UnsafeDegree("section too shallow for the requested slack")
-    kept = handle.space.basis[handle.basis.degree_selector(cutoff)]
-    return adjoint(kept) @ orthonormalize(kept).basis
+    return handle.space.basis[handle.basis.degree_selector(cutoff)]
 
 
 def _restricted_shifts(b: np.ndarray, basis: HardyBasis) -> list:
@@ -184,9 +184,13 @@ def restriction_double_commutation(handle: SubmoduleHandle, tol: float) -> Commu
 
     Residuals are measured on the handle's low-degree part (safe_degree
     minus _RESTRICTION_SLACK) so truncation edge effects do not pollute
-    the verdict.
+    the verdict.  The probes Q[low]* U (U orthonormal in the span of the
+    section basis's low rows) are orthonormal on the monomial sections of
+    double-commutation-counterexample, not on inner sections: there each
+    low direction counts by its projection on the section.
     """
-    probes = _low_section(handle, _RESTRICTION_SLACK)
+    kept = _low_rows(handle, _RESTRICTION_SLACK)
+    probes = adjoint(kept) @ orthonormalize(kept).basis
     norms = _commutator_norms(_restricted_shifts(handle.space.basis, handle.basis), probes)
     return CommutationReport(*norms, handle.safe_degree - _RESTRICTION_SLACK, tol)
 
@@ -209,26 +213,21 @@ def _deviation_grid(num_vars: int) -> np.ndarray:
 def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     """Wandering part of the section and the recovered generator.
 
-    Scalar coefficient space only; a section shallower than
-    _EXTRACTION_SLACK is UnsafeDegree.  With Q the N x s section basis and
-    L the low part's coordinates, the span of R_k L (R_k = Q* S_k Q), the
-    residual of L against it and the wandering QR are s-row problems; the
-    generator g = Q w alone has N rows, its first real or imaginary part
-    above 1e-10 negative: Re g[0] <= 0 as an N-row Householder QR leaves
-    it, and round-off never picks the sign when Re g[0] = 0.  This is
-    exact when S_k Q L = Q R_k L: the leak is at round-off on the
-    beurling-extraction fixtures, at the inner series' truncation level
-    elsewhere.  A generator of wandering dimension one is compared against
-    the handle's hint (if any) up to a unimodular constant from the
-    largest-modulus coefficient, on _deviation_grid in one monomial product.
+    Scalar coefficients only; a section shallower than _EXTRACTION_SLACK
+    is UnsafeDegree.  The wandering space is hardy.wandering_subspace of
+    R_k = Q* S_k Q (Q the N x s section basis) on the probes Q[low]*, the
+    section coordinates of the projected unit vectors of degree <=
+    safe_degree - _EXTRACTION_SLACK.  The section is spanned by theta
+    zeta^beta, so the product of the I - R_k R_k* keeps theta exactly.
+    The generator g = Q w has its first real or imaginary part above 1e-10
+    negative.  With wandering dimension one it is compared against the
+    hint (if any) up to a unimodular constant from the largest-modulus
+    coefficient, on _deviation_grid in one monomial product.
     """
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
-    low = _low_section(handle, _EXTRACTION_SLACK)
-    shifted = [r @ low for r in _restricted_shifts(handle.space.basis, handle.basis)]
-    shifted_space = orthonormalize(np.concatenate(shifted, axis=1))
-    residual = low - shifted_space.basis @ (adjoint(shifted_space.basis) @ low)
-    wandering = orthonormalize(residual)
+    probes = adjoint(_low_rows(handle, _EXTRACTION_SLACK))
+    wandering = wandering_subspace(_restricted_shifts(handle.space.basis, handle.basis), probes)
     if wandering.dim != 1:
         raise AmbiguousWandering(
             f"wandering section has dimension {wandering.dim}, expected 1"

@@ -392,16 +392,6 @@ def boundary_unitarity_points(cf: CharFn) -> float:
     return worst
 
 
-def low_section_rows(handle: SubmoduleHandle, slack: int) -> np.ndarray:
-    """Coordinates (in the handle basis) of the handle's low-degree part,
-    from a QR of the N-row basis with the rows above the cutoff zeroed."""
-    b = handle.space.basis
-    cutoff = handle.safe_degree - slack
-    keep = handle.basis.degree_selector(cutoff)
-    low = orthonormalize(b * keep[:, None])
-    return adjoint(b) @ low.basis
-
-
 def deviation_grid_points(num_vars: int):
     """16 points on the circle of radius 0.5, damped by 0.9 per variable."""
     out = []
@@ -419,20 +409,28 @@ def _hint_value(hint, point) -> complex:
 
 
 def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResult:
-    """The Beurling extraction on N rows: the low part, its shifts, their
-    span, the residual and the wandering QR as N-row columns, and the
-    deviation by one evaluate per grid point."""
+    """The Beurling extraction on N rows: with P = Q Q* the projection on
+    the section, prod_k (I - W_k W_k*) for the compressed shifts
+    W_k = P S_k P on the projected unit vectors P e_alpha of low degree,
+    each factor and the wandering QR as N-row columns, and the deviation
+    by one evaluate per grid point."""
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
     b = handle.space.basis
-    low = low_section_rows(handle, _EXTRACTION_SLACK)  # handle coords of the low part
-    low_cols = b @ low
-    shifted = []
+    cutoff = handle.safe_degree - _EXTRACTION_SLACK
+    if cutoff < 0:
+        raise UnsafeDegree("section too shallow for the requested slack")
+
+    def project(x):
+        return b @ (adjoint(b) @ x)
+
+    units = np.eye(handle.basis.size, dtype=complex)[:, handle.basis.degree_selector(cutoff)]
+    cols = project(units)
     for k in range(1, handle.basis.num_vars + 1):
-        shifted.append(shift(k, handle.basis).matrix @ low_cols)
-    shifted_space = orthonormalize(np.concatenate(shifted, axis=1))
-    residual_cols = low_cols - shifted_space.basis @ (adjoint(shifted_space.basis) @ low_cols)
-    wandering = orthonormalize(residual_cols)
+        s = shift(k, handle.basis).matrix
+        # W W* x = P S P S* P x
+        cols = cols - project(s @ project(s.conj().T @ project(cols)))
+    wandering = orthonormalize(cols)
     if wandering.dim != 1:
         raise AmbiguousWandering(
             f"wandering section has dimension {wandering.dim}, expected 1"

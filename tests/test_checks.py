@@ -233,9 +233,7 @@ def test_bundled_scenario_statuses_and_cutoffs(bundled_run, scenario):
 
 
 #: public functions that no bundled scenario calls, each with why it stays
-UNREACHED_ALLOWED = {
-    "hardy.wandering_subspace": "perfbench/tracer.py binds it by name",
-}
+UNREACHED_ALLOWED: dict = {}
 
 #: public class members that no bundled scenario calls, each with why it stays
 UNREACHED_MEMBERS_ALLOWED = {

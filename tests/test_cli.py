@@ -219,6 +219,9 @@ def test_bundled_generator_records_load():
         {"dims": ["2"]},
         {"dims": [False]},
         {"dims": 4},
+        [],
+        "x",
+        "",
     ],
 )
 def test_out_of_range_generator_exits_2(tmp_path, generator, capsys):

@@ -444,10 +444,15 @@ class TestInnerReport:
         assert rep.passed
 
 
+def _units(b, cutoff):
+    """The unit vectors of degree <= cutoff, as columns."""
+    return np.eye(b.size, dtype=complex)[:, b.degree_selector(cutoff)]
+
+
 class TestWandering:
     def test_all_shifts_leave_constants(self):
         b = enumerate_basis(2, 4, 2)
-        w = wandering_subspace([shift(1, b), shift(2, b)], b)
+        w = wandering_subspace([shift(1, b).matrix, shift(2, b).matrix], _units(b, 2))
         assert w.dim == 2
         p = projector(w)
         for slot in range(2):
@@ -457,7 +462,7 @@ class TestWandering:
     def test_single_z_squared(self):
         b = enumerate_basis(1, 6, 1)
         op = one_variable_symbol(1, [0.0, 0.0, 1.0], b)
-        w = wandering_subspace([op], b, cutoff=b.max_degree - 2)
+        w = wandering_subspace([op.matrix], _units(b, b.max_degree - 2))
         assert w.dim == 2
         p = projector(w)
         for alpha in [(0,), (1,)]:
@@ -469,7 +474,7 @@ class TestWandering:
         ops = [parity_shift(k, b) for k in (1, 2, 3)]
         # each factor I - V V* is degree-preserving on monomials, so the
         # full truncation short of one degree is safe
-        w = wandering_subspace(ops, b, cutoff=b.max_degree - 1)
+        w = wandering_subspace([op.matrix for op in ops], _units(b, b.max_degree - 1))
         assert w.dim == 1
         v = monomial_vector(b, (1, 1, 1)).coefficients
         np.testing.assert_allclose(projector(w) @ v, v, atol=1e-10)
@@ -477,7 +482,7 @@ class TestWandering:
     def test_wandering_orthogonal_to_shifted_copies(self):
         b = enumerate_basis(2, 8, 1)
         ops = [shift(1, b), shift(2, b)]
-        w = wandering_subspace(ops, b)
+        w = wandering_subspace([op.matrix for op in ops], _units(b, b.max_degree - 2))
         wb = w.basis
         for alpha in [(1, 0), (0, 1), (2, 1)]:
             shifted = wb
@@ -510,10 +515,9 @@ class TestDefectProduct:
 
     def test_wandering_subspace(self):
         b, ops = self._parity_ops()
-        keep = b.degree_selector(b.max_degree - 2)
-        units = np.eye(b.size, dtype=complex)[:, keep]
-        want = orthonormalize(wandering_defect_loop(ops, units) * keep[:, None])
-        got = wandering_subspace(ops, b, cutoff=b.max_degree - 2)
+        units = _units(b, b.max_degree - 2)
+        want = orthonormalize(wandering_defect_loop(ops, units))
+        got = wandering_subspace([op.matrix for op in ops], units)
         assert got.basis.tobytes() == want.basis.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
