@@ -20,10 +20,10 @@ component reads only its safe rows S, one gather from the stack.  For
 more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
 are Hermitian, and the safe block of their product is Y* X for two sparse
 halves, hardy.defect_product applied to the unit columns of S: no N x N
-or N x |S| dense matrix and no QR is formed.  The distance is
-linops.certified_norm of the |S| x |S| difference, an upper bound within
-round-off of its spectral norm (one numpy Lanczos run and two Cholesky
-factorizations, plus the Frobenius norm of the skew part), not an SVD.
+or N x |S| dense matrix and no QR is formed.  The distance is an upper
+bound on the spectral norm of the |S| x |S| difference, not an SVD:
+linops.holder_bound, O(|S|^2), when it is <= tol, else
+linops.certified_norm, |S|^3 and within round-off of the norm.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .linops import (
     adjoint,
     apply_shifted_inverse,
     certified_norm,
+    holder_bound,
     operator_norm,
     orthonormalize,
 )
@@ -300,10 +301,10 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     each factor differs from its untruncated form by about 2 * tail, with
     tail <= tol / 10.
 
-    The norm is linops.certified_norm: an upper bound within round-off of
-    the spectral norm.  The difference is Hermitian up to the truncation
-    (the factors commute on S), and the bound adds the Frobenius norm of
-    its skew part, which is at round-off here.
+    The distance is linops.holder_bound, 1-3.4x the norm here, when that is
+    <= tol, else linops.certified_norm, within round-off of the norm (the
+    difference is Hermitian up to the truncation, and the Frobenius norm of
+    its skew part is at round-off); an upper bound either way.
     """
     model, cutoff, stacks, _, tails = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
@@ -324,7 +325,8 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
         diff = (y.conj().T @ x).toarray()
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)
-    return QuotientModelReport(certified_norm(diff), cutoff, tails, tol)
+    bound = holder_bound(diff)
+    return QuotientModelReport(bound if bound <= tol else certified_norm(diff), cutoff, tails, tol)
 
 
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:
@@ -334,14 +336,15 @@ def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientMod
 
     The distance sits at the level of the symbol tails (tol / 10 each),
     not at round-off: the symbols are truncated power series, and the
-    product identity holds only for the full series.
+    product identity holds only for the full series.  A passing distance is
+    the Hoelder bound of the difference (see _model_distance).
     """
     return _model_distance(t, d, tol)
 
 
 def projection_identity_residual(a_matrix: np.ndarray, d: int, tol: float):
     """Residual of P_embedded = I - M_theta M_theta* on the safe section:
-    the one-component case of quotient_model_check.
+    the one-component case of quotient_model_check, whose distance it is.
 
     Returns (residual, safe_cutoff) for a single contraction.
     """

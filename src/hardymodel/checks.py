@@ -141,7 +141,12 @@ def _norm_identity(rng, p: GeneratorParams, tol: float):
         d = _select_degree(t, tol / 10.0, p.truncation_degree * 4)
         probes = random_probes(rng, t.space_dim, p.probes)
         _, residual = dilation.norm_identity(t, probes, d)
-        yield _within(float(np.max(np.abs(residual))), tol, tol / 10.0)
+        # the tail is DilationModel.tail_bound's max_x x* L_(d+1) x, the sum of
+        # ||T*^beta x||^2 over |beta| = d + 1, from those orbit rows alone
+        exps = enumerate_basis(t.num_components, d + 1).exponents
+        rows = dilation._adjoint_power_rows(t.adjoint().components, exps[exps.sum(axis=1) == d + 1])
+        tail = float(np.max(np.sum(np.abs(probes.T @ rows) ** 2, axis=(0, 2))))
+        yield _within(float(np.max(np.abs(residual))), tol, tail)
 
 
 def _dilation_reports(rng, p: GeneratorParams, tol: float):

@@ -7,6 +7,8 @@ package is decided by orthonormalize on the one absolute RANK_FLOOR.
 
 operator_norm is the exact largest singular value (one LAPACK SVD); a
 sparse input with no nonzero value is 0.0 without being densified.
+holder_bound is an O(n^2) upper bound on it, with no LAPACK call; the
+model checks run certified_norm only when that bound exceeds their tol.
 certified_norm is an upper bound on the spectral norm of a large, nearly
 Hermitian matrix, within round-off of it: one numpy Lanczos run for the
 Hermitian part's extreme eigenvalue, certified by two Cholesky
@@ -30,6 +32,7 @@ __all__ = [
     "apply_shifted_inverse",
     "certified_norm",
     "hermitian_sqrt",
+    "holder_bound",
     "operator_norm",
     "orthonormalize",
     "solve_shifted",
@@ -59,11 +62,28 @@ def operator_norm(a):
     return norms if a.ndim > 2 else float(norms)
 
 
+def holder_bound(a: np.ndarray) -> float:
+    """Hoelder bound sqrt(||a||_1 ||a||_inf) >= ||a||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 6.3) times 1 + 4 (n + 2) u,
+    u = eps / 2, n the longer side; 0.0 when a is empty.  The margin covers
+    the rounding: each |a_ij| is within 2u relative, a sum of n nonnegative
+    terms within gamma_(n-1) in any order (sec. 4.2), and the two roots
+    (taken apart, so no product underflows), their product and the scaling
+    add one rounding each, (n + 5) u to first order (subnormal entries aside).
+    """
+    a = np.abs(a)
+    if a.size == 0:
+        return 0.0
+    root = np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max())
+    return float(root) * (1.0 + 2 * (max(a.shape) + 2) * np.finfo(float).eps)
+
+
 #: smallest order certified_norm certifies.  Below it the SVD is cheaper
-#: than the Lanczos run and the two factorizations: over dense-verify's 498
-#: quotient-model differences (seeds 1-10, BLAS on 1 thread, best of 7) the
-#: certificate took, in the median, 12x the SVD's time below n = 16, 2.8x
-#: at n = 48-79, 1.13x at n = 96-111 and 0.42x at n >= 112
+#: than the Lanczos run and the two factorizations: on dense-verify's 498
+#: model differences (seeds 1-10, BLAS on 1 thread, best of 7), which now
+#: pass on holder_bound and reach neither, the certificate took 12x the
+#: SVD's median time below n = 16, 2.7x at n = 48-79, 1.07x at n = 96-111
+#: and 0.39x at n >= 112
 _CERTIFY_MIN = 112
 
 #: most Lanczos steps before the SVD decides (quotient-model differences

@@ -463,13 +463,13 @@ class TestOneComponentRows:
     @pytest.mark.parametrize("d", [32, 64])  # orders 18-54 and 50-150
     def test_difference_is_the_sparse_routes_bit_for_bit(self, monkeypatch, a, d):
         diffs = []
-        norm = linops.certified_norm
-        monkeypatch.setattr(charfn, "certified_norm", lambda x: diffs.append(x) or norm(x))
+        bound = linops.holder_bound
+        monkeypatch.setattr(charfn, "holder_bound", lambda x: diffs.append(x) or bound(x))
         residual, cutoff = projection_identity_residual(a, d, 1e-6)
         want, want_cutoff = one_component_difference(a, d, 1e-6)
         assert cutoff == want_cutoff
         assert diffs[0].shape == want.shape and diffs[0].tobytes() == want.tobytes()
-        assert residual == linops.certified_norm(want)
+        assert residual == linops.holder_bound(want)
 
     def test_builds_no_multiplication_operator(self, monkeypatch):
         ops = counted(monkeypatch, (hardy,), "mult_operator")
@@ -579,9 +579,10 @@ class TestComplementPrecision:
             assert abs(rep.distance - want) <= 1e-13
 
 
-def dense_product_distance(t, d, tol):
-    """The product form of the quotient-model distance, built N x N:
-    ||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols."""
+def dense_product_difference(t, d, tol):
+    """The product form of the quotient-model difference, built N x N:
+    (prod_k (I - W_k W_k*) - U U*)[S, S] for the truncated symbols, and
+    the safe cutoff."""
     model = canonical_embedding(t, d)
     prod = np.eye(model.basis.size, dtype=complex)
     degrees = []
@@ -595,7 +596,18 @@ def dense_product_distance(t, d, tol):
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     u = model.normalized_embedding()
     diff = prod - u @ adjoint(u)
-    return operator_norm(diff[np.ix_(sel, sel)]), cutoff
+    return diff[np.ix_(sel, sel)], cutoff
+
+
+def assert_model_distance(rep, diff):
+    """A distance at most tol is the Hoelder bound of the difference, and
+    bounds its spectral norm; a larger one is the norm itself."""
+    exact, bound = operator_norm(diff), linops.holder_bound(diff)
+    if bound <= rep.tol:
+        assert abs(rep.distance - bound) <= 1e-13
+        assert rep.distance >= exact - 1e-13
+    else:
+        assert abs(rep.distance - exact) <= 1e-13
 
 
 def _model_instances(seed):
@@ -618,9 +630,9 @@ class TestModelProduct:
     def test_matches_dense_product_form(self, seed, d):
         for t in _model_instances(seed):
             rep = quotient_model_check(t, d, 1e-6)
-            want, cutoff = dense_product_distance(t, d, 1e-6)
+            diff, cutoff = dense_product_difference(t, d, 1e-6)
             assert rep.safe_cutoff == cutoff
-            assert abs(rep.distance - want) <= 1e-13
+            assert_model_distance(rep, diff)
 
     @pytest.mark.parametrize("components, d", [(3, 8), (4, 7)])
     def test_split_halves_match_dense_product_form(self, components, d):
@@ -628,10 +640,28 @@ class TestModelProduct:
         # and F_3 F_4 E_S (four) against the N x N product F_1 ... F_K
         t = tensor_tuple([np.array([[v]]) for v in (0.02, -0.015, 0.01j, 0.018)[:components]])
         rep = quotient_model_check(t, d, 0.3)
-        want, cutoff = dense_product_distance(t, d, 0.3)
+        diff, cutoff = dense_product_difference(t, d, 0.3)
         assert rep.safe_cutoff == cutoff
         assert rep.distance > 1e-2  # the dropped symbol terms show
-        assert abs(rep.distance - want) <= 1e-13
+        assert_model_distance(rep, diff)
+
+    @pytest.mark.parametrize("seed", [19, 25])
+    def test_a_bound_above_tol_falls_back_to_the_certified_norm(self, monkeypatch, seed):
+        # against the embedding of another tuple the difference is O(1), its
+        # Hoelder bound exceeds tol, and the distance is certified_norm's,
+        # bit for bit: the SVD for one component (order below _CERTIFY_MIN),
+        # the Lanczos certificate for a pair (order above it)
+        diffs, certified = [], []
+        bound, norm = linops.holder_bound, linops.certified_norm
+        monkeypatch.setattr(charfn, "holder_bound", lambda x: diffs.append(x) or bound(x))
+        monkeypatch.setattr(charfn, "certified_norm", lambda x: certified.append(x) or norm(x))
+        for t, other in zip(_model_instances(seed), _model_instances(seed + 1)):
+            monkeypatch.setattr(charfn, "canonical_embedding", lambda _t, d, o=other: canonical_embedding(o, d))
+            rep = quotient_model_check(t, 40, 1e-6)
+            assert linops.holder_bound(diffs[-1]) > rep.tol and not rep.passed
+            assert certified[-1] is diffs[-1] and rep.distance == linops.certified_norm(diffs[-1])
+        assert diffs[0].shape[0] < linops._CERTIFY_MIN <= diffs[1].shape[0]
+        assert rep.distance > operator_norm(diffs[1])  # certified, not the SVD
 
     def test_foreign_embedding_fails(self, monkeypatch):
         # the embedding of a different contraction is not the model space

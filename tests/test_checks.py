@@ -233,7 +233,9 @@ def test_bundled_scenario_statuses_and_cutoffs(bundled_run, scenario):
 
 
 #: public functions that no bundled scenario calls, each with why it stays
-UNREACHED_ALLOWED: dict = {}
+UNREACHED_ALLOWED = {
+    "linops.certified_norm": "fallback when the Hoelder bound exceeds tol; no bundled verdict needs it",
+}
 
 #: public class members that no bundled scenario calls, each with why it stays
 UNREACHED_MEMBERS_ALLOWED = {

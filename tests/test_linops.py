@@ -29,6 +29,7 @@ from hardymodel.linops import (
     apply_shifted_inverse,
     certified_norm,
     hermitian_sqrt,
+    holder_bound,
     operator_norm,
     orthonormalize,
     solve_shifted,
@@ -533,6 +534,54 @@ class TestCertifiedNorm:
         assert exact < got <= exact * (1 + 8 * n * (n + 4) * np.finfo(float).eps)
 
 
+class TestHolderBound:
+    """holder_bound is an upper bound on the spectral norm, from the
+    absolute row and column sums alone."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 60),
+        cols=st.integers(1, 60),
+        kind=st.sampled_from(["hermitian", "general", "rectangular", "rank-one"]),
+        scale=st.sampled_from([1e-300, 1e-7, 1.0, 1e150]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_svd(self, seed, rows, cols, kind, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "rectangular":
+            a = random_complex(rng, rows, cols)
+        elif kind == "rank-one":  # unimodular u v*: the bound is attained
+            a = np.outer(np.exp(1j * rng.uniform(0, 7, rows)), np.exp(1j * rng.uniform(0, 7, cols)))
+        else:
+            a = random_complex(rng, rows, rows)
+            if kind == "hermitian":
+                a = (a + adjoint(a)) / 2
+        a = scale * a
+        assert holder_bound(a) >= operator_norm(a)
+
+    def test_exact_where_the_bound_is_attained(self):
+        # a unimodular rank-one n x n matrix has ||a||_1 = ||a||_inf = ||a||_2 = n,
+        # so the bound is n times the margin exactly
+        n = 37
+        a = np.outer(np.exp(1j * np.arange(n)), np.exp(-2j * np.arange(n)))
+        assert holder_bound(a) == pytest.approx(n * (1 + 2 * (n + 2) * np.finfo(float).eps), rel=1e-15)
+        assert holder_bound(a) >= operator_norm(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0), (1, 1), (5, 5), (3, 7)])
+    def test_zero_and_empty(self, shape):
+        assert holder_bound(np.zeros(shape, dtype=complex)) == 0.0
+
+    def test_calls_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("svd", "eigvalsh", "eigh", "qr", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", refuse)
+        a = random_complex(np.random.default_rng(4), 30, 30)
+        assert holder_bound(a) > 0.0
+
+
 class TestLanczosCertificate:
     """certified_norm's numpy Lanczos run on the differences it serves,
     and its step count."""
@@ -540,9 +589,10 @@ class TestLanczosCertificate:
     @pytest.mark.parametrize("seed", [3, 25])
     def test_brackets_the_svd_on_a_quotient_model_difference(self, monkeypatch, seed):
         # the |S| x |S| difference of a tensor pair's quotient-model check
-        # (order 153 and 136), certified by the Lanczos run, not the SVD
+        # (order 153 and 136), taken where the Hoelder bound reads it:
+        # certified by the Lanczos run, not the SVD
         caps = []
-        monkeypatch.setattr(charfn, "certified_norm", lambda a: caps.append(a) or certified_norm(a))
+        monkeypatch.setattr(charfn, "holder_bound", lambda a: caps.append(a) or holder_bound(a))
         rng = np.random.default_rng(seed)
         pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
         quotient_model_check(pair, 28, 1e-6)

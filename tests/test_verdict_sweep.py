@@ -9,9 +9,13 @@ dense-verify block run here.
 import copy
 import json
 
+import numpy as np
 import pytest
 
 import verdict_sweep
+from hardymodel import charfn
+from hardymodel.checks import REGISTRY
+from hardymodel.cli import load_scenario, run_check
 
 BLOCK = "hardy-structure"
 
@@ -129,3 +133,69 @@ def test_a_golden_rewrite_needs_one_blas_thread(monkeypatch, tmp_path):
             verdict_sweep.main([])
         assert exc.value.code == 2
     assert not (tmp_path / "golden.json").exists()
+
+
+def test_move_summary_counts_each_check_and_field(capsys):
+    moves = [
+        (("b", "quotient-model", 1, 1.0), "residual: 1e-08 -> 2e-08"),
+        (("b", "quotient-model", 2, 1.0), "residual: 4e-08 -> 5e-08"),
+        (("b", "norm-identity", 1, 1.0), "tail: 1e-08 -> 1.5e-08"),
+        (("b", "norm-identity", 2, 1e-6), "tail: 1e-14 -> 5e-15"),
+        (("b", "norm-identity", 3, 1.0), "residual: 0.0 -> 1e-16"),
+    ]
+    assert verdict_sweep.move_summary(moves) == [
+        "norm-identity residual: 1 moved, 1 up, 0 down, new/old inf to inf",
+        "norm-identity tail: 2 moved, 1 up, 1 down, new/old 0.5 to 1.5",
+        "quotient-model residual: 2 moved, 2 up, 0 down, new/old 1.25 to 2",
+    ]
+    verdict_sweep._print_moves(moves, 10)
+    out = capsys.readouterr().out.splitlines()
+    assert out[5:] == verdict_sweep.move_summary(moves) + ["5 of 10 moved"]
+    assert verdict_sweep.move_summary([]) == []
+
+
+def test_base_gate_prints_the_move_summary(tmp_path, capsys):
+    # --base prints the same summary lines as --check
+    head = verdict_sweep.load_golden()
+    i = next(i for i, r in enumerate(head) if r["check"] == "quotient-model" and r["status"] == "pass")
+    base = copy.deepcopy(head)
+    base[i]["residual"] = repr(float(head[i]["residual"]) / 2)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    assert verdict_sweep.main(["--base", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["quotient-model residual: 1 moved, 1 up, 0 down, new/old 2 to 2",
+                          f"1 of {len(head)} moved"]
+
+
+def test_no_sweep_model_verdict_needs_the_certified_norm(monkeypatch):
+    # the Hoelder bound decides every model verdict of the bundled
+    # scenarios and of dense-verify's seed-1 verdict list
+    calls, norm = [], charfn.certified_norm
+    monkeypatch.setattr(charfn, "certified_norm", lambda a: calls.append(a.shape) or norm(a))
+    records = verdict_sweep.run_sweep({b for b in verdict_sweep.blocks() if b.startswith("scenarios/")})
+    for v in verdict_sweep.workloads.verdicts("dense-verify", 1):
+        params = verdict_sweep.GeneratorParams.from_dict(v.params)
+        records.append(run_check(v.check, np.random.default_rng(v.seed), params, None))
+    assert calls == [] and len(records) == 23 + 27
+
+
+def test_every_norm_identity_tail_bounds_its_residual():
+    # the tail is max over probes of x* L_(d+1) x, which bounds the
+    # residual x* (I - G_d) x in exact arithmetic: on every norm-identity
+    # verdict of the sweep, generator blocks and bundled scenarios, it
+    # exceeds the computed residual up to the Gram's round-off
+    index = sorted(REGISTRY).index("norm-identity")
+    tol = REGISTRY["norm-identity"].default_tol
+    records = []
+    for path in sorted((verdict_sweep.ROOT / "scenarios").glob("*.json")):
+        scenario = load_scenario(path)
+        for seed in verdict_sweep.SEEDS:
+            for scale in verdict_sweep.SCALES:
+                rng = np.random.default_rng([seed, index])
+                entry = run_check("norm-identity", rng, scenario.generator, tol * scale)
+                records.append(verdict_sweep._record(scenario.name, "norm-identity", seed, scale, entry))
+        records += [r for r in verdict_sweep.bundled_records(path) if r["check"] == "norm-identity"]
+    assert len(records) == 25
+    for r in records:
+        assert float(r["tail"]) >= float(r["residual"]) - 1e-14, r

@@ -26,12 +26,15 @@ holds the block, check, seed, scale, status, ``safe_cutoff``, and the
 
 ``--check`` exits 1 when a status or cutoff differs from the golden (or a
 verdict is missing or new).  It lists the residual and tail moves old ->
-new and "N of 845 moved"; moves gate nothing.  The golden holds values
-computed with BLAS on one thread, so a rewrite refuses to run unless
-``OPENBLAS_NUM_THREADS=1``; ``--check`` runs at any thread count.
+new, one summary line per check and field (moved, up, down, and the
+range of new / old) and "N of 845 moved"; moves gate nothing.  The
+golden holds values computed with BLAS on one thread, so a rewrite
+refuses to run unless ``OPENBLAS_NUM_THREADS=1``; ``--check`` runs at any
+thread count.
 ``--base`` runs no check: it compares another commit's golden file with
 this one on the verdicts both hold, exits 1 when a status or cutoff
-differs, and lists the moves and the verdicts only one file holds.
+differs, and lists the moves, their summary lines and the verdicts only
+one file holds.
 """
 
 from __future__ import annotations
@@ -164,9 +167,29 @@ def write_golden(records: list) -> None:
     GOLDEN.write_text(f"[\n{lines}\n]\n")
 
 
+def move_summary(moves: list) -> list:
+    """One line per (check, field) that moved: how many records moved, how
+    many up and how many down, and the range of new / old."""
+    groups = {}
+    for key, change in moves:
+        field, values = change.split(": ", 1)
+        old, new = (float(v) for v in values.split(" -> "))
+        groups.setdefault((key[1], field), []).append((old, new))
+    lines = []
+    for (check, field), pairs in sorted(groups.items()):
+        up = sum(new > old for old, new in pairs)
+        down = sum(new < old for old, new in pairs)
+        ratios = [new / old if old else float("inf") for old, new in pairs]
+        lines.append(f"{check} {field}: {len(pairs)} moved, {up} up, {down} down, "
+                     f"new/old {min(ratios):.4g} to {max(ratios):.4g}")
+    return lines
+
+
 def _print_moves(moves: list, total: int) -> None:
     for key, change in moves:
         print(f"moved {key} {change}")
+    for line in move_summary(moves):
+        print(line)
     print(f"{len({key for key, _ in moves})} of {total} moved")
 
 
