@@ -21,9 +21,9 @@ more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
 are Hermitian, and the safe block of their product is Y* X for two sparse
 halves, hardy.defect_product applied to the unit columns of S: no N x N
 or N x |S| dense matrix and no QR is formed.  The distance is an upper
-bound on the spectral norm of the |S| x |S| difference, not an SVD:
-linops.holder_bound, O(|S|^2), when it is <= tol, else
-linops.certified_norm, |S|^3 and within round-off of the norm.
+bound on the spectral norm of the |S| x |S| difference: a passing
+distance is linops.holder_bound, O(|S|^2) with no SVD; otherwise it is
+the exact SVD norm, linops.operator_norm.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .linops import (
     Subspace,
     adjoint,
     apply_shifted_inverse,
-    certified_norm,
     holder_bound,
     operator_norm,
     orthonormalize,
@@ -301,10 +300,9 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     each factor differs from its untruncated form by about 2 * tail, with
     tail <= tol / 10.
 
-    The distance is linops.holder_bound, 1-3.4x the norm here, when that is
-    <= tol, else linops.certified_norm, within round-off of the norm (the
-    difference is Hermitian up to the truncation, and the Frobenius norm of
-    its skew part is at round-off); an upper bound either way.
+    A passing distance is linops.holder_bound, 1-3.4x the norm here, when
+    that is <= tol; otherwise it is the exact SVD norm, linops.operator_norm.
+    It never under-reports the norm.
     """
     model, cutoff, stacks, _, tails = _symbol_model(t, d, tol)
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
@@ -326,7 +324,7 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)
     bound = holder_bound(diff)
-    return QuotientModelReport(bound if bound <= tol else certified_norm(diff), cutoff, tails, tol)
+    return QuotientModelReport(bound if bound <= tol else operator_norm(diff), cutoff, tails, tol)
 
 
 def quotient_model_check(t: ContractionTuple, d: int, tol: float) -> QuotientModelReport:

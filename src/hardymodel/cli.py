@@ -57,8 +57,9 @@ def _tolerance(value, what: str) -> float | None:
 
 def load_scenario(path) -> Scenario:
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: bad JSON or bad UTF-8; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")

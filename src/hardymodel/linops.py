@@ -8,12 +8,7 @@ package is decided by orthonormalize on the one absolute RANK_FLOOR.
 operator_norm is the exact largest singular value (one LAPACK SVD); a
 sparse input with no nonzero value is 0.0 without being densified.
 holder_bound is an O(n^2) upper bound on it, with no LAPACK call; the
-model checks run certified_norm only when that bound exceeds their tol.
-certified_norm is an upper bound on the spectral norm of a large, nearly
-Hermitian matrix, within round-off of it: one numpy Lanczos run for the
-Hermitian part's extreme eigenvalue, certified by two Cholesky
-factorizations, plus the Frobenius norm of the skew part.  It falls back
-to operator_norm whenever the certificate cannot be had.
+model checks run operator_norm only when that bound exceeds their tol.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ __all__ = [
     "Subspace",
     "adjoint",
     "apply_shifted_inverse",
-    "certified_norm",
     "hermitian_sqrt",
     "holder_bound",
     "operator_norm",
@@ -76,114 +70,6 @@ def holder_bound(a: np.ndarray) -> float:
         return 0.0
     root = np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max())
     return float(root) * (1.0 + 2 * (max(a.shape) + 2) * np.finfo(float).eps)
-
-
-#: smallest order certified_norm certifies.  Below it the SVD is cheaper
-#: than the Lanczos run and the two factorizations: on dense-verify's 498
-#: model differences (seeds 1-10, BLAS on 1 thread, best of 7), which now
-#: pass on holder_bound and reach neither, the certificate took 12x the
-#: SVD's median time below n = 16, 2.7x at n = 48-79, 1.07x at n = 96-111
-#: and 0.39x at n >= 112
-_CERTIFY_MIN = 112
-
-#: most Lanczos steps before the SVD decides (quotient-model differences
-#: settle within 40); below _CERTIFY_MIN, so the Krylov basis is never n x n
-_LANCZOS_STEPS = 96
-
-
-def _lanczos_start(n: int) -> np.ndarray:
-    """The fixed, dense start vector of certified_norm's Lanczos run."""
-    return np.cos(np.arange(1, n + 1, dtype=float))
-
-
-def _top_ritz_value(h: np.ndarray):
-    """Largest |Ritz value| of the Hermitian h: Lanczos from _lanczos_start,
-    fully reorthogonalized (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 13).  Every 4 steps it reads the tridiagonal's eigenvalues; it stops
-    when their largest modulus moves by at most 1e-15 relative or the Krylov
-    space closes, and gives None after _LANCZOS_STEPS steps."""
-    n = h.shape[0]
-    basis = np.empty((_LANCZOS_STEPS + 1, n), complex)  # rows: the Lanczos vectors
-    basis[0] = _lanczos_start(n) / np.linalg.norm(_lanczos_start(n))
-    alpha, beta = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
-    last = scale = 0.0
-    for j in range(_LANCZOS_STEPS):
-        w = h @ basis[j]
-        alpha[j] = np.vdot(basis[j], w).real
-        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
-            w -= (basis[: j + 1].conj() @ w) @ basis[: j + 1]
-        beta[j] = np.linalg.norm(w)
-        scale = max(scale, abs(alpha[j]), beta[j])
-        closed = beta[j] <= n * np.finfo(float).eps * scale
-        if closed or j % 4 == 3:
-            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-            top = float(np.abs(np.linalg.eigvalsh(tri)[[0, -1]]).max())
-            if closed or abs(top - last) <= 1e-15 * top:
-                return top
-            last = top
-        basis[j + 1] = w / beta[j]
-    return None
-
-
-def certified_norm(a: np.ndarray) -> float:
-    """Upper bound on ||a||_2 of a square dense matrix, within round-off of
-    it when a is nearly Hermitian.
-
-    a = H + K with H = (a + a*)/2 Hermitian and K = (a - a*)/2 skew, so
-    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One Lanczos run
-    in numpy (_top_ritz_value, fixed start vector, so the result and its
-    step count are deterministic) gives the largest-magnitude eigenvalue
-    lambda of H, and two Cholesky factorizations certify ||H|| <= mu:
-
-    - They factor s I - H and s I + H with s = |lambda| (1 + 4 n eps).
-      Both are positive definite once s exceeds ||H||; the Ritz value is
-      exact to a few eps, and 4 n eps leaves the factorizations room to
-      succeed.
-    - If floating-point Cholesky of a Hermitian B of order n runs to
-      completion, then lambda_min(B) >= -g tr(B) with
-      g = gamma_{n+1} / (1 - gamma_{n+1}), gamma_k = k u / (1 - k u)
-      (Rump, BIT 46 (2006), after Demmel; Higham, Accuracy and Stability
-      of Numerical Algorithms, Thm 10.5).  g = 2 (n + 3) eps is at least
-      four times that, enough for complex arithmetic, and also covers the
-      rounding in forming H, K and s I -+ H.
-    - So both factorizations succeeding give ||H|| <= mu = s + g tr_max
-      with tr_max = n s + |tr H| >= tr(s I -+ H).  As |tr H| <= n ||H||,
-      mu <= |lambda| (1 + c n eps) with c about 4 (n + 4): the margin
-      grows like n^2 eps, the order of the worst-case Cholesky error, and
-      is at most 4e-10 relative at n = 666.
-
-    The result is mu + ||K||_F (1 + n eps); a zero H needs no certificate.
-    Below order _CERTIFY_MIN, when the Lanczos run does not settle, or when a
-    factorization fails (the Ritz value missed the extreme eigenvalue),
-    it is the exact operator_norm, so it never under-reports.  One n x n
-    buffer serves both factorizations.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n < _CERTIFY_MIN:
-        return operator_norm(a)
-    eps = np.finfo(float).eps
-    skew = 0.5 * np.linalg.norm(a - adjoint(a)) * (1.0 + n * eps)
-    h = a + adjoint(a)
-    h *= 0.5
-    if not h.any():
-        return skew
-    lam = _top_ritz_value(h)
-    if lam is None:
-        return operator_norm(a)
-    s = lam * (1.0 + 4 * n * eps)
-    potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
-    buf = np.empty_like(h)
-    for sign in (-1.0, 1.0):
-        np.multiply(h, sign, out=buf)
-        buf.flat[:: n + 1] += s
-        # buf.T is Fortran-ordered and equals conj(s I -+ H): positive
-        # definite exactly when s I -+ H is; a zero or NaN pivot fails
-        if potrf(buf.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
-            return operator_norm(a)
-    g = 2 * (n + 3) * eps
-    mu = s + g * (n * s + abs(float(h.diagonal().real.sum())))
-    return mu + skew
 
 
 @dataclass(frozen=True)

@@ -184,13 +184,11 @@ def restriction_double_commutation(handle: SubmoduleHandle, tol: float) -> Commu
 
     Residuals are measured on the handle's low-degree part (safe_degree
     minus _RESTRICTION_SLACK) so truncation edge effects do not pollute
-    the verdict.  The probes Q[low]* U (U orthonormal in the span of the
-    section basis's low rows) are orthonormal on the monomial sections of
-    double-commutation-counterexample, not on inner sections: there each
-    low direction counts by its projection on the section.
+    the verdict.  The probes are an orthonormal basis of the span of
+    Q[low]*, the section coordinates of the projected low-degree unit
+    vectors, so each residual is a restricted operator norm.
     """
-    kept = _low_rows(handle, _RESTRICTION_SLACK)
-    probes = adjoint(kept) @ orthonormalize(kept).basis
+    probes = orthonormalize(adjoint(_low_rows(handle, _RESTRICTION_SLACK))).basis
     norms = _commutator_norms(_restricted_shifts(handle.space.basis, handle.basis), probes)
     return CommutationReport(*norms, handle.safe_degree - _RESTRICTION_SLACK, tol)
 

@@ -12,10 +12,9 @@ the whole embedding by that walk, the term-by-term
 characteristic-function series, the characteristic function, its kernel
 identity and its boundary unitarity one sample point at a time (one
 resolvent solve and one SVD per point), the Beurling extraction on
-the N rows of the ambient basis, the ARPACK certified norm, the
-orthonormalization through scipy.linalg.qr, the sparse symbol of a
-component with the one-component distance it gave, the product loop of a
-tuple power, the minimality stack's block scatter, and each call site's
+the N rows of the ambient basis, the orthonormalization through
+scipy.linalg.qr, the sparse symbol of a component with the one-component
+distance it gave, the product loop of a tuple power, the minimality stack's block scatter, and each call site's
 own loop over the joint defect factors I - W W* (the quotient model's
 sparse halves among them), the row route of the norm identity (one
 degree level of q x m rows x^T (T*^alpha)^T at a time) and the
@@ -30,7 +29,6 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from hardymodel.charfn import (
     _BOUNDARY_SAMPLES,
@@ -68,9 +66,7 @@ from hardymodel.hardy import (
     shift,
 )
 from hardymodel.linops import (
-    _CERTIFY_MIN,
     Subspace,
-    _lanczos_start,
     adjoint,
     operator_norm,
     orthonormalize,
@@ -450,71 +446,6 @@ def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResul
         want = unimodular * _hint_value(handle.generator_hint, pt)
         worst = max(worst, abs(got - want))
     return ExtractionResult(1, gen, complex(unimodular), float(worst))
-
-
-def certified_norm_arpack(a: np.ndarray) -> float:
-    """linops.certified_norm with ARPACK's eigsh (Arnoldi for complex
-    input) for the Ritz value.  Upper bound on ||a||_2 of a square dense
-    matrix, within round-off of it when a is nearly Hermitian.
-
-    a = H + K with H = (a + a*)/2 Hermitian and K = (a - a*)/2 skew, so
-    ||H|| <= ||a|| <= ||H|| + ||K|| <= ||H|| + ||K||_F.  One ARPACK Lanczos
-    run (eigsh, fixed start vector, so the result is deterministic) gives
-    the largest-magnitude eigenvalue lambda of H, and two Cholesky
-    factorizations certify ||H|| <= mu:
-
-    - They factor s I - H and s I + H with s = |lambda| (1 + 4 n eps).
-      Both are positive definite once s exceeds ||H||; the Ritz value is
-      exact to a few eps, and 4 n eps leaves the factorizations room to
-      succeed.
-    - If floating-point Cholesky of a Hermitian B of order n runs to
-      completion, then lambda_min(B) >= -g tr(B) with
-      g = gamma_{n+1} / (1 - gamma_{n+1}), gamma_k = k u / (1 - k u)
-      (Rump, BIT 46 (2006), after Demmel; Higham, Accuracy and Stability
-      of Numerical Algorithms, Thm 10.5).  g = 2 (n + 3) eps is at least
-      four times that, enough for complex arithmetic, and also covers the
-      rounding in forming H, K and s I -+ H.
-    - So both factorizations succeeding give ||H|| <= mu = s + g tr_max
-      with tr_max = n s + |tr H| >= tr(s I -+ H).  As |tr H| <= n ||H||,
-      mu <= |lambda| (1 + c n eps) with c about 4 (n + 4): the margin
-      grows like n^2 eps, the order of the worst-case Cholesky error, and
-      is at most 4e-10 relative at n = 666.
-
-    The result is mu + ||K||_F (1 + n eps); a zero H needs no certificate.
-    Below order _CERTIFY_MIN, when ARPACK does not converge, or when a
-    factorization fails (the Ritz value missed the extreme eigenvalue),
-    it is the exact operator_norm, so it never under-reports.  One n x n
-    buffer serves both factorizations.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n < _CERTIFY_MIN:
-        return operator_norm(a)
-    eps = np.finfo(float).eps
-    skew = 0.5 * np.linalg.norm(a - adjoint(a)) * (1.0 + n * eps)
-    h = a + adjoint(a)
-    h *= 0.5
-    if not h.any():
-        return skew
-    try:
-        lam = scipy.sparse.linalg.eigsh(
-            h, k=1, which="LM", v0=_lanczos_start(n), return_eigenvectors=False
-        )[0]
-    except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-        return operator_norm(a)
-    s = abs(float(lam)) * (1.0 + 4 * n * eps)
-    potrf = scipy.linalg.get_lapack_funcs("potrf", (h,))
-    buf = np.empty_like(h)
-    for sign in (-1.0, 1.0):
-        np.multiply(h, sign, out=buf)
-        buf.flat[:: n + 1] += s
-        # buf.T is Fortran-ordered and equals conj(s I -+ H): positive
-        # definite exactly when s I -+ H is; a zero or NaN pivot fails
-        if potrf(buf.T, lower=0, clean=0, overwrite_a=1)[1] != 0:
-            return operator_norm(a)
-    g = 2 * (n + 3) * eps
-    mu = s + g * (n * s + abs(float(h.diagonal().real.sum())))
-    return mu + skew
 
 
 def orthonormalize_by_scipy_qr(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:

@@ -646,22 +646,19 @@ class TestModelProduct:
         assert_model_distance(rep, diff)
 
     @pytest.mark.parametrize("seed", [19, 25])
-    def test_a_bound_above_tol_falls_back_to_the_certified_norm(self, monkeypatch, seed):
+    def test_a_bound_above_tol_falls_back_to_the_svd_norm(self, monkeypatch, seed):
         # against the embedding of another tuple the difference is O(1), its
-        # Hoelder bound exceeds tol, and the distance is certified_norm's,
-        # bit for bit: the SVD for one component (order below _CERTIFY_MIN),
-        # the Lanczos certificate for a pair (order above it)
-        diffs, certified = [], []
-        bound, norm = linops.holder_bound, linops.certified_norm
+        # Hoelder bound exceeds tol, and the distance is the SVD norm of the
+        # difference, bit for bit, for one component and for a pair
+        diffs, bound = [], linops.holder_bound
         monkeypatch.setattr(charfn, "holder_bound", lambda x: diffs.append(x) or bound(x))
-        monkeypatch.setattr(charfn, "certified_norm", lambda x: certified.append(x) or norm(x))
-        for t, other in zip(_model_instances(seed), _model_instances(seed + 1)):
+        instances = list(zip(_model_instances(seed), _model_instances(seed + 1)))
+        for t, other in instances:
             monkeypatch.setattr(charfn, "canonical_embedding", lambda _t, d, o=other: canonical_embedding(o, d))
             rep = quotient_model_check(t, 40, 1e-6)
             assert linops.holder_bound(diffs[-1]) > rep.tol and not rep.passed
-            assert certified[-1] is diffs[-1] and rep.distance == linops.certified_norm(diffs[-1])
-        assert diffs[0].shape[0] < linops._CERTIFY_MIN <= diffs[1].shape[0]
-        assert rep.distance > operator_norm(diffs[1])  # certified, not the SVD
+            assert rep.distance == operator_norm(diffs[-1])
+        assert [t.num_components for t, _ in instances] == [1, 2]
 
     def test_foreign_embedding_fails(self, monkeypatch):
         # the embedding of a different contraction is not the model space

@@ -271,6 +271,16 @@ def test_suite_reports_a_malformed_file_and_goes_on(tmp_path, capsys):
     assert "overall: pass" in captured.out
 
 
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200000], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_scenario_file_exits_2(tmp_path, command, content, capsys):
+    # a file json cannot decode is a ScenarioError, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, str(path if command == "run" else tmp_path)]) == 2
+    assert "cannot parse scenario" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["abc", "1e5", "-5", "0"])
 def test_malformed_basis_cap_exits_2(cap, monkeypatch, capsys):
     monkeypatch.setenv("HARDYMODEL_BASIS_CAP", cap)

@@ -9,25 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _references import (
-    certified_norm_arpack,
     orthonormalize_by_scipy_qr,
     projector,
     subspace_distance,
 )
 
-from hardymodel import charfn, linops
-from hardymodel.charfn import quotient_model_check
+from hardymodel import linops
 from hardymodel.cli import run_scenario
-from hardymodel.contraction import defect, tensor_tuple
+from hardymodel.contraction import defect
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
-from hardymodel.generators import controlled_contraction
 from hardymodel.linops import (
-    _CERTIFY_MIN,
     RANK_FLOOR,
     Subspace,
     adjoint,
     apply_shifted_inverse,
-    certified_norm,
     hermitian_sqrt,
     holder_bound,
     operator_norm,
@@ -455,85 +450,6 @@ class TestOperatorNorm:
             operator_norm(NoDense(sp.identity(3, format="csr")))
 
 
-def nearly_hermitian(rng, n, skew, low_rank):
-    """A Hermitian matrix (random, or rank 3 plus 1e-9 noise) plus skew
-    times a random skew-Hermitian one."""
-    if low_rank:
-        u = random_complex(rng, n, 3)
-        h = u @ adjoint(u) / n + 1e-9 * random_complex(rng, n, n)
-    else:
-        h = random_complex(rng, n, n)
-    h = (h + adjoint(h)) / 2
-    k = random_complex(rng, n, n)
-    return h + skew * (k - adjoint(k)) / 2
-
-
-class TestCertifiedNorm:
-    """certified_norm is an upper bound on the spectral norm, within
-    round-off of it for a nearly Hermitian matrix."""
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.integers(1, 2 * _CERTIFY_MIN),
-        skew=st.sampled_from([0.0, 1e-14, 1e-8]),
-        low_rank=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_brackets_the_svd(self, seed, n, skew, low_rank):
-        a = nearly_hermitian(np.random.default_rng(seed), n, skew, low_rank)
-        exact = operator_norm(a)
-        skew_f = np.linalg.norm(a - adjoint(a)) / 2
-        eps = np.finfo(float).eps
-        margin = 8 * n * (n + 4) * eps * exact + n * eps * skew_f
-        got = certified_norm(a)
-        assert exact - 1e-15 * exact <= got <= exact + skew_f + margin
-
-    def test_skew_part_is_counted(self):
-        # a = 0.01 H + K: ||a|| is carried by the skew part, which the
-        # Hermitian certificate alone would miss
-        rng = np.random.default_rng(2)
-        n = 2 * _CERTIFY_MIN
-        h, k = nearly_hermitian(rng, n, 0.0, True), random_complex(rng, n, n)
-        a = 0.01 * h + (k - adjoint(k)) / 2
-        exact = operator_norm(a)
-        assert exact <= certified_norm(a) <= np.linalg.norm(a - adjoint(a)) / 2 + 0.011 * operator_norm(h)
-
-    @pytest.mark.parametrize("hidden", [1.5, -1.5])
-    def test_missed_top_eigenvalue_falls_back_to_the_svd(self, monkeypatch, hidden):
-        # a start vector that vanishes on the last two coordinates keeps the
-        # Lanczos run exactly inside the first block, so the Ritz value is
-        # that block's (about 1) and misses the hidden eigenvalue; one
-        # Cholesky factorization then fails and the SVD decides
-        n = _CERTIFY_MIN
-        start = np.cos(np.arange(1, n + 1, dtype=float))
-        start[-2:] = 0.0
-        monkeypatch.setattr(linops, "_lanczos_start", lambda m: start[:m])
-        rng = np.random.default_rng(5)
-        a = np.zeros((n, n), dtype=complex)
-        a[:-2, :-2] = nearly_hermitian(rng, n - 2, 0.0, False)
-        a[:-2, :-2] /= operator_norm(a[:-2, :-2])
-        a[-2:, -2:] = hidden * np.array([[0.5, 0.5j], [-0.5j, 0.5]])
-        assert abs(np.linalg.eigvalsh(a)).max() == pytest.approx(abs(hidden))
-        assert certified_norm(a) == operator_norm(a)
-
-    @pytest.mark.parametrize("n", [0, 1, _CERTIFY_MIN - 1, _CERTIFY_MIN])
-    def test_zero_matrix(self, n):
-        assert certified_norm(np.zeros((n, n), dtype=complex)) == 0.0
-
-    @pytest.mark.parametrize("n", [1, _CERTIFY_MIN - 1])
-    def test_below_the_size_constant_is_the_svd(self, n):
-        a = nearly_hermitian(np.random.default_rng(n), n, 1e-8, False)
-        assert certified_norm(a) == operator_norm(a)
-
-    def test_at_the_size_constant_is_certified(self):
-        n = _CERTIFY_MIN
-        a = nearly_hermitian(np.random.default_rng(n), n, 0.0, True)
-        exact = operator_norm(a)
-        got = certified_norm(a)
-        # the certificate's margin is above the SVD's last bit, below n^2 eps
-        assert exact < got <= exact * (1 + 8 * n * (n + 4) * np.finfo(float).eps)
-
-
 class TestHolderBound:
     """holder_bound is an upper bound on the spectral norm, from the
     absolute row and column sums alone."""
@@ -580,47 +496,3 @@ class TestHolderBound:
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", refuse)
         a = random_complex(np.random.default_rng(4), 30, 30)
         assert holder_bound(a) > 0.0
-
-
-class TestLanczosCertificate:
-    """certified_norm's numpy Lanczos run on the differences it serves,
-    and its step count."""
-
-    @pytest.mark.parametrize("seed", [3, 25])
-    def test_brackets_the_svd_on_a_quotient_model_difference(self, monkeypatch, seed):
-        # the |S| x |S| difference of a tensor pair's quotient-model check
-        # (order 153 and 136), taken where the Hoelder bound reads it:
-        # certified by the Lanczos run, not the SVD
-        caps = []
-        monkeypatch.setattr(charfn, "holder_bound", lambda a: caps.append(a) or holder_bound(a))
-        rng = np.random.default_rng(seed)
-        pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
-        quotient_model_check(pair, 28, 1e-6)
-        (a,) = caps
-        n, exact = a.shape[0], operator_norm(a)
-        skew_f = np.linalg.norm(a - adjoint(a)) / 2
-        margin = 8 * n * (n + 4) * np.finfo(float).eps * exact + n * np.finfo(float).eps * skew_f
-        got = certified_norm(a)
-        assert n >= _CERTIFY_MIN and got != exact
-        assert exact <= got <= exact + skew_f + margin
-        assert abs(got - certified_norm_arpack(a)) <= margin
-
-    def test_exact_low_rank_repeats_its_steps(self, monkeypatch):
-        # rank 3 at n = 200: the Krylov space closes after a few steps, and
-        # an identical second call takes exactly as many (ARPACK restarted
-        # from process-global random vectors there)
-        rng = np.random.default_rng(28)
-        u = random_complex(rng, 200, 3)
-        a = u @ adjoint(u) / 200
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: sizes.append(len(x)) or eigvalsh(x))
-        runs = []
-        for _ in range(2):
-            sizes.clear()
-            runs.append((certified_norm(a), sizes[-1]))
-        assert runs[0] == runs[1]
-        # the space closes at dimension 4: rank 3 and the start's kernel part
-        assert runs[0][1] <= 8
-        exact = operator_norm(a)
-        assert exact <= runs[0][0] <= exact * (1 + 8 * 200 * 204 * np.finfo(float).eps)

@@ -121,9 +121,9 @@ class TestRestrictionDoubleCommutation:
         assert not rep.passed
 
     def test_counterexample_probes_are_orthonormal(self, monkeypatch):
-        # the monomial section holds every low monomial it touches, so the
-        # probes are orthonormal and the bundled 1.0 is a true restricted
-        # norm (on inner sections they are not; see the docstring)
+        # on the counterexample's monomial section and on an inner section
+        # the probes are orthonormal, so each residual (the bundled 1.0
+        # among them) is a true restricted norm
         seen = []
 
         def recorded(mats, probes):
@@ -135,8 +135,12 @@ class TestRestrictionDoubleCommutation:
         p = GeneratorParams(num_vars=2, coeff_dim=2, truncation_degree=8)
         out = REGISTRY["double-commutation-counterexample"].run(np.random.default_rng(0), p, 1e-10)
         assert out.passed and len(seen) == 1
-        gram = adjoint(seen[0]) @ seen[0]
-        assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-12
+        b = enumerate_basis(2, 16, 1)
+        handle = submodule_from_inner(inner_symbol_operator({1: phi(0.45)}, b), 1e-6, input_cutoff=7)
+        assert restriction_double_commutation(handle, 1e-6).passed and len(seen) == 2
+        for probes in seen:
+            gram = adjoint(probes) @ probes
+            assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-12
 
 
 class TestWanderingExtraction:
