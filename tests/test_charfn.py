@@ -660,6 +660,18 @@ class TestModelProduct:
             assert rep.distance == operator_norm(diffs[-1])
         assert [t.num_components for t, _ in instances] == [1, 2]
 
+    @pytest.mark.parametrize("side", ["at-tol", "above-tol"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["single", "pair"])
+    def test_the_bound_decides_up_to_tol_inclusive(self, monkeypatch, which, side):
+        # a bound read as exactly tol is the distance; one a step above tol
+        # hands the verdict to the SVD norm, which passes these true models
+        diffs, tol = [], 1e-6
+        bound = tol if side == "at-tol" else np.nextafter(tol, np.inf)
+        monkeypatch.setattr(charfn, "holder_bound", lambda x: diffs.append(x) or bound)
+        rep = quotient_model_check(_model_instances(19)[which], 40, tol)
+        assert rep.passed and len(diffs) == 1
+        assert rep.distance == (tol if side == "at-tol" else operator_norm(diffs[0]))
+
     def test_foreign_embedding_fails(self, monkeypatch):
         # the embedding of a different contraction is not the model space
         t = ContractionTuple((np.array([[0.5]]),))

@@ -345,6 +345,16 @@ def test_defect_transfer_builds_each_multiplier_once(monkeypatch):
     assert (len(builds), len(embeddings)) == (6, 4)
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3)])
+def test_norm_identity_tail_of_the_zero_tuple_is_its_round_off_margin(monkeypatch, n, m):
+    # T = 0 has spectral radius 0, so d = 1, and no orbit reaches degree
+    # d + 1: the tail is the partial sum's round-off margin (d + 1) m eps
+    zero = contraction.ContractionTuple((np.zeros((m, m), dtype=complex),) * n)
+    monkeypatch.setattr(checks, "tuple_ensemble", lambda *args: [zero])
+    out = REGISTRY["norm-identity"].run(np.random.default_rng(0), GeneratorParams(), 1e-7)
+    assert out.passed and out.residual <= out.tail_bound == 2 * m * np.finfo(float).eps
+
+
 def test_kernel_identity_block_is_the_scalar_draws():
     # one (20, 4) block per instance is the stream of 80 scalar draws, a's
     # radius and angle, then b's, pair by pair

@@ -57,6 +57,21 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError):
             load_scenario(write_scenario(tmp_path, bad))
 
+    @pytest.mark.parametrize("content, cause", [(b"\xff\xfe", UnicodeDecodeError), (b"[" * 200000, RecursionError)],
+                             ids=["not-utf8", "deep-nesting"])
+    def test_undecodable_file(self, tmp_path, content, cause):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match="cannot parse scenario") as info:
+            load_scenario(path)
+        assert isinstance(info.value.__cause__, cause)
+
+    def test_reads_utf8(self, tmp_path):
+        # the file is decoded as UTF-8 whatever the locale's encoding
+        path = tmp_path / "s.json"
+        path.write_bytes(json.dumps(dict(BASE, name="Sz.-Nagy\u2013Foia\u015f"), ensure_ascii=False).encode())
+        assert load_scenario(path).name == "Sz.-Nagy\u2013Foia\u015f"
+
 
 class TestRunScenario:
     def test_passes_and_is_deterministic(self, tmp_path):

@@ -14,10 +14,12 @@ from _references import (
     subspace_distance,
 )
 
-from hardymodel import linops
+from hardymodel import charfn, linops
+from hardymodel.charfn import quotient_model_check
 from hardymodel.cli import run_scenario
-from hardymodel.contraction import defect
+from hardymodel.contraction import defect, tensor_tuple
 from hardymodel.errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
+from hardymodel.generators import controlled_contraction
 from hardymodel.linops import (
     RANK_FLOOR,
     Subspace,
@@ -474,6 +476,37 @@ class TestHolderBound:
                 a = (a + adjoint(a)) / 2
         a = scale * a
         assert holder_bound(a) >= operator_norm(a)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 60),
+        cols=st.integers(1, 60),
+        scale=st.sampled_from([1e-7, 1.0, 1e6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_within_a_root_of_the_order_of_the_svd(self, seed, rows, cols, scale):
+        # a column sum is at most sqrt(rows) ||a||_2 and a row sum at most
+        # sqrt(cols) ||a||_2, so the bound overstates by (rows cols)^(1/4)
+        # at most, besides its margin and the SVD's round-off
+        a = scale * random_complex(np.random.default_rng(seed), rows, cols)
+        n = max(rows, cols)
+        ceiling = (rows * cols) ** 0.25 * operator_norm(a) * (1 + 4 * (n + 2) * np.finfo(float).eps)
+        assert operator_norm(a) <= holder_bound(a) <= ceiling
+
+    @pytest.mark.parametrize("seed", [3, 25])
+    def test_brackets_the_svd_on_a_quotient_model_difference(self, monkeypatch, seed):
+        # the |S| x |S| difference of a tensor pair's quotient-model check
+        # (order 153 and 136), taken where the bound reads it: the passing
+        # distance is the bound, above the norm and within sqrt(|S|) of it
+        caps = []
+        monkeypatch.setattr(charfn, "holder_bound", lambda a: caps.append(a) or holder_bound(a))
+        rng = np.random.default_rng(seed)
+        pair = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(2)])
+        rep = quotient_model_check(pair, 28, 1e-6)
+        (a,) = caps
+        n, exact = a.shape[0], operator_norm(a)
+        assert n > 100 and rep.passed and rep.distance == holder_bound(a)
+        assert exact <= rep.distance <= np.sqrt(n) * exact * (1 + 4 * (n + 2) * np.finfo(float).eps)
 
     def test_exact_where_the_bound_is_attained(self):
         # a unimodular rank-one n x n matrix has ||a||_1 = ||a||_inf = ||a||_2 = n,
