@@ -20,8 +20,8 @@ component reads only its safe rows S, one gather from the stack.  For
 more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
 are Hermitian, and the safe block of their product is Y* X for two sparse
 halves, hardy.defect_product applied to the unit columns of S: no N x N
-or N x |S| dense matrix and no QR is formed.  The distance is an upper
-bound on the spectral norm of the |S| x |S| difference: a passing
+or N x |S| dense matrix and no decomposition is formed.  The distance is
+an upper bound on the spectral norm of the |S| x |S| difference: a passing
 distance is linops.holder_bound, O(|S|^2) with no SVD; otherwise it is
 the exact SVD norm, linops.operator_norm.
 """

@@ -1,9 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Adjoints, spectral norms, Hermitian PSD square roots, resolvent solves and
-deterministic orthonormalization (LAPACK's pivoted QR, called directly).
-All functions are pure; inputs are never mutated.  Every rank in the
-package is decided by orthonormalize on the one absolute RANK_FLOOR.
+orthonormalization, all on numpy's LAPACK.  All functions are pure; inputs
+are never mutated.  Every rank in the package is decided by orthonormalize
+on the one absolute RANK_FLOOR.
 
 operator_norm is the exact largest singular value (one LAPACK SVD); a
 sparse input with no nonzero value is 0.0 without being densified.
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NegativeEigenvalue, NotHermitian, SingularShift
 
@@ -155,42 +154,31 @@ def apply_shifted_inverse(t: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
         raise SingularShift(str(exc)) from exc
 
 
-#: complex pivoted QR and its Q, called as scipy.linalg.qr calls them
-_GEQP3, _UNGQR = scipy.linalg.get_lapack_funcs(("geqp3", "ungqr"), (np.empty(0, complex),))
-
-
-def _lapack(routine, *args):
-    """The routine's outputs after its workspace query, in place."""
-    lwork = int(routine(*args, lwork=-1, overwrite_a=1)[-2][0].real)
-    *out, _, info = routine(*args, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
-    return out
-
-
-#: absolute rank floor of orthonormalize: a pivot of the column-pivoted QR
-#: counts while |R_ii| > RANK_FLOOR.  For a defect D = (I - T*T)^(1/2) that is
-#: an eigenvalue of I - T*T above RANK_FLOOR**2 = 1e-12; the square root of a
-#: round-off eigenvalue is about sqrt(m * eps), measured up to 3.3e-8, a 30x
-#: margin.  Every caller's columns have norm O(1) (0.73 to 1.12 over the
-#: verdict sweep), so the floor is as sharp as a relative one, and a
-#: numerically zero input has rank 0.
+#: absolute rank floor of orthonormalize: a singular value counts while it
+#: exceeds RANK_FLOOR.  For a defect D = (I - T*T)^(1/2) the singular values
+#: are the square roots of the eigenvalues of I - T*T, so the rank counts
+#: those above RANK_FLOOR**2 = 1e-12; the square root of a round-off
+#: eigenvalue is about sqrt(m * eps), measured up to 3.3e-8, a 30x margin.
+#: Every caller's columns have norm O(1) (0.73 to 1.12 over the verdict
+#: sweep), so the floor is as sharp as a relative one, and a numerically
+#: zero input has rank 0.
 RANK_FLOOR = 1e-6
 
 
 def orthonormalize(vectors: np.ndarray) -> Subspace:
-    """Deterministic pivoted span of the given columns.
+    """Orthonormal basis of the span of the given columns.
 
-    Column-pivoted QR (LAPACK geqp3) greedily picks the largest remaining
-    column norm (ties resolved by lowest index inside LAPACK,
-    deterministically); a pivot is accepted while its residual norm
-    exceeds RANK_FLOOR.  The floor is absolute, so the columns must have
-    norm O(1): isometry columns, rows of an orthonormal basis, contraction
-    defects, unit monomials, normalized embedding and kernel columns.
-    Zero input yields the zero-dimensional subspace, an inf or NaN entry
-    ValueError.
+    The leading left singular vectors of numpy's SVD (Golub & Van Loan,
+    Matrix Computations, sec. 5.4) whose singular values exceed
+    RANK_FLOOR.  When no column has more than one nonzero, the singular
+    values are the row norms and the singular vectors unit columns: those
+    of the rows above RANK_FLOOR, in row order, with no decomposition.
+    The floor is absolute, so the columns must have norm O(1): isometry
+    columns, rows of an orthonormal basis, contraction defects, unit
+    monomials, normalized embedding and kernel columns.  Zero input yields
+    the zero-dimensional subspace, an inf or NaN entry ValueError.
     """
-    v = np.array(vectors, dtype=complex, order="F")
+    v = np.asarray(vectors, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     ambient = v.shape[0]
@@ -198,7 +186,10 @@ def orthonormalize(vectors: np.ndarray) -> Subspace:
         raise ValueError("array must not contain infs or NaNs")
     if not v.any():  # also no rows or no columns
         return Subspace(ambient, np.zeros((ambient, 0), dtype=complex))
-    qr, _, tau = _lapack(_GEQP3, v)
-    rank = np.count_nonzero(np.abs(qr.diagonal()) > RANK_FLOOR)
-    (q,) = _lapack(_UNGQR, qr[:, :ambient], tau)  # all of qr unless it is wide
-    return Subspace(ambient, np.ascontiguousarray(q[:, :rank]))
+    if np.count_nonzero(v, axis=0).max() == 1:
+        rows = np.flatnonzero(np.linalg.norm(v, axis=1) > RANK_FLOOR)
+        basis = np.zeros((ambient, rows.size), dtype=complex)
+        basis[rows, np.arange(rows.size)] = 1.0
+        return Subspace(ambient, basis)
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    return Subspace(ambient, np.ascontiguousarray(u[:, s > RANK_FLOOR]))

@@ -7,7 +7,7 @@ exact Kronecker structure, from the one compression routine
 _restricted_shifts.  Generator orbits and tensor columns are placed into
 the basis by one HardyBasis.rank scatter each.  All set operations happen
 at the section level and every report names the cutoff it used; the
-Beurling extraction runs in the section's own coordinates, so its one QR
+Beurling extraction runs in the section's own coordinates, so its one SVD
 has the section's s rows, not the basis's N.
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from .contraction import BlaschkeProduct, _commutator_norms
 from .errors import (
@@ -217,10 +216,11 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
     section coordinates of the projected unit vectors of degree <=
     safe_degree - _EXTRACTION_SLACK.  The section is spanned by theta
     zeta^beta, so the product of the I - R_k R_k* keeps theta exactly.
-    The generator g = Q w has its first real or imaginary part above 1e-10
-    negative.  With wandering dimension one it is compared against the
-    hint (if any) up to a unimodular constant from the largest-modulus
-    coefficient, on _deviation_grid in one monomial product.
+    The generator g = Q w is phased so that its first coefficient of
+    modulus above 1e-10 is real and negative.  With wandering dimension
+    one it is compared against the hint (if any) up to a unimodular
+    constant from the largest-modulus coefficient, on _deviation_grid in
+    one monomial product.
     """
     if handle.basis.coeff_dim != 1:
         raise DimensionMismatch("extraction is defined for scalar coefficients")
@@ -231,9 +231,8 @@ def wandering_generator_extract(handle: SubmoduleHandle) -> ExtractionResult:
             f"wandering section has dimension {wandering.dim}, expected 1"
         )
     g = handle.space.basis @ wandering.basis[:, 0]
-    parts = np.concatenate([g.real, g.imag])
-    lead = parts[np.abs(parts) > 1e-10][0]  # ||g|| = 1, so some part is >= 1 / sqrt(2N)
-    gen = HardyVector(handle.basis, -g if lead > 0 else g)
+    lead = g[np.abs(g) > 1e-10][0]  # ||g|| = 1, so some |g_i| is >= 1 / sqrt(N)
+    gen = HardyVector(handle.basis, -g * (np.conj(lead) / abs(lead)))
     if handle.generator_hint is None:
         return ExtractionResult(1, gen, None, None)
     hint_vec = handle.hint_column
@@ -383,9 +382,10 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
             raise DimensionMismatch("symbol value lies on the boundary")
         f = eta.coefficients(d)
         eye = np.eye(d + 1)
-        # the series division is a lower-triangular Toeplitz solve
-        den = eye - np.conj(mu) * scipy.linalg.toeplitz(f, np.zeros(d + 1))
-        series = scipy.linalg.solve_triangular(den, mu * eye[0] - f, lower=True)
+        # the series division is a lower-triangular Toeplitz solve, the
+        # matrix read off f by a lag index
+        lag = np.subtract.outer(np.arange(d + 1), np.arange(d + 1))
+        series = np.linalg.solve(eye - np.conj(mu) * np.tril(f[lag]), mu * eye[0] - f)
         factors.append(one_variable_symbol(k, series, basis).matrix)
         tail = max(tail, abs(lam_k) ** max(d - eta.degree, 0))
     residual = float(np.linalg.norm(defect_product(factors, kv) - kv))

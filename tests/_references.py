@@ -12,8 +12,8 @@ the whole embedding by that walk, the term-by-term
 characteristic-function series, the characteristic function, its kernel
 identity and its boundary unitarity one sample point at a time (one
 resolvent solve and one SVD per point), the Beurling extraction on
-the N rows of the ambient basis, the orthonormalization through
-scipy.linalg.qr, the sparse symbol of a component with the one-component
+the N rows of the ambient basis, the pivoted-QR orthonormalization
+through scipy.linalg.qr, the sparse symbol of a component with the one-component
 distance it gave, the product loop of a tuple power, the minimality stack's block scatter, and each call site's
 own loop over the joint defect factors I - W W* (the quotient model's
 sparse halves among them), the row route of the norm identity (one
@@ -449,9 +449,9 @@ def wandering_generator_extract_rows(handle: SubmoduleHandle) -> ExtractionResul
 
 
 def orthonormalize_by_scipy_qr(vectors: np.ndarray, rank_tol: float = 1e-10) -> Subspace:
-    """linops.orthonormalize through the scipy.linalg.qr wrapper.
-
-    Deterministic pivoted span of the given columns.
+    """Span of the given columns by the pivoted QR of the scipy.linalg.qr
+    wrapper: a factorization independent of linops.orthonormalize's SVD,
+    whose rank and span the tests compare against.
 
     Column-pivoted QR (LAPACK geqp3) greedily picks the largest remaining
     column norm (ties resolved by lowest index inside LAPACK,

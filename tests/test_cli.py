@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hardymodel
 from hardymodel.checks import REGISTRY, GeneratorParams
 from hardymodel.cli import load_scenario, main, run_scenario
 from hardymodel.errors import NotInner, ScenarioError, UnknownCheck
@@ -203,6 +207,22 @@ class TestSuite:
 
     def test_suite_missing_dir(self):
         assert main(["suite", "/nonexistent-dir-xyz"]) == 2
+
+
+def test_the_suite_loads_no_scipy_linalg():
+    # scipy.linalg maps scipy's own OpenBLAS next to numpy's; a fresh
+    # interpreter that runs the bundled suite must load only numpy's LAPACK
+    src = str(Path(hardymodel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from hardymodel.cli import main\n"
+        f"assert main(['suite', {str(SCENARIOS)!r}, '--quiet']) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_generator_params_from_dict_defaults():

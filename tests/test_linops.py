@@ -219,17 +219,42 @@ class TestOrthonormalize:
              "wide-deficient", "deficient-45x55", "deficient-square"],
     )
     @pytest.mark.parametrize("rel_floor", [1e-10, 1e-6])
-    def test_bit_identical_to_the_scipy_qr_wrapper(self, rows, cols, rank, rel_floor):
-        # the same geqp3 and ungqr calls with the same workspace queries;
-        # the largest column norm is scaled so that RANK_FLOOR is rel_floor of it
+    def test_the_scipy_qr_span_from_numpy_svd_bits(self, rows, cols, rank, rel_floor):
+        # the span and rank of the pivoted QR through scipy's wrapper, and the
+        # bits of numpy's SVD; the largest column norm is scaled so that
+        # RANK_FLOOR is rel_floor of it
         rng = np.random.default_rng(rows * cols + rank)
         v = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
         v *= RANK_FLOOR / rel_floor / np.max(np.linalg.norm(v, axis=0), initial=1.0)
         scale = np.max(np.linalg.norm(v, axis=0), initial=1.0)
+        got = orthonormalize(v)
+        want = orthonormalize_by_scipy_qr(v, rank_tol=RANK_FLOOR / scale)
+        assert got.basis.shape == want.basis.shape == (rows, min(rank, rows, cols))
+        assert subspace_distance(got, want) <= 1e-12
+        u, s, _ = np.linalg.svd(v, full_matrices=False)
+        assert got.basis.tobytes() == np.ascontiguousarray(u[:, s > RANK_FLOOR]).tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, rows",
+        [
+            ({(0, 0): 1.0}, [0]),
+            ({(3, 0): 2.0, (1, 1): -0.5j, (3, 2): 1e-3, (0, 4): 0.7}, [0, 1, 3]),
+            ({(2, 0): 0.3, (2, 1): 0.4, (2, 3): 1.0}, [2]),
+            ({(1, 0): 1.0, (4, 1): RANK_FLOOR / 2, (5, 2): 1e-12, (0, 3): 1e-7j}, [1]),
+            ({(4, 0): 0.8 * RANK_FLOOR, (4, 1): 0.8j * RANK_FLOOR, (5, 2): 0.9 * RANK_FLOOR}, [4]),
+        ],
+        ids=["one-entry", "scattered", "repeated-row", "sub-floor", "sub-floor-entries-add-up"],
+    )
+    def test_monomial_columns_give_the_unit_columns_of_their_rows(self, entries, rows):
+        # at most one nonzero per column: the singular values are the row
+        # norms, so the basis is the unit columns of the rows above the
+        # floor, in row order, whatever the entries' signs and column order
+        v = np.zeros((6, 5), dtype=complex)
+        for (i, j), x in entries.items():
+            v[i, j] = x
         got = orthonormalize(v).basis
-        want = orthonormalize_by_scipy_qr(v, rank_tol=RANK_FLOOR / scale).basis
-        assert got.shape == want.shape == (rows, min(rank, rows, cols))
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.eye(6, dtype=complex)[:, rows].tobytes()
+        assert got.flags.c_contiguous
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
     def test_non_finite_input_raises_value_error(self, bad):
@@ -313,18 +338,18 @@ class TestRankFloor:
         assert operator_norm(v - projector(s) @ v) <= k * RANK_FLOOR
 
     def test_bundled_scenarios_clear_the_floor(self, monkeypatch):
-        # every rank decision of the bundled scenarios, read off the same
-        # pivoted QR: accepted pivots at least 1e4x the floor, rejected ones at
-        # most 1e-6x it (measured 0.509 and 1.3e-15, i.e. 5.1e5x and 1.3e-9x)
-        pivots = []
+        # every rank decision of the bundled scenarios, read off the singular
+        # values: accepted ones at least 1e4x the floor, rejected ones at most
+        # 1e-6x it (measured 0.302 and 2.5e-15, i.e. 3.0e5x and 2.5e-9x)
+        values = []
 
         def logged(vectors):
             s = orthonormalize(vectors)
             v = np.asarray(vectors, dtype=complex).reshape(len(vectors), -1)
             if v.any():
-                diag = np.abs(scipy.linalg.qr(v, mode="r", pivoting=True)[0].diagonal())
-                assert s.dim == np.count_nonzero(diag > RANK_FLOOR)
-                pivots.append(diag)
+                sv = np.linalg.svd(v, compute_uv=False)
+                assert s.dim == np.count_nonzero(sv > RANK_FLOOR)
+                values.append(sv)
             return s
 
         callers = [m for name, m in sys.modules.items() if name.startswith("hardymodel.")
@@ -335,9 +360,9 @@ class TestRankFloor:
             monkeypatch.setattr(module, "orthonormalize", logged)
         for path in sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")):
             run_scenario(path)
-        diag = np.concatenate(pivots)
-        assert diag[diag > RANK_FLOOR].min() >= 1e4 * RANK_FLOOR
-        assert diag[diag <= RANK_FLOOR].max() <= 1e-6 * RANK_FLOOR
+        sv = np.concatenate(values)
+        assert sv[sv > RANK_FLOOR].min() >= 1e4 * RANK_FLOOR
+        assert sv[sv <= RANK_FLOOR].max() <= 1e-6 * RANK_FLOOR
 
 
 class TestProjector:

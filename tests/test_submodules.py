@@ -189,22 +189,18 @@ class TestWanderingExtraction:
         res = wandering_generator_extract(handle)
         assert res.max_deviation <= 1e-7
 
-    #: the beurling-extraction fixtures at degree 30: (hint, max_deviation,
-    #: unimodular) as computed by applying each factor to the constant
+    #: the beurling-extraction fixtures at degree 30: (hint, max_deviation);
+    #: the generator's phase makes the unimodular -|theta(0)| / theta(0)
     BEURLING = [
-        ({1: phi(0.45)}, 3.510833468576701e-16, -1.0),
-        (
-            {1: BlaschkeProduct(np.exp(0.7j), (0.4, -0.25, 0.3j))},
-            1.716587549445839e-16,
-            0.7600555220203652 - 0.649858141017215j,
-        ),
-        ({1: phi(0.45), 2: phi(-0.35)}, 3.9739936517281115e-16, 1.0),
+        ({1: phi(0.45)}, 3.510833468576701e-16),
+        ({1: BlaschkeProduct(np.exp(0.7j), (0.4, -0.25, 0.3j))}, 1.716587549445839e-16),
+        ({1: phi(0.45), 2: phi(-0.35)}, 3.9739936517281115e-16),
     ]
 
     @pytest.mark.parametrize(
-        "hint, deviation, unimodular", BEURLING, ids=["one-zero", "three-zeros", "two-variable"]
+        "hint, deviation", BEURLING, ids=["one-zero", "three-zeros", "two-variable"]
     )
-    def test_beurling_fixtures_pinned(self, hint, deviation, unimodular):
+    def test_beurling_fixtures_pinned(self, hint, deviation):
         b = enumerate_basis(2, 30, 1)
         op = inner_symbol_operator(hint, b)
         # the hint's coefficients are the operator's first column: the
@@ -215,7 +211,8 @@ class TestWanderingExtraction:
         np.testing.assert_array_equal(op.matrix[:, 0].toarray().ravel(), vec)
         handle = submodule_from_inner(op, 1e-6, hint=hint, input_cutoff=9)
         res = wandering_generator_extract(handle)
-        assert res.unimodular == pytest.approx(unimodular, abs=1e-12)
+        theta0 = np.prod([eta(0.0) for eta in hint.values()])
+        assert res.unimodular == pytest.approx(-abs(theta0) / theta0, abs=1e-12)
         # round-off: the wandering space keeps theta exactly
         assert res.max_deviation == pytest.approx(deviation, rel=1e-6, abs=1e-15)
 
@@ -343,12 +340,13 @@ class TestExtractionInSectionCoordinates:
         assert len(rows) == 1 and rows[0] <= handle.space.dim
 
     def test_sign_of_a_generator_with_imaginary_constant_term(self):
-        # g(0) = 0.45 * 0.35 * 0.3j has no real part, so Re g[0] is round-off
-        # of either sign; the first real part clear of it, g[3], decides
+        # theta(0) = 0.45 * -0.35 * 0.3j has no real part; the phase turns the
+        # generator's constant term, not only its sign, to the negative axis
         hint = {1: phi(0.45), 2: phi(-0.35), 3: phi(0.3j)}
-        g = wandering_generator_extract(_extraction_handle(hint, 3, 24, 6)).generator.coefficients
-        assert abs(g[0].real) <= 1e-15 and np.abs(g[:3].real).max() <= 1e-10
-        assert g[3].real < -0.1
+        res = wandering_generator_extract(_extraction_handle(hint, 3, 24, 6))
+        g = res.generator.coefficients
+        assert g[0].real < -0.04 and abs(g[0].imag) <= 1e-15
+        assert res.unimodular == pytest.approx(-1j, abs=1e-12)  # -|theta(0)| / theta(0)
 
     def test_shallow_section_is_unsafe(self):
         # safe degree 0 leaves no low part below the extraction slack
