@@ -122,11 +122,6 @@ def _within(residual: float, tol: float, tail: float = 0.0, cutoff: int = -1) ->
     return CheckOutcome(residual <= tol, residual, tail, cutoff)
 
 
-def _select_degree(t: contraction.ContractionTuple, target: float, cap: int) -> int:
-    radius = max(contraction.spectral_radius_bound(c) for c in t.components)
-    return min(dilation.choose_truncation_degree(radius, t.space_dim, target), cap)
-
-
 @_check("tuple-validation", "matrix", 1e-10,
         "class membership: contraction margins, stability certificate, double commutation")
 def _tuple_validation(rng, p: GeneratorParams, tol: float):
@@ -140,26 +135,25 @@ def _norm_identity(rng, p: GeneratorParams, tol: float):
     """The residual ||x||^2 - sum_(|alpha| <= d) ||D_* T*^alpha x||^2 of
     unit probes x, and a tail that bounds it.
 
-    The tail is DilationModel.tail_bound's max_x x* L_(d+1) x, the sum of
-    ||T*^beta x||^2 over |beta| = d + 1, from those orbit rows alone; it
-    bounds the exact residual.  The computed residual also carries the
-    partial sum's round-off, so the tail adds (d + 1) m eps ||x||^2
-    (m = space_dim, ||x|| = 1), a first-order estimate of it: a term of
-    degree k <= d comes from k + 1 matrix-vector products of order m, each
-    within m u of its exact value (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 3.5; u = eps / 2, no cancellation),
-    squaring the norm doubles that, 2 (k + 1) m u <= (d + 1) m eps
-    relative, and the exact terms sum to at most ||x||^2.  Over the 114
-    generator-block instances of the verdict sweep the computed residual
-    exceeds the exact tail by at most 0.46 of this margin.
+    d is dilation.certified_degree's at tol/10, so lambda_max(L_(d+1)) <=
+    tol/10, and the tail is max_x x* L_(d+1) x from that level, the sum of
+    ||T*^beta x||^2 over |beta| = d + 1; it bounds the exact residual.  The
+    computed residual also carries the partial sum's round-off, so the
+    tail adds (d + 1) m eps ||x||^2 (m = space_dim, ||x|| = 1), a
+    first-order estimate of it: a term of degree k <= d comes from k + 1
+    matrix-vector products of order m, each within m u of its exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    3.5; u = eps / 2, no cancellation), squaring the norm doubles that,
+    2 (k + 1) m u <= (d + 1) m eps relative, and the exact terms sum to at
+    most ||x||^2.  Over the 114 generator-block instances of the verdict
+    sweep the computed residual exceeds the exact tail by at most 0.46 of
+    this margin.
     """
     for t in tuple_ensemble(rng, p.instances, p.radius_cap, p.norm_cap):
-        d = _select_degree(t, tol / 10.0, p.truncation_degree * 4)
+        d, level = dilation.certified_degree(t, tol / 10.0)
         probes = random_probes(rng, t.space_dim, p.probes)
         _, residual = dilation.norm_identity(t, probes, d)
-        exps = enumerate_basis(t.num_components, d + 1).exponents
-        rows = dilation._adjoint_power_rows(t.adjoint().components, exps[exps.sum(axis=1) == d + 1])
-        tail = float(np.max(np.sum(np.abs(probes.T @ rows) ** 2, axis=(0, 2))))
+        tail = float(np.max(np.sum(probes.conj() * (level @ probes), axis=0).real))
         tail += (d + 1) * t.space_dim * np.finfo(float).eps
         yield _within(float(np.max(np.abs(residual))), tol, tail)
 
@@ -205,11 +199,18 @@ def _mobius_involution(rng, p: GeneratorParams, tol: float):
             yield _within(operator_norm(c1 - c0), tol)
 
 
+#: Lowest defect-transfer degree: the bound's Moebius term needs d above the
+#: degree where the embedding's tail certifies.  At the walk's degree alone
+#: the sweep's 57 generator instances (scale 1) reach gap 1.2e-8 and bound
+#: 0.27; with this floor 5.7e-14 and 9.8e-4.
+_TRANSFER_FLOOR = 20
+
+
 @_check("defect-transfer", "mixed", 1e-6,
         "adjoint defect norms transfer through the isometric coextension")
 def _defect_transfer(rng, p: GeneratorParams, tol: float):
     for t in tuple_ensemble(rng, p.instances, p.radius_cap, p.norm_cap):
-        d = max(_select_degree(t, 1e-10, p.truncation_degree * 4), 20)
+        d = max(dilation.certified_degree(t, 1e-10)[0], _TRANSFER_FLOOR)
         model = dilation.canonical_embedding(t, d)
         lam = random_moebius_point(rng, t.num_components)
         probes = random_probes(rng, t.space_dim, p.probes)

@@ -18,10 +18,11 @@ way: by the norm identity applied to T*^beta x, the truncation tail
 x* (I - G_c) x lies between the max and the sum of ||T*^beta x||^2 over
 |beta| = c + 1 (equal for n = 1), so L_(c+1), a sum of nonnegative
 terms, is the one truncation measure: the tail in exact arithmetic, with
-the computed Gram's own round-off, about 1e-15, on top of it.  A model of
-lower degree is a prefix of a built one.  norm_identity and power_search
-apply powers to a few probe vectors only, so they carry the vectors, one
-product per power, and form no power of an operator.
+the computed Gram's own round-off, about 1e-15, on top of it.  Degrees
+are certified by one walk over these level sums alone, which builds each
+level once.  norm_identity and power_search apply powers to a few probe
+vectors only, so they carry the vectors, one product per power, and form
+no power of an operator.
 Shift-power compressions through the embedding reduce to Gram sums, and a
 Moebius map phi_a(S_k) is, exactly, the multiplier of the degree-d series
 of phi_a(zeta_k).
@@ -30,7 +31,7 @@ of phi_a(zeta_k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .contraction import (
     joint_defect,
     mobius_series,
     mobius_tuple,
+    spectral_radius_bound,
     validate_tuple,
 )
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
@@ -58,6 +60,7 @@ __all__ = [
     "DilationReport",
     "PowerSearchResult",
     "canonical_embedding",
+    "certified_degree",
     "choose_truncation_degree",
     "default_moebius_grid",
     "defect_span_completeness",
@@ -103,6 +106,12 @@ def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ adjoint(v)
 
 
+def _level_sums(p: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """L_k over consecutive levels from their rows p, the i-th level's first
+    row at starts[i]: a level's sum is the same bits whatever levels come with it."""
+    return np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0)
+
+
 @dataclass
 class DilationModel:
     """Truncated analytic model of a contraction tuple, built once.
@@ -136,29 +145,6 @@ class DilationModel:
     def normalized_embedding(self) -> np.ndarray:
         return self.embedding @ _inv_sqrt_psd(self.gram_levels[-1])
 
-    def _check_degree(self, degree: int) -> None:
-        if not 0 <= degree <= self.truncation_degree:
-            raise DimensionMismatch(f"degree {degree} outside 0..{self.truncation_degree}")
-
-    def prefix(self, degree: int) -> "DilationModel":
-        """The model of a degree <= d: this one's first rows and levels."""
-        self._check_degree(degree)
-        basis = enumerate_basis(self.basis.num_vars, degree, self.defect_dim)
-        return replace(self, basis=basis, embedding=self.embedding[: basis.size],
-                       gram_levels=self.gram_levels[: degree + 1],
-                       level_sums=self.level_sums[: degree + 2], truncation_degree=degree)
-
-    def tail_bound(self, x: np.ndarray, degree: int):
-        """x* L_(degree+1) x: the truncation tail ||x||^2 - x* G_degree x in
-        exact arithmetic is at most this (equal for n = 1), and the computed
-        Gram carries its own round-off, about 1e-15, on top of it.  x may hold
-        several probe columns; returns an array of matching width (a float
-        for a single vector)."""
-        self._check_degree(degree)
-        xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
-        val = np.sum(xs.conj() * (self.level_sums[degree + 1] @ xs), axis=0).real
-        return float(val[0]) if np.ndim(x) == 1 else val
-
 
 def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
     """Smallest d with radius^(2(d+1)) * dim < tol (geometric tail rule)."""
@@ -174,30 +160,41 @@ def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
     return max(d, 1)
 
 
-def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0) -> DilationModel:
-    """Embedding of the smallest degree d whose tail at d - order_cap is <= tol.
+def certified_degree(t: ContractionTuple, tol: float) -> tuple[int, np.ndarray]:
+    """Smallest degree c with lambda_max(L_(c+1)) <= tol, and that L_(c+1).
 
-    The tail at degree c is lambda_max(L_(c+1)), a bound on ||I - G_c|| in
-    exact arithmetic (the computed Gram carries its own round-off, about
-    1e-15, on top of it).  The walk starts at the geometric tail rule on the
-    spectral-radius estimates and returns the prefix at the first level
-    that certifies; only while none does, the degree grows by 8, and past
+    lambda_max(L_(c+1)) bounds ||I - G_c|| in exact arithmetic (see
+    DilationModel).  The walk sums the levels 1..d + 1, d the geometric
+    tail rule's on the spectral-radius bounds; only while none certifies
+    does it sum the next 8, from the rows of their exponents alone.  Past
     _DEGREE_CAP UnsafeDegree is raised.
     """
-    if order_cap < 0:
-        raise DimensionMismatch(f"order cap {order_cap} is negative")
-    report = _class_report(t)
-    d = choose_truncation_degree(max(report.radius_estimates), t.space_dim, tol) + order_cap
-    d_star, q = _adjoint_defect(t)
+    radius = max(spectral_radius_bound(c) for c in t.components)
+    d = choose_truncation_degree(radius, t.space_dim, tol)
+    low = 1  # the first level not yet summed
     while True:
-        model = _embedding(t, d, d_star, q, report.norms)
-        tails = np.linalg.eigvalsh(model.level_sums[1 : d - order_cap + 2])[:, -1]
+        exps = enumerate_basis(t.num_components, d + 1).exponents
+        starts = np.searchsorted(exps.sum(axis=1), np.arange(low, d + 2))
+        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps[starts[0]:])
+        sums = _level_sums(rows, starts - starts[0])
+        tails = np.linalg.eigvalsh(sums)[:, -1]
         certified = np.flatnonzero(tails <= tol)
         if certified.size:
-            return model.prefix(int(certified[0]) + order_cap)
+            return low - 1 + int(certified[0]), sums[certified[0]]
         if d + 8 > _DEGREE_CAP:
             raise UnsafeDegree(f"tail {tails[-1]:.3e} > {tol:.3e} at degree {d}")
-        d += 8
+        low, d = d + 2, d + 8
+
+
+def embedding_for_tolerance(t: ContractionTuple, tol: float, order_cap: int = 0) -> DilationModel:
+    """The one embedding of degree c + order_cap, c = certified_degree(t, tol),
+    from one validation and one adjoint defect."""
+    if order_cap < 0:
+        raise DimensionMismatch(f"order cap {order_cap} is negative")
+    norms = _class_report(t).norms
+    d_star, q = _adjoint_defect(t)
+    c, _ = certified_degree(t, tol)
+    return _embedding(t, c + order_cap, d_star, q, norms)
 
 
 def _class_report(t: ContractionTuple):
@@ -236,9 +233,7 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
     exps = enumerate_basis(t.num_components, d + 1).exponents
     starts = np.searchsorted(exps.sum(axis=1), np.arange(d + 2))  # level starts
     p = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
-    # L_k = sum_{|beta| = k} T^beta T*^beta, one batched per-row product
-    # summed over each level's rows
-    level_sums = np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0)
+    level_sums = _level_sums(p, starts)
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
     y = (p[: basis.num_monomials].transpose(1, 0, 2).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
@@ -454,9 +449,9 @@ def defect_transfer_check(model: DilationModel, lam: MoebiusPoint, x: np.ndarray
     embedding, the transformed tuple's defect and the isometry defect are
     built once for all probes.  The model side applies each phi_a(S_k) as
     the multiplier of the series of phi_a(zeta_k).  The bound combines the
-    embedding tail at a split degree c with the Neumann truncation of the
-    Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3 per coordinate, minimized
-    over a few split degrees.
+    embedding tail sqrt(x* L_(c+1) x) at a split degree c with the Neumann
+    truncation of the Moebius resolvents, 8|a|^(d-c+1)/(1-|a|)^3 per
+    coordinate, minimized over every split degree c <= d.
     """
     t = model.tuple_
     xs = np.asarray(x, dtype=complex).reshape(len(x), -1)
@@ -469,14 +464,14 @@ def defect_transfer_check(model: DilationModel, lam: MoebiusPoint, x: np.ndarray
     v = defect_product(symbols, y)
     via_model = np.sqrt(np.maximum(np.sum(v.conj() * y, axis=0).real, 0.0))
     xnorm = np.linalg.norm(xs, axis=0)
-    best = np.full(xs.shape[1], np.inf)
-    for c in {d // 2, (2 * d) // 3, (3 * d) // 4, max(d - 5, 0)}:
-        tail = np.sqrt(model.tail_bound(xs, degree=c))
-        trunc = sum(
-            8.0 * abs(lam.coord(k)) ** (d - c + 1) / (1.0 - abs(lam.coord(k))) ** 3
-            for k in range(t.num_components)
-        )
-        best = np.minimum(best, tail + trunc * xnorm)
+    # the tail at every split degree c <= d, x* L_(c+1) x, in one batched
+    # product (clamped at 0: a vanishing level may round below it), plus
+    # the Neumann truncation of the resolvents past d - c
+    quad = np.sum(xs.conj() * (model.level_sums[1:] @ xs), axis=1).real
+    power = d + 1 - np.arange(d + 1)
+    radii = [abs(lam.coord(k)) for k in range(t.num_components)]
+    trunc = sum(8.0 * r**power / (1.0 - r) ** 3 for r in radii)
+    best = np.min(np.sqrt(np.maximum(quad, 0.0)) + trunc[:, None] * xnorm, axis=0)
     bound = best + 4.0 * model.isometry_defect() * xnorm
     if np.ndim(x) == 1:
         return float(direct[0]), float(via_model[0]), float(bound[0])

@@ -17,8 +17,9 @@ through scipy.linalg.qr, the sparse symbol of a component with the one-component
 distance it gave, the product loop of a tuple power, the minimality stack's block scatter, and each call site's
 own loop over the joint defect factors I - W W* (the quotient model's
 sparse halves among them), the row route of the norm identity (one
-degree level of q x m rows x^T (T*^alpha)^T at a time) and the
-probe-by-probe power search.
+degree level of q x m rows x^T (T*^alpha)^T at a time), the
+probe-by-probe power search, a model's tail x* L_(c+1) x at one degree
+and the defect-transfer bound split degree by split degree.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def minimality_rank_block_scatter(model: DilationModel, c: int, s: np.ndarray) -
     """verify_dilation's minimality rank by the block scatter: block
     (beta, alpha) of the stack holds the embedding block of
     zeta^(beta - alpha), and the pivoted QR counts pivots above RANK_FLOOR."""
-    small = model.prefix(c)
+    small = canonical_embedding(model.tuple_, c)
     e, m, basis_c = small.defect_dim, small.tuple_.space_dim, small.basis
     # block (beta, alpha) holds the embedding block of zeta^(beta - alpha)
     u = small.embedding @ s
@@ -651,3 +652,22 @@ def power_search_per_probe(ops, probes, eps: float) -> PowerSearchResult:
         bounds.append(norm)
         ok = ok and norm >= (1.0 - eps) * np.linalg.norm(v.coefficients) - 1e-12
     return PowerSearchResult(tuple(exponents), tuple(bounds), ok)
+
+
+def tail_bound(model: DilationModel, x: np.ndarray, c: int) -> float:
+    """x* L_(c+1) x for one vector x: the model's bound on the truncation
+    tail ||x||^2 - x* G_c x (equal to it for n = 1 in exact arithmetic)."""
+    return float(np.vdot(x, model.level_sums[c + 1] @ x).real)
+
+
+def defect_transfer_bound_loop(model: DilationModel, lam: MoebiusPoint, x: np.ndarray) -> float:
+    """dilation.defect_transfer_check's bound for one vector, one split
+    degree c <= d at a time."""
+    d, n = model.truncation_degree, model.tuple_.num_components
+    xnorm = np.linalg.norm(x)
+    best = np.inf
+    for c in range(d + 1):
+        trunc = sum(8.0 * abs(lam.coord(k)) ** (d - c + 1) / (1.0 - abs(lam.coord(k))) ** 3
+                    for k in range(n))
+        best = min(best, np.sqrt(max(tail_bound(model, x, c), 0.0)) + trunc * xnorm)
+    return best + 4.0 * model.isometry_defect() * xnorm

