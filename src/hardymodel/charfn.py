@@ -127,7 +127,7 @@ def kernel_identity_residual(cf: CharFn, a, b):
     per resolvent and one batched SVD.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if np.any(np.abs(a) >= 1.0) or np.any(np.abs(b) >= 1.0):
+    if not (np.all(np.abs(a) < 1.0) and np.all(np.abs(b) < 1.0)):
         raise DimensionMismatch("interior points required")
     t, d_out = cf.t, cf.d_out
     th_b = charfn_eval(cf, b)

@@ -75,6 +75,8 @@ class ContractionTuple:
         for c in comps:
             if c.ndim != 2 or c.shape != (dim, dim):
                 raise DimensionMismatch("components must be square and equal-sized")
+            if not np.isfinite(c).all():
+                raise DimensionMismatch("components must be finite")
 
     @property
     def space_dim(self) -> int:
@@ -98,7 +100,7 @@ class MoebiusPoint:
         coords = tuple(complex(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         for c in coords:
-            if abs(c) >= 1.0:
+            if not abs(c) < 1.0:
                 raise DimensionMismatch(f"coordinate {c} is not inside the open disk")
 
     def coord(self, k: int) -> complex:
@@ -118,11 +120,11 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         f = complex(self.unimodular_factor)
-        if abs(abs(f) - 1.0) > 1e-12:
+        if not abs(abs(f) - 1.0) <= 1e-12:
             raise DimensionMismatch("factor must be unimodular")
         zs = tuple(complex(z) for z in self.zeros)
         for z in zs:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise DimensionMismatch("Blaschke zeros must lie in the open disk")
         object.__setattr__(self, "unimodular_factor", f)
         object.__setattr__(self, "zeros", zs)
@@ -244,7 +246,7 @@ def mobius(a_matrix: np.ndarray, a: complex) -> np.ndarray:
     m = np.asarray(a_matrix, dtype=complex)
     if operator_norm(m) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:
         raise DimensionMismatch("parameter must lie in the open disk")
     inv = solve_shifted(m, np.conj(a))
     return (a * np.eye(m.shape[0], dtype=complex) - m) @ inv

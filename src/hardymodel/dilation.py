@@ -3,18 +3,17 @@ vector-valued Hardy space, and the verification machinery around it.
 
 The embedding sends x to the family of defect-orbit blocks D T*^alpha x,
 |alpha| <= d, expressed in an orthonormal basis of the adjoint defect
-space.  For any number of components the orbit comes from one routine:
-each component's powers (T*_v^j)^T fill one stack, one product per
-power, and the rows (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T of any
-array of exponents are n - 1 batched products of the stack entries they
-pick.  Rows do not depend on each other, so nothing is cached and only
-hardy knows the exponent layout; a single contraction's rows are its
-stack.  One product over the orbit gives every embedding row, and one
-batched per-row product summed over the level starts (np.add.reduceat,
-the starts read off the rows' degrees) and cumulated gives every Gram
-level G_k.  The rows go on to degree d + 1 for the level sums
-L_k = sum_{|beta| = k} T^beta T*^beta, per-row products summed the same
-way: by the norm identity applied to T*^beta x, the truncation tail
+space.  For any number of components the orbit comes from one routine,
+_levels(t, low, high): each component's powers (T*_v^j)^T fill one
+stack, one product per power; the rows (T*^alpha)^T of the levels
+low..high are n - 1 batched products of the stack entries they pick, and
+the level sums L_k = sum_{|beta| = k} T^beta T*^beta one batched per-row
+product summed over the level starts (np.add.reduceat).  Rows do not
+depend on each other, so nothing is cached and a level is the same bits
+whatever levels come with it.  The model asks for levels 0..d + 1: one
+product over the orbit gives every embedding row, and per-row Gram
+products summed over the level starts and cumulated give every G_k.  By
+the norm identity applied to T*^beta x, the truncation tail
 x* (I - G_c) x lies between the max and the sum of ||T*^beta x||^2 over
 |beta| = c + 1 (equal for n = 1), so L_(c+1), a sum of nonnegative
 terms, is the one truncation measure: the tail in exact arithmetic, with
@@ -76,40 +75,39 @@ __all__ = [
 _DEGREE_CAP = 512
 
 
-def _adjoint_power_rows(adjoints, exps: np.ndarray) -> np.ndarray:
-    """(T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T for each row alpha of
-    exps, in the given order.
+def _levels(t: ContractionTuple, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (T*^alpha)^T = (T*_1^a_1)^T ... (T*_n^a_n)^T of the levels
+    low <= |alpha| <= high in graded-lex order, and the level sums
+    L_low ... L_high, L_k = sum_{|beta| = k} T^beta T*^beta.
 
-    Each component's powers (T*_v^j)^T, j <= the largest exponent, fill
-    one stack, one product per power; the rows are then n - 1 batched
-    products of the stack entries the exponents pick.  Rows do not depend
-    on each other, so any subset or order of exponents can be asked for.
-    The model and verify_dilation need whole m x m powers; a caller that
-    applies powers to a few vectors carries the vectors instead."""
-    m, top = len(adjoints[0]), int(exps.max())
+    Each component's powers (T*_v^j)^T, j <= high, fill one stack, one
+    product per power; the rows are n - 1 batched products of the stack
+    entries their exponents pick, and the level sums one batched per-row
+    product summed over the level starts.  Rows do not depend on each
+    other, so a level's rows and sum are the same bits whatever levels
+    come with it."""
+    exps = enumerate_basis(t.num_components, high).exponents
+    starts = np.searchsorted(exps.sum(axis=1), np.arange(low, high + 1))
+    exps = exps[starts[0]:]
+    m = t.space_dim
     stacks = []
-    for a in adjoints:
-        stack = np.empty((top + 1, m, m), complex)
+    for c in t.components:
+        stack = np.empty((high + 1, m, m), complex)
         stack[0] = np.identity(m)
-        for k in range(1, top + 1):
-            np.matmul(stack[k - 1], a.T, out=stack[k])
+        for k in range(1, high + 1):
+            np.matmul(stack[k - 1], c.conj(), out=stack[k])  # (T*_v)^T = conj(T_v)
         stacks.append(stack)
-    out = stacks[0][exps[:, 0]]
+    rows = stacks[0][exps[:, 0]]
     for stack, col in zip(stacks[1:], exps.T[1:]):
-        out = out @ stack[col]
-    return out
+        rows = rows @ stack[col]
+    sums = np.matmul(rows.conj(), rows.transpose(0, 2, 1))
+    return rows, np.add.reduceat(sums, starts - starts[0], axis=0)
 
 
 def _inv_sqrt_psd(g: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((g + adjoint(g)) / 2.0)
     w = np.clip(w, 1e-300, None)
     return (v / np.sqrt(w)) @ adjoint(v)
-
-
-def _level_sums(p: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """L_k over consecutive levels from their rows p, the i-th level's first
-    row at starts[i]: a level's sum is the same bits whatever levels come with it."""
-    return np.add.reduceat(np.matmul(p.conj(), p.transpose(0, 2, 1)), starts, axis=0)
 
 
 @dataclass
@@ -150,7 +148,7 @@ def choose_truncation_degree(radius: float, dim: int, tol: float) -> int:
     """Smallest d with radius^(2(d+1)) * dim < tol (geometric tail rule)."""
     if radius <= 0.0:
         return 1
-    if radius >= 1.0:
+    if not radius < 1.0:
         raise UnsafeDegree("no finite truncation certifies a unit spectral radius")
     d = 0
     while radius ** (2 * (d + 1)) * dim >= tol:
@@ -166,17 +164,14 @@ def certified_degree(t: ContractionTuple, tol: float) -> tuple[int, np.ndarray]:
     lambda_max(L_(c+1)) bounds ||I - G_c|| in exact arithmetic (see
     DilationModel).  The walk sums the levels 1..d + 1, d the geometric
     tail rule's on the spectral-radius bounds; only while none certifies
-    does it sum the next 8, from the rows of their exponents alone.  Past
+    does it ask _levels for the next 8 alone.  Past
     _DEGREE_CAP UnsafeDegree is raised.
     """
     radius = max(spectral_radius_bound(c) for c in t.components)
     d = choose_truncation_degree(radius, t.space_dim, tol)
     low = 1  # the first level not yet summed
     while True:
-        exps = enumerate_basis(t.num_components, d + 1).exponents
-        starts = np.searchsorted(exps.sum(axis=1), np.arange(low, d + 2))
-        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps[starts[0]:])
-        sums = _level_sums(rows, starts - starts[0])
+        _, sums = _levels(t, low, d + 1)
         tails = np.linalg.eigvalsh(sums)[:, -1]
         certified = np.flatnonzero(tails <= tol)
         if certified.size:
@@ -230,16 +225,14 @@ def _embedding(t: ContractionTuple, d: int, d_star, q, norms) -> DilationModel:
     m = t.space_dim
     basis = enumerate_basis(t.num_components, d, q.dim)
     # p[alpha] = (T*^alpha)^T, p[alpha][c, :] = (T*^alpha)[:, c], |alpha| <= d + 1
-    exps = enumerate_basis(t.num_components, d + 1).exponents
-    starts = np.searchsorted(exps.sum(axis=1), np.arange(d + 2))  # level starts
-    p = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
-    level_sums = _level_sums(p, starts)
+    p, level_sums = _levels(t, 0, d + 1)
     # y[c, alpha, :] = (D_* T*^alpha)[:, c] over all |alpha| <= d in basis order
     y = (p[: basis.num_monomials].transpose(1, 0, 2).reshape(-1, m) @ d_star.T).reshape(m, -1, m)
     # (D_* T*^alpha)* (D_* T*^alpha) for every alpha in one batched product,
     # summed over each level's rows, then over the levels up to k
     rows = np.einsum("cak,bak->acb", y.conj(), y)
-    gram_levels = np.cumsum(np.add.reduceat(rows, starts[:-1], axis=0), axis=0)
+    starts = np.searchsorted(basis.degrees, np.arange(d + 1))
+    gram_levels = np.cumsum(np.add.reduceat(rows, starts, axis=0), axis=0)
     # rows Q* D_* T*^alpha, monomial-major, defect slot minor
     u = (y.reshape(-1, m) @ q.basis.conj()).reshape(m, -1).T
     return DilationModel(t, norms, basis, d_star, q, u, gram_levels, level_sums, d)
@@ -295,10 +288,9 @@ def verify_dilation(model: DilationModel, order_cap: int, tol: float) -> Dilatio
     if order_cap > d:
         raise UnsafeDegree(f"order cap {order_cap} exceeds truncation degree {d}")
     t = model.tuple_
-    exps = enumerate_basis(t.num_components, order_cap).exponents
-    degrees = exps.sum(axis=1)
+    degrees = enumerate_basis(t.num_components, order_cap).degrees
     # T^gamma = conj((T*^gamma)^T), from the orbit's rows
-    powers = _adjoint_power_rows([adjoint(c) for c in t.components], exps).conj()
+    powers = _levels(t, 0, order_cap)[0].conj()
     s = _inv_sqrt_psd(model.gram_levels[-1])
     # every disjoint pair in one stacked product: those with alpha = 0 are
     # the dilation property, and regularity takes every pair but (0, 0)
@@ -427,6 +419,7 @@ def power_search(ops, probes, eps: float) -> PowerSearchResult:
                 raise UnsafeDegree(f"no safe exponent for operator {n} at this truncation")
             w = op.matrix.conj().T @ w
         exponents.append(max(k, 1))
+    # k products per factor: a sparse power (**) would load scipy.linalg
     w = x
     for op, k in zip(ops, exponents):
         y = w

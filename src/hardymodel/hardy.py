@@ -394,7 +394,7 @@ def kernel_vector(lam, basis: HardyBasis, x: np.ndarray | None = None) -> HardyV
     if coords.size > basis.num_vars and np.any(coords[basis.num_vars :] != 0):
         raise DimensionMismatch("kernel point supported beyond the basis variables")
     lam_arr[: min(coords.size, basis.num_vars)] = coords[: basis.num_vars]
-    if np.any(np.abs(lam_arr) >= 1.0):
+    if not np.all(np.abs(lam_arr) < 1.0):
         raise DimensionMismatch("kernel point must lie inside the open multidisk")
     if x is None:
         x = np.zeros(basis.coeff_dim, dtype=complex)

@@ -39,7 +39,7 @@ from .hardy import (
     shift,
     wandering_subspace,
 )
-from .linops import Subspace, adjoint, orthonormalize
+from .linops import Subspace, adjoint, apply_shifted_inverse, orthonormalize
 
 __all__ = [
     "CommutationReport",
@@ -378,14 +378,13 @@ def kernel_fixed_point_residual(symbols, lam, basis: HardyBasis):
     for k, eta in enumerate(symbols, start=1):
         lam_k = coords[k - 1] if k - 1 < coords.size else 0.0j
         mu = complex(eta(lam_k))
-        if abs(mu) >= 1.0:
+        if not abs(mu) < 1.0:
             raise DimensionMismatch("symbol value lies on the boundary")
         f = eta.coefficients(d)
-        eye = np.eye(d + 1)
-        # the series division is a lower-triangular Toeplitz solve, the
-        # matrix read off f by a lag index
+        # the series division is the resolvent of the lower-triangular
+        # Toeplitz multiplier of f, read off f by a lag index
         lag = np.subtract.outer(np.arange(d + 1), np.arange(d + 1))
-        series = np.linalg.solve(eye - np.conj(mu) * np.tril(f[lag]), mu * eye[0] - f)
+        series = apply_shifted_inverse(np.tril(f[lag]), np.conj(mu), mu * np.eye(d + 1)[0] - f)
         factors.append(one_variable_symbol(k, series, basis).matrix)
         tail = max(tail, abs(lam_k) ** max(d - eta.degree, 0))
     residual = float(np.linalg.norm(defect_product(factors, kv) - kv))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _references import mobius_scalar, tuple_power
 
+from hardymodel.charfn import charfn_build, kernel_identity_residual
 from hardymodel.contraction import (
     BlaschkeProduct,
     ContractionTuple,
@@ -19,8 +20,11 @@ from hardymodel.contraction import (
     tensor_tuple,
     validate_tuple,
 )
+from hardymodel.dilation import canonical_embedding
 from hardymodel.errors import DimensionMismatch
+from hardymodel.hardy import enumerate_basis, kernel_vector
 from hardymodel.linops import adjoint, operator_norm
+from hardymodel.submodules import kernel_fixed_point_residual
 
 
 def random_contraction(rng, dim, norm=0.8):
@@ -287,3 +291,39 @@ def test_power():
     a = tuple_power(t, (2, 1))
     want = t.components[0] @ t.components[0] @ t.components[1]
     np.testing.assert_allclose(a, want, atol=1e-13)
+
+
+
+_NAN = float("nan")
+_HALF = np.array([[0.5]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: MoebiusPoint((_NAN,)), id="moebius-point"),
+        pytest.param(lambda: BlaschkeProduct(_NAN), id="blaschke-factor"),
+        pytest.param(lambda: BlaschkeProduct(1.0, (_NAN,)), id="blaschke-zero"),
+        pytest.param(lambda: kernel_vector((_NAN, 0.0), enumerate_basis(2, 4, 1)), id="kernel-vector"),
+        pytest.param(lambda: kernel_identity_residual(charfn_build(_HALF), _NAN, 0.1), id="kernel-identity-a"),
+        pytest.param(lambda: kernel_identity_residual(charfn_build(_HALF), 0.1, _NAN), id="kernel-identity-b"),
+        pytest.param(
+            lambda: kernel_fixed_point_residual([BlaschkeProduct(1.0, (0.3,))], (_NAN,), enumerate_basis(1, 6, 1)),
+            id="kernel-fixed-point-point",
+        ),
+        pytest.param(
+            lambda: kernel_fixed_point_residual([lambda z: _NAN], (0.5,), enumerate_basis(1, 6, 1)),
+            id="kernel-fixed-point-value",
+        ),
+        pytest.param(lambda: mobius(_HALF, _NAN), id="mobius"),
+        pytest.param(lambda: ContractionTuple((np.array([[0.5, _NAN], [0.0, 0.5]]),)), id="tuple-nan"),
+        pytest.param(lambda: ContractionTuple((np.zeros((2, 2)), np.full((2, 2), np.inf))), id="tuple-inf"),
+        pytest.param(lambda: canonical_embedding(ContractionTuple((np.array([[_NAN]]),)), 4), id="embedding"),
+    ],
+)
+def test_nan_fails_the_open_disk_guards(call):
+    # every comparison with NaN is false, so a guard written as
+    # "abs(z) >= 1 raises" lets NaN through; each one must refuse it,
+    # and a tuple must refuse a non-finite entry
+    with pytest.raises(DimensionMismatch):
+        call()

@@ -35,9 +35,9 @@ from hardymodel.contraction import (
     validate_tuple,
 )
 from hardymodel.dilation import (
-    _adjoint_power_rows,
     _disjoint_power_pairs,
     _inv_sqrt_psd,
+    _levels,
     _minimality_rank,
     canonical_embedding,
     certified_degree,
@@ -203,26 +203,33 @@ class TestOrbitLevels:
     @settings(max_examples=25, deadline=None)
     def test_matches_direct_adjoint_powers(self, seed, n, d):
         # row alpha is (T*^alpha)^T = ((T_1^a_1 ... T_n^a_n)*)^T, for every
-        # alpha of degree <= d in basis order; components need not commute
+        # alpha of degree <= d in basis order, and L_k the sum of
+        # T^beta T*^beta over |beta| = k; components need not commute
         rng = np.random.default_rng(seed)
         t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(n)))
         exps = enumerate_basis(n, d, 1).exponents
-        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
+        rows, sums = _levels(t, 0, d)
         assert rows.shape == (len(exps), t.space_dim, t.space_dim)
-        for alpha, row in zip(exps, rows):
-            np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
+        assert sums.shape == (d + 1, t.space_dim, t.space_dim)
+        powers = [adjoint(tuple_power(t, alpha)) for alpha in exps]
+        for power, row in zip(powers, rows):
+            np.testing.assert_allclose(row, power.T, atol=1e-12)
+        for k, level in enumerate(sums):
+            want = sum(adjoint(p) @ p for p, a in zip(powers, exps) if a.sum() == k)
+            np.testing.assert_allclose(level, want, atol=1e-12)
 
-    def test_any_order_of_any_exponent_set(self):
-        # a shuffled set that is not a graded block, {alpha : a_1 + 2 a_2 <= 8}:
-        # the rows come back in the order asked for
-        rng = np.random.default_rng(17)
-        t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(2)))
-        exps = np.array([(a, b) for a in range(9) for b in range(5) if a + 2 * b <= 8])
-        exps = exps[rng.permutation(len(exps))]
-        rows = _adjoint_power_rows([adjoint(c) for c in t.components], exps)
-        assert len(rows) == len(exps) == 25
-        for alpha, row in zip(exps, rows):
-            np.testing.assert_allclose(row, adjoint(tuple_power(t, alpha)).T, atol=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_level_is_the_same_bits_whatever_comes_with_it(self, n):
+        # the walk sums levels low..high apart from the model's 0..high:
+        # each level's rows and sum are those levels asked from 0, bit for bit
+        rng = np.random.default_rng(90 + n)
+        t = ContractionTuple(tuple(controlled_contraction(rng, 3) for _ in range(n)))
+        rows, sums = _levels(t, 0, 9)
+        starts = np.searchsorted(enumerate_basis(n, 9).degrees, np.arange(11))
+        for low, high in ((0, 0), (1, 9), (3, 5), (9, 9)):
+            part_rows, part_sums = _levels(t, low, high)
+            assert part_rows.tobytes() == rows[starts[low] : starts[high + 1]].tobytes()
+            assert part_sums.tobytes() == sums[low : high + 1].tobytes()
 
 
 @functools.cache
@@ -421,7 +428,7 @@ class TestOrbitAgainstExplicitPowers:
         def no_rows(*args):
             raise AssertionError("an orbit row was formed")
 
-        monkeypatch.setattr(dilation, "_adjoint_power_rows", no_rows)
+        monkeypatch.setattr(dilation, "_levels", no_rows)
         for (xs, d), (partial, residual) in zip(cases, want):
             got = norm_identity(t, xs, d)
             np.testing.assert_allclose(got[0], partial, rtol=0, atol=1e-13)
@@ -585,14 +592,14 @@ def test_embedding_search_validates_once(monkeypatch):
 
 def test_embedding_search_walks_each_level_once(monkeypatch):
     # on the same non-normal block the walk starts at the tail rule's
-    # degree 8 (levels 1..9), certifies none, and asks the rows of levels
-    # 10..17 alone; the one model then asks its own rows, degree 0..11
+    # degree 8 (levels 1..9), certifies none, and asks for levels 10..17
+    # alone; the one model then asks for its own levels, 0..11
     walked, built, inside = [], [], []
-    rows, embedding = dilation._adjoint_power_rows, dilation._embedding
+    levels, embedding = dilation._levels, dilation._embedding
 
-    def counted_rows(adjoints, exps):
-        (built if inside else walked).append(exps[:, 0].tolist())
-        return rows(adjoints, exps)
+    def counted_levels(t, low, high):
+        (built if inside else walked).append((low, high))
+        return levels(t, low, high)
 
     def counted_embedding(*args):
         inside.append(True)
@@ -601,13 +608,13 @@ def test_embedding_search_walks_each_level_once(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(dilation, "_adjoint_power_rows", counted_rows)
+    monkeypatch.setattr(dilation, "_levels", counted_levels)
     monkeypatch.setattr(dilation, "_embedding", counted_embedding)
     a = np.array([[0.3, 0.9], [0.0, 0.3]])
     t = ContractionTuple((0.97 * a / operator_norm(a),))
     assert embedding_for_tolerance(t, 1e-8).truncation_degree == 10
-    assert walked == [list(range(1, 10)), list(range(10, 18))]
-    assert built == [list(range(12))]
+    assert walked == [(1, 9), (10, 17)]
+    assert built == [(0, 11)]
 
 
 def test_disjoint_power_pairs_match_double_loop():
@@ -666,6 +673,22 @@ class TestVerifyDilation:
         assert rep.residual_dilation <= 1e-8
         assert rep.residual_regularity <= 1e-8
         assert rep.minimality_ok
+
+    def test_asks_for_the_orbit_once(self, monkeypatch):
+        # the powers T^gamma, |gamma| <= order_cap, are the orbit's rows of
+        # levels 0..order_cap, asked for once
+        asked, levels = [], dilation._levels
+
+        def counted(t, low, high):
+            asked.append((low, high))
+            return levels(t, low, high)
+
+        rng = np.random.default_rng(42)
+        t = tensor_tuple([controlled_contraction(rng, 2, 0.55) for _ in range(2)])
+        model = canonical_embedding(t, 24)
+        monkeypatch.setattr(dilation, "_levels", counted)
+        assert verify_dilation(model, order_cap=4, tol=1e-8).passed
+        assert asked == [(0, 4)]
 
     def test_order_cap_above_truncation(self):
         t = ContractionTuple((np.array([[0.5]]),))
@@ -924,6 +947,9 @@ def test_choose_truncation_degree():
     d = choose_truncation_degree(0.8, 64, 1e-8)
     assert 0.8 ** (2 * (d + 1)) * 64 < 1e-8
     assert 0.8 ** (2 * d) * 64 >= 1e-8
+    for radius in (1.0, float("nan")):
+        with pytest.raises(UnsafeDegree):
+            choose_truncation_degree(radius, 64, 1e-8)
 
 
 def test_embedding_respects_basis_ordering():

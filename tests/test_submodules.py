@@ -604,6 +604,22 @@ class TestKernelFixedPoint:
         with pytest.raises(DimensionMismatch):
             kernel_fixed_point_residual([BlaschkeProduct(-1.0, ())], (0.5,), b)
 
+    def test_series_division_is_the_one_resolvent(self, monkeypatch):
+        # each symbol's series (mu - f) / (1 - conj(mu) f) is one
+        # linops.apply_shifted_inverse of its Toeplitz multiplier
+        calls = []
+
+        def counted(t, z, rhs):
+            calls.append(z)
+            return linops.apply_shifted_inverse(t, z, rhs)
+
+        monkeypatch.setattr(submodules, "apply_shifted_inverse", counted)
+        b = enumerate_basis(2, 20, 1)
+        symbols = [BlaschkeProduct(1.0, (0.3, -0.2j)), BlaschkeProduct(1.0, (0.5,))]
+        residual, _ = kernel_fixed_point_residual(symbols, (0.4, -0.3), b)
+        assert calls == [np.conj(symbols[0](0.4)), np.conj(symbols[1](-0.3))]
+        assert abs(residual - 1.0179e-09) <= 1e-12
+
 
 class TestProjectorProduct:
     def test_z_alpha_zero(self):
