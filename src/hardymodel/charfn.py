@@ -15,15 +15,14 @@ complement of its symbols: P_model = prod_k (I - M_theta_k M_theta_k*)
 (the multivariable Beurling-Lax form of the Sz.-Nagy-Foias model).  One
 routine, _model_distance, verifies it for quotient_model_check and, as
 the one-component case, for projection_identity_residual.  A symbol is
-its coefficient stack in the model's adjoint-defect coordinates; one
-component reads only its safe rows S, one gather from the stack.  For
-more, the factors I - W_k W_k* of the sparse symbols (_component_symbol)
-are Hermitian, and the safe block of their product is Y* X for two sparse
-halves, hardy.defect_product applied to the unit columns of S: no N x N
-or N x |S| dense matrix and no decomposition is formed.  The distance is
-an upper bound on the spectral norm of the |S| x |S| difference: a passing
-distance is linops.holder_bound, O(|S|^2) with no SVD; otherwise it is
-the exact SVD norm, linops.operator_norm.
+its coefficient stack in the model's adjoint-defect coordinates.  Each
+factor I - W_k W_k* moves only variable k's exponent, so on the safe rows
+S the product is a product of per-variable e x e block tables, one
+Gram table I - L_k L_k* of the one-variable symbol per component, for one
+component or many: no N-row operator and no decomposition is formed.  The
+distance is an upper bound on the spectral norm of the |S| x |S|
+difference: a passing distance is linops.holder_bound, O(|S|^2) with no
+SVD; otherwise it is the exact SVD norm, linops.operator_norm.
 """
 
 from __future__ import annotations
@@ -32,12 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .contraction import ContractionTuple, defect, spectral_radius_bound
 from .dilation import DilationModel, canonical_embedding
 from .errors import DimensionMismatch, NotInClass, UnsafeDegree
-from .hardy import defect_product, enumerate_basis, one_variable_symbol
+from .hardy import enumerate_basis, one_variable_symbol
 from .linops import (
     Subspace,
     adjoint,
@@ -88,6 +86,8 @@ def charfn_build(t: np.ndarray) -> CharFn:
     rejected since boundary evaluation would be undefined.
     """
     t = np.asarray(t, dtype=complex)
+    if not np.isfinite(t).all():
+        raise DimensionMismatch("matrix entries must be finite")
     cf = _charfn(t, operator_norm(t))
     radius = spectral_radius_bound(cf.t)
     if radius >= 1.0 and (cf.dim_in or cf.dim_out):
@@ -223,13 +223,6 @@ def poly_truncate(cf: CharFn, tol: float):
     return coeffs, float(tail_from(terms + 1))
 
 
-def _component_symbol(k: int, stack: np.ndarray, model: DilationModel):
-    """Truncated M_theta~ of component k, from its coefficient stack, with
-    output basis model.basis, as a CSR matrix."""
-    basis_in = enumerate_basis(model.basis.num_vars, model.truncation_degree, stack.shape[2])
-    return one_variable_symbol(k, stack, basis_in, model.basis).matrix
-
-
 @dataclass(frozen=True)
 class QuotientModelReport:
     distance: float
@@ -244,35 +237,34 @@ class QuotientModelReport:
 
 def _symbol_model(t: ContractionTuple, d: int, tol: float):
     """The degree-d embedding of t and the coefficient stacks of its
-    components with a nontrivial defect, in the model's coordinates.
+    components, in the model's coordinates.
 
     The components' CharFns come from the model just built: its class
     check certified every spectral radius, so none is estimated again, and
     for one component D_* = D_T*, so the model's adjoint defect and its
-    range are the component's.  Each symbol keeps the terms poly_truncate
-    certifies to tol / 10.  For K such symbols of degree <= D the safe cutoff is
-    d - max(K // 2, 1) D - 1 (see _model_distance); it must be >= 0, else
-    UnsafeDegree.  A symbol is its coefficient stack incl* theta_j, incl the
-    inclusion of the joint adjoint defect space into its component's,
-    applied to all coefficients in one batched product.  Returns (model,
-    cutoff, [(component index, stack)], symbol degrees, tails).
+    range are the component's.  Every component has a nontrivial D_T: one
+    with D_T = 0 on a finite space is unitary, so D_* has a zero factor and
+    canonical_embedding raises ZeroDefect first.  Each symbol keeps the
+    terms poly_truncate certifies to tol / 10.  For K symbols of degree
+    <= D the safe cutoff is d - max(K // 2, 1) D - 1 (see _model_distance);
+    it must be >= 0, else UnsafeDegree.  A symbol is its coefficient stack
+    incl* theta_j, incl the inclusion of the joint adjoint defect space
+    into its component's, applied to all coefficients in one batched
+    product.  Returns (model, cutoff, stacks, symbol degrees, tails).
     """
     model = canonical_embedding(t, d)  # ZeroDefect when the adjoint defect is trivial
     own = model if t.num_components == 1 else None
     stacks, degrees, tails = [], [], []
-    for k, comp in enumerate(t.components, start=1):
-        cf = _charfn(comp, model.norms[k - 1], own)
-        if cf.dim_in == 0:
-            continue  # isometric component contributes no complement range
+    for comp, norm in zip(t.components, model.norms):
+        cf = _charfn(comp, norm, own)
         coeffs, tail = poly_truncate(cf, tol / 10.0)
         incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
-        stacks.append((k, adjoint(incl) @ np.stack(coeffs)))
+        stacks.append(adjoint(incl) @ np.stack(coeffs))
         degrees.append(len(coeffs) - 1)
         tails.append(tail)
-    max_deg = max(degrees, default=0)
-    cutoff = d - max(len(degrees) // 2, 1) * max_deg - 1
+    cutoff = d - max(len(degrees) // 2, 1) * max(degrees) - 1
     if cutoff < 0:
-        raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max_deg}")
+        raise UnsafeDegree(f"truncation degree {d} cannot absorb symbol degree {max(degrees)}")
     return model, cutoff, stacks, tuple(degrees), tuple(tails)
 
 
@@ -280,48 +272,45 @@ def _model_distance(t: ContractionTuple, d: int, tol: float) -> QuotientModelRep
     """||(prod_k (I - W_k W_k*) - U U*)[S, S]|| for the truncated symbols W_k
     and the normalized embedding U, on the safe rows S.
 
-    The factors F_k = I - W_k W_k* are Hermitian, so with j = K // 2
-    the safe block is P_SS = E_S* F_1 ... F_K E_S = Y* X for the halves
-    Y = F_j ... F_1 E_S and X = F_(j+1) ... F_K E_S, each from the sparse
-    E_S by hardy.defect_product.  Both halves and Y* X stay sparse; no
-    N x |S| dense array is formed.  One component gives P_SS = I - W_S W_S*
-    from its safe rows W_S, gathered from its coefficient stack; no sparse
-    symbol is built.
+    F_k = I - W_k W_k* moves only the exponent of variable k: between
+    monomials g and a that agree off variable k its block is
+    Phi_k[g_k, a_k] = delta I - sum_r theta~_(g_k - r) theta~_(a_k - r)*,
+    whatever the other exponents are, and it is zero between any others.
+    So a term of F_1 ... F_K from alpha to beta passes through the one
+    monomial (beta_1, ..., beta_j, alpha_(j+1), ..., alpha_K) after j
+    factors, and P_SS[alpha, beta] = Phi_1[alpha_1, beta_1] ...
+    Phi_K[alpha_K, beta_K]: one batched product of the tables gathered by
+    the safe rows' exponents, and Phi_1 itself for one component.  On
+    exponents <= cutoff, Phi_k = I - L_k L_k* for L_k the one-variable
+    symbol on the degree-cutoff bases (hardy.one_variable_symbol).
 
-    On S this is exact for the truncated symbols.  A factor moves only the
-    degree in its own variable, by at most the symbol degree D either way.
-    Y* X reads X only on rows of degree <= cutoff + j D, where Y can be
-    nonzero, and a term of a half that starts in S and ends on such a row
-    never climbs above cutoff + j D (a half has at most j + 1 factors, and
-    what a term climbs it must descend again).  _symbol_model's cutoff
-    d - max(K // 2, 1) D - 1 keeps that <= d - 1: the degree-d truncation
-    drops nothing that reaches Y* X.  (For K <= 3 this is the cutoff
-    d - D - 1.)  What the distance does measure is the dropped series:
-    each factor differs from its untruncated form by about 2 * tail, with
-    tail <= tol / 10.
+    This is the untruncated product on S.  A table entry is zero unless
+    |g_k - a_k| <= D, so the monomial after j factors has degree at most
+    cutoff + min(j, K - j) D, and _symbol_model's cutoff
+    d - max(K // 2, 1) D - 1 keeps that <= d - 1: on S it is the degree-d
+    truncated product too.  (For K <= 3 this is the cutoff d - D - 1.)
+    Whether the rule can relax is ROADMAP item 3's question.  What the
+    distance does measure is the dropped series: each factor differs from
+    its untruncated form by about 2 * tail, with tail <= tol / 10.
 
     A passing distance is linops.holder_bound, 1-3.4x the norm here, when
     that is <= tol; otherwise it is the exact SVD norm, linops.operator_norm.
     It never under-reports the norm.
     """
     model, cutoff, stacks, _, tails = _symbol_model(t, d, tol)
-    sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
-    if t.num_components == 1:
-        # W_S: block (i, j), input degree j <= d, is stack[i - j], zero off the band
-        stack = np.concatenate([stacks[0][1], np.zeros_like(stacks[0][1][:1])])
-        lag = np.subtract.outer(np.arange(cutoff + 1), np.arange(d + 1))
-        lag[(lag < 0) | (lag >= len(stack) - 1)] = -1  # the appended zero block
-        w_s = stack[lag].transpose(0, 2, 1, 3).reshape(sel.size, -1)
-        diff = -(w_s @ adjoint(w_s))
-        diff.flat[:: sel.size + 1] += 1.0
-    else:
-        symbols = [_component_symbol(k, stack, model) for k, stack in stacks]
-        j = len(symbols) // 2
-        e_s = sp.identity(model.basis.size, format="csc")[:, sel]
-        y = defect_product(symbols[:j], e_s)
-        x = defect_product(symbols[j:][::-1], e_s)
-        diff = (y.conj().T @ x).toarray()
-    u_s = model.normalized_embedding()[sel]
+    e = model.defect_dim
+    exps = enumerate_basis(t.num_components, cutoff).exponents  # S's monomials, in S's order
+    prod = None
+    for k, stack in enumerate(stacks):
+        line_in, line_out = enumerate_basis(1, cutoff, stack.shape[2]), enumerate_basis(1, cutoff, e)
+        symbol = one_variable_symbol(1, stack[: cutoff + 1], line_in, line_out).dense()
+        table = -(symbol @ adjoint(symbol))
+        table.flat[:: table.shape[0] + 1] += 1.0
+        rows = (exps[:, k, None] * e + np.arange(e)).ravel()  # each row of S on variable k's line
+        block = table.take(rows, axis=0).take(rows, axis=1).reshape(len(exps), e, len(exps), e)
+        prod = block if prod is None else np.einsum("aibl,albj->aibj", prod, block)
+    diff = prod.reshape(rows.size, rows.size)
+    u_s = model.normalized_embedding()[: diff.shape[0]]
     diff -= u_s @ adjoint(u_s)
     bound = holder_bound(diff)
     return QuotientModelReport(bound if bound <= tol else operator_norm(diff), cutoff, tails, tol)

@@ -44,6 +44,8 @@ def spectral_radius_bound(a: np.ndarray) -> float:
     scale gives the same bound, so only the last power pays for an SVD.
     """
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix entries must be finite")
     if a.size == 0:
         return 0.0
     k = 1
@@ -222,6 +224,8 @@ def defect(a: np.ndarray) -> np.ndarray:
     """Defect operator (I - A*A)^(1/2) of a contraction; ||D|| <= 1, so its
     range is ranked by linops.orthonormalize on the absolute RANK_FLOOR."""
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix entries must be finite")
     # ||A||_2 <= ||A||_F: the cheap norm accepts, the SVD decides
     if np.linalg.norm(a) > 1.0 + _NORM_SLACK and operator_norm(a) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
@@ -244,6 +248,8 @@ def joint_defect(t: ContractionTuple) -> np.ndarray:
 def mobius(a_matrix: np.ndarray, a: complex) -> np.ndarray:
     """Disk-automorphism calculus (a I - A)(I - conj(a) A)^(-1)."""
     m = np.asarray(a_matrix, dtype=complex)
+    if not np.isfinite(m).all():
+        raise DimensionMismatch("matrix entries must be finite")
     if operator_norm(m) > 1.0 + _NORM_SLACK:
         raise DimensionMismatch("matrix is not a contraction")
     if not abs(a) < 1.0:

@@ -23,8 +23,8 @@ sizes, the terms' exponent shifts (or the parity rule) and the blocks'
 nonzero pattern, never their values.  Building an operator is then one
 gather of the block entries and the CSR constructor.  The joint defect
 product prod_k (I - W_k W_k*) x of a list of operators is one routine,
-defect_product, which every module applies; its range on given probes,
-wandering_subspace, is the one wandering routine.
+defect_product, which dilation, submodules and checks apply; its range on
+given probes, wandering_subspace, is the one wandering routine.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ def wandering_subspace(mats, probes) -> Subspace:
 def defect_product(mats, x):
     """prod_k (I - W_k W_k*) x for the matrices W_k of mats, the first
     one's factor applied first: each factor subtracts W (W* y), so no
-    W W* is formed.  x may be a dense or sparse vector or block."""
+    W W* is formed.  x is a dense vector or block."""
     for w in mats:
         x = x - w @ (w.conj().T @ x)
     return x

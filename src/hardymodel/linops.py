@@ -116,6 +116,8 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("hermitian_sqrt expects a square matrix")
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix entries must be finite")
     # ||A - A*||_2 <= ||A - A*||_F: the cheap norm accepts, the SVD decides
     skew = a - adjoint(a)
     if np.linalg.norm(skew) > _SQRT_TOL:

@@ -488,7 +488,9 @@ def component_symbol(cf: CharFn, coeffs, k: int, model: DilationModel):
 def one_component_difference(a: np.ndarray, d: int, tol: float):
     """(difference, cutoff) of charfn._model_distance for one component by
     the sparse route: the N x N_in CSR symbol (component_symbol), whose
-    safe rows are densified, then I - W_S W_S* - U_S U_S*."""
+    safe rows are densified and trimmed to the (cutoff + 1) e_in columns
+    of input degree <= cutoff (the others are asserted exactly zero), then
+    I - W_S W_S* - U_S U_S*."""
     t = ContractionTuple((np.asarray(a, dtype=complex),))
     model = canonical_embedding(t, d)
     cf = charfn_build(t.components[0])
@@ -496,22 +498,14 @@ def one_component_difference(a: np.ndarray, d: int, tol: float):
     cutoff = d - (len(coeffs) - 1) - 1
     sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
     w_s = component_symbol(cf, coeffs, 1, model)[sel].toarray()
+    keep = (cutoff + 1) * cf.dim_in
+    assert not w_s[:, keep:].any()
+    w_s = w_s[:, :keep]
     diff = -(w_s @ adjoint(w_s))
     diff.flat[:: sel.size + 1] += 1.0
     u_s = model.normalized_embedding()[sel]
     diff -= u_s @ adjoint(u_s)
     return diff, cutoff
-
-
-def half_product(symbols, sel: np.ndarray, size: int):
-    """F_j ... F_1 E_S as a sparse size x |S| matrix, for the symbols
-    W_1, ..., W_j (in that order) and F_k = I - W_k W_k*.  E_S only picks
-    columns, so F_1 E_S = E_S - W_1 W_1[S, :]*; each later factor
-    subtracts W (W* Y)."""
-    y = sp.csr_matrix((np.ones(sel.size), (sel, np.arange(sel.size))), shape=(size, sel.size))
-    for i, w in enumerate(symbols):
-        y = y - w @ (w[sel].conj().T if i == 0 else w.conj().T @ y)
-    return y
 
 
 def wandering_defect_loop(ops, cols: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from hardymodel import charfn
 from hardymodel.charfn import (
-    _component_symbol,
     _symbol_model,
     boundary_unitarity,
     charfn_build,
@@ -26,10 +25,10 @@ from _references import (
     poly_truncate_loop,
 )
 
-from hardymodel import contraction, dilation, hardy, linops
+from hardymodel import contraction, dilation, hardy, linops, submodules
 from hardymodel.contraction import ContractionTuple, defect, tensor_tuple
 from hardymodel.dilation import canonical_embedding, verify_dilation
-from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree
+from hardymodel.errors import DimensionMismatch, NotInClass, UnsafeDegree, ZeroDefect
 from hardymodel.generators import controlled_contraction
 from hardymodel.hardy import enumerate_basis, one_variable_symbol
 from hardymodel.linops import adjoint, operator_norm, orthonormalize
@@ -392,6 +391,25 @@ def counted(monkeypatch, module_names, name):
     return calls
 
 
+def operator_builds(monkeypatch):
+    """The number of variables of every operator hardy assembles."""
+    builds, assemble = [], hardy._assemble
+
+    def wrapper(basis_in, *args):
+        builds.append(basis_in.num_vars)
+        return assemble(basis_in, *args)
+
+    monkeypatch.setattr(hardy, "_assemble", wrapper)
+    return builds
+
+
+def stack_symbol(k: int, stack: np.ndarray, model):
+    """The truncated multiplier of a component's model stack in variable
+    k, as a CSR matrix on the model's basis."""
+    n, d = model.basis.num_vars, model.truncation_degree
+    return one_variable_symbol(k, stack, enumerate_basis(n, d, stack.shape[2]), model.basis).matrix
+
+
 class TestOneDefectBuildPerComponent:
     # the components' CharFns reuse what the model's class check and
     # adjoint defect already computed
@@ -423,10 +441,10 @@ class TestOneDefectBuildPerComponent:
         rng = np.random.default_rng(8)
         t = tensor_tuple([controlled_contraction(rng, 2, 0.55, 0.75) for _ in range(components)])
         model, _, stacks, _, _ = _symbol_model(t, 40, 1e-6)
-        assert [k for k, _ in stacks] == list(range(1, components + 1))
-        for (k, stack), comp in zip(stacks, t.components):
+        assert len(stacks) == components
+        for k, (stack, comp) in enumerate(zip(stacks, t.components), start=1):
             cf = charfn_build(comp)
-            w = _component_symbol(k, stack, model)
+            w = stack_symbol(k, stack, model)
             want = component_symbol(cf, poly_truncate(cf, 1e-7)[0], k, model)
             assert w.shape == want.shape and (w != want).nnz == 0
 
@@ -446,8 +464,9 @@ class TestOneDefectBuildPerComponent:
 
 
 class TestOneComponentRows:
-    """One component's safe rows come from one gather of its coefficient
-    stack, with the entries and places of the sparse symbol's rows."""
+    """One component's difference is I - L L* - U_S U_S*, L its
+    one-variable symbol on the degree-cutoff bases, with the entries and
+    places of the sparse symbol's safe rows."""
 
     @pytest.mark.parametrize(
         "a",
@@ -472,12 +491,13 @@ class TestOneComponentRows:
         assert residual == linops.holder_bound(want)
 
     def test_builds_no_multiplication_operator(self, monkeypatch):
-        ops = counted(monkeypatch, (hardy,), "mult_operator")
+        # one one-variable multiplier per component, none on the model basis
+        builds = operator_builds(monkeypatch)
         a = controlled_contraction(np.random.default_rng(3), 2, 0.55, 0.75)
         projection_identity_residual(a, 40, 1e-6)
-        assert ops == []
-        quotient_model_check(tensor_tuple([a, a]), 24, 1e-6)  # K = 2 keeps its sparse symbols
-        assert len(ops) == 2
+        assert builds == [1]
+        quotient_model_check(tensor_tuple([a, a]), 24, 1e-6)
+        assert builds == [1, 1, 1]
 
     def test_takes_the_norm_of_t_once(self, monkeypatch):
         # validate_tuple's norm is the power envelope's first probe
@@ -527,6 +547,13 @@ class TestQuotientModel:
         t = tensor_tuple([np.array([[0.5]]), np.array([[0.3 - 0.2j]])])
         rep = quotient_model_check(t, 40, 1e-6)
         assert rep.passed
+
+    def test_a_unitary_component_has_no_model(self):
+        # D_T = 0 makes a component on a finite space unitary, so the
+        # joint adjoint defect has the zero factor D_(T_1*)
+        t = tensor_tuple([np.array([[1j]]), np.array([[0.5]])])
+        with pytest.raises(ZeroDefect):
+            quotient_model_check(t, 12, 1e-6)
 
     def test_unsafe_degree(self):
         t = ContractionTuple((np.array([[0.5]]),))
@@ -645,6 +672,29 @@ class TestModelProduct:
         assert rep.distance > 1e-2  # the dropped symbol terms show
         assert_model_distance(rep, diff)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 1, 1)])
+    def test_matches_dense_product_form_with_block_coefficients(self, monkeypatch, dims):
+        # e > 1: each table entry is an e x e block, multiplied in the
+        # order F_1 ... F_K
+        diffs, bound = [], linops.holder_bound
+        monkeypatch.setattr(charfn, "holder_bound", lambda x: diffs.append(x) or bound(x))
+        rng = np.random.default_rng(3)
+        t = tensor_tuple([controlled_contraction(rng, m, 0.2, 0.3) for m in dims])
+        rep = quotient_model_check(t, 10, 1e-2)
+        diff, cutoff = dense_product_difference(t, 10, 1e-2)
+        assert canonical_embedding(t, 10).defect_dim > 1
+        assert rep.safe_cutoff == cutoff
+        np.testing.assert_allclose(diffs[0], diff, rtol=0.0, atol=1e-15)
+        assert_model_distance(rep, diff)
+
+    @pytest.mark.parametrize("components", [1, 2, 3])
+    def test_forms_no_defect_product_and_no_model_basis_operator(self, monkeypatch, components):
+        products = counted(monkeypatch, (hardy, dilation, submodules), "defect_product")
+        builds = operator_builds(monkeypatch)
+        t = tensor_tuple([np.array([[v]]) for v in (0.02, -0.015, 0.01j)[:components]])
+        assert quotient_model_check(t, 8, 0.3).safe_cutoff >= 0
+        assert products == [] and builds == [1] * components
+
     @pytest.mark.parametrize("seed", [19, 25])
     def test_a_bound_above_tol_falls_back_to_the_svd_norm(self, monkeypatch, seed):
         # against the embedding of another tuple the difference is O(1), its
@@ -687,12 +737,14 @@ class TestModelProduct:
         # degree d + 8; four symbols need the cutoff d - 2 D - 1
         rng = np.random.default_rng(1)
         t = tensor_tuple([controlled_contraction(rng, 1, 0.55, 0.75) for _ in range(components)])
+        symbols = [(cf, poly_truncate(cf, 0.03)[0]) for cf in map(charfn_build, t.components)]
 
         def product_rows(d, cutoff):
-            model, _, stacks, *_ = _symbol_model(t, d, 0.3)
+            model = canonical_embedding(t, d)
             sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
             cols = np.eye(model.basis.size, dtype=complex)[:, sel]
-            for w in (_component_symbol(k, stack, model) for k, stack in stacks):
+            for k, (cf, coeffs) in enumerate(symbols, start=1):
+                w = component_symbol(cf, coeffs, k, model)
                 cols = cols - w @ (adjoint(w) @ cols)
             return cols[sel]
 
@@ -723,10 +775,10 @@ class TestSymbolInModelCoordinates:
     )
     def test_matches_the_kronecker_inclusion(self, t):
         model, _, stacks, _, _ = _symbol_model(t, 20, 1e-2)
-        for (k, stack), comp in zip(stacks, t.components):
+        for k, (stack, comp) in enumerate(zip(stacks, t.components), start=1):
             cf = charfn_build(comp)
             coeffs, _ = poly_truncate(cf, 1e-3)
-            mat = _component_symbol(k, stack, model)
+            mat = stack_symbol(k, stack, model)
             want = symbol_through_component_basis(cf, coeffs, k, model)
             assert mat.shape == want.shape == (model.basis.size, model.basis.size // model.defect_dim * cf.dim_in)
             assert abs(mat - want).max() <= 1e-15
@@ -737,12 +789,8 @@ class TestSymbolInModelCoordinates:
         # operands in the same order, so no entry may move
         t = tensor_tuple([controlled_contraction(np.random.default_rng(len(dims)), m, 0.55, 0.75) for m in dims])
         model, _, stacks, _, _ = _symbol_model(t, 30, 1e-2)
-        for (k, stack), comp in zip(stacks, t.components):
+        for stack, comp in zip(stacks, t.components):
             cf = charfn_build(comp)
             coeffs, _ = poly_truncate(cf, 1e-3)
             incl = adjoint(cf.defect_out.basis) @ model.defect_basis.basis
-            basis_in = enumerate_basis(t.num_components, 30, cf.dim_in)
-            want = one_variable_symbol(k, [adjoint(incl) @ c for c in coeffs], basis_in, model.basis).matrix
-            got = _component_symbol(k, stack, model)
-            assert got.data.tobytes() == want.data.tobytes()
-            assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
+            assert stack.tobytes() == np.stack([adjoint(incl) @ c for c in coeffs]).tobytes()

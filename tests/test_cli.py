@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -223,6 +224,23 @@ def test_the_suite_loads_no_scipy_linalg():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_only_hardy_imports_scipy():
+    # the package modules that import scipy, read from their source: a new
+    # import fails here, and the set empties with hardy's CSR storage
+    importers = set()
+    for path in Path(hardymodel.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"hardy"}
 
 
 def test_generator_params_from_dict_defaults():

@@ -23,7 +23,7 @@ from hardymodel.contraction import (
 from hardymodel.dilation import canonical_embedding
 from hardymodel.errors import DimensionMismatch
 from hardymodel.hardy import enumerate_basis, kernel_vector
-from hardymodel.linops import adjoint, operator_norm
+from hardymodel.linops import adjoint, hermitian_sqrt, operator_norm
 from hardymodel.submodules import kernel_fixed_point_residual
 
 
@@ -327,3 +327,22 @@ def test_nan_fails_the_open_disk_guards(call):
     # and a tuple must refuse a non-finite entry
     with pytest.raises(DimensionMismatch):
         call()
+
+
+@pytest.mark.parametrize("value", [_NAN, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(defect, id="defect"),
+        pytest.param(hermitian_sqrt, id="hermitian-sqrt"),
+        pytest.param(spectral_radius_bound, id="spectral-radius"),
+        pytest.param(lambda m: mobius(m, 0.3), id="mobius"),
+        pytest.param(charfn_build, id="charfn-build"),
+    ],
+)
+def test_non_finite_fails_the_matrix_guards(call, value):
+    # a raw matrix reaches these without ContractionTuple's finiteness
+    # check; each must refuse it before any arithmetic, so neither a NaN
+    # result, a RuntimeWarning nor numpy's LinAlgError gets out
+    with pytest.raises(DimensionMismatch):
+        call(np.array([[value]]))

@@ -10,7 +10,6 @@ from _references import (
     assemble_per_term,
     check_window,
     defect_transfer_loop,
-    half_product,
     kernel_fixed_point_loop,
     operator_adjoint,
     parity_defect_norms_loop,
@@ -18,7 +17,7 @@ from _references import (
     wandering_defect_loop,
 )
 
-from hardymodel import charfn, checks, hardy
+from hardymodel import checks, hardy
 from hardymodel.checks import GeneratorParams
 from hardymodel.contraction import BlaschkeProduct, MoebiusPoint, mobius_series, tensor_tuple
 from hardymodel.dilation import canonical_embedding, defect_transfer_check
@@ -551,25 +550,6 @@ class TestDefectProduct:
         v = defect_transfer_loop(model, lam, y)
         want = np.sqrt(np.maximum(np.sum(v.conj() * y, axis=0).real, 0.0))
         assert defect_transfer_check(model, lam, x)[1].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("d", [32, 40, 48])
-    def test_sparse_halves_of_the_quotient_model(self, d):
-        # the K = 2 halves as charfn._model_distance forms them, from the
-        # sparse unit columns of the safe rows, against the former
-        # first-factor row-slice route
-        p = GeneratorParams(truncation_degree=d, radius_cap=0.55)
-        for seed in range(1, 13):
-            rng = np.random.default_rng([seed, d])
-            t = tensor_tuple([checks._model_scalar(rng, p) for _ in range(2)])
-            model, cutoff, stacks, _, _ = charfn._symbol_model(t, d, 1e-6)
-            symbols = [charfn._component_symbol(k, stack, model) for k, stack in stacks]
-            assert len(symbols) == 2
-            sel = np.nonzero(model.basis.degree_selector(cutoff))[0]
-            size = model.basis.size
-            e_s = sp.identity(size, format="csc")[:, sel]
-            for half in (symbols[:1], symbols[1:]):
-                got = hardy.defect_product(half, e_s).toarray()
-                assert got.tobytes() == half_product(half, sel, size).toarray().tobytes()
 
 
 class TestCrossVariableCommutation:
